@@ -13,6 +13,7 @@
 //! the naïve per-world baseline in `enframe-worlds`.
 
 use crate::event::{CVal, Event};
+use crate::fxhash::FxHashMap;
 use crate::program::{Item, Program, SymCVal, SymEvent, SymIdent, TargetSpec, ValSrc};
 use crate::symbol::{Interner, Symbol};
 use crate::value::Value;
@@ -85,7 +86,7 @@ pub struct GroundProgram {
     /// Identifier interner (shared with the source program).
     pub interner: Interner,
     defs: Vec<(Ident, Def)>,
-    index: HashMap<Ident, DefId>,
+    index: FxHashMap<Ident, DefId>,
     /// Compilation targets, in registration order.
     pub targets: Vec<DefId>,
     /// Number of input random variables.
@@ -309,8 +310,21 @@ impl<'a> Evaluator<'a> {
 struct Grounder<'a> {
     program: &'a Program,
     defs: Vec<(Ident, Def)>,
-    index: HashMap<Ident, DefId>,
+    index: FxHashMap<Ident, DefId>,
     env: HashMap<Symbol, i64>,
+    /// The identifier [`Grounder::ground_ident`] evaluated last; reused so
+    /// that resolving a reference allocates nothing.
+    ident: Ident,
+    /// Grounded form of every *shared* symbolic term met outside all
+    /// loops, by `Rc` address. The translator shares sub-terms heavily
+    /// (every read of a slot clones its `Rc`; `breakTies` nests each
+    /// prefix disjunction inside the next), and grounding a shared term
+    /// once keeps both this pass and everything downstream — which memoise
+    /// by address too — proportional to the program rather than to its
+    /// tree expansion. A term under a loop binding grounds differently
+    /// per iteration and is never memoised.
+    events: FxHashMap<*const SymEvent, Rc<Event>>,
+    cvals: FxHashMap<*const SymCVal, Rc<CVal>>,
 }
 
 /// Grounds a symbolic [`Program`] into a flat [`GroundProgram`].
@@ -318,8 +332,11 @@ pub fn ground_program(program: &Program) -> Result<GroundProgram, CoreError> {
     let mut g = Grounder {
         program,
         defs: Vec::new(),
-        index: HashMap::new(),
+        index: FxHashMap::default(),
         env: HashMap::new(),
+        ident: Ident::plain(Symbol(0)),
+        events: FxHashMap::default(),
+        cvals: FxHashMap::default(),
     };
     g.items(&program.items)?;
 
@@ -327,12 +344,11 @@ pub fn ground_program(program: &Program) -> Result<GroundProgram, CoreError> {
     for spec in &program.targets {
         match spec {
             TargetSpec::Exact(si) => {
-                let id = g.ground_ident(si)?;
-                let def = g
-                    .index
-                    .get(&id)
-                    .copied()
-                    .ok_or_else(|| CoreError::UnknownTarget(id.render(&program.interner)))?;
+                g.ground_ident(si)?;
+                let def =
+                    g.index.get(&g.ident).copied().ok_or_else(|| {
+                        CoreError::UnknownTarget(g.ident.render(&program.interner))
+                    })?;
                 targets.push(def);
             }
             TargetSpec::Family(sym) => {
@@ -366,14 +382,12 @@ impl<'a> Grounder<'a> {
         for item in items {
             match item {
                 Item::DeclEvent { lhs, rhs } => {
-                    let ident = self.ground_ident(lhs)?;
                     let body = self.event(rhs)?;
-                    self.define(ident, Def::Event(body))?;
+                    self.define(lhs, Def::Event(body))?;
                 }
                 Item::DeclCVal { lhs, rhs } => {
-                    let ident = self.ground_ident(lhs)?;
                     let body = self.cval(rhs)?;
-                    self.define(ident, Def::CVal(body))?;
+                    self.define(lhs, Def::CVal(body))?;
                 }
                 Item::Loop { var, lo, hi, body } => {
                     let lo = lo.eval(&self.env, &self.program.interner)?;
@@ -397,53 +411,42 @@ impl<'a> Grounder<'a> {
         Ok(())
     }
 
-    fn define(&mut self, ident: Ident, def: Def) -> Result<(), CoreError> {
-        if self.index.contains_key(&ident) {
+    fn define(&mut self, lhs: &SymIdent, def: Def) -> Result<(), CoreError> {
+        self.ground_ident(lhs)?;
+        if self.index.contains_key(&self.ident) {
             return Err(CoreError::Redeclaration(
-                ident.render(&self.program.interner),
+                self.ident.render(&self.program.interner),
             ));
         }
         let id = DefId(self.defs.len() as u32);
-        self.index.insert(ident.clone(), id);
-        self.defs.push((ident, def));
+        self.index.insert(self.ident.clone(), id);
+        self.defs.push((self.ident.clone(), def));
         Ok(())
     }
 
-    fn ground_ident(&self, si: &SymIdent) -> Result<Ident, CoreError> {
-        let mut idx = Vec::with_capacity(si.idx.len());
+    /// Evaluates `si` under the current loop bindings into `self.ident`.
+    fn ground_ident(&mut self, si: &SymIdent) -> Result<(), CoreError> {
+        self.ident.sym = si.sym;
+        self.ident.idx.clear();
         for e in &si.idx {
-            idx.push(e.eval(&self.env, &self.program.interner)?);
+            let i = e.eval(&self.env, &self.program.interner)?;
+            self.ident.idx.push(i);
         }
-        Ok(Ident::indexed(si.sym, idx))
+        Ok(())
     }
 
-    fn resolve_event_ref(&self, si: &SymIdent) -> Result<DefId, CoreError> {
-        let ident = self.ground_ident(si)?;
-        let id = self
-            .index
-            .get(&ident)
-            .copied()
-            .ok_or_else(|| CoreError::UnknownIdent(ident.render(&self.program.interner)))?;
-        if !self.defs[id.index()].1.is_event() {
+    /// Resolves a reference to an already grounded definition of the
+    /// wanted kind.
+    fn resolve_ref(&mut self, si: &SymIdent, want_event: bool) -> Result<DefId, CoreError> {
+        self.ground_ident(si)?;
+        let id =
+            self.index.get(&self.ident).copied().ok_or_else(|| {
+                CoreError::UnknownIdent(self.ident.render(&self.program.interner))
+            })?;
+        if self.defs[id.index()].1.is_event() != want_event {
             return Err(CoreError::TypeMismatch {
-                ident: ident.render(&self.program.interner),
-                expected: "an event",
-            });
-        }
-        Ok(id)
-    }
-
-    fn resolve_cval_ref(&self, si: &SymIdent) -> Result<DefId, CoreError> {
-        let ident = self.ground_ident(si)?;
-        let id = self
-            .index
-            .get(&ident)
-            .copied()
-            .ok_or_else(|| CoreError::UnknownIdent(ident.render(&self.program.interner)))?;
-        if self.defs[id.index()].1.is_event() {
-            return Err(CoreError::TypeMismatch {
-                ident: ident.render(&self.program.interner),
-                expected: "a c-value",
+                ident: self.ident.render(&self.program.interner),
+                expected: if want_event { "an event" } else { "a c-value" },
             });
         }
         Ok(id)
@@ -466,8 +469,14 @@ impl<'a> Grounder<'a> {
         }
     }
 
-    fn event(&mut self, e: &SymEvent) -> Result<Rc<Event>, CoreError> {
-        Ok(match e {
+    fn event(&mut self, e: &Rc<SymEvent>) -> Result<Rc<Event>, CoreError> {
+        let memoise = Rc::strong_count(e) > 1 && self.env.is_empty();
+        if memoise {
+            if let Some(done) = self.events.get(&Rc::as_ptr(e)) {
+                return Ok(done.clone());
+            }
+        }
+        let out = match &**e {
             SymEvent::Tru => Rc::new(Event::Tru),
             SymEvent::Fls => Rc::new(Event::Fls),
             SymEvent::Var(v) => Rc::new(Event::Var(*v)),
@@ -487,7 +496,7 @@ impl<'a> Grounder<'a> {
                 Event::or(parts)
             }
             SymEvent::Atom(op, a, b) => Rc::new(Event::Atom(*op, self.cval(a)?, self.cval(b)?)),
-            SymEvent::Ref(si) => Rc::new(Event::Ref(self.resolve_event_ref(si)?)),
+            SymEvent::Ref(si) => Rc::new(Event::Ref(self.resolve_ref(si, true)?)),
             SymEvent::BigAnd { var, lo, hi, body } => {
                 let parts = self.expand_range(*var, lo, hi, |g| g.event(body))?;
                 Event::and(parts)
@@ -496,11 +505,21 @@ impl<'a> Grounder<'a> {
                 let parts = self.expand_range(*var, lo, hi, |g| g.event(body))?;
                 Event::or(parts)
             }
-        })
+        };
+        if memoise {
+            self.events.insert(Rc::as_ptr(e), out.clone());
+        }
+        Ok(out)
     }
 
-    fn cval(&mut self, c: &SymCVal) -> Result<Rc<CVal>, CoreError> {
-        Ok(match c {
+    fn cval(&mut self, c: &Rc<SymCVal>) -> Result<Rc<CVal>, CoreError> {
+        let memoise = Rc::strong_count(c) > 1 && self.env.is_empty();
+        if memoise {
+            if let Some(done) = self.cvals.get(&Rc::as_ptr(c)) {
+                return Ok(done.clone());
+            }
+        }
+        let out = match &**c {
             SymCVal::Lit(src) => Rc::new(CVal::Const(self.value_of(src)?)),
             SymCVal::Cond(e, src) => {
                 let ev = self.event(e)?;
@@ -523,7 +542,7 @@ impl<'a> Grounder<'a> {
             SymCVal::Inv(inner) => Rc::new(CVal::Inv(self.cval(inner)?)),
             SymCVal::Pow(inner, r) => Rc::new(CVal::Pow(self.cval(inner)?, *r)),
             SymCVal::Dist(a, b) => Rc::new(CVal::Dist(self.cval(a)?, self.cval(b)?)),
-            SymCVal::Ref(si) => Rc::new(CVal::Ref(self.resolve_cval_ref(si)?)),
+            SymCVal::Ref(si) => Rc::new(CVal::Ref(self.resolve_ref(si, false)?)),
             SymCVal::BigSum { var, lo, hi, body } => {
                 let parts = self.expand_range(*var, lo, hi, |g| g.cval(body))?;
                 Rc::new(CVal::Sum(parts))
@@ -532,7 +551,11 @@ impl<'a> Grounder<'a> {
                 let parts = self.expand_range(*var, lo, hi, |g| g.cval(body))?;
                 Rc::new(CVal::Prod(parts))
             }
-        })
+        };
+        if memoise {
+            self.cvals.insert(Rc::as_ptr(c), out.clone());
+        }
+        Ok(out)
     }
 
     fn expand_range<T>(

@@ -13,6 +13,7 @@
 use crate::ast::*;
 use crate::error::LangError;
 use crate::rtvalue::RtValue;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Host environment supplying the external data primitives.
@@ -219,34 +220,49 @@ impl<'e> Interp<'e> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<RtValue, LangError> {
+    /// The value an rvalue denotes. A `Name` / `Name[ix]…` chain is resolved
+    /// to a reference into the environment, the way [`Interp::assign`]
+    /// walks lvalues, so an element read costs the element and not the
+    /// array it sits in. Index expressions are evaluated outermost first
+    /// and the name is looked up last; the walk then checks level 1 before
+    /// level 2.
+    fn place(&mut self, e: &Expr) -> Result<Cow<'_, RtValue>, LangError> {
         match e {
-            Expr::Int(i) => Ok(RtValue::Int(*i)),
-            Expr::Float(f) => Ok(RtValue::Float(*f)),
-            Expr::Bool(b) => Ok(RtValue::Bool(*b)),
             Expr::Name(n) => self
                 .env
                 .get(n)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| LangError::Runtime(format!("use of undefined variable `{n}`"))),
             Expr::Index(base, idx) => {
                 let ix = self.int_expr(idx)?;
-                match self.expr(base)? {
-                    RtValue::Array(items) => {
-                        if ix < 0 || ix as usize >= items.len() {
-                            return Err(LangError::Runtime(format!(
-                                "index {ix} out of range 0..{}",
-                                items.len()
-                            )));
-                        }
-                        Ok(items[ix as usize].clone())
+                let at = usize::try_from(ix).unwrap_or(usize::MAX);
+                let out_of_range =
+                    |len: usize| LangError::Runtime(format!("index {ix} out of range 0..{len}"));
+                match self.place(base)? {
+                    Cow::Borrowed(RtValue::Array(items)) => items
+                        .get(at)
+                        .map(Cow::Borrowed)
+                        .ok_or_else(|| out_of_range(items.len())),
+                    Cow::Owned(RtValue::Array(mut items)) if at < items.len() => {
+                        Ok(Cow::Owned(items.swap_remove(at)))
                     }
+                    Cow::Owned(RtValue::Array(items)) => Err(out_of_range(items.len())),
                     other => Err(LangError::Runtime(format!(
                         "cannot index {} value",
                         other.kind()
                     ))),
                 }
             }
+            other => self.expr(other).map(Cow::Owned),
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) -> Result<RtValue, LangError> {
+        match e {
+            Expr::Int(i) => Ok(RtValue::Int(*i)),
+            Expr::Float(f) => Ok(RtValue::Float(*f)),
+            Expr::Bool(b) => Ok(RtValue::Bool(*b)),
+            Expr::Name(_) | Expr::Index(..) => self.place(e).map(Cow::into_owned),
             Expr::ArrayInit(len) => {
                 let n = self.int_expr(len)?;
                 if n < 0 {

@@ -1,24 +1,76 @@
 //! Building hash-consed event networks from grounded event programs.
 
 use crate::node::{Node, NodeId, NodeKind};
-use enframe_core::fxhash::FxHashMap;
+use enframe_core::fxhash::{FxHashMap, FxHasher};
 use enframe_core::{CVal, CmpOp, CoreError, Def, Event, GroundProgram, Valuation, Value, Var};
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
-/// Hashable stand-in for a constant payload (bit-exact).
-#[derive(PartialEq, Eq, Hash, Clone)]
-pub(crate) enum ValueKey {
-    Undef,
-    Num(u64),
-    Point(Vec<u64>),
+/// The node arena of a network under construction, hash-consed against
+/// itself: the index maps a hash of `(kind, children, payload bits)` to a
+/// node id and equality is checked against `nodes[id]`, so interning
+/// stores no second copy of a node's children or constant. Colliding
+/// hashes probe linearly in key space (entries are never removed).
+pub(crate) struct NodeTable {
+    pub(crate) nodes: Vec<Node>,
+    index: FxHashMap<u64, NodeId>,
 }
 
-impl ValueKey {
-    pub(crate) fn of(v: &Value) -> ValueKey {
-        match v {
-            Value::Undef => ValueKey::Undef,
-            Value::Num(x) => ValueKey::Num(x.to_bits()),
-            Value::Point(p) => ValueKey::Point(p.iter().map(|x| x.to_bits()).collect()),
+/// Hashes a node's content; payloads by bit pattern, as [`Value`]'s
+/// equality compares them.
+fn content_hash(kind: &NodeKind, children: &[NodeId], value: Option<&Value>) -> u64 {
+    let mut h = FxHasher::default();
+    kind.hash(&mut h);
+    children.hash(&mut h);
+    match value {
+        None => h.write_u8(0),
+        Some(Value::Undef) => h.write_u8(1),
+        Some(Value::Num(x)) => {
+            h.write_u8(2);
+            h.write_u64(x.to_bits());
         }
+        Some(Value::Point(p)) => {
+            h.write_u8(3);
+            for x in p.iter() {
+                h.write_u64(x.to_bits());
+            }
+        }
+    }
+    h.finish()
+}
+
+impl NodeTable {
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        NodeTable {
+            nodes: Vec::with_capacity(nodes),
+            index: FxHashMap::default(),
+        }
+    }
+
+    /// The id of the node with this content, appended if it is new.
+    pub(crate) fn intern(
+        &mut self,
+        kind: NodeKind,
+        children: &[NodeId],
+        value: Option<&Value>,
+    ) -> NodeId {
+        let mut key = content_hash(&kind, children, value);
+        while let Some(&id) = self.index.get(&key) {
+            let node = &self.nodes[id.index()];
+            if node.kind == kind && node.children == children && node.value.as_ref() == value {
+                return id;
+            }
+            key = key.wrapping_add(1);
+        }
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(Node {
+            kind,
+            children: children.to_vec(),
+            parents: Vec::new(),
+            value: value.cloned(),
+        });
+        self.index.insert(key, id);
+        id
     }
 }
 
@@ -65,8 +117,10 @@ pub struct Network {
 }
 
 struct Builder {
-    nodes: Vec<Node>,
-    intern: FxHashMap<(NodeKind, Vec<NodeId>, Option<ValueKey>), NodeId>,
+    table: NodeTable,
+    /// Children of the n-ary nodes being assembled, innermost last; a node
+    /// that turns out to exist already then costs no allocation.
+    kids: Vec<NodeId>,
     ev_memo: FxHashMap<*const Event, NodeId>,
     cv_memo: FxHashMap<*const CVal, NodeId>,
     def_nodes: Vec<NodeId>,
@@ -78,8 +132,8 @@ impl Network {
     /// must be Boolean definitions.
     pub fn build(gp: &GroundProgram) -> Result<Network, CoreError> {
         let mut b = Builder {
-            nodes: Vec::with_capacity(gp.len() * 2),
-            intern: FxHashMap::default(),
+            table: NodeTable::with_capacity(gp.len() * 2),
+            kids: Vec::new(),
             ev_memo: FxHashMap::default(),
             cv_memo: FxHashMap::default(),
             def_nodes: Vec::with_capacity(gp.len()),
@@ -96,7 +150,7 @@ impl Network {
         let mut target_names = Vec::with_capacity(gp.targets.len());
         for &t in &gp.targets {
             let node = b.def_nodes[t.index()];
-            if !b.nodes[node.index()].is_bool() {
+            if !b.table.nodes[node.index()].is_bool() {
                 return Err(CoreError::TypeMismatch {
                     ident: gp.name_of(t),
                     expected: "a Boolean compilation target",
@@ -106,7 +160,7 @@ impl Network {
             target_names.push(gp.name_of(t));
         }
         let mut net = Network {
-            nodes: b.nodes,
+            nodes: b.table.nodes,
             n_vars: gp.n_vars,
             targets,
             target_names,
@@ -137,46 +191,55 @@ impl Network {
                 }
             }
         }
-        let n_live = live.iter().filter(|&&l| l).count();
-        if n_live == n {
+        if live.iter().all(|&l| l) {
             return;
         }
-        // Compact, preserving (topological) order.
-        let mut remap: Vec<Option<NodeId>> = vec![None; n];
-        let mut nodes = Vec::with_capacity(n_live);
-        for (i, node) in self.nodes.drain(..).enumerate() {
+        // Compact in place, preserving (topological) order. Pruned nodes
+        // map to the u32::MAX sentinel.
+        let mut remap = vec![NodeId(u32::MAX); n];
+        let mut kept = 0;
+        for i in 0..n {
             if live[i] {
-                remap[i] = Some(NodeId(nodes.len() as u32));
-                let mut node = node;
-                for c in node.children.iter_mut() {
-                    *c = remap[c.index()].expect("children precede parents");
+                remap[i] = NodeId(kept as u32);
+                self.nodes.swap(kept, i);
+                for c in self.nodes[kept].children.iter_mut() {
+                    // Children precede parents, so they are remapped already.
+                    *c = remap[c.index()];
                 }
-                nodes.push(node);
+                kept += 1;
             }
         }
-        self.nodes = nodes;
+        self.nodes.truncate(kept);
         for t in self.targets.iter_mut() {
-            *t = remap[t.index()].expect("targets are live");
+            *t = remap[t.index()];
         }
         for slot in self.var_nodes.iter_mut() {
-            *slot = slot.and_then(|v| remap[v.index()]);
+            *slot = slot.map(|v| remap[v.index()]).filter(|v| v.0 != u32::MAX);
         }
         for d in self.def_nodes.iter_mut() {
-            // Pruned definitions map to the u32::MAX sentinel, surfaced as
-            // `None` by `def_node`.
-            *d = remap[d.index()].unwrap_or(NodeId(u32::MAX));
+            // Surfaced as `None` by `def_node`.
+            *d = remap[d.index()];
         }
     }
 
+    /// Fills every node's parent list, in ascending parent order, from one
+    /// counting pass so that each list is allocated once at its final size.
     fn fill_parents(&mut self) {
-        let mut parent_lists: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
+        let mut fan_out = vec![0u32; self.nodes.len()];
+        for node in &self.nodes {
             for &c in &node.children {
-                parent_lists[c.index()].push(NodeId(i as u32));
+                fan_out[c.index()] += 1;
             }
         }
-        for (node, parents) in self.nodes.iter_mut().zip(parent_lists) {
-            node.parents = parents;
+        for (node, n) in self.nodes.iter_mut().zip(fan_out) {
+            node.parents = Vec::with_capacity(n as usize);
+        }
+        for i in 0..self.nodes.len() {
+            // Children precede their parents.
+            let (before, rest) = self.nodes.split_at_mut(i);
+            for &c in &rest[0].children {
+                before[c.index()].parents.push(NodeId(i as u32));
+            }
         }
     }
 
@@ -336,47 +399,68 @@ fn as_v(out: &[EvalVal], id: NodeId) -> &Value {
 }
 
 impl Builder {
-    fn intern(&mut self, kind: NodeKind, children: Vec<NodeId>, value: Option<Value>) -> NodeId {
-        let key = (
-            kind.clone(),
-            children.clone(),
-            value.as_ref().map(ValueKey::of),
-        );
-        if let Some(&id) = self.intern.get(&key) {
-            return id;
-        }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind,
-            children,
-            parents: Vec::new(),
-            value,
-        });
-        self.intern.insert(key, id);
+    /// Interns an n-ary node over the children assembled on `kids` since
+    /// `base` (at least one; a single child stands for itself) and pops
+    /// them.
+    fn intern_kids(&mut self, kind: NodeKind, base: usize) -> NodeId {
+        let id = match &self.kids[base..] {
+            [only] => *only,
+            kids => self.table.intern(kind, kids, None),
+        };
+        self.kids.truncate(base);
         id
     }
 
     fn const_bool(&mut self, b: bool) -> NodeId {
-        self.intern(NodeKind::ConstBool(b), vec![], None)
+        self.table.intern(NodeKind::ConstBool(b), &[], None)
+    }
+
+    fn const_val(&mut self, v: &Value) -> NodeId {
+        self.table.intern(NodeKind::ConstVal, &[], Some(v))
     }
 
     fn is_const(&self, id: NodeId) -> Option<bool> {
-        match self.nodes[id.index()].kind {
+        match self.table.nodes[id.index()].kind {
             NodeKind::ConstBool(b) => Some(b),
             _ => None,
         }
     }
 
-    fn event(&mut self, e: &Event) -> NodeId {
-        let ptr = e as *const Event;
-        if let Some(&id) = self.ev_memo.get(&ptr) {
-            return id;
+    /// `And` (`unit` = true) or `Or` (`unit` = false) over `parts`: the
+    /// unit is dropped, its complement absorbs.
+    fn connective(&mut self, kind: NodeKind, unit: bool, parts: &[Rc<Event>]) -> NodeId {
+        let base = self.kids.len();
+        for p in parts {
+            let c = self.event(p);
+            match self.is_const(c) {
+                Some(b) if b == unit => {}
+                Some(_) => {
+                    self.kids.truncate(base);
+                    return c;
+                }
+                None => self.kids.push(c),
+            }
         }
-        let id = match e {
+        if self.kids.len() == base {
+            return self.const_bool(unit);
+        }
+        self.intern_kids(kind, base)
+    }
+
+    fn event(&mut self, e: &Rc<Event>) -> NodeId {
+        // A term with one owner is reached once; only shared terms can be
+        // met again.
+        let shared = Rc::strong_count(e) > 1;
+        if shared {
+            if let Some(&id) = self.ev_memo.get(&Rc::as_ptr(e)) {
+                return id;
+            }
+        }
+        let id = match &**e {
             Event::Tru => self.const_bool(true),
             Event::Fls => self.const_bool(false),
             Event::Var(v) => {
-                let id = self.intern(NodeKind::Var(*v), vec![], None);
+                let id = self.table.intern(NodeKind::Var(*v), &[], None);
                 self.var_nodes[v.index()] = Some(id);
                 id
             }
@@ -384,55 +468,11 @@ impl Builder {
                 let c = self.event(inner);
                 match self.is_const(c) {
                     Some(b) => self.const_bool(!b),
-                    None => self.intern(NodeKind::Not, vec![c], None),
+                    None => self.table.intern(NodeKind::Not, &[c], None),
                 }
             }
-            Event::And(parts) => {
-                let mut kids = Vec::with_capacity(parts.len());
-                let mut folded = None;
-                for p in parts {
-                    let c = self.event(p);
-                    match self.is_const(c) {
-                        Some(true) => {}
-                        Some(false) => {
-                            folded = Some(self.const_bool(false));
-                            break;
-                        }
-                        None => kids.push(c),
-                    }
-                }
-                match folded {
-                    Some(f) => f,
-                    None => match kids.len() {
-                        0 => self.const_bool(true),
-                        1 => kids[0],
-                        _ => self.intern(NodeKind::And, kids, None),
-                    },
-                }
-            }
-            Event::Or(parts) => {
-                let mut kids = Vec::with_capacity(parts.len());
-                let mut folded = None;
-                for p in parts {
-                    let c = self.event(p);
-                    match self.is_const(c) {
-                        Some(false) => {}
-                        Some(true) => {
-                            folded = Some(self.const_bool(true));
-                            break;
-                        }
-                        None => kids.push(c),
-                    }
-                }
-                match folded {
-                    Some(f) => f,
-                    None => match kids.len() {
-                        0 => self.const_bool(false),
-                        1 => kids[0],
-                        _ => self.intern(NodeKind::Or, kids, None),
-                    },
-                }
-            }
+            Event::And(parts) => self.connective(NodeKind::And, true, parts),
+            Event::Or(parts) => self.connective(NodeKind::Or, false, parts),
             Event::Atom(op, a, b) => {
                 let ca = self.cval(a);
                 let cb = self.cval(b);
@@ -441,28 +481,45 @@ impl Builder {
                 if ca == cb && matches!(op, CmpOp::Le | CmpOp::Ge | CmpOp::Eq) {
                     self.const_bool(true)
                 } else {
-                    self.intern(NodeKind::Cmp(*op), vec![ca, cb], None)
+                    self.table.intern(NodeKind::Cmp(*op), &[ca, cb], None)
                 }
             }
             Event::Ref(d) => self.def_nodes[d.index()],
         };
-        self.ev_memo.insert(ptr, id);
+        if shared {
+            self.ev_memo.insert(Rc::as_ptr(e), id);
+        }
         id
     }
 
-    fn cval(&mut self, c: &CVal) -> NodeId {
-        let ptr = c as *const CVal;
-        if let Some(&id) = self.cv_memo.get(&ptr) {
-            return id;
+    /// `Sum` or `Prod` over `parts`; `empty` is the value of no parts.
+    fn aggregate(&mut self, kind: NodeKind, empty: Value, parts: &[Rc<CVal>]) -> NodeId {
+        if parts.is_empty() {
+            return self.const_val(&empty);
         }
-        let id = match c {
-            CVal::Const(v) => self.intern(NodeKind::ConstVal, vec![], Some(v.clone())),
+        let base = self.kids.len();
+        for p in parts {
+            let c = self.cval(p);
+            self.kids.push(c);
+        }
+        self.intern_kids(kind, base)
+    }
+
+    fn cval(&mut self, c: &Rc<CVal>) -> NodeId {
+        let shared = Rc::strong_count(c) > 1;
+        if shared {
+            if let Some(&id) = self.cv_memo.get(&Rc::as_ptr(c)) {
+                return id;
+            }
+        }
+        let id = match &**c {
+            CVal::Const(v) => self.const_val(v),
             CVal::Cond(e, v) => {
                 let g = self.event(e);
                 match self.is_const(g) {
-                    Some(true) => self.intern(NodeKind::ConstVal, vec![], Some(v.clone())),
-                    Some(false) => self.intern(NodeKind::ConstVal, vec![], Some(Value::Undef)),
-                    None => self.intern(NodeKind::Cond, vec![g], Some(v.clone())),
+                    Some(true) => self.const_val(v),
+                    Some(false) => self.const_val(&Value::Undef),
+                    None => self.table.intern(NodeKind::Cond, &[g], Some(v)),
                 }
             }
             CVal::Guard(e, inner) => {
@@ -470,42 +527,30 @@ impl Builder {
                 let ci = self.cval(inner);
                 match self.is_const(g) {
                     Some(true) => ci,
-                    Some(false) => self.intern(NodeKind::ConstVal, vec![], Some(Value::Undef)),
-                    None => self.intern(NodeKind::Guard, vec![g, ci], None),
+                    Some(false) => self.const_val(&Value::Undef),
+                    None => self.table.intern(NodeKind::Guard, &[g, ci], None),
                 }
             }
-            CVal::Sum(parts) => {
-                let kids: Vec<NodeId> = parts.iter().map(|p| self.cval(p)).collect();
-                match kids.len() {
-                    0 => self.intern(NodeKind::ConstVal, vec![], Some(Value::Undef)),
-                    1 => kids[0],
-                    _ => self.intern(NodeKind::Sum, kids, None),
-                }
-            }
-            CVal::Prod(parts) => {
-                let kids: Vec<NodeId> = parts.iter().map(|p| self.cval(p)).collect();
-                match kids.len() {
-                    0 => self.intern(NodeKind::ConstVal, vec![], Some(Value::Num(1.0))),
-                    1 => kids[0],
-                    _ => self.intern(NodeKind::Prod, kids, None),
-                }
-            }
+            CVal::Sum(parts) => self.aggregate(NodeKind::Sum, Value::Undef, parts),
+            CVal::Prod(parts) => self.aggregate(NodeKind::Prod, Value::Num(1.0), parts),
             CVal::Inv(inner) => {
                 let ci = self.cval(inner);
-                self.intern(NodeKind::Inv, vec![ci], None)
+                self.table.intern(NodeKind::Inv, &[ci], None)
             }
             CVal::Pow(inner, r) => {
                 let ci = self.cval(inner);
-                self.intern(NodeKind::Pow(*r), vec![ci], None)
+                self.table.intern(NodeKind::Pow(*r), &[ci], None)
             }
             CVal::Dist(a, b) => {
                 let ca = self.cval(a);
                 let cb = self.cval(b);
-                self.intern(NodeKind::Dist, vec![ca, cb], None)
+                self.table.intern(NodeKind::Dist, &[ca, cb], None)
             }
             CVal::Ref(d) => self.def_nodes[d.index()],
         };
-        self.cv_memo.insert(ptr, id);
+        if shared {
+            self.cv_memo.insert(Rc::as_ptr(c), id);
+        }
         id
     }
 }

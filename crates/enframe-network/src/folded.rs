@@ -35,7 +35,7 @@
 //! that machinery lives in `enframe-prob`. This module owns the structure
 //! and a direct per-world evaluator used to validate it.
 
-use crate::build::ValueKey;
+use crate::build::NodeTable;
 use crate::node::{Node, NodeId, NodeKind};
 use enframe_core::fxhash::{FxHashMap, FxHashSet};
 use enframe_core::{CVal, CoreError, Def, DefId, Event, GroundProgram, Valuation, Value, Var};
@@ -311,9 +311,8 @@ enum Phase {
 
 struct FBuilder<'g> {
     gp: &'g GroundProgram,
-    nodes: Vec<Node>,
+    table: NodeTable,
     region_of: Vec<Region>,
-    intern: FxHashMap<(NodeKind, Vec<NodeId>, Option<ValueKey>), NodeId>,
     ev_memo: FxHashMap<usize, NodeId>,
     cv_memo: FxHashMap<usize, NodeId>,
     var_nodes: Vec<Option<NodeId>>,
@@ -332,37 +331,24 @@ struct FBuilder<'g> {
 }
 
 impl FBuilder<'_> {
-    fn intern(&mut self, kind: NodeKind, children: Vec<NodeId>, value: Option<Value>) -> NodeId {
-        let key = (
-            kind.clone(),
-            children.clone(),
-            value.as_ref().map(ValueKey::of),
-        );
-        if let Some(&id) = self.intern.get(&key) {
-            return id;
+    fn intern(&mut self, kind: NodeKind, children: &[NodeId], value: Option<&Value>) -> NodeId {
+        let id = self.table.intern(kind, children, value);
+        if id.index() == self.region_of.len() {
+            self.region_of.push(match self.phase {
+                Phase::Pro => Region::Pro,
+                Phase::Body => Region::Body,
+                Phase::Epi => Region::Epi,
+            });
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind,
-            children,
-            parents: Vec::new(),
-            value,
-        });
-        self.region_of.push(match self.phase {
-            Phase::Pro => Region::Pro,
-            Phase::Body => Region::Body,
-            Phase::Epi => Region::Epi,
-        });
-        self.intern.insert(key, id);
         id
     }
 
     fn const_bool(&mut self, b: bool) -> NodeId {
-        self.intern(NodeKind::ConstBool(b), vec![], None)
+        self.intern(NodeKind::ConstBool(b), &[], None)
     }
 
     fn is_const(&self, id: NodeId) -> Option<bool> {
-        match self.nodes[id.index()].kind {
+        match self.table.nodes[id.index()].kind {
             NodeKind::ConstBool(b) => Some(b),
             _ => None,
         }
@@ -414,8 +400,8 @@ impl FBuilder<'_> {
             .is_event();
         // LoopIn leaves are never interned/merged: each carry keeps its own
         // identity even if two carries were structurally identical.
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
+        let id = NodeId(self.table.nodes.len() as u32);
+        self.table.nodes.push(Node {
             kind: NodeKind::LoopIn { boolish },
             children: Vec::new(),
             parents: Vec::new(),
@@ -435,7 +421,7 @@ impl FBuilder<'_> {
             Event::Tru => self.const_bool(true),
             Event::Fls => self.const_bool(false),
             Event::Var(v) => {
-                let id = self.intern(NodeKind::Var(*v), vec![], None);
+                let id = self.intern(NodeKind::Var(*v), &[], None);
                 self.var_nodes[v.index()] = Some(id);
                 id
             }
@@ -443,7 +429,7 @@ impl FBuilder<'_> {
                 let c = self.event(inner)?;
                 match self.is_const(c) {
                     Some(b) => self.const_bool(!b),
-                    None => self.intern(NodeKind::Not, vec![c], None),
+                    None => self.intern(NodeKind::Not, &[c], None),
                 }
             }
             Event::And(parts) => {
@@ -465,7 +451,7 @@ impl FBuilder<'_> {
                     None => match kids.len() {
                         0 => self.const_bool(true),
                         1 => kids[0],
-                        _ => self.intern(NodeKind::And, kids, None),
+                        _ => self.intern(NodeKind::And, &kids, None),
                     },
                 }
             }
@@ -488,7 +474,7 @@ impl FBuilder<'_> {
                     None => match kids.len() {
                         0 => self.const_bool(false),
                         1 => kids[0],
-                        _ => self.intern(NodeKind::Or, kids, None),
+                        _ => self.intern(NodeKind::Or, &kids, None),
                     },
                 }
             }
@@ -504,7 +490,7 @@ impl FBuilder<'_> {
                 {
                     self.const_bool(true)
                 } else {
-                    self.intern(NodeKind::Cmp(*op), vec![ca, cb], None)
+                    self.intern(NodeKind::Cmp(*op), &[ca, cb], None)
                 }
             }
             Event::Ref(d) => self.resolve_ref(*d)?,
@@ -519,13 +505,13 @@ impl FBuilder<'_> {
             return Ok(id);
         }
         let id = match &**c {
-            CVal::Const(v) => self.intern(NodeKind::ConstVal, vec![], Some(v.clone())),
+            CVal::Const(v) => self.intern(NodeKind::ConstVal, &[], Some(v)),
             CVal::Cond(e, v) => {
                 let g = self.event(e)?;
                 match self.is_const(g) {
-                    Some(true) => self.intern(NodeKind::ConstVal, vec![], Some(v.clone())),
-                    Some(false) => self.intern(NodeKind::ConstVal, vec![], Some(Value::Undef)),
-                    None => self.intern(NodeKind::Cond, vec![g], Some(v.clone())),
+                    Some(true) => self.intern(NodeKind::ConstVal, &[], Some(v)),
+                    Some(false) => self.intern(NodeKind::ConstVal, &[], Some(&Value::Undef)),
+                    None => self.intern(NodeKind::Cond, &[g], Some(v)),
                 }
             }
             CVal::Guard(e, inner) => {
@@ -533,8 +519,8 @@ impl FBuilder<'_> {
                 let ci = self.cval(inner)?;
                 match self.is_const(g) {
                     Some(true) => ci,
-                    Some(false) => self.intern(NodeKind::ConstVal, vec![], Some(Value::Undef)),
-                    None => self.intern(NodeKind::Guard, vec![g, ci], None),
+                    Some(false) => self.intern(NodeKind::ConstVal, &[], Some(&Value::Undef)),
+                    None => self.intern(NodeKind::Guard, &[g, ci], None),
                 }
             }
             CVal::Sum(parts) => {
@@ -543,9 +529,9 @@ impl FBuilder<'_> {
                     .map(|p| self.cval(p))
                     .collect::<Result<Vec<_>, _>>()?;
                 match kids.len() {
-                    0 => self.intern(NodeKind::ConstVal, vec![], Some(Value::Undef)),
+                    0 => self.intern(NodeKind::ConstVal, &[], Some(&Value::Undef)),
                     1 => kids[0],
-                    _ => self.intern(NodeKind::Sum, kids, None),
+                    _ => self.intern(NodeKind::Sum, &kids, None),
                 }
             }
             CVal::Prod(parts) => {
@@ -554,23 +540,23 @@ impl FBuilder<'_> {
                     .map(|p| self.cval(p))
                     .collect::<Result<Vec<_>, _>>()?;
                 match kids.len() {
-                    0 => self.intern(NodeKind::ConstVal, vec![], Some(Value::Num(1.0))),
+                    0 => self.intern(NodeKind::ConstVal, &[], Some(&Value::Num(1.0))),
                     1 => kids[0],
-                    _ => self.intern(NodeKind::Prod, kids, None),
+                    _ => self.intern(NodeKind::Prod, &kids, None),
                 }
             }
             CVal::Inv(inner) => {
                 let ci = self.cval(inner)?;
-                self.intern(NodeKind::Inv, vec![ci], None)
+                self.intern(NodeKind::Inv, &[ci], None)
             }
             CVal::Pow(inner, r) => {
                 let ci = self.cval(inner)?;
-                self.intern(NodeKind::Pow(*r), vec![ci], None)
+                self.intern(NodeKind::Pow(*r), &[ci], None)
             }
             CVal::Dist(a, b) => {
                 let ca = self.cval(a)?;
                 let cb = self.cval(b)?;
-                self.intern(NodeKind::Dist, vec![ca, cb], None)
+                self.intern(NodeKind::Dist, &[ca, cb], None)
             }
             CVal::Ref(d) => self.resolve_ref(*d)?,
         };
@@ -676,9 +662,8 @@ impl FoldedNetwork {
 
         let mut b = FBuilder {
             gp,
-            nodes: Vec::with_capacity(gp.len() * 2),
+            table: NodeTable::with_capacity(gp.len() * 2),
             region_of: Vec::with_capacity(gp.len() * 2),
-            intern: FxHashMap::default(),
             ev_memo: FxHashMap::default(),
             cv_memo: FxHashMap::default(),
             var_nodes: vec![None; gp.n_vars as usize],
@@ -732,7 +717,7 @@ impl FoldedNetwork {
         let mut target_names = Vec::with_capacity(gp.targets.len());
         for &t in &gp.targets {
             let node = b.resolve_ref(t)?;
-            if !b.nodes[node.index()].is_bool() {
+            if !b.table.nodes[node.index()].is_bool() {
                 return Err(FoldError::Core(CoreError::TypeMismatch {
                     ident: gp.name_of(t),
                     expected: "a Boolean compilation target",
@@ -743,7 +728,7 @@ impl FoldedNetwork {
         }
 
         let FBuilder {
-            mut nodes,
+            table: NodeTable { mut nodes, .. },
             mut region_of,
             mut var_nodes,
             ..

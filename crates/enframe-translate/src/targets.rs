@@ -6,51 +6,93 @@
 //! (paper §1). These helpers turn final program slots into such targets.
 
 use crate::translate::{Slot, Translated};
-use enframe_core::program::SymEvent;
-use enframe_core::SymIdent;
+use enframe_core::program::{IdxExpr, Item, SymEvent};
+use enframe_core::{Program, SymIdent};
 use enframe_lang::RtValue;
+use std::collections::HashSet;
 use std::rc::Rc;
+
+/// The constant events standing for concrete Boolean entries of `var`:
+/// `{var}_const[path] ≡ ⊤/⊥`, so that target indices stay aligned with
+/// array positions. An entry registered again — by either helper, in any
+/// order — targets the declaration it already has.
+struct ConstEvents {
+    name: String,
+    declared: HashSet<SymIdent>,
+}
+
+impl ConstEvents {
+    fn of(program: &Program, var: &str) -> Self {
+        let name = format!("{var}_const");
+        let declared = match program.interner.get(&name) {
+            None => HashSet::new(),
+            Some(sym) => program
+                .items
+                .iter()
+                .filter_map(|item| match item {
+                    Item::DeclEvent { lhs, .. } if lhs.sym == sym => Some(lhs.clone()),
+                    _ => None,
+                })
+                .collect(),
+        };
+        ConstEvents { name, declared }
+    }
+
+    fn target(&mut self, program: &mut Program, path: &[i64], value: bool) -> SymIdent {
+        let si = SymIdent::indexed(
+            program.sym(&self.name),
+            path.iter().map(|&i| IdxExpr::konst(i)).collect(),
+        );
+        if self.declared.insert(si.clone()) {
+            let rhs = Rc::new(if value { SymEvent::Tru } else { SymEvent::Fls });
+            program.push(Item::DeclEvent {
+                lhs: si.clone(),
+                rhs,
+            });
+        }
+        program.add_target(si.clone());
+        si
+    }
+}
 
 /// Adds every Boolean entry of the (possibly nested) final array `var` as a
 /// compilation target. Concrete entries are declared as constant events so
 /// that target indices stay aligned with array positions. Returns the
 /// number of targets added.
 pub fn add_all_bool_targets(t: &mut Translated, var: &str) -> usize {
-    let slot = match t.slots.get(var) {
-        Some(s) => s.clone(),
-        None => return 0,
+    let Translated { program, slots, .. } = t;
+    let Some(slot) = slots.get(var) else {
+        return 0;
     };
+    let mut consts = ConstEvents::of(program, var);
     let mut count = 0;
-    let mut path = Vec::new();
-    add_rec(t, var, &slot, &mut path, &mut count);
+    add_rec(program, &mut consts, slot, &mut Vec::new(), &mut count);
     count
 }
 
-fn add_rec(t: &mut Translated, var: &str, slot: &Slot, path: &mut Vec<i64>, count: &mut usize) {
+fn add_rec(
+    program: &mut Program,
+    consts: &mut ConstEvents,
+    slot: &Slot,
+    path: &mut Vec<i64>,
+    count: &mut usize,
+) {
     match slot {
         Slot::Array(items) => {
             for (i, item) in items.iter().enumerate() {
                 path.push(i as i64);
-                add_rec(t, var, item, path, count);
+                add_rec(program, consts, item, path, count);
                 path.pop();
             }
         }
         Slot::Event(e) => {
             if let SymEvent::Ref(si) = &**e {
-                t.program.add_target(si.clone());
+                program.add_target(si.clone());
                 *count += 1;
             }
         }
         Slot::Concrete(RtValue::Bool(b)) => {
-            // Declare a constant event so the target exists.
-            let name = format!("{var}_const");
-            let rhs = if *b {
-                Rc::new(SymEvent::Tru)
-            } else {
-                Rc::new(SymEvent::Fls)
-            };
-            let si = t.program.declare_event_at(&name, path, rhs);
-            t.program.add_target(si);
+            consts.target(program, path, *b);
             *count += 1;
         }
         _ => {}
@@ -60,26 +102,18 @@ fn add_rec(t: &mut Translated, var: &str, slot: &Slot, path: &mut Vec<i64>, coun
 /// Adds the single Boolean entry `var[idx...]` as a target, returning its
 /// identifier (constants are declared as constant events).
 pub fn add_bool_target_at(t: &mut Translated, var: &str, idx: &[usize]) -> Option<SymIdent> {
-    let slot = t.slot_at(var, idx)?.clone();
-    match slot {
-        Slot::Event(e) => match &*e {
+    match t.slot_at(var, idx)? {
+        Slot::Event(e) => match &**e {
             SymEvent::Ref(si) => {
+                let si = si.clone();
                 t.program.add_target(si.clone());
-                Some(si.clone())
+                Some(si)
             }
             _ => None,
         },
-        Slot::Concrete(RtValue::Bool(b)) => {
-            let name = format!("{var}_const");
+        &Slot::Concrete(RtValue::Bool(b)) => {
             let path: Vec<i64> = idx.iter().map(|&i| i as i64).collect();
-            let rhs = if b {
-                Rc::new(SymEvent::Tru)
-            } else {
-                Rc::new(SymEvent::Fls)
-            };
-            let si = t.program.declare_event_at(&name, &path, rhs);
-            t.program.add_target(si.clone());
-            Some(si)
+            Some(ConstEvents::of(&t.program, var).target(&mut t.program, &path, b))
         }
         _ => None,
     }
@@ -302,6 +336,53 @@ mod tests {
         let g = t.ground().unwrap();
         assert_eq!(g.targets.len(), 1);
         let _ = si;
+    }
+
+    /// Certain data: every `Centre` entry is a concrete Boolean, so every
+    /// target is a `Centre_const` event.
+    fn translated_certain() -> Translated {
+        let objs = ProbObjects::certain(vec![vec![0.0], vec![1.0], vec![5.0], vec![6.0]]);
+        let env = clustering_env(objs, 2, 2, vec![1, 3], 0);
+        let ast = parse(programs::K_MEDOIDS).unwrap();
+        translate(&ast, &env).unwrap()
+    }
+
+    #[test]
+    fn constant_targets_are_idempotent() {
+        // Registering a concrete entry twice used to declare its constant
+        // event twice, and `ground()` failed with `Redeclaration`.
+        let mut t = translated_certain();
+        assert_eq!(add_all_bool_targets(&mut t, "Centre"), 8);
+        assert_eq!(add_all_bool_targets(&mut t, "Centre"), 8);
+        let g = t.ground().unwrap();
+        assert_eq!(g.len(), 8, "one constant event per entry");
+        assert_eq!(g.targets.len(), 16);
+        assert_eq!(g.targets[..8], g.targets[8..]);
+
+        let mut t = translated_certain();
+        let first = add_bool_target_at(&mut t, "Centre", &[1, 2]).unwrap();
+        let again = add_bool_target_at(&mut t, "Centre", &[1, 2]).unwrap();
+        assert_eq!(first, again);
+        let g = t.ground().unwrap();
+        assert_eq!((g.len(), g.targets.len()), (1, 2));
+
+        // Either helper after the other reuses the declaration too.
+        let mut t = translated_certain();
+        add_all_bool_targets(&mut t, "Centre");
+        let single = add_bool_target_at(&mut t, "Centre", &[1, 2]).unwrap();
+        let g = t.ground().unwrap();
+        assert_eq!((g.len(), g.targets.len()), (8, 9));
+        assert_eq!(g.name_of(g.targets[8]), "Centre_const[1][2]");
+        assert_eq!(g.targets[8], g.targets[4 + 2]);
+        let mut t = translated_certain();
+        assert_eq!(add_bool_target_at(&mut t, "Centre", &[1, 2]), Some(single));
+        add_all_bool_targets(&mut t, "Centre");
+        let g = t.ground().unwrap();
+        assert_eq!((g.len(), g.targets.len()), (8, 9));
+        // The values are the entries' own.
+        let p = space::target_probabilities(&g, &VarTable::new(vec![]));
+        assert_eq!(p[0], p[1 + 4 + 2]);
+        assert_eq!(p.iter().filter(|&&x| x == 1.0).count(), 1 + 2);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use enframe_lang::ast::{
     Cmp, Expr, ExtCall, ListCompr, Lval, ReduceKind, Stmt, TieKind, UserProgram,
 };
 use enframe_lang::{LangError, RtValue};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -539,33 +540,50 @@ impl<'e> Tr<'e> {
         })
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<Slot, TranslateError> {
+    /// The slot an rvalue denotes. A `Name` / `Name[ix]…` chain is resolved
+    /// to a reference into the variable table, the way [`Tr::assign`] walks
+    /// lvalues, so an element read costs the element and not the array it
+    /// sits in. Index expressions are evaluated outermost first and the
+    /// name is looked up last; the walk then checks level 1 before level 2.
+    fn place(&mut self, e: &Expr) -> Result<Cow<'_, Slot>, TranslateError> {
         match e {
-            Expr::Int(i) => Ok(Slot::Concrete(RtValue::Int(*i))),
-            Expr::Float(f) => Ok(Slot::Concrete(RtValue::Float(*f))),
-            Expr::Bool(b) => Ok(Slot::Concrete(RtValue::Bool(*b))),
-            Expr::Name(n) => self.vars.get(n).cloned().ok_or_else(|| {
+            Expr::Name(n) => self.vars.get(n).map(Cow::Borrowed).ok_or_else(|| {
                 TranslateError::Lang(LangError::Runtime(format!(
                     "use of undefined variable `{n}`"
                 )))
             }),
             Expr::Index(base, idx) => {
                 let ix = self.int_expr(idx)?;
-                match self.expr(base)? {
-                    Slot::Array(items) => {
-                        if ix < 0 || ix as usize >= items.len() {
-                            return Err(TranslateError::Lang(LangError::Runtime(format!(
-                                "index {ix} out of range 0..{}",
-                                items.len()
-                            ))));
-                        }
-                        Ok(items[ix as usize].clone())
+                let at = usize::try_from(ix).unwrap_or(usize::MAX);
+                let out_of_range = |len: usize| {
+                    TranslateError::Lang(LangError::Runtime(format!(
+                        "index {ix} out of range 0..{len}"
+                    )))
+                };
+                match self.place(base)? {
+                    Cow::Borrowed(Slot::Array(items)) => items
+                        .get(at)
+                        .map(Cow::Borrowed)
+                        .ok_or_else(|| out_of_range(items.len())),
+                    Cow::Owned(Slot::Array(mut items)) if at < items.len() => {
+                        Ok(Cow::Owned(items.swap_remove(at)))
                     }
+                    Cow::Owned(Slot::Array(items)) => Err(out_of_range(items.len())),
                     other => Err(TranslateError::Unsupported(format!(
                         "cannot index {other:?}"
                     ))),
                 }
             }
+            other => self.expr(other).map(Cow::Owned),
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) -> Result<Slot, TranslateError> {
+        match e {
+            Expr::Int(i) => Ok(Slot::Concrete(RtValue::Int(*i))),
+            Expr::Float(f) => Ok(Slot::Concrete(RtValue::Float(*f))),
+            Expr::Bool(b) => Ok(Slot::Concrete(RtValue::Bool(*b))),
+            Expr::Name(_) | Expr::Index(..) => self.place(e).map(Cow::into_owned),
             Expr::ArrayInit(len) => {
                 let n = self.int_expr(len)?;
                 if n < 0 {
