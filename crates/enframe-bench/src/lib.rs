@@ -344,7 +344,7 @@ fn run_engine_inner(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budge
             let t0 = Instant::now();
             let scope = BudgetScope::new(budget);
             let res = compile_scoped(&prep.net, vt, Options::exact(), &scope);
-            note_scope(&scope);
+            scope.record_telemetry();
             if res.exhausted.is_some() {
                 return degrade_to_bounds(&prep.net, vt, epsilon, budget, t0);
             }
@@ -359,7 +359,7 @@ fn run_engine_inner(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budge
                 Options::approx(strategy_of(engine), epsilon),
                 &scope,
             );
-            note_scope(&scope);
+            scope.record_telemetry();
             finish(t0, res)
         }
         Engine::HybridD { workers, job_depth } => {
@@ -414,23 +414,12 @@ fn run_engine_inner(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budge
             let t0 = Instant::now();
             let scope = BudgetScope::new(budget);
             let res = compile_folded_scoped(folded, vt, opts, &scope);
-            note_scope(&scope);
+            scope.record_telemetry();
             if engine == Engine::ExactFolded && res.exhausted.is_some() {
                 return degrade_to_bounds(&prep.net, vt, epsilon, budget, t0);
             }
             finish(t0, res)
         }
-    }
-}
-
-/// Folds a finished compilation scope's budget-governance activity into
-/// the telemetry counters (the OBDD/d-DNNF/distributed entry points do
-/// this in their own wrappers; the bare `compile_scoped` paths go
-/// through here).
-fn note_scope(scope: &BudgetScope) {
-    telemetry::count_n(Counter::BudgetCheck, scope.checks());
-    if scope.is_cancelled() {
-        telemetry::count(Counter::Cancellation);
     }
 }
 
@@ -474,7 +463,7 @@ fn degrade_to_bounds(
     let eps = if epsilon > 0.0 { epsilon } else { 0.1 };
     let scope = BudgetScope::new(budget);
     let res = compile_scoped(net, vt, Options::approx(Strategy::Hybrid, eps), &scope);
-    note_scope(&scope);
+    scope.record_telemetry();
     let mut m = finish(t0, res);
     m.status = "degraded".into();
     m
@@ -701,7 +690,7 @@ fn run_lineage_engine_inner(
             let t0 = Instant::now();
             let scope = BudgetScope::new(budget);
             let res = compile_scoped(&prep.net, vt, Options::exact(), &scope);
-            note_scope(&scope);
+            scope.record_telemetry();
             if res.exhausted.is_some() {
                 return degrade_to_bounds(&prep.net, vt, epsilon, budget, t0);
             }
@@ -716,7 +705,7 @@ fn run_lineage_engine_inner(
                 Options::approx(strategy_of(engine), epsilon),
                 &scope,
             );
-            note_scope(&scope);
+            scope.record_telemetry();
             finish(t0, res)
         }
         Engine::BddExact => {
@@ -1189,6 +1178,21 @@ pub fn print_row(figure: &str, series: &str, x: &str, m: &Measurement, detail: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// Telemetry is process-global and every harness entry point resets
+    /// it, so a test that asserts on counters runs alone
+    /// ([`counters_asserted`]) and every other test that runs a harness
+    /// entry point holds the lock shared ([`counters_reset`]).
+    static TELEMETRY: RwLock<()> = RwLock::new(());
+
+    fn counters_reset() -> RwLockReadGuard<'static, ()> {
+        TELEMETRY.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn counters_asserted() -> RwLockWriteGuard<'static, ()> {
+        TELEMETRY.write().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn tiny_prep() -> Prepared {
         prepare(
@@ -1212,6 +1216,7 @@ mod tests {
     /// approximations agree (the approximations within ε).
     #[test]
     fn engines_agree_on_small_workload() {
+        let _t = counters_reset();
         let prep = tiny_prep();
         let naive = run_engine(&prep, Engine::Naive, 0.0);
         let exact = run_engine(&prep, Engine::Exact, 0.0);
@@ -1256,6 +1261,7 @@ mod tests {
     /// The folded engines agree with their unfolded counterparts.
     #[test]
     fn folded_engines_agree() {
+        let _t = counters_reset();
         let prep = tiny_prep();
         assert!(prep.folded.is_some(), "2 iterations fold");
         let exact = run_engine(&prep, Engine::Exact, 0.0).estimates.unwrap();
@@ -1283,6 +1289,7 @@ mod tests {
     /// probabilities to 1e-9.
     #[test]
     fn bdd_exact_matches_tree_exact_on_kmedoids() {
+        let _t = counters_reset();
         let prep = tiny_prep();
         let exact = run_engine(&prep, Engine::Exact, 0.0).estimates.unwrap();
         let bdd = run_engine(&prep, Engine::BddExact, 0.0);
@@ -1301,6 +1308,7 @@ mod tests {
 
     #[test]
     fn lineage_pipeline_engines_agree() {
+        let _t = counters_reset();
         for scheme in [
             Scheme::Positive { l: 3, v: 8 },
             Scheme::Mutex { m: 4 },
@@ -1347,6 +1355,7 @@ mod tests {
     /// expansion steps than the Shannon path's branch count.
     #[test]
     fn dnnf_matches_tree_exact_on_kmedoids_and_collapses_branches() {
+        let _t = counters_reset();
         let prep = tiny_prep();
         let exact = run_engine(&prep, Engine::Exact, 0.0).estimates.unwrap();
         let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0);
@@ -1375,6 +1384,7 @@ mod tests {
     /// past the old v = 12 Shannon cap, and the caps gate as documented.
     #[test]
     fn dnnf_cap_is_raised_past_the_shannon_wall() {
+        let _t = counters_reset();
         let cap = DNNF_KMEDOIDS_VAR_CAP;
         assert!(cap >= 20, "the d-DNNF cap must stay past the ISSUE bound");
         let prep = prepare(
@@ -1405,6 +1415,7 @@ mod tests {
 
     #[test]
     fn caps_report_timeouts() {
+        let _t = counters_reset();
         let prep = prepare(
             96,
             2,
@@ -1426,6 +1437,7 @@ mod tests {
     /// engine (v = 24 is within its cap).
     #[test]
     fn tiny_budget_v24_returns_containing_bounds() {
+        let _t = counters_asserted();
         // The governance counters only record while telemetry is on.
         telemetry::set_enabled(true);
         let prep = prepare(
@@ -1475,6 +1487,7 @@ mod tests {
     /// service and the batched replies really share sweeps.
     #[test]
     fn serve_throughput_modes_measure_and_batch() {
+        let _t = counters_asserted();
         telemetry::set_enabled(true);
         let prep = tiny_prep();
         let root = std::env::temp_dir().join(format!("enframe-bench-serve-{}", std::process::id()));
@@ -1526,6 +1539,7 @@ mod tests {
                 max_steps in 1u64..4_000,
                 seed in 0u64..100,
             ) {
+                let _t = counters_reset();
                 let scheme = [
                     Scheme::Positive { l: 3, v: 8 },
                     Scheme::Mutex { m: 4 },

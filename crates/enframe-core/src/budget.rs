@@ -16,6 +16,7 @@
 //! Budgeted runs therefore cannot perturb the bitwise-determinism
 //! guarantees of unbudgeted ones.
 
+use enframe_telemetry::{self as telemetry, Counter};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -201,6 +202,16 @@ impl BudgetScope {
     /// Number of budget checks performed so far in this scope.
     pub fn checks(&self) -> u64 {
         self.inner.checks.load(Ordering::Relaxed)
+    }
+
+    /// Folds this scope's budget-governance activity — checks made,
+    /// whether it ended cancelled — into the telemetry counters. Call
+    /// once, when the computation the scope governed is over.
+    pub fn record_telemetry(&self) {
+        telemetry::count_n(Counter::BudgetCheck, self.checks());
+        if self.is_cancelled() {
+            telemetry::count(Counter::Cancellation);
+        }
     }
 
     /// Records `verdict` and flips the cancellation flag. The first

@@ -1,104 +1,118 @@
 //! Epoch-based snapshot publication: the read side of the serving
 //! layer's "queries never block on maintenance" contract.
 //!
-//! An [`EpochCell`] holds an immutable snapshot behind an `Arc`.
-//! Readers [`load`](EpochCell::load) the current `Arc` — a brief shared
-//! lock to clone the pointer, after which they evaluate entirely
+//! An [`EpochCell`] holds an immutable snapshot behind an `Arc`,
+//! together with the epoch number it was published as, under one
+//! mutex. Readers [`load`](EpochCell::load) the current `Arc` — one
+//! brief lock to clone the pointer, after which they evaluate entirely
 //! lock-free against a snapshot that can never change under them.
-//! Maintenance (GC, reorder, recompile) builds a **new** snapshot while
-//! readers continue on the old one, then swings the epoch behind the
-//! write lock: publish-then-retire, where "retire" is simply the old
-//! `Arc` dropping to zero once the last in-flight reader finishes.
+//! Because pointer and epoch sit behind the same lock, the pair
+//! [`load_with_epoch`](EpochCell::load_with_epoch) returns is always
+//! one that was published together. Maintenance (GC, reorder,
+//! recompile) builds a **new** snapshot while readers continue on the
+//! old one, then swings the epoch: publish-then-retire, where "retire"
+//! is simply the old `Arc` dropping to zero once the last in-flight
+//! reader finishes.
 //!
-//! Two writer entry points:
+//! Writers are serialised by a second mutex, the *writer slot*, which
+//! readers never touch:
 //!
 //! * [`publish`](EpochCell::publish) — the caller already built the
-//!   replacement; the write lock is held only for the pointer swap.
-//! * [`update`](EpochCell::update) — build *from* the current value
-//!   under an **upgradable read** (readers keep loading throughout the
-//!   rebuild), then upgrade to exclusive only for the swap. The
-//!   upgradable slot also serialises maintainers, so concurrent
-//!   `update`s cannot lose each other's work.
+//!   replacement; it takes the slot only for the pointer swap.
+//! * [`update`](EpochCell::update) — builds *from* the current value
+//!   while holding the slot for the whole rebuild, so no other writer
+//!   can slip a snapshot in between the read and the swap and
+//!   concurrent maintainers cannot lose each other's work. Readers keep
+//!   loading the old snapshot throughout: the snapshot lock is held
+//!   only for the swap itself.
 //!
 //! Epoch numbers are monotone and returned from every swing, so callers
 //! can tell "the snapshot I read" from "the snapshot now live" — the
 //! serving layer stamps every answer with the epoch it was computed
 //! against.
 
-use parking_lot::{RwLock, RwLockUpgradableReadGuard};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An `Arc`-published snapshot cell with monotone epoch numbering.
 /// See the [module docs](self) for the publication protocol.
 #[derive(Debug)]
 pub struct EpochCell<T> {
-    current: RwLock<Arc<T>>,
-    epoch: AtomicU64,
+    /// The live snapshot and the epoch it was published as.
+    current: Mutex<(Arc<T>, u64)>,
+    /// The writer slot.
+    writer: Mutex<()>,
+}
+
+/// Locks past poisoning. Sound for both of the cell's mutexes: the
+/// writer slot guards no data, and the snapshot lock is only ever held
+/// over a pointer clone or a pointer-and-counter store, which cannot
+/// leave the pair half-updated. (A rebuild closure that panics inside
+/// [`EpochCell::update`] poisons the slot; the cell must stay usable.)
+fn lock<G>(m: &Mutex<G>) -> MutexGuard<'_, G> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<T> EpochCell<T> {
     /// Creates a cell publishing `value` as epoch 0.
     pub fn new(value: T) -> Self {
         EpochCell {
-            current: RwLock::new(Arc::new(value)),
-            epoch: AtomicU64::new(0),
+            current: Mutex::new((Arc::new(value), 0)),
+            writer: Mutex::new(()),
         }
     }
 
-    /// The currently-published snapshot. The shared lock is held only
-    /// long enough to clone the `Arc`; it is taken *recursively* (it
-    /// does not queue behind a waiting writer), so a reader that loads
-    /// twice — or loads while holding another guard — can never
-    /// deadlock against an in-flight epoch swing.
+    /// The currently-published snapshot. The lock is held only long
+    /// enough to clone the `Arc`, and no writer holds it for longer
+    /// than a pointer swap.
     pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.current.read_recursive())
+        Arc::clone(&lock(&self.current).0)
     }
 
     /// The epoch number of the currently-published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        lock(&self.current).1
     }
 
     /// [`load`](Self::load) plus the epoch the snapshot was published
-    /// as, read under one shared lock so the pair is always consistent
-    /// (a concurrent swing can never split them).
+    /// as, read under one lock so a concurrent swing can never split
+    /// them.
     pub fn load_with_epoch(&self) -> (Arc<T>, u64) {
-        let guard = self.current.read_recursive();
-        (Arc::clone(&guard), self.epoch.load(Ordering::Acquire))
+        let current = lock(&self.current);
+        (Arc::clone(&current.0), current.1)
     }
 
     /// Publishes `value` as the next epoch and returns its number. The
-    /// write lock is held only for the pointer swap; the previous
-    /// snapshot retires when its last reader drops its `Arc`.
+    /// previous snapshot retires when its last reader drops its `Arc`.
     pub fn publish(&self, value: T) -> u64 {
-        self.swap(Arc::new(value))
+        self.publish_arc(Arc::new(value))
     }
 
     /// Publishes an already-shared snapshot (see [`publish`](Self::publish)).
     pub fn publish_arc(&self, value: Arc<T>) -> u64 {
+        let _slot = lock(&self.writer);
         self.swap(value)
     }
 
     /// Builds the next snapshot **from** the current one and swings the
-    /// epoch: `f` runs under an upgradable read — plain readers keep
-    /// loading the old snapshot for the whole rebuild, while other
-    /// maintainers queue on the (exclusive) upgradable slot — and the
-    /// write lock is only taken for the final swap. Returns the new
-    /// epoch number.
+    /// epoch. `f` runs with the writer slot held — other writers queue
+    /// behind it, plain readers keep loading the old snapshot for the
+    /// whole rebuild. Returns the new epoch number.
     pub fn update(&self, f: impl FnOnce(&T) -> T) -> u64 {
-        let up = self.current.upgradable_read();
-        let next = Arc::new(f(&up));
-        let mut w = RwLockUpgradableReadGuard::upgrade(up);
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        *w = next;
-        epoch
+        let _slot = lock(&self.writer);
+        let next = Arc::new(f(&self.load()));
+        self.swap(next)
     }
 
+    /// The swing itself; the caller holds the writer slot.
     fn swap(&self, next: Arc<T>) -> u64 {
-        let mut w = self.current.write();
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        *w = next;
+        let mut current = lock(&self.current);
+        let retired = std::mem::replace(&mut current.0, next);
+        current.1 += 1;
+        let epoch = current.1;
+        drop(current);
+        // If this was the last reference the whole snapshot is freed
+        // here — after the lock, so no reader waits on the teardown.
+        drop(retired);
         epoch
     }
 }
@@ -106,7 +120,7 @@ impl<T> EpochCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn load_returns_published_value_and_epoch_advances() {
@@ -178,5 +192,67 @@ mod tests {
             );
         });
         assert_eq!(*cell.load(), 1);
+    }
+
+    /// Writers keep the invariant `value == epoch`; under a storm of
+    /// swings every pair a reader gets must satisfy it — a snapshot
+    /// paired with a neighbouring swing's number would not.
+    #[test]
+    fn load_with_epoch_pairs_are_the_ones_published_together() {
+        let cell = EpochCell::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..5_000 {
+                        cell.update(|v| v + 1);
+                    }
+                });
+            }
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let mut last = 0;
+                    for _ in 0..20_000 {
+                        let (snap, epoch) = cell.load_with_epoch();
+                        assert_eq!(*snap, epoch, "split pair");
+                        assert!(epoch >= last, "epochs went backwards");
+                        last = epoch;
+                    }
+                });
+            }
+        });
+        let (snap, epoch) = cell.load_with_epoch();
+        assert_eq!((*snap, epoch), (10_000, 10_000));
+    }
+
+    /// A `publish` that arrives during a slow `update` queues behind
+    /// it: the rebuilt snapshot goes live first, the published one
+    /// second. Were it to slip in between the rebuild's read and its
+    /// swap, the swap would bury it under a snapshot not built from it.
+    #[test]
+    fn publish_racing_a_slow_update_loses_neither_write() {
+        let cell = EpochCell::new(0u32);
+        let rebuilding = AtomicBool::new(false);
+        let publishing = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let updater = s.spawn(|| {
+                cell.update(|v| {
+                    rebuilding.store(true, Ordering::SeqCst);
+                    while !publishing.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    // Leave a publish that does not queue time to land.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    v + 100
+                })
+            });
+            while !rebuilding.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            publishing.store(true, Ordering::SeqCst);
+            assert_eq!(cell.publish(7), 2, "the publish queued behind the update");
+            assert_eq!(updater.join().unwrap(), 1);
+        });
+        let (snap, epoch) = cell.load_with_epoch();
+        assert_eq!((*snap, epoch), (7, 2));
     }
 }

@@ -52,6 +52,7 @@ pub mod failpoint;
 pub mod fingerprint;
 pub mod fxhash;
 pub mod ground;
+pub mod pool;
 pub mod program;
 pub mod space;
 pub mod symbol;

@@ -54,15 +54,15 @@
 pub mod wmc;
 
 use crate::peval::{loop_in_unsupported, Evaluator, Partial, VisitStamp};
-use crate::{first_worker_error, panic_message, recv_next, ObddError};
-use enframe_core::budget::{Budget, BudgetScope, Exceeded, Resource};
+use crate::{stopped_early, ObddError};
+use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::failpoint::{self, Site};
 use enframe_core::fxhash::FxHashMap;
+use enframe_core::pool;
 use enframe_core::{Value, Var, VarTable};
 use enframe_network::{Network, NodeId, NodeKind};
 use enframe_prob::order::{static_order, VarOrder};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A handle to a d-DNNF node. Equality is node identity; hash-consing
 /// makes node identity function identity *per construction site* (the
@@ -442,10 +442,7 @@ impl DnnfEngine {
     pub fn compile(net: &Network, opts: &DnnfOptions) -> Result<Self, ObddError> {
         let scope = BudgetScope::new(opts.budget);
         let result = Self::compile_scoped(net, opts, &scope);
-        telemetry::count_n(Counter::BudgetCheck, scope.checks());
-        if scope.is_cancelled() {
-            telemetry::count(Counter::Cancellation);
-        }
+        scope.record_telemetry();
         result
     }
 
@@ -474,27 +471,43 @@ impl DnnfEngine {
         for &t in &net.targets {
             targets.push(compiler.compile(&mut man, t)?);
         }
+        Ok(Self::assemble(
+            man,
+            targets,
+            net.target_names.clone(),
+            compiler.expansion_steps,
+            compiler.memo_hits,
+            workers,
+        ))
+    }
+
+    /// The engine over a finished store, with its size statistics.
+    fn assemble(
+        man: DnnfManager,
+        targets: Vec<Dnnf>,
+        names: Vec<String>,
+        expansion_steps: u64,
+        memo_hits: u64,
+        workers: usize,
+    ) -> DnnfEngine {
         let stats = DnnfStats {
             nodes: man.len() - 2,
             edges: man.edges(),
             largest_target: targets.iter().map(|&t| man.size(t)).max().unwrap_or(0),
-            expansion_steps: compiler.expansion_steps,
-            memo_hits: compiler.memo_hits,
+            expansion_steps,
+            memo_hits,
         };
-        Ok(DnnfEngine {
+        DnnfEngine {
             man,
             targets,
-            names: net.target_names.clone(),
+            names,
             stats,
             workers,
-        })
+        }
     }
 
-    /// Parallel target fan-out. Target indices are pre-queued in a
-    /// bounded channel whose sender is dropped before the workers start,
-    /// so the pool drains the queue and shuts down on disconnect — the
-    /// semantics the `crossbeam` shim's disconnected-while-nonempty
-    /// behaviour guarantees.
+    /// Parallel target fan-out over the pool's pre-filled queue of
+    /// target indices.
     fn compile_par(
         net: &Network,
         opts: &DnnfOptions,
@@ -504,138 +517,54 @@ impl DnnfEngine {
         struct WorkerOut {
             man: DnnfManager,
             compiled: Vec<(usize, Dnnf)>,
-            error: Option<(usize, ObddError)>,
             steps: u64,
             hits: u64,
         }
         let workers = workers.min(net.targets.len());
-        let (tx, rx) = crossbeam::channel::bounded(net.targets.len());
-        for i in 0..net.targets.len() {
-            tx.send(i).expect("queue receiver alive");
-        }
-        drop(tx);
-        let outs: Vec<WorkerOut> = crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let rx = rx.clone();
-                    let scope = scope.clone();
-                    s.spawn(move || {
-                        let _worker = telemetry::worker_span(Phase::Worker, w);
-                        // Panic isolation — see `ObddEngine::compile_par`.
-                        let current = std::cell::Cell::new(0usize);
-                        let body = catch_unwind(AssertUnwindSafe(|| {
-                            let mut man = DnnfManager::new();
-                            let mut compiler = Compiler::new(net, opts, scope.clone());
-                            let mut compiled = Vec::new();
-                            let mut error = None;
-                            if let Err(e) = compiler.prime() {
-                                scope.cancel_external();
-                                error = Some((0, e));
-                            } else {
-                                while let Some(i) = recv_next(&rx, &scope) {
-                                    current.set(i);
-                                    if failpoint::hit(Site::Spawn) {
-                                        panic!("injected worker panic (failpoint `spawn`)");
-                                    }
-                                    match compiler.compile(&mut man, net.targets[i]) {
-                                        Ok(d) => compiled.push((i, d)),
-                                        Err(e) => {
-                                            // Stop this worker (the
-                                            // evaluator's assignment may
-                                            // be dirty) and its siblings.
-                                            scope.cancel_external();
-                                            error = Some((i, e));
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            WorkerOut {
-                                man,
-                                compiled,
-                                error,
-                                steps: compiler.expansion_steps,
-                                hits: compiler.memo_hits,
-                            }
-                        }));
-                        body.unwrap_or_else(|payload| {
-                            scope.cancel_external();
-                            telemetry::count(Counter::Cancellation);
-                            let target = current.get();
-                            WorkerOut {
-                                man: DnnfManager::new(),
-                                compiled: Vec::new(),
-                                error: Some((
-                                    target,
-                                    ObddError::WorkerPanicked {
-                                        target,
-                                        message: panic_message(payload),
-                                    },
-                                )),
-                                steps: 0,
-                                hits: 0,
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("worker panics are caught inside the closure")
-                })
-                .collect()
-        })
-        .expect("worker panics are caught inside the closure");
-
-        // Report the first real failure, deterministically across
-        // schedules; cancellation echoes from sibling workers lose.
-        if let Some((_, e)) = first_worker_error(outs.iter().filter_map(|w| w.error.as_ref())) {
-            return Err(e.clone());
-        }
+        let queue = pool::Queue::new(0..net.targets.len());
+        let outs: Vec<WorkerOut> = pool::run(scope, workers, &queue, |worker| {
+            let mut man = DnnfManager::new();
+            let mut compiler = Compiler::new(net, opts, scope.clone());
+            let mut compiled = Vec::new();
+            compiler.prime()?;
+            while let Some(i) = worker.next_job() {
+                // An error stops this worker (the evaluator's assignment
+                // may be dirty) and, through the pool, its siblings.
+                compiled.push((i, compiler.compile(&mut man, net.targets[i])?));
+            }
+            Ok::<_, ObddError>(WorkerOut {
+                man,
+                compiled,
+                steps: compiler.expansion_steps,
+                hits: compiler.memo_hits,
+            })
+        })?;
         let _merge = telemetry::span(Phase::Merge);
         if failpoint::hit(Site::Merge) {
             return Err(ObddError::Injected("merge"));
         }
         let mut man = DnnfManager::new();
         let mut targets: Vec<Option<Dnnf>> = vec![None; net.targets.len()];
-        let mut steps = 0u64;
-        let mut hits = 0u64;
         for w in &outs {
             let map = man.absorb(&w.man);
             for &(i, d) in &w.compiled {
                 targets[i] = Some(map[d.index()]);
             }
-            steps += w.steps;
-            hits += w.hits;
         }
         // Holes mean a cancellation stopped the pool before every target
         // compiled; surface the recorded verdict.
-        let targets: Vec<Dnnf> =
-            targets
-                .into_iter()
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| {
-                    ObddError::from(scope.verdict().unwrap_or(Exceeded {
-                        resource: Resource::Cancelled,
-                        spent: 0,
-                    }))
-                })?;
-        let stats = DnnfStats {
-            nodes: man.len() - 2,
-            edges: man.edges(),
-            largest_target: targets.iter().map(|&t| man.size(t)).max().unwrap_or(0),
-            expansion_steps: steps,
-            memo_hits: hits,
-        };
-        Ok(DnnfEngine {
+        let targets: Vec<Dnnf> = targets
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| stopped_early(scope))?;
+        Ok(Self::assemble(
             man,
             targets,
-            names: net.target_names.clone(),
-            stats,
+            net.target_names.clone(),
+            outs.iter().map(|w| w.steps).sum(),
+            outs.iter().map(|w| w.hits).sum(),
             workers,
-        })
+        ))
     }
 
     /// Reassembles an engine from deserialised parts (artifact load).
@@ -661,20 +590,8 @@ impl DnnfEngine {
                 targets.len()
             ));
         }
-        let stats = DnnfStats {
-            nodes: man.len() - 2,
-            edges: man.edges(),
-            largest_target: targets.iter().map(|&t| man.size(t)).max().unwrap_or(0),
-            expansion_steps: 0,
-            memo_hits: 0,
-        };
-        Ok(DnnfEngine {
-            man,
-            targets,
-            names,
-            stats,
-            workers: enframe_core::workers::resolve(workers, 1),
-        })
+        let workers = enframe_core::workers::resolve(workers, 1);
+        Ok(Self::assemble(man, targets, names, 0, 0, workers))
     }
 
     /// Compilation statistics.
@@ -712,8 +629,7 @@ impl DnnfEngine {
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
     pub fn probabilities(&self, vt: &VarTable) -> Vec<f64> {
-        self.try_probabilities(vt, &BudgetScope::unlimited())
-            .expect("unlimited scope cannot exceed a budget")
+        wmc::unlimited(self.try_probabilities(vt, &BudgetScope::unlimited()))
     }
 
     /// [`Self::probabilities`] under a budget: the WMC sweep checkpoints
@@ -722,7 +638,9 @@ impl DnnfEngine {
     /// finishing if the budget runs out mid-sweep.
     ///
     /// # Panics
-    /// Panics if `vt` does not cover the compiled variables.
+    /// Panics if `vt` does not cover the compiled variables and the
+    /// sweep runs sequentially; a parallel sweep reports the same
+    /// message as [`ObddError::WorkerPanicked`].
     pub fn try_probabilities(
         &self,
         vt: &VarTable,

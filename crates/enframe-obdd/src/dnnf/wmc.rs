@@ -31,11 +31,10 @@
 //!   compile, still yields bitwise-identical probabilities.
 
 use super::{DnnfManager, DnnfNode};
+use crate::ObddError;
 use enframe_core::budget::{BudgetScope, Exceeded};
-use enframe_core::VarTable;
-use enframe_telemetry::{self as telemetry, Phase};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use enframe_core::{pool, VarTable};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Stride between budget checkpoints in the sequential sweep: WMC is a
 /// cheap linear pass, so checking every node would cost more than the
@@ -133,39 +132,56 @@ pub fn node_probabilities_scoped(
 /// array is swept as a **level wavefront**. A node's level is one more
 /// than its deepest child's, so all nodes of a level depend only on
 /// lower levels; each level is split into `workers` deterministic
-/// contiguous chunks (by creation index) computed concurrently, with a
-/// barrier between levels. Every node's value is computed by the same
-/// canonical-order kernel as the sequential sweep, so the result is
-/// **bitwise-equal to [`node_probabilities`] for every worker count** —
-/// parallelism changes the schedule, never the arithmetic.
+/// contiguous chunks (by creation index) computed concurrently, and a
+/// level starts when the one below is complete. Every node's value is
+/// computed by the same canonical-order kernel as the sequential sweep,
+/// so the result is **bitwise-equal to [`node_probabilities`] for every
+/// worker count** — parallelism changes the schedule, never the
+/// arithmetic.
 ///
 /// `workers <= 1` falls back to the sequential sweep.
 ///
 /// # Panics
 /// Panics if a stored literal's variable is not covered by `vt`.
 pub fn node_probabilities_par(man: &DnnfManager, vt: &VarTable, workers: usize) -> Vec<f64> {
-    node_probabilities_par_scoped(man, vt, workers, &BudgetScope::unlimited())
-        .expect("unlimited scope cannot exceed a budget")
+    unlimited(node_probabilities_par_scoped(
+        man,
+        vt,
+        workers,
+        &BudgetScope::unlimited(),
+    ))
 }
 
-/// [`node_probabilities_par`] under a budget. Workers checkpoint the
-/// scope once per wavefront level; a worker that observes cancellation
-/// stops computing but **keeps hitting every remaining barrier** so its
-/// siblings' `wait()` counts stay matched — the whole pool drains the
-/// level loop and the verdict is returned after the scope exits.
-///
-/// # Panics
-/// Panics if a stored literal's variable is not covered by `vt`.
+/// Unwraps a sweep made under the unlimited scope. The one error such a
+/// sweep can return is a worker's caught panic — the documented one for
+/// a `vt` that is too short — which is raised again here, on the
+/// caller's thread, after the pool was joined.
+pub(super) fn unlimited<T>(swept: Result<T, ObddError>) -> T {
+    match swept {
+        Ok(value) => value,
+        Err(ObddError::WorkerPanicked { message, .. }) => panic!("{message}"),
+        Err(e) => unreachable!("unlimited scope cannot exceed a budget: {e}"),
+    }
+}
+
+/// [`node_probabilities_par`] under a budget, on the shared worker
+/// pool. Every chunk checkpoints the scope, so an exhausted budget
+/// stops the sweep within a level, and the pool's cancellation-aware
+/// queue is the level hand-off: a worker that fails (or panics — a
+/// `vt` that is too short surfaces as [`ObddError::WorkerPanicked`]
+/// carrying the documented message) cancels the scope, its siblings
+/// stop waiting for the level it will never finish, and the error is
+/// returned after the join.
 pub fn node_probabilities_par_scoped(
     man: &DnnfManager,
     vt: &VarTable,
     workers: usize,
     scope: &BudgetScope,
-) -> Result<Vec<f64>, Exceeded> {
+) -> Result<Vec<f64>, ObddError> {
     let nodes = man.nodes();
     let workers = workers.min(nodes.len()).max(1);
     if workers <= 1 {
-        return node_probabilities_scoped(man, vt, scope);
+        return Ok(node_probabilities_scoped(man, vt, scope)?);
     }
 
     // Levels: constants and literals are 0, internal nodes one past
@@ -196,49 +212,43 @@ pub fn node_probabilities_par_scoped(
     }
 
     // f64 bit patterns behind atomics: each slot is written by exactly
-    // one worker, and cross-level reads are ordered by the barrier (the
-    // acquire/release pairing is belt-and-braces on top of it).
+    // one worker, and cross-level reads are ordered by the hand-off
+    // below (the per-slot acquire/release pairing is belt-and-braces on
+    // top of it).
     let probs: Vec<AtomicU64> = (0..nodes.len()).map(|_| AtomicU64::new(0)).collect();
-    let barrier = Barrier::new(workers);
-    crossbeam::scope(|s| {
-        for w in 0..workers {
-            let (probs, order, starts, barrier, level_count) =
-                (&probs, &order, &starts, &barrier, n_levels);
-            let scope = scope.clone();
-            s.spawn(move || {
-                let _worker = telemetry::worker_span(Phase::Worker, w);
-                let mut scratch = Vec::new();
-                // Barrier discipline: once cancelled, skip the work but
-                // keep hitting `wait()` every remaining level — every
-                // worker must reach each barrier the same number of
-                // times or the pool deadlocks.
-                let mut stopped = false;
-                for l in 0..level_count {
-                    if !stopped && scope.checkpoint().is_err() {
-                        stopped = true;
-                    }
-                    if !stopped {
-                        let lvl = &order[starts[l]..starts[l + 1]];
-                        let lo = lvl.len() * w / workers;
-                        let hi = lvl.len() * (w + 1) / workers;
-                        for &i in &lvl[lo..hi] {
-                            let p = node_probability(
-                                &nodes[i as usize],
-                                vt,
-                                |c| f64::from_bits(probs[c].load(Ordering::Acquire)),
-                                &mut scratch,
-                            );
-                            probs[i as usize].store(p.to_bits(), Ordering::Release);
-                        }
-                    }
-                    barrier.wait();
+    // A job is one (level, chunk); a level's chunks are queued by
+    // whoever finishes the last chunk of the level below (the AcqRel
+    // count-down plus the queue's lock order that worker after every
+    // write to the level below), so no chunk starts before its inputs
+    // are complete and no worker ever waits on anything but the queue.
+    let left: Vec<AtomicUsize> = (0..n_levels).map(|_| AtomicUsize::new(workers)).collect();
+    let queue = pool::Queue::new((0..workers).map(|chunk| (0usize, chunk)));
+    pool::run(scope, workers, &queue, |worker| {
+        let mut scratch = Vec::new();
+        while let Some((l, chunk)) = worker.next_stage() {
+            scope.checkpoint()?;
+            let lvl = &order[starts[l]..starts[l + 1]];
+            let lo = lvl.len() * chunk / workers;
+            let hi = lvl.len() * (chunk + 1) / workers;
+            for &i in &lvl[lo..hi] {
+                let p = node_probability(
+                    &nodes[i as usize],
+                    vt,
+                    |c| f64::from_bits(probs[c].load(Ordering::Acquire)),
+                    &mut scratch,
+                );
+                probs[i as usize].store(p.to_bits(), Ordering::Release);
+            }
+            if left[l].fetch_sub(1, Ordering::AcqRel) == 1 && l + 1 < n_levels {
+                for chunk in 0..workers {
+                    queue.push((l + 1, chunk));
                 }
-            });
+            }
         }
-    })
-    .expect("WMC worker scope");
+        Ok::<(), ObddError>(())
+    })?;
     if let Some(verdict) = scope.verdict() {
-        return Err(verdict);
+        return Err(verdict.into());
     }
     Ok(probs
         .into_iter()
@@ -290,16 +300,13 @@ mod tests {
         assert!((probs[x.index()] - 0.6).abs() < 1e-12);
     }
 
-    /// A deep/wide synthetic DAG: the parallel sweep must match the
-    /// sequential one bit-for-bit at every node, for several worker
-    /// counts (including more workers than some levels have nodes).
-    #[test]
-    fn parallel_sweep_is_bitwise_equal_to_sequential() {
+    /// A deep/wide synthetic DAG over 24 variables: alternating
+    /// decision/AND layers to get both node kinds at many levels, with
+    /// fan-in 3 so reduction order genuinely matters.
+    fn layered_dag() -> (DnnfManager, u32) {
         let mut man = DnnfManager::new();
         let n_vars = 24u32;
         let mut layer: Vec<Dnnf> = (0..n_vars).map(|v| man.lit(Var(v), v % 2 == 0)).collect();
-        // Alternate decision/AND layers to get both node kinds at many
-        // levels, with fan-in 3 so reduction order genuinely matters.
         for round in 0..6u32 {
             layer = layer
                 .chunks(3)
@@ -315,6 +322,15 @@ mod tests {
                 })
                 .collect();
         }
+        (man, n_vars)
+    }
+
+    /// The parallel sweep must match the sequential one bit-for-bit at
+    /// every node, for several worker counts (including more workers
+    /// than some levels have nodes).
+    #[test]
+    fn parallel_sweep_is_bitwise_equal_to_sequential() {
+        let (man, n_vars) = layered_dag();
         let vt = enframe_core::VarTable::new(
             (0..n_vars)
                 .map(|i| 0.17 + 0.029 * i as f64)
@@ -359,6 +375,41 @@ mod tests {
                 probs[f.index()].to_bits(),
                 probs2[map[f.index()].index()].to_bits()
             );
+        }
+    }
+
+    /// Regression: a worker that panicked mid-level (here on the
+    /// documented assertion, a table shorter than a stored literal's
+    /// variable) used to miss its barrier, so its siblings waited
+    /// forever and the sweep never returned. The sweep must end, with
+    /// the panic as a structured error from the scoped entry point and
+    /// raised again, same message, from the panicking one. This thread
+    /// is the watchdog.
+    #[test]
+    fn a_panicking_worker_ends_the_sweep() {
+        for workers in [2, 8] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let (man, _) = layered_dag();
+                let short = VarTable::uniform(5, 0.5);
+                let scoped =
+                    node_probabilities_par_scoped(&man, &short, workers, &BudgetScope::unlimited());
+                let raised =
+                    std::panic::catch_unwind(|| node_probabilities_par(&man, &short, workers));
+                let _ = tx.send((scoped, raised.map_err(|p| p.downcast::<String>().ok())));
+            });
+            let (scoped, raised) = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("the sweep hung at workers={workers}"));
+            let documented = "variable table covers 5 variables but the d-DNNF mentions x";
+            match scoped {
+                Err(ObddError::WorkerPanicked { message, .. }) => {
+                    assert!(message.starts_with(documented), "{message}")
+                }
+                other => panic!("workers={workers}: expected WorkerPanicked, got {other:?}"),
+            }
+            let payload = raised.expect_err("a short table is a panic for this entry point");
+            assert!(payload.is_some_and(|m| m.starts_with(documented)));
         }
     }
 }

@@ -75,13 +75,12 @@ use compile::Compiler;
 use enframe_core::budget::{Budget, BudgetScope, Exceeded, Resource};
 use enframe_core::failpoint::{self, Site};
 use enframe_core::fxhash::FxHashMap;
+use enframe_core::pool::{self, JobError};
 use enframe_core::{CoreError, Var, VarTable};
 use enframe_network::Network;
 use enframe_prob::order::{static_order, VarOrder};
-use enframe_telemetry::{self as telemetry, Counter, Phase};
-use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use enframe_telemetry::{self as telemetry, Phase};
+use std::sync::{Mutex, MutexGuard};
 
 /// Errors of the OBDD backend.
 #[derive(Debug, Clone)]
@@ -105,7 +104,9 @@ pub enum ObddError {
     /// A worker thread panicked; the panic was caught, the sibling
     /// workers were cancelled, and the pool shut down cleanly.
     WorkerPanicked {
-        /// Index of the target being compiled when the panic fired.
+        /// Index of the job in hand when the panic fired: the target
+        /// being compiled, or the wavefront chunk of a parallel WMC
+        /// sweep.
         target: usize,
         /// The panic payload, if it was a string.
         message: String,
@@ -152,11 +153,9 @@ impl From<Exceeded> for ObddError {
     }
 }
 
-impl ObddError {
-    /// Whether this is the secondary "cancelled because a sibling
-    /// failed" error rather than a primary failure. Error selection
-    /// prefers primary errors so the first real failure is what callers
-    /// see, deterministically across schedules.
+impl JobError for ObddError {
+    /// Error selection prefers primary errors, so the first real
+    /// failure is what callers see, deterministically across schedules.
     fn is_cancellation(&self) -> bool {
         matches!(
             self,
@@ -166,60 +165,20 @@ impl ObddError {
             }
         )
     }
-}
 
-/// How long a pool worker blocks on the target queue before re-checking
-/// the cancellation flag — bounds the shutdown latency of a cancelled
-/// fan-out without busy-waiting.
-const RECV_POLL: Duration = Duration::from_millis(20);
-
-/// The injected stall of an armed `recv` failpoint.
-const RECV_STALL: Duration = Duration::from_millis(40);
-
-/// Pulls the next work item for a pool worker, polling the cancellation
-/// flag between bounded waits. `None` means stop: the queue disconnected
-/// (drained, sender dropped up front) or the scope was cancelled.
-pub(crate) fn recv_next<T>(rx: &crossbeam::channel::Receiver<T>, scope: &BudgetScope) -> Option<T> {
-    let _wait = telemetry::span(Phase::QueueWait);
-    telemetry::count(Counter::QueueWait);
-    if failpoint::hit(Site::Recv) {
-        std::thread::sleep(RECV_STALL);
-    }
-    loop {
-        if scope.is_cancelled() {
-            return None;
-        }
-        match rx.recv_timeout(RECV_POLL) {
-            Ok(item) => return Some(item),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return None,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-        }
+    fn from_panic(target: usize, _worker: usize, message: String) -> Self {
+        ObddError::WorkerPanicked { target, message }
     }
 }
 
-/// Renders a caught panic payload (as produced by `catch_unwind`).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Picks the error to report from a pool run: the smallest-indexed
-/// *primary* failure, falling back to the smallest-indexed cancellation
-/// echo — deterministic across worker schedules.
-pub(crate) fn first_worker_error<'a, I>(errors: I) -> Option<&'a (usize, ObddError)>
-where
-    I: Iterator<Item = &'a (usize, ObddError)> + Clone,
-{
-    errors
-        .clone()
-        .filter(|(_, e)| !e.is_cancellation())
-        .min_by_key(|(i, _)| *i)
-        .or_else(|| errors.min_by_key(|(i, _)| *i))
+/// What a fan-out reports when the pool stopped before every target
+/// compiled although no worker failed: the verdict recorded on the
+/// scope (budget exhaustion, external cancellation).
+pub(crate) fn stopped_early(scope: &BudgetScope) -> ObddError {
+    ObddError::from(scope.verdict().unwrap_or(Exceeded {
+        resource: Resource::Cancelled,
+        spent: 0,
+    }))
 }
 
 /// Options for OBDD compilation.
@@ -337,10 +296,7 @@ impl ObddEngine {
     pub fn compile(net: &Network, opts: &ObddOptions) -> Result<Self, ObddError> {
         let scope = BudgetScope::new(opts.budget);
         let result = Self::compile_scoped(net, opts, &scope);
-        telemetry::count_n(Counter::BudgetCheck, scope.checks());
-        if scope.is_cancelled() {
-            telemetry::count(Counter::Cancellation);
-        }
+        scope.record_telemetry();
         result
     }
 
@@ -349,215 +305,47 @@ impl ObddEngine {
         opts: &ObddOptions,
         scope: &BudgetScope,
     ) -> Result<Self, ObddError> {
-        let workers = enframe_core::workers::resolve(opts.workers, 1);
-        if workers > 1 && net.targets.len() > 1 {
-            return Self::compile_par(net, opts, workers, scope);
-        }
-        let order = grouped_order(static_order(net, opts.order), &opts.groups);
-        let mut level_of: Vec<Option<u32>> = vec![None; net.n_vars as usize];
-        for (l, v) in order.iter().enumerate() {
-            level_of[v.index()] = Some(l as u32);
-        }
-        let mut man = Manager::with_policy(opts.reorder.clone());
-        man.declare_vars(order.len() as u32);
-        man.set_level_blocks(&level_blocks(&order, &opts.groups));
-        let mut compiler = Compiler::new(net, level_of.clone(), scope.clone());
-        let mut targets = Vec::with_capacity(net.targets.len());
-        for &t in &net.targets {
-            let bdd = compiler.compile(&mut man, t)?;
-            man.protect(bdd);
-            targets.push(bdd);
-        }
-        let cmp_branches = compiler.cmp_branches;
-        compiler.finish(&mut man);
-        if opts.reorder.auto {
-            // Final sweep: drop the compilation scaffolding so the
-            // manager holds exactly the union of the target DAGs.
-            man.collect_garbage();
-        }
-        let stats = ObddStats {
-            nodes: man.len(),
-            largest_target: targets.iter().map(|&t| man.size(t)).max().unwrap_or(0),
-            cmp_branches,
-            cache_hits: man.cache_hits(),
-            manager: man.stats(),
-        };
-        Ok(ObddEngine {
-            man,
-            order,
-            level_of,
-            targets,
-            names: net.target_names.clone(),
-            stats,
-            wmc_cache: Mutex::new(WmcCache::new()),
-        })
-    }
-
-    /// Parallel target fan-out: each worker compiles whole targets into
-    /// its own manager over the shared immutable network (same initial
-    /// variable order, maintenance disabled so handles stay stable and
-    /// per-worker results are order-deterministic), pulling target
-    /// indices from a pre-filled bounded queue whose sender is dropped
-    /// up front. The per-worker BDDs are then merged into the main
-    /// manager by [`import_bdd`], which deduplicates shared structure
-    /// via the unique tables.
-    fn compile_par(
-        net: &Network,
-        opts: &ObddOptions,
-        workers: usize,
-        scope: &BudgetScope,
-    ) -> Result<Self, ObddError> {
-        struct WorkerOut {
-            man: Manager,
-            compiled: Vec<(usize, Bdd)>,
-            error: Option<(usize, ObddError)>,
-            cmp_branches: u64,
-            cache_hits: u64,
-        }
+        let workers = enframe_core::workers::resolve(opts.workers, 1).min(net.targets.len());
         let order = grouped_order(static_order(net, opts.order), &opts.groups);
         let mut level_of: Vec<Option<u32>> = vec![None; net.n_vars as usize];
         for (l, v) in order.iter().enumerate() {
             level_of[v.index()] = Some(l as u32);
         }
         let blocks = level_blocks(&order, &opts.groups);
-        let workers = workers.min(net.targets.len());
-        let (tx, rx) = crossbeam::channel::bounded(net.targets.len());
-        for i in 0..net.targets.len() {
-            tx.send(i).expect("queue receiver alive");
-        }
-        drop(tx);
-        let outs: Vec<WorkerOut> = crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let rx = rx.clone();
-                    let scope = scope.clone();
-                    let (order, blocks, level_of) = (&order, &blocks, &level_of);
-                    s.spawn(move || {
-                        let _worker = telemetry::worker_span(Phase::Worker, w);
-                        // Panic isolation: a panic escaping the closure
-                        // would propagate at scope exit and tear down the
-                        // whole process tree. Catch it, cancel the
-                        // siblings, and surface a structured error with
-                        // the target that was being compiled.
-                        let current = std::cell::Cell::new(0usize);
-                        let body = catch_unwind(AssertUnwindSafe(|| {
-                            let mut man = Manager::with_policy(ReorderPolicy::disabled());
-                            man.declare_vars(order.len() as u32);
-                            man.set_level_blocks(blocks);
-                            let mut compiler = Compiler::new(net, level_of.clone(), scope.clone());
-                            let mut compiled = Vec::new();
-                            let mut error = None;
-                            while let Some(i) = recv_next(&rx, &scope) {
-                                current.set(i);
-                                if failpoint::hit(Site::Spawn) {
-                                    panic!("injected worker panic (failpoint `spawn`)");
-                                }
-                                match compiler.compile(&mut man, net.targets[i]) {
-                                    Ok(bdd) => {
-                                        man.protect(bdd);
-                                        compiled.push((i, bdd));
-                                    }
-                                    Err(e) => {
-                                        // Stop this worker and its
-                                        // siblings: the remaining
-                                        // targets' results would be
-                                        // discarded anyway.
-                                        scope.cancel_external();
-                                        error = Some((i, e));
-                                        break;
-                                    }
-                                }
-                            }
-                            let cmp_branches = compiler.cmp_branches;
-                            let cache_hits = man.cache_hits();
-                            compiler.finish(&mut man);
-                            WorkerOut {
-                                man,
-                                compiled,
-                                error,
-                                cmp_branches,
-                                cache_hits,
-                            }
-                        }));
-                        body.unwrap_or_else(|payload| {
-                            scope.cancel_external();
-                            telemetry::count(Counter::Cancellation);
-                            let target = current.get();
-                            WorkerOut {
-                                man: Manager::with_policy(ReorderPolicy::disabled()),
-                                compiled: Vec::new(),
-                                error: Some((
-                                    target,
-                                    ObddError::WorkerPanicked {
-                                        target,
-                                        message: panic_message(payload),
-                                    },
-                                )),
-                                cmp_branches: 0,
-                                cache_hits: 0,
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("worker panics are caught inside the closure")
-                })
-                .collect()
-        })
-        .expect("worker panics are caught inside the closure");
-
-        // Report the first real failure, deterministically across
-        // schedules; cancellation echoes from sibling workers lose.
-        if let Some((_, e)) = first_worker_error(outs.iter().filter_map(|w| w.error.as_ref())) {
-            return Err(e.clone());
-        }
-        let _merge = telemetry::span(Phase::Merge);
-        if failpoint::hit(Site::Merge) {
-            return Err(ObddError::Injected("merge"));
-        }
-        let mut man = Manager::with_policy(opts.reorder.clone());
-        man.declare_vars(order.len() as u32);
-        man.set_level_blocks(&level_blocks(&order, &opts.groups));
-        let mut targets: Vec<Option<Bdd>> = vec![None; net.targets.len()];
-        let mut cmp_branches = 0u64;
-        let mut cache_hits = 0u64;
-        for w in &outs {
-            // No maintenance runs while a worker's results transfer in
-            // (imports only call `Manager::node`), so the import memo's
-            // intermediate handles stay valid; each merged root is
-            // protected as soon as it exists.
-            let mut memo: FxHashMap<u32, Bdd> = FxHashMap::default();
-            for &(i, bdd) in &w.compiled {
-                let merged = import_bdd(&w.man, bdd, &mut man, &mut memo);
-                man.protect(merged);
-                targets[i] = Some(merged);
+        let new_manager = |policy: ReorderPolicy| {
+            let mut man = Manager::with_policy(policy);
+            man.declare_vars(order.len() as u32);
+            man.set_level_blocks(&blocks);
+            man
+        };
+        let mut man = new_manager(opts.reorder.clone());
+        let (targets, cmp_branches, cache_hits);
+        if workers > 1 {
+            (targets, cmp_branches, cache_hits) =
+                Self::fan_out(net, workers, scope, &level_of, &new_manager, &mut man)?;
+            if opts.reorder.auto {
+                man.collect_garbage();
+                // The merged manager never reordered mid-compile the way a
+                // sequential run may have; give the policy one chance to
+                // settle the merged diagram before queries start.
+                man.maybe_maintain();
             }
-            cmp_branches += w.cmp_branches;
-            cache_hits += w.cache_hits;
-        }
-        // With no worker error every queued target was compiled by
-        // exactly one worker — unless a cancellation (budget verdict on
-        // the scope, external request) stopped the pool early.
-        let targets: Vec<Bdd> =
-            targets
-                .into_iter()
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| {
-                    ObddError::from(scope.verdict().unwrap_or(Exceeded {
-                        resource: Resource::Cancelled,
-                        spent: 0,
-                    }))
-                })?;
-        if opts.reorder.auto {
-            man.collect_garbage();
-            // The merged manager never reordered mid-compile the way a
-            // sequential run may have; give the policy one chance to
-            // settle the merged diagram before queries start.
-            man.maybe_maintain();
+        } else {
+            let mut compiler = Compiler::new(net, level_of.clone(), scope.clone());
+            let mut compiled = Vec::with_capacity(net.targets.len());
+            for &t in &net.targets {
+                let bdd = compiler.compile(&mut man, t)?;
+                man.protect(bdd);
+                compiled.push(bdd);
+            }
+            (targets, cmp_branches) = (compiled, compiler.cmp_branches);
+            compiler.finish(&mut man);
+            if opts.reorder.auto {
+                // Final sweep: drop the compilation scaffolding so the
+                // manager holds exactly the union of the target DAGs.
+                man.collect_garbage();
+            }
+            cache_hits = man.cache_hits();
         }
         let stats = ObddStats {
             nodes: man.len(),
@@ -575,6 +363,86 @@ impl ObddEngine {
             stats,
             wmc_cache: Mutex::new(WmcCache::new()),
         })
+    }
+
+    /// Parallel target fan-out: each worker compiles whole targets into
+    /// its own manager over the shared immutable network (same initial
+    /// variable order, maintenance disabled so handles stay stable and
+    /// per-worker results are order-deterministic), pulling target
+    /// indices from the pool's pre-filled queue. The per-worker BDDs
+    /// are then merged into `man` by [`import_bdd`], which deduplicates
+    /// shared structure via the unique tables. Returns the merged
+    /// targets and the workers' summed `cmp_branches` and `cache_hits`.
+    fn fan_out(
+        net: &Network,
+        workers: usize,
+        scope: &BudgetScope,
+        level_of: &[Option<u32>],
+        new_manager: &(impl Fn(ReorderPolicy) -> Manager + Sync),
+        man: &mut Manager,
+    ) -> Result<(Vec<Bdd>, u64, u64), ObddError> {
+        struct WorkerOut {
+            man: Manager,
+            compiled: Vec<(usize, Bdd)>,
+            cmp_branches: u64,
+            cache_hits: u64,
+        }
+        let queue = pool::Queue::new(0..net.targets.len());
+        let outs: Vec<WorkerOut> = pool::run(scope, workers, &queue, |worker| {
+            let mut man = new_manager(ReorderPolicy::disabled());
+            let mut compiler = Compiler::new(net, level_of.to_vec(), scope.clone());
+            let mut compiled = Vec::new();
+            while let Some(i) = worker.next_job() {
+                let bdd = compiler.compile(&mut man, net.targets[i])?;
+                man.protect(bdd);
+                compiled.push((i, bdd));
+            }
+            let cmp_branches = compiler.cmp_branches;
+            let cache_hits = man.cache_hits();
+            compiler.finish(&mut man);
+            Ok::<_, ObddError>(WorkerOut {
+                man,
+                compiled,
+                cmp_branches,
+                cache_hits,
+            })
+        })?;
+        let _merge = telemetry::span(Phase::Merge);
+        if failpoint::hit(Site::Merge) {
+            return Err(ObddError::Injected("merge"));
+        }
+        let mut targets: Vec<Option<Bdd>> = vec![None; net.targets.len()];
+        for w in &outs {
+            // No maintenance runs while a worker's results transfer in
+            // (imports only call `Manager::node`), so the import memo's
+            // intermediate handles stay valid; each merged root is
+            // protected as soon as it exists.
+            let mut memo: FxHashMap<u32, Bdd> = FxHashMap::default();
+            for &(i, bdd) in &w.compiled {
+                let merged = import_bdd(&w.man, bdd, man, &mut memo);
+                man.protect(merged);
+                targets[i] = Some(merged);
+            }
+        }
+        // With no worker error every queued target was compiled by
+        // exactly one worker — unless a cancellation (budget verdict on
+        // the scope, external request) stopped the pool early.
+        let targets = targets
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| stopped_early(scope))?;
+        Ok((
+            targets,
+            outs.iter().map(|w| w.cmp_branches).sum(),
+            outs.iter().map(|w| w.cache_hits).sum(),
+        ))
+    }
+
+    /// The persistent WMC cache. Poisoning is ignored: the lock is only
+    /// held to move a whole cache out or in, so a sweep that panics
+    /// leaves an (empty but valid) cache behind.
+    fn wmc_cache(&self) -> MutexGuard<'_, WmcCache> {
+        self.wmc_cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Compilation statistics.
@@ -635,10 +503,10 @@ impl ObddEngine {
         let mut wmc = Wmc::with_cache(
             &self.man,
             self.level_weights(vt),
-            std::mem::take(&mut *self.wmc_cache.lock()),
+            std::mem::take(&mut *self.wmc_cache()),
         );
         let probs = self.targets.iter().map(|&t| wmc.probability(t)).collect();
-        *self.wmc_cache.lock() = wmc.into_cache();
+        *self.wmc_cache() = wmc.into_cache();
         probs
     }
 
@@ -665,7 +533,7 @@ impl ObddEngine {
         let mut wmc = Wmc::with_cache(
             &self.man,
             self.level_weights(vt),
-            std::mem::take(&mut *self.wmc_cache.lock()),
+            std::mem::take(&mut *self.wmc_cache()),
         );
         let mut probs = Vec::with_capacity(self.targets.len());
         let mut verdict = None;
@@ -678,7 +546,7 @@ impl ObddEngine {
         }
         // Put the (partially) warmed cache back even on the error path —
         // a budget verdict must not cost the next query its warm start.
-        *self.wmc_cache.lock() = wmc.into_cache();
+        *self.wmc_cache() = wmc.into_cache();
         match verdict {
             Some(e) => Err(e.into()),
             None => Ok(probs),
@@ -724,13 +592,13 @@ impl ObddEngine {
         let mut wmc = Wmc::with_cache(
             &self.man,
             weights.clone(),
-            std::mem::take(&mut *self.wmc_cache.lock()),
+            std::mem::take(&mut *self.wmc_cache()),
         );
         let evidence_prob = {
             let _span = telemetry::span(Phase::Wmc);
             wmc.probability(evidence)
         };
-        *self.wmc_cache.lock() = wmc.into_cache();
+        *self.wmc_cache() = wmc.into_cache();
         if evidence_prob <= 0.0 {
             return Err(ObddError::ZeroEvidence);
         }
@@ -740,11 +608,7 @@ impl ObddEngine {
             .into_iter()
             .map(|t| self.man.and(t, evidence))
             .collect();
-        let mut wmc = Wmc::with_cache(
-            &self.man,
-            weights,
-            std::mem::take(&mut *self.wmc_cache.lock()),
-        );
+        let mut wmc = Wmc::with_cache(&self.man, weights, std::mem::take(&mut *self.wmc_cache()));
         let posteriors = {
             let _span = telemetry::span(Phase::Wmc);
             joint
@@ -752,7 +616,7 @@ impl ObddEngine {
                 .map(|j| wmc.probability(j) / evidence_prob)
                 .collect()
         };
-        *self.wmc_cache.lock() = wmc.into_cache();
+        *self.wmc_cache() = wmc.into_cache();
         // Maintenance point: the joints (and the caller's evidence) are
         // garbage now, the targets are protected — repeated conditioning
         // on one engine stays bounded instead of growing monotonically.
@@ -1360,7 +1224,7 @@ mod tests {
         };
         let before = thread_count();
         {
-            let _chaos = failpoint::override_for_test("spawn:every-1");
+            let _chaos = failpoint::arm("spawn:every-1");
             for _ in 0..4 {
                 match ObddEngine::compile(&net, &opts) {
                     Err(ObddError::WorkerPanicked { target, message }) => {
@@ -1398,7 +1262,7 @@ mod tests {
         let p = mutex_chain_program(6);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
-        let _chaos = failpoint::override_for_test("alloc:every-1");
+        let _chaos = failpoint::arm("alloc:every-1");
         match ObddEngine::compile(&net, &ObddOptions::default()) {
             Err(ObddError::Injected(site)) => assert_eq!(site, "alloc"),
             other => panic!("expected Injected(alloc), got {other:?}"),
@@ -1414,7 +1278,7 @@ mod tests {
         let net = Network::build(&g).unwrap();
         let vt = VarTable::uniform(8, 0.4);
         let want = space::target_probabilities(&g, &vt);
-        let _chaos = failpoint::override_for_test("recv:every-2");
+        let _chaos = failpoint::arm("recv:every-2");
         let engine = ObddEngine::compile(
             &net,
             &ObddOptions {

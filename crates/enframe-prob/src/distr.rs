@@ -23,22 +23,11 @@ use crate::masks::{BoolMask, MaskStore, Masks, Topology};
 use crate::order::static_order;
 use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::error::CoreError;
-use enframe_core::failpoint::{self, Site};
+use enframe_core::pool;
 use enframe_core::{Var, VarTable};
 use enframe_network::{FoldedNetwork, Network};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
-
-/// Poll interval for the job queue: long enough to be free of busy-wait
-/// cost, short enough that cancellation (budget exhaustion or a sibling
-/// worker's panic) is observed promptly.
-const RECV_POLL: Duration = Duration::from_millis(20);
-
-/// Sleep injected by the `recv` failpoint, to simulate a stalled queue.
-const RECV_STALL: Duration = Duration::from_millis(40);
+use std::sync::{Mutex, MutexGuard};
 
 /// Options for distributed compilation.
 #[derive(Debug, Clone, Copy)]
@@ -84,17 +73,19 @@ struct Shared<'v> {
     node_targets: HashMap<u32, Vec<usize>>,
     bounds: Mutex<(Vec<f64>, Vec<f64>)>,
     spare: Mutex<Vec<f64>>,
-    outstanding: AtomicUsize,
-    branches: AtomicU64,
-    jobs_run: AtomicU64,
+    /// Subtrees forked as jobs go back on the pool's queue.
+    queue: pool::Queue<Job>,
     /// Shared budget/cancellation state: a worker that exhausts the
-    /// budget — or panics — cancels the scope, and every sibling's recv
+    /// budget — or panics — cancels the scope, and every sibling's queue
     /// poll and per-branch check observes it.
     scope: BudgetScope,
-    /// First worker panic, converted to a structured error. The pool
-    /// drains and joins normally; the caller gets `Err` instead of
-    /// bounds.
-    panic: Mutex<Option<CoreError>>,
+}
+
+/// Locks one of the shared accumulators. They are only ever held over
+/// element-wise float updates that cannot panic; after a worker panic
+/// the run is reported as failed and their contents are dropped unread.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Compiles the network with `workers` threads and job size `d`, returning
@@ -214,122 +205,45 @@ where
         node_targets,
         bounds: Mutex::new((lower, upper)),
         spare: Mutex::new(vec![0.0; n_targets]),
-        outstanding: AtomicUsize::new(1),
-        branches: AtomicU64::new(0),
-        jobs_run: AtomicU64::new(0),
+        // One root job; the pool shuts down when it and every job
+        // forked below it are finished — or the scope is cancelled: a
+        // dead worker's jobs would otherwise never drain.
+        queue: pool::Queue::new([Job {
+            prefix: Vec::new(),
+            prob: 1.0,
+            budgets: vec![eps2; n_targets],
+        }]),
         scope: BudgetScope::new(opts.budget),
-        panic: Mutex::new(None),
     };
 
-    let (tx, rx) = crossbeam::channel::unbounded::<Option<Job>>();
-    tx.send(Some(Job {
-        prefix: Vec::new(),
-        prob: 1.0,
-        budgets: vec![eps2; n_targets],
-    }))
-    .expect("queue open");
-
-    std::thread::scope(|scope| {
-        for w in 0..opts.workers {
-            let rx = rx.clone();
-            let tx = tx.clone();
-            let shared = &shared;
-            let make_store = &make_store;
-            scope.spawn(move || {
-                use enframe_telemetry::{self as telemetry, Counter, Phase};
-                let _worker = telemetry::worker_span(Phase::Worker, w);
-                // Panic isolation: a panic anywhere in the job loop is
-                // caught here, converted to a structured error, and the
-                // shared scope is cancelled so every sibling's recv poll
-                // exits — workers fork jobs to each other, so without
-                // cancellation the outstanding-job count would never
-                // drain and the pool would deadlock on `recv`.
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    let mut worker = Worker {
-                        shared,
-                        store: make_store(),
-                        tx: tx.clone(),
-                        local_lower: vec![0.0; shared.targets.len()],
-                        local_upper_delta: vec![0.0; shared.targets.len()],
-                        branches: 0,
-                        stopped: false,
-                    };
-                    loop {
-                        let msg = {
-                            let _wait = telemetry::span(Phase::QueueWait);
-                            telemetry::count(Counter::QueueWait);
-                            if failpoint::hit(Site::Recv) {
-                                std::thread::sleep(RECV_STALL);
-                            }
-                            // Bounded-wait poll instead of a blocking
-                            // `recv`: senders stay alive in every worker,
-                            // so disconnection alone can never signal
-                            // shutdown here.
-                            loop {
-                                if shared.scope.is_cancelled() {
-                                    break Ok(None);
-                                }
-                                match rx.recv_timeout(RECV_POLL) {
-                                    Ok(item) => break Ok(item),
-                                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                                        break Err(())
-                                    }
-                                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                                }
-                            }
-                        };
-                        let Ok(Some(job)) = msg else { break };
-                        if failpoint::hit(Site::Spawn) {
-                            panic!("injected worker panic (failpoint `spawn`)");
-                        }
-                        worker.run_job(job);
-                        shared.jobs_run.fetch_add(1, Ordering::Relaxed);
-                        if shared.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last job done: wake everyone up to exit.
-                            for _ in 0..shared.opts.workers {
-                                let _ = tx.send(None);
-                            }
-                        }
-                    }
-                    shared
-                        .branches
-                        .fetch_add(worker.branches, Ordering::Relaxed);
-                }));
-                if let Err(payload) = body {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    telemetry::count(Counter::Cancellation);
-                    shared
-                        .panic
-                        .lock()
-                        .get_or_insert(CoreError::WorkerPanicked { worker: w, message });
-                    shared.scope.cancel_external();
-                }
-            });
+    let ran = pool::run(&shared.scope, opts.workers, &shared.queue, |jobs| {
+        let mut worker = Worker {
+            shared: &shared,
+            store: make_store(),
+            local_lower: vec![0.0; n_targets],
+            local_upper_delta: vec![0.0; n_targets],
+            branches: 0,
+            stopped: false,
+        };
+        while let Some(job) = jobs.next_job() {
+            worker.run_job(job);
         }
+        Ok::<u64, CoreError>(worker.branches)
     });
 
-    {
-        use enframe_telemetry::{self as telemetry, Counter};
-        telemetry::count_n(Counter::BudgetCheck, shared.scope.checks());
-        if shared.scope.is_cancelled() {
-            telemetry::count(Counter::Cancellation);
-        }
-    }
-    if let Some(err) = shared.panic.into_inner() {
-        return Err(err);
-    }
+    shared.scope.record_telemetry();
+    let branches = ran?.into_iter().sum();
     let exhausted = shared.scope.verdict();
-    let (lower, upper) = shared.bounds.into_inner();
+    let (lower, upper) = shared
+        .bounds
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner());
     Ok(CompileResult {
         lower,
         upper,
         names,
         stats: Stats {
-            branches: shared.branches.into_inner(),
+            branches,
             assignments: 0,
             prunes: 0,
             deepest: 0,
@@ -341,13 +255,12 @@ where
 struct Worker<'v, 's, T: Topology> {
     shared: &'s Shared<'v>,
     store: MaskStore<T>,
-    tx: crossbeam::channel::Sender<Option<Job>>,
     local_lower: Vec<f64>,
     local_upper_delta: Vec<f64>,
     branches: u64,
     /// Set when the shared scope rejects a check: the current job's
     /// remaining subtree unwinds without exploring (sound — unexplored
-    /// mass stays between the bounds) and the recv loop exits next poll.
+    /// mass stays between the bounds) and the job loop exits next poll.
     stopped: bool,
 }
 
@@ -361,7 +274,7 @@ impl<T: Topology> Worker<'_, '_, T> {
         }
         // Synchronise budgets at job start: drain the spare pool.
         if self.shared.opts.seq.strategy != Strategy::Exact {
-            let mut spare = self.shared.spare.lock();
+            let mut spare = lock(&self.shared.spare);
             for (b, s) in job.budgets.iter_mut().zip(spare.iter_mut()) {
                 *b += *s;
                 *s = 0.0;
@@ -372,7 +285,7 @@ impl<T: Topology> Worker<'_, '_, T> {
         let residual = self.dfs(job.prefix.len(), 0, job.prob, job.budgets, &mut job.prefix);
         // Merge bound deltas.
         {
-            let mut bounds = self.shared.bounds.lock();
+            let mut bounds = lock(&self.shared.bounds);
             for i in 0..self.local_lower.len() {
                 bounds.0[i] += self.local_lower[i];
                 bounds.1[i] -= self.local_upper_delta[i];
@@ -380,7 +293,7 @@ impl<T: Topology> Worker<'_, '_, T> {
         }
         // Return residual budgets to the pool.
         if self.shared.opts.seq.strategy != Strategy::Exact {
-            let mut spare = self.shared.spare.lock();
+            let mut spare = lock(&self.shared.spare);
             for (s, r) in spare.iter_mut().zip(&residual) {
                 *s += r;
             }
@@ -389,7 +302,7 @@ impl<T: Topology> Worker<'_, '_, T> {
     }
 
     fn global_tight_or_resolved(&self, eps2: f64) -> bool {
-        let bounds = self.shared.bounds.lock();
+        let bounds = lock(&self.shared.bounds);
         self.shared
             .targets
             .iter()
@@ -422,12 +335,11 @@ impl<T: Topology> Worker<'_, '_, T> {
         }
         if rel_depth >= self.shared.opts.job_depth {
             // Fork the subtree as a new job carrying the current budgets.
-            self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-            let _ = self.tx.send(Some(Job {
+            self.shared.queue.push(Job {
                 prefix: prefix.clone(),
                 prob: p,
                 budgets: budgets.clone(),
-            }));
+            });
             // The budget moved into the job; nothing residual here.
             return vec![0.0; budgets.len()];
         }
@@ -531,6 +443,7 @@ impl<T: Topology> Worker<'_, '_, T> {
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use enframe_core::failpoint;
     use enframe_core::program::{SymCVal, SymEvent, ValSrc};
     use enframe_core::{space, CmpOp, Program, Value};
     use std::rc::Rc;
@@ -808,7 +721,7 @@ mod tests {
             ..Default::default()
         };
         {
-            let _chaos = failpoint::override_for_test("spawn:every-1");
+            let _chaos = failpoint::arm("spawn:every-1");
             match compile_distributed(&net, &vt, opts()) {
                 Err(CoreError::WorkerPanicked { worker, message }) => {
                     assert!(worker < 4, "bad worker index {worker}");
@@ -836,7 +749,7 @@ mod tests {
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
         let want = space::target_probabilities(&g, &vt);
-        let _chaos = failpoint::override_for_test("recv:every-3");
+        let _chaos = failpoint::arm("recv:every-3");
         let got = compile_distributed(
             &net,
             &vt,

@@ -64,6 +64,15 @@ pub enum ServeError {
     /// The `serve_admit` failpoint fired (`ENFRAME_FAILPOINTS`); only
     /// reachable with the failpoint armed.
     Injected(&'static str),
+    /// The request's variable table is shorter than the lineage's
+    /// variable count; rejected at admission, before anything is
+    /// resolved or swept.
+    VarTableTooShort {
+        /// Variables the request's table covers.
+        have: usize,
+        /// Variables the lineage's network declares.
+        need: usize,
+    },
     /// Compilation or evaluation failed structurally (unsupported
     /// lineage, worker panic, injected engine fault — everything except
     /// budget exhaustion, which degrades instead).
@@ -78,6 +87,10 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Injected(site) => write!(f, "injected fault at failpoint `{site}`"),
+            ServeError::VarTableTooShort { have, need } => write!(
+                f,
+                "variable table covers {have} variables but the lineage has {need}"
+            ),
             ServeError::Engine(e) => write!(f, "engine failure while serving: {e}"),
             ServeError::Panicked(msg) => write!(f, "compile flight panicked: {msg}"),
         }
@@ -428,6 +441,15 @@ impl QueryService {
         telemetry::count_max(Counter::ServeQueueDepth, depth);
         if failpoint::hit(Site::ServeAdmit) {
             return Err(ServeError::Injected(Site::ServeAdmit.name()));
+        }
+        // The table comes from outside; the sweeps index it by variable
+        // and treat a miss as a broken invariant (a panic).
+        let need = lineage.net.n_vars as usize;
+        if vt.len() < need {
+            return Err(ServeError::VarTableTooShort {
+                have: vt.len(),
+                need,
+            });
         }
         let scope = BudgetScope::new(budget);
         let cell = match self.resolve(lineage, vt, budget, &scope) {
@@ -819,10 +841,7 @@ impl QueryService {
             Options::approx(Strategy::Hybrid, 0.1),
             &scope,
         );
-        telemetry::count_n(Counter::BudgetCheck, scope.checks());
-        if scope.is_cancelled() {
-            telemetry::count(Counter::Cancellation);
-        }
+        scope.record_telemetry();
         Reply {
             answer: Answer::Degraded {
                 lower: res.lower,
@@ -1135,11 +1154,13 @@ mod tests {
 
     #[test]
     fn armed_admission_failpoint_is_a_structured_error() {
+        // Asserts on no counter, but its last query bumps them.
+        let _t = telemetry_lock();
         let (net, vt, _) = chain(6);
         let svc = QueryService::new(ServeOptions::default());
         let lin = Lineage::dnnf(net, DnnfOptions::default());
         {
-            let _guard = failpoint::override_for_test("serve_admit:every-1");
+            let _guard = failpoint::arm("serve_admit:every-1");
             match svc.query(&lin, &vt, Budget::unlimited()) {
                 Err(ServeError::Injected("serve_admit")) => {}
                 other => panic!("expected the admission fault, got {other:?}"),
@@ -1147,6 +1168,25 @@ mod tests {
         }
         // Disarmed again: the same service serves normally.
         assert!(svc.query(&lin, &vt, Budget::unlimited()).is_ok());
+    }
+
+    #[test]
+    fn short_var_table_is_rejected_before_resolution() {
+        let _t = telemetry_lock();
+        let (net, vt, _) = chain(6);
+        let svc = QueryService::new(ServeOptions::default());
+        let lin = Lineage::dnnf(net, DnnfOptions::default());
+        let short = VarTable::uniform(5, 0.5);
+        match svc.query(&lin, &short, Budget::unlimited()) {
+            Err(ServeError::VarTableTooShort { have: 5, need: 6 }) => {}
+            other => panic!("expected the admission error, got {other:?}"),
+        }
+        let snap = telemetry::snapshot();
+        assert_eq!(snap.counter(Counter::ServeMemMiss), 0, "nothing resolved");
+        // A table that covers the lineage (or more) is served.
+        assert!(svc.query(&lin, &vt, Budget::unlimited()).is_ok());
+        let long = VarTable::uniform(9, 0.5);
+        assert!(svc.query(&lin, &long, Budget::unlimited()).is_ok());
     }
 
     #[test]

@@ -101,6 +101,9 @@ fn classify(result: Result<Reply, ServeError>, want: &[f64], what: &str) -> bool
             assert_eq!(site, "serve_admit", "{what}: unexpected injection site");
             false
         }
+        Err(ServeError::VarTableTooShort { have, need }) => {
+            panic!("{what}: a {need}-variable table was sent, {have} arrived")
+        }
         Err(ServeError::Engine(e)) => {
             match &e {
                 ObddError::WorkerPanicked { message, .. } => assert!(
@@ -221,7 +224,7 @@ fn admission_faults_are_structured_and_clear() {
     let lin = Lineage::dnnf(Arc::clone(&net), DnnfOptions::default());
     let (mut injected, mut ok) = (0usize, 0usize);
     {
-        let _guard = failpoint::override_for_test("serve_admit:every-3");
+        let _guard = failpoint::arm("serve_admit:every-3");
         for round in 0..12 {
             assert!(
                 t0.elapsed() < WALL_LIMIT,
@@ -245,7 +248,7 @@ fn admission_faults_are_structured_and_clear() {
     );
     assert!(ok > 0, "an every-3 schedule must also let rounds through");
     // Disarmed: the same instance serves normally again.
-    let _calm = failpoint::override_for_test("");
+    let _calm = failpoint::arm("");
     let reply = svc.query(&lin, &vt, Budget::unlimited()).expect("recovers");
     assert!(classify(Ok(reply), &want, "post-disarm query"));
 }
@@ -273,7 +276,10 @@ fn mid_batch_worker_panic_is_structured_for_every_member() {
     );
     let mut served = 0usize;
     {
-        let _guard = failpoint::override_for_test("spawn:every-3");
+        let _guard = failpoint::arm("spawn:every-3");
+        // The clients below are this test's own threads: they adopt
+        // its plan, and the engines' pool hands it on to the workers.
+        let plan = failpoint::Plan::current();
         for round in 0..8 {
             assert!(
                 t0.elapsed() < WALL_LIMIT,
@@ -291,7 +297,9 @@ fn mid_batch_worker_panic_is_structured_for_every_member() {
                     let vt = vt.clone();
                     let barrier = Arc::clone(&barrier);
                     let want = want.clone();
+                    let plan = plan.clone();
                     s.spawn(move || {
+                        let _plan = plan.adopt();
                         barrier.wait();
                         classify(
                             svc.query(&lin, &vt, Budget::unlimited()),
@@ -306,7 +314,7 @@ fn mid_batch_worker_panic_is_structured_for_every_member() {
     }
     assert_eq!(served, 8, "every round must complete — a hang is the bug");
     // Fault cleared: the same service compiles and serves exactly.
-    let _calm = failpoint::override_for_test("");
+    let _calm = failpoint::arm("");
     svc.flush();
     let reply = svc.query(&lin, &vt, Budget::unlimited()).expect("recovers");
     assert!(classify(Ok(reply), &want, "post-panic query"));
@@ -322,7 +330,7 @@ fn corrupt_mem_entry_falls_back_through_store_then_recompile() {
     // This phase corrupts the tiers programmatically; mask any
     // env-armed I/O or admission faults so the ladder assertions are
     // deterministic (the armed suite above still ran).
-    let _calm = failpoint::override_for_test("");
+    let _calm = failpoint::arm("");
     let t0 = Instant::now();
     let (net, vt, want) = fixture();
     let root = std::env::temp_dir().join(format!("enframe-serve-chaos-{}", std::process::id()));
@@ -380,4 +388,42 @@ fn corrupt_mem_entry_falls_back_through_store_then_recompile() {
     );
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Phase E — a request whose variable table is too short for its
+/// lineage. Unchecked, the sweep indexes past the table: a panic on the
+/// caller's thread at one worker, and (before the sweep ran on the
+/// shared pool) a wavefront that never returned at more. Admission must
+/// turn it into a structured error at either width, promptly, artifact
+/// resident or not — and the instance must answer the next well-formed
+/// query exactly.
+#[test]
+fn short_var_table_is_rejected_at_admission() {
+    let _calm = failpoint::arm("");
+    let t0 = Instant::now();
+    let (net, vt, want) = fixture();
+    let short = VarTable::uniform(vt.len() - 3, 0.4);
+    for workers in [1, 8] {
+        let svc = QueryService::new(ServeOptions::default());
+        let opts = DnnfOptions {
+            workers,
+            ..DnnfOptions::default()
+        };
+        let lin = Lineage::dnnf(Arc::clone(&net), opts);
+        for resident in [false, true] {
+            match svc.query(&lin, &short, Budget::unlimited()) {
+                Err(ServeError::VarTableTooShort { have, need }) => {
+                    assert_eq!((have, need), (vt.len() - 3, vt.len()));
+                }
+                other => panic!("w={workers} resident={resident}: got {other:?}"),
+            }
+            let reply = svc.query(&lin, &vt, Budget::unlimited());
+            assert!(classify(
+                reply,
+                &want,
+                &format!("w={workers} after a short table")
+            ));
+        }
+    }
+    assert!(t0.elapsed() < WALL_LIMIT, "short-table rounds wedged");
 }

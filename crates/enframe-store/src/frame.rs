@@ -428,7 +428,7 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        let _guard = enframe_core::failpoint::override_for_test("store_write:every-1");
+        let _guard = enframe_core::failpoint::arm("store_write:every-1");
         assert!(write_atomic(&path, b"third").is_err());
         // Old contents intact, no temp litter.
         assert_eq!(std::fs::read(&path).unwrap(), b"second");

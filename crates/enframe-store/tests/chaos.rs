@@ -165,9 +165,14 @@ fn store_survives_faults_and_corruption() {
         "store_rename:every-1",
     ] {
         let _ = std::fs::remove_file(&artifact);
-        let engine = DnnfEngine::compile(&net, &opts).expect("clean compile");
+        let engine = {
+            // An env-armed `alloc`/`spawn` schedule must not reach the
+            // compile this phase needs to be clean.
+            let _calm = failpoint::arm("");
+            DnnfEngine::compile(&net, &opts).expect("clean compile")
+        };
         {
-            let _guard = failpoint::override_for_test(spec);
+            let _guard = failpoint::arm(spec);
             let err = store
                 .save_dnnf(fp, &engine, &vt)
                 .expect_err("armed save must fail");
@@ -183,7 +188,7 @@ fn store_survives_faults_and_corruption() {
         }
         // Recovery with every fault cleared (the guard also masks any
         // env-armed schedule for the duration).
-        let _calm = failpoint::override_for_test("");
+        let _calm = failpoint::arm("");
         let miss = store.load_dnnf(fp, 1).expect_err("nothing was persisted");
         assert!(miss.is_not_found(), "{spec}: expected a miss, got: {miss}");
         store.save_dnnf(fp, &engine, &vt).expect("recovered save");
@@ -194,7 +199,7 @@ fn store_survives_faults_and_corruption() {
     // Phase C — deterministic read-side fault: an injected read error
     // is an I/O failure, not a miss and not corruption.
     {
-        let _guard = failpoint::override_for_test("store_read:every-1");
+        let _guard = failpoint::arm("store_read:every-1");
         let err = store.load_dnnf(fp, 1).expect_err("armed read must fail");
         assert!(
             matches!(&err, StoreError::Io { .. }) && !err.is_not_found(),
@@ -205,7 +210,7 @@ fn store_survives_faults_and_corruption() {
 
     // Phases D-F corrupt the file programmatically; mask any env-armed
     // I/O faults so the classification assertions are deterministic.
-    let _calm = failpoint::override_for_test("");
+    let _calm = failpoint::arm("");
     let back = store.load_dnnf(fp, 1).expect("read recovers once disarmed");
     assert_exact(&back.probabilities(&vt), &want, "post-read-fault load");
 
