@@ -1,15 +1,20 @@
-//! # enframe-bench — harness reproducing the paper's evaluation (§5)
+//! # enframe-bench — the paper's evaluation (§5) as one table of sweeps
 //!
 //! The paper's evaluation has no numbered tables; its results are Figures
-//! 6–9 plus a set of "further findings" sweeps. Each figure has:
+//! 6–9 plus a set of "further findings" sweeps. The one binary,
+//! `figures`, holds them as a table of named sweeps (`fig6_left`,
+//! `fig6_right`, `fig7_mutex`, `fig7_conditional`, `fig8_certain`,
+//! `fig9_workers`, `fig_bdd`, `ablations`): each is a grid of prepared
+//! scenarios ([`Prepared`]) crossed with a list of [`Engine`]s, run by
+//! the one runner ([`run_engine`]) through the one loop ([`sweep`]) and
+//! printed as CSV rows under [`CSV_HEADER`]. `figures <name>…` runs the
+//! named sweeps, `figures all` every one, no argument lists them.
+//! Performance numbers are **not** this crate's business — the repo's
+//! perf ledger is `benchmark/` (`BENCHMARK.json`); what lives here are
+//! the paper's shapes and the helpers the facade's equivalence suites
+//! import ([`prepare_lineage`], [`run_engine`], [`Engine`]).
 //!
-//! * a **binary harness** (`src/bin/fig*.rs`) that runs the full sweep and
-//!   prints the same series the figure plots, as CSV rows
-//!   (`figure,series,x,y_seconds,status,detail`);
-//! * a **Criterion bench** (`benches/fig*.rs`) pinning one representative
-//!   configuration per series for regression tracking.
-//!
-//! The binaries default to a *smoke* grid that preserves every series and
+//! The sweeps default to a *smoke* grid that preserves every series and
 //! crossover but finishes in minutes; set `ENFRAME_BENCH_FULL=1` for the
 //! paper-scale grid (hours). Infeasible configurations (e.g. the naïve
 //! baseline beyond the world-enumeration cap) are reported as `timeout`,
@@ -20,13 +25,13 @@
 //! (certain-fraction speedup, job-granularity trade-off) are insensitive
 //! to v.
 //!
-//! Beyond the paper's figures, `bin/ablations` also measures the §4.2
-//! design choice: folded vs unfolded loop encoding
+//! Beyond the paper's figures, the `ablations` sweep also measures the
+//! §4.2 design choice: folded vs unfolded loop encoding
 //! (`ablation_folded`), via [`Engine::ExactFolded`]/[`Engine::HybridFolded`].
 
 use enframe_core::budget::{Budget, BudgetScope};
-use enframe_core::{Program, Var, VarTable};
-use enframe_data::{generate_lineage, kmedoids_workload, ClusteringWorkload, LineageOpts, Scheme};
+use enframe_core::{Program, SymIdent, Var, VarTable};
+use enframe_data::{generate_lineage, kmedoids_workload, Correlations, LineageOpts, Scheme};
 use enframe_lang::{parse, programs, UserProgram};
 use enframe_network::{FoldedNetwork, Network};
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions, DnnfStats};
@@ -35,41 +40,60 @@ use enframe_prob::{
     compile_distributed, compile_folded_scoped, compile_scoped, CompileResult, DistOptions,
     Options, Strategy,
 };
-use enframe_serve::{Answer, Lineage, QueryService, ServeOptions};
-use enframe_store::{fingerprint_dnnf, ArtifactStore};
 use enframe_telemetry::{self as telemetry, Counter, Phase, Snapshot};
 use enframe_translate::{targets, translate, ProbEnv};
 use enframe_worlds::{extract, naive_probabilities};
-use std::fmt::Write as _;
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Whether the paper-scale grid was requested.
 pub fn full_scale() -> bool {
     std::env::var("ENFRAME_BENCH_FULL").is_ok_and(|v| v == "1")
 }
 
-/// A prepared k-medoids pipeline: workload, parsed program, and compiled
-/// event network with medoid-selection targets (`Centre` events, as in the
-/// paper's benchmarks).
+/// A prepared scenario: an event network with its compilation targets,
+/// the variable probabilities, and what the engines need to know about
+/// where it came from. [`prepare`] builds the k-medoids pipeline
+/// (medoid-selection `Centre` targets, as in the paper's benchmarks);
+/// [`prepare_lineage`] and [`prepare_workers_sweep`] build
+/// lineage-query pipelines, which have no user program behind them.
 pub struct Prepared {
-    /// The generated workload.
-    pub workload: ClusteringWorkload,
-    /// Parsed user program.
-    pub ast: UserProgram,
     /// The event network.
     pub net: Network,
+    /// Variable probabilities.
+    pub vt: VarTable,
+    /// Multi-valued variable groups of the lineage (adjacency hints for
+    /// the OBDD backend).
+    pub var_groups: Vec<Vec<Var>>,
+    /// Seconds spent translating/declaring + grounding + building the
+    /// network.
+    pub build_seconds: f64,
+    /// The user program the network was translated from — what
+    /// [`Engine::Naive`] executes per world. `None` for lineage-query
+    /// pipelines.
+    pub source: Option<Source>,
     /// The folded encoding of the same program (§4.2), when the loop
     /// iterations fold (needs ≥ 2 structurally isomorphic iterations).
     pub folded: Option<FoldedNetwork>,
+    /// Variable cap for the OBDD engines on this scenario
+    /// (`usize::MAX` = none): [`BDD_KMEDOIDS_VAR_CAP`] for the
+    /// k-medoids pipeline, none for lineage queries.
+    pub bdd_var_cap: usize,
+    /// Variable cap for the d-DNNF engines on this scenario
+    /// (`usize::MAX` = none): [`DNNF_KMEDOIDS_VAR_CAP`] for the
+    /// k-medoids pipeline, none for lineage queries.
+    pub dnnf_var_cap: usize,
+}
+
+/// The user program and data behind a [`Prepared`] k-medoids pipeline.
+pub struct Source {
+    /// Parsed user program.
+    pub ast: UserProgram,
+    /// The probabilistic environment it runs in.
+    pub env: ProbEnv,
     /// Number of clusters.
     pub k: usize,
     /// Number of objects.
     pub n: usize,
-    /// Seconds spent translating + grounding + building the network.
-    pub build_seconds: f64,
-    /// Seconds spent building the folded network (`None` when unfoldable).
-    pub folded_build_seconds: Option<f64>,
 }
 
 /// Builds the full pipeline for a k-medoids workload.
@@ -90,18 +114,21 @@ pub fn prepare(
     let gp = tr.ground().expect("grounding succeeds");
     let net = Network::build(&gp).expect("network build succeeds");
     let build_seconds = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
     let folded = FoldedNetwork::build(&gp, &tr.outer_iter_boundaries).ok();
-    let folded_build_seconds = folded.as_ref().map(|_| t1.elapsed().as_secs_f64());
     Prepared {
-        workload,
-        ast,
         net,
-        folded,
-        k,
-        n,
+        vt: workload.vt,
+        var_groups: workload.var_groups,
         build_seconds,
-        folded_build_seconds,
+        source: Some(Source {
+            ast,
+            env: workload.env,
+            k,
+            n,
+        }),
+        folded,
+        bdd_var_cap: BDD_KMEDOIDS_VAR_CAP,
+        dnnf_var_cap: DNNF_KMEDOIDS_VAR_CAP,
     }
 }
 
@@ -164,20 +191,19 @@ pub enum Engine {
 
 impl Engine {
     /// Series label used in figure output.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            Engine::Naive => "naive".into(),
-            Engine::Exact => "exact".into(),
-            Engine::Eager => "eager".into(),
-            Engine::Lazy => "lazy".into(),
-            Engine::Hybrid => "hybrid".into(),
-            Engine::HybridD { .. } => "hybrid-d".into(),
-            Engine::ExactFolded => "exact-folded".into(),
-            Engine::HybridFolded => "hybrid-folded".into(),
-            Engine::BddExact => "bdd-exact".into(),
-            Engine::BddStatic => "bdd-static".into(),
-            Engine::DnnfExact | Engine::DnnfPar { .. } => "dnnf".into(),
-            Engine::BddPar { .. } => "bdd-exact".into(),
+            Engine::Naive => "naive",
+            Engine::Exact => "exact",
+            Engine::Eager => "eager",
+            Engine::Lazy => "lazy",
+            Engine::Hybrid => "hybrid",
+            Engine::HybridD { .. } => "hybrid-d",
+            Engine::ExactFolded => "exact-folded",
+            Engine::HybridFolded => "hybrid-folded",
+            Engine::BddExact | Engine::BddPar { .. } => "bdd-exact",
+            Engine::BddStatic => "bdd-static",
+            Engine::DnnfExact | Engine::DnnfPar { .. } => "dnnf",
         }
     }
 
@@ -199,7 +225,7 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Wall-clock seconds (compilation only; network build is reported
-    /// separately in [`Prepared::build_seconds`]).
+    /// separately in [`Prepared::build_seconds`]); NaN when nothing ran.
     pub seconds: f64,
     /// Probability estimates per target, when the run completed.
     pub estimates: Option<Vec<f64>>,
@@ -223,6 +249,24 @@ pub struct Measurement {
     /// the decision-tree engines, and by a budget-degraded run
     /// (`status == "degraded"`), whose `estimates` are the midpoints.
     pub bounds: Option<(Vec<f64>, Vec<f64>)>,
+}
+
+impl Measurement {
+    /// A measurement that carries only a time and a status — the base
+    /// every engine result is built on, and the whole of a skipped,
+    /// failed or hand-timed row.
+    pub fn bare(seconds: f64, status: impl Into<String>) -> Measurement {
+        Measurement {
+            seconds,
+            estimates: None,
+            status: status.into(),
+            stats: None,
+            dnnf_stats: None,
+            workers: 1,
+            telemetry: None,
+            bounds: None,
+        }
+    }
 }
 
 /// Cap on variables for the naïve baseline in harness runs (the paper's
@@ -276,172 +320,174 @@ pub fn naive_feasible(v: usize, n: usize) -> bool {
     v <= NAIVE_VAR_CAP && (1u64 << v).saturating_mul((n * n) as u64) <= 3_000_000
 }
 
-/// A ready-made `timeout` measurement row.
-pub fn timeout_measurement(reason: &str) -> Measurement {
-    Measurement {
-        seconds: f64::NAN,
-        estimates: None,
-        status: format!("timeout({reason})"),
-        stats: None,
-        dnnf_stats: None,
-        workers: 1,
-        telemetry: None,
-        bounds: None,
-    }
-}
-
-/// A ready-made `error` measurement row (compilation failed).
-fn error_measurement(e: impl std::fmt::Display) -> Measurement {
-    Measurement {
-        seconds: f64::NAN,
-        estimates: None,
-        status: format!("error({e})"),
-        stats: None,
-        dnnf_stats: None,
-        workers: 1,
-        telemetry: None,
-        bounds: None,
-    }
-}
-
-/// Runs one engine over a prepared pipeline (unlimited budget).
-pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64) -> Measurement {
-    run_engine_budgeted(prep, engine, epsilon, Budget::unlimited())
-}
-
-/// Runs one engine over a prepared pipeline under a resource budget.
+/// Runs one engine over a prepared scenario under a resource budget —
+/// the one runner behind every figure row and every facade equivalence
+/// suite. A configuration the engine cannot finish in harness time is
+/// not run but reported as `timeout(<reason>)`: the naïve baseline
+/// beyond [`naive_feasible`] (or without a [`Source`] to execute), an
+/// exact engine beyond its variable cap, a folded engine on a program
+/// that does not fold.
 ///
-/// This is the **graceful-degradation ladder** (ISSUE 8): when an exact
-/// engine exhausts the budget mid-compilation, the measurement does not
-/// fail — the harness falls back to the hybrid bounds engine under the
-/// *same* budget (the deadline is absolute, so the fallback naturally
-/// gets only the remaining time) and reports `status == "degraded"`
-/// with per-target bounds `[L, U]` whose midpoints become the
-/// estimates. The anytime decision-tree engines degrade in place: their
-/// partial bounds are already sound, so an exhausted run keeps its own
-/// bounds and is merely relabelled `degraded`.
-pub fn run_engine_budgeted(
-    prep: &Prepared,
-    engine: Engine,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
+/// This is also the **graceful-degradation ladder** (ISSUE 8): when an
+/// exact engine exhausts the budget mid-compilation, the measurement
+/// does not fail — the harness falls back to the hybrid bounds engine
+/// under the *same* budget (the deadline is absolute, so the fallback
+/// naturally gets only the remaining time) and reports
+/// `status == "degraded"` with per-target bounds `[L, U]` whose
+/// midpoints become the estimates. The anytime decision-tree engines
+/// degrade in place: their partial bounds are already sound, so an
+/// exhausted run keeps its own bounds and is merely relabelled
+/// `degraded`.
+pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget) -> Measurement {
     telemetry::reset();
-    let mut m = run_engine_inner(prep, engine, epsilon, budget);
+    let (net, vt) = (&prep.net, &prep.vt);
+    let v = vt.len();
+    let timeout = |reason: &str| Measurement::bare(f64::NAN, format!("timeout({reason})"));
+    let over = |cap: usize| timeout(&format!("v={v}>{cap}"));
+    let t0 = Instant::now();
+    let mut m = match engine {
+        Engine::Naive => match &prep.source {
+            // The naïve baseline scales with worlds × n²; keep it to
+            // the regime where it terminates in reasonable time.
+            Some(src) if naive_feasible(v, src.n) => {
+                let centres = extract::bool_matrix("Centre", src.k, src.n);
+                let res = naive_probabilities(&src.ast, &src.env, vt, centres)
+                    .expect("naïve run succeeds");
+                Measurement {
+                    estimates: Some(res.probabilities),
+                    ..Measurement::bare(t0.elapsed().as_secs_f64(), "ok")
+                }
+            }
+            _ => timeout("naive"),
+        },
+        Engine::Exact | Engine::ExactFolded if v > EXACT_VAR_CAP => over(EXACT_VAR_CAP),
+        Engine::BddExact | Engine::BddStatic | Engine::BddPar { .. } if v > prep.bdd_var_cap => {
+            over(prep.bdd_var_cap)
+        }
+        Engine::DnnfExact | Engine::DnnfPar { .. } if v > prep.dnnf_var_cap => {
+            over(prep.dnnf_var_cap)
+        }
+        Engine::ExactFolded | Engine::HybridFolded if prep.folded.is_none() => {
+            timeout("program does not fold")
+        }
+        Engine::HybridD { workers, job_depth } => {
+            let opts = DistOptions {
+                workers,
+                job_depth,
+                seq: Options::approx(Strategy::Hybrid, epsilon),
+                budget,
+            };
+            match compile_distributed(net, vt, opts) {
+                Ok(res) => finish(t0, res),
+                Err(e) => Measurement::bare(f64::NAN, format!("error({e})")),
+            }
+        }
+        Engine::BddExact | Engine::BddStatic | Engine::BddPar { .. } => {
+            let base = if engine == Engine::BddStatic {
+                ObddOptions::static_with_groups(prep.var_groups.clone())
+            } else {
+                ObddOptions::with_groups(prep.var_groups.clone())
+            };
+            let opts = ObddOptions {
+                workers: engine.workers(),
+                budget,
+                ..base
+            };
+            let counted = ObddEngine::compile(net, &opts).map(|e| {
+                let probs = e.probabilities(vt);
+                Measurement {
+                    estimates: Some(probs),
+                    stats: Some(e.stats().clone()),
+                    ..Measurement::bare(t0.elapsed().as_secs_f64(), "ok")
+                }
+            });
+            exact_or_degraded(counted, net, vt, epsilon, budget, t0)
+        }
+        Engine::DnnfExact | Engine::DnnfPar { .. } => {
+            let opts = DnnfOptions {
+                workers: engine.workers(),
+                budget,
+                ..DnnfOptions::default()
+            };
+            // The WMC pass runs under the same (absolute) budget as
+            // compilation — a deadline that expires mid-count degrades
+            // to bounds exactly like one that expires mid-compile.
+            let counted = DnnfEngine::compile(net, &opts).and_then(|e| {
+                let probs = e.try_probabilities(vt, &BudgetScope::new(budget))?;
+                Ok(Measurement {
+                    estimates: Some(probs),
+                    dnnf_stats: Some(e.stats().clone()),
+                    ..Measurement::bare(t0.elapsed().as_secs_f64(), "ok")
+                })
+            });
+            exact_or_degraded(counted, net, vt, epsilon, budget, t0)
+        }
+        // The sequential decision-tree engines, folded or not.
+        Engine::Exact
+        | Engine::Eager
+        | Engine::Lazy
+        | Engine::Hybrid
+        | Engine::ExactFolded
+        | Engine::HybridFolded => {
+            let exact = matches!(engine, Engine::Exact | Engine::ExactFolded);
+            let opts = match engine {
+                Engine::Exact | Engine::ExactFolded => Options::exact(),
+                Engine::Eager => Options::approx(Strategy::Eager, epsilon),
+                Engine::Lazy => Options::approx(Strategy::Lazy, epsilon),
+                _ => Options::approx(Strategy::Hybrid, epsilon),
+            };
+            let scope = BudgetScope::new(budget);
+            let res = match (engine, &prep.folded) {
+                (Engine::ExactFolded | Engine::HybridFolded, Some(folded)) => {
+                    compile_folded_scoped(folded, vt, opts, &scope)
+                }
+                _ => compile_scoped(net, vt, opts, &scope),
+            };
+            scope.record_telemetry();
+            if exact && res.exhausted.is_some() {
+                degrade_to_bounds(net, vt, epsilon, budget, t0)
+            } else {
+                finish(t0, res)
+            }
+        }
+    };
     m.workers = engine.workers();
     m.telemetry = Some(telemetry::snapshot());
     m
 }
 
-fn run_engine_inner(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget) -> Measurement {
-    let vt = &prep.workload.vt;
-    match engine {
-        Engine::Naive => run_naive(&prep.ast, &prep.workload.env, vt, prep.k, prep.n),
-        Engine::Exact => {
-            if vt.len() > EXACT_VAR_CAP {
-                return timeout_measurement(&format!("v={}>{EXACT_VAR_CAP}", vt.len()));
-            }
-            let t0 = Instant::now();
-            let scope = BudgetScope::new(budget);
-            let res = compile_scoped(&prep.net, vt, Options::exact(), &scope);
-            scope.record_telemetry();
-            if res.exhausted.is_some() {
-                return degrade_to_bounds(&prep.net, vt, epsilon, budget, t0);
-            }
-            finish(t0, res)
-        }
-        Engine::Eager | Engine::Lazy | Engine::Hybrid => {
-            let t0 = Instant::now();
-            let scope = BudgetScope::new(budget);
-            let res = compile_scoped(
-                &prep.net,
-                vt,
-                Options::approx(strategy_of(engine), epsilon),
-                &scope,
-            );
-            scope.record_telemetry();
-            finish(t0, res)
-        }
-        Engine::HybridD { workers, job_depth } => {
-            let t0 = Instant::now();
-            match compile_distributed(
-                &prep.net,
-                vt,
-                DistOptions {
-                    workers,
-                    job_depth,
-                    seq: Options::approx(Strategy::Hybrid, epsilon),
-                    budget,
-                },
-            ) {
-                Ok(res) => finish(t0, res),
-                Err(e) => error_measurement(e),
-            }
-        }
-        Engine::BddExact | Engine::BddStatic | Engine::BddPar { .. } => {
-            if vt.len() > BDD_KMEDOIDS_VAR_CAP {
-                return timeout_measurement(&format!("v={}>{BDD_KMEDOIDS_VAR_CAP}", vt.len()));
-            }
-            run_bdd_exact(
-                &prep.net,
-                vt,
-                &prep.workload.var_groups,
-                engine == Engine::BddStatic,
-                engine.workers(),
-                epsilon,
-                budget,
-            )
-        }
-        Engine::DnnfExact | Engine::DnnfPar { .. } => {
-            if vt.len() > DNNF_KMEDOIDS_VAR_CAP {
-                return timeout_measurement(&format!("v={}>{DNNF_KMEDOIDS_VAR_CAP}", vt.len()));
-            }
-            run_dnnf_exact(&prep.net, vt, engine.workers(), epsilon, budget)
-        }
-        Engine::ExactFolded | Engine::HybridFolded => {
-            let Some(folded) = &prep.folded else {
-                return timeout_measurement("program does not fold");
-            };
-            let opts = match engine {
-                Engine::ExactFolded => {
-                    if vt.len() > EXACT_VAR_CAP {
-                        return timeout_measurement(&format!("v={}>{EXACT_VAR_CAP}", vt.len()));
-                    }
-                    Options::exact()
-                }
-                _ => Options::approx(Strategy::Hybrid, epsilon),
-            };
-            let t0 = Instant::now();
-            let scope = BudgetScope::new(budget);
-            let res = compile_folded_scoped(folded, vt, opts, &scope);
-            scope.record_telemetry();
-            if engine == Engine::ExactFolded && res.exhausted.is_some() {
-                return degrade_to_bounds(&prep.net, vt, epsilon, budget, t0);
-            }
-            finish(t0, res)
-        }
-    }
-}
-
 fn finish(t0: Instant, res: CompileResult) -> Measurement {
     let seconds = t0.elapsed().as_secs_f64();
     let estimates = (0..res.lower.len()).map(|i| res.estimate(i)).collect();
+    // The anytime engines degrade in place: an exhausted run's partial
+    // bounds are still sound, only wider than requested.
     let status = if res.exhausted.is_some() {
-        // The anytime engines degrade in place: an exhausted run's
-        // partial bounds are still sound, only wider than requested.
-        "degraded".into()
+        "degraded"
     } else {
-        "ok".into()
+        "ok"
     };
     Measurement {
-        seconds,
         estimates: Some(estimates),
-        status,
-        stats: None,
-        dnnf_stats: None,
-        workers: 1,
-        telemetry: None,
         bounds: Some((res.lower, res.upper)),
+        ..Measurement::bare(seconds, status)
+    }
+}
+
+/// The outcome of a knowledge-compilation engine: its measurement, the
+/// bounds ladder when the budget ran out, an `error(…)` row for
+/// structural failures (worker panics, injected faults).
+fn exact_or_degraded(
+    counted: Result<Measurement, ObddError>,
+    net: &Network,
+    vt: &VarTable,
+    epsilon: f64,
+    budget: Budget,
+    t0: Instant,
+) -> Measurement {
+    match counted {
+        Ok(m) => m,
+        Err(ObddError::BudgetExceeded { .. }) => degrade_to_bounds(net, vt, epsilon, budget, t0),
+        Err(e) => Measurement::bare(f64::NAN, format!("error({e})")),
     }
 }
 
@@ -469,49 +515,80 @@ fn degrade_to_bounds(
     m
 }
 
-fn run_naive(ast: &UserProgram, env: &ProbEnv, vt: &VarTable, k: usize, n: usize) -> Measurement {
-    if vt.len() > NAIVE_VAR_CAP {
-        return timeout_measurement(&format!("v={}>{NAIVE_VAR_CAP}", vt.len()));
-    }
-    let t0 = Instant::now();
-    let res = naive_probabilities(ast, env, vt, extract::bool_matrix("Centre", k, n))
-        .expect("naïve run succeeds");
-    Measurement {
-        seconds: t0.elapsed().as_secs_f64(),
-        estimates: Some(res.probabilities),
-        status: "ok".into(),
-        stats: None,
-        dnnf_stats: None,
-        workers: 1,
-        telemetry: None,
-        bounds: None,
-    }
-}
-
-/// A prepared **lineage-query** pipeline: the compilation targets are
-/// propositional queries over the correlation lineage itself — per-group
-/// existence events, windowed co-existence disjunctions, and one global
-/// existence event — instead of clustering events. This is the workload
-/// class knowledge compilation is built for: the mutex and conditional
-/// schemes produce read-once/hierarchical events whose OBDDs stay
-/// polynomial, so BDD-exact scales where decision-tree exact cannot.
-pub struct LineagePrepared {
-    /// The event network over the lineage targets.
-    pub net: Network,
-    /// Variable probabilities.
-    pub vt: VarTable,
-    /// Multi-valued variable groups of the lineage (adjacency hints).
-    pub var_groups: Vec<Vec<Var>>,
-    /// Seconds spent declaring, grounding, and building the network.
-    pub build_seconds: f64,
-}
-
 /// Width of the co-existence windows in [`prepare_lineage`] targets.
 pub const LINEAGE_WINDOW: usize = 4;
 
-/// Builds a lineage-query pipeline over `n_groups` lineage groups (one
-/// point per group). Targets, in order: `Exists[g]` per group, then one
-/// `Any[s]` disjunction per [`LINEAGE_WINDOW`]-wide window, then a global
+/// Starts a lineage-query program over `corr`: one `Exists[g]` target
+/// per lineage group, returned alongside.
+fn lineage_program(corr: &Correlations) -> (Program, Vec<SymIdent>) {
+    let mut p = Program::new();
+    p.ensure_vars(corr.var_table.len() as u32);
+    let mut exists = Vec::with_capacity(corr.lineage.len());
+    for (g, phi) in corr.lineage.iter().enumerate() {
+        let id = p
+            .declare_closed_event(&format!("Exists{g}"), phi)
+            .expect("lineage events are closed");
+        p.add_target(id.clone());
+        exists.push(id);
+    }
+    (p, exists)
+}
+
+/// Declares the **distant-pair co-existence** targets
+/// `Co[i] = Exists[i] ∧ Exists[i + n/2]` and returns them.
+fn declare_pairs(p: &mut Program, exists: &[SymIdent]) -> Vec<SymIdent> {
+    let half = exists.len() / 2;
+    let mut pairs = Vec::with_capacity(half);
+    for i in 0..half {
+        let id = p.declare_event(
+            &format!("Co{i}"),
+            Program::and([
+                Program::eref(exists[i].clone()),
+                Program::eref(exists[i + half].clone()),
+            ]),
+        );
+        p.add_target(id.clone());
+        pairs.push(id);
+    }
+    pairs
+}
+
+/// Declares the target `name = ⋁ members`.
+fn declare_any(p: &mut Program, name: &str, members: &[SymIdent]) {
+    let id = p.declare_event(
+        name,
+        Program::or(members.iter().cloned().map(Program::eref)),
+    );
+    p.add_target(id);
+}
+
+/// Grounds a lineage-query program and builds its (uncapped,
+/// source-less) scenario; `t0` is when its declaration started.
+fn lineage_prepared(p: Program, corr: Correlations, t0: Instant) -> Prepared {
+    let gp = p.ground().expect("lineage program grounds");
+    let net = Network::build(&gp).expect("lineage network builds");
+    Prepared {
+        net,
+        vt: corr.var_table,
+        var_groups: corr.var_groups,
+        build_seconds: t0.elapsed().as_secs_f64(),
+        source: None,
+        folded: None,
+        bdd_var_cap: usize::MAX,
+        dnnf_var_cap: usize::MAX,
+    }
+}
+
+/// Builds a **lineage-query** pipeline over `n_groups` lineage groups
+/// (one point per group): the compilation targets are propositional
+/// queries over the correlation lineage itself instead of clustering
+/// events. This is the workload class knowledge compilation is built
+/// for: the mutex and conditional schemes produce
+/// read-once/hierarchical events whose OBDDs stay polynomial, so
+/// BDD-exact scales where decision-tree exact cannot.
+///
+/// Targets, in order: `Exists[g]` per group, then one `Any[s]`
+/// disjunction per [`LINEAGE_WINDOW`]-wide window, then a global
 /// `AtLeastOne`, then one `Co[i]` **distant-pair co-existence** event per
 /// pair `(i, i + n/2)` and their disjunction `AnyCo`. The co-existence
 /// family asks the paper's correlation question directly — are two
@@ -521,12 +598,7 @@ pub const LINEAGE_WINDOW: usize = 4;
 /// the static order interleaves the pairs badly and dynamic reordering
 /// has real work to do (mutex/conditional lineage stays read-once and
 /// small either way).
-pub fn prepare_lineage(
-    n_groups: usize,
-    scheme: Scheme,
-    opts: &LineageOpts,
-    seed: u64,
-) -> LineagePrepared {
+pub fn prepare_lineage(n_groups: usize, scheme: Scheme, opts: &LineageOpts, seed: u64) -> Prepared {
     let opts = LineageOpts {
         group_size: 1,
         ..*opts
@@ -534,53 +606,16 @@ pub fn prepare_lineage(
     let corr = generate_lineage(n_groups, scheme, &opts, seed);
     let _span = telemetry::span(Phase::Build);
     let t0 = Instant::now();
-    let mut p = Program::new();
-    p.ensure_vars(corr.var_table.len() as u32);
-    let mut idents = Vec::with_capacity(n_groups);
-    for (g, phi) in corr.lineage.iter().enumerate() {
-        let id = p
-            .declare_closed_event(&format!("Exists{g}"), phi)
-            .expect("lineage events are closed");
-        p.add_target(id.clone());
-        idents.push(id);
+    let (mut p, exists) = lineage_program(&corr);
+    for (w, window) in exists.chunks(LINEAGE_WINDOW).enumerate() {
+        declare_any(&mut p, &format!("Any{w}"), window);
     }
-    for (w, window) in idents.chunks(LINEAGE_WINDOW).enumerate() {
-        let id = p.declare_event(
-            &format!("Any{w}"),
-            Program::or(window.iter().cloned().map(Program::eref)),
-        );
-        p.add_target(id);
-    }
-    let all = p.declare_event(
-        "AtLeastOne",
-        Program::or(idents.iter().cloned().map(Program::eref)),
-    );
-    p.add_target(all);
-    let half = n_groups / 2;
-    let mut pairs = Vec::with_capacity(half);
-    for i in 0..half {
-        let id = p.declare_event(
-            &format!("Co{i}"),
-            Program::and([
-                Program::eref(idents[i].clone()),
-                Program::eref(idents[i + half].clone()),
-            ]),
-        );
-        p.add_target(id.clone());
-        pairs.push(id);
-    }
+    declare_any(&mut p, "AtLeastOne", &exists);
+    let pairs = declare_pairs(&mut p, &exists);
     if !pairs.is_empty() {
-        let id = p.declare_event("AnyCo", Program::or(pairs.into_iter().map(Program::eref)));
-        p.add_target(id);
+        declare_any(&mut p, "AnyCo", &pairs);
     }
-    let gp = p.ground().expect("lineage program grounds");
-    let net = Network::build(&gp).expect("lineage network builds");
-    LineagePrepared {
-        net,
-        vt: corr.var_table,
-        var_groups: corr.var_groups,
-        build_seconds: t0.elapsed().as_secs_f64(),
-    }
+    lineage_prepared(p, corr, t0)
 }
 
 /// Builds the **workers-axis** lineage pipeline: positive-scheme
@@ -595,539 +630,52 @@ pub fn prepare_lineage(
 /// expansion work is target-private (measured: identical total
 /// expansion steps at every worker count), so the parallel target
 /// fan-out ([`Engine::DnnfPar`]) distributes real work.
-pub fn prepare_workers_sweep(n_groups: usize, window: usize, seed: u64) -> LineagePrepared {
+pub fn prepare_workers_sweep(n_groups: usize, window: usize, seed: u64) -> Prepared {
     let opts = LineageOpts {
         group_size: 1,
         ..LineageOpts::default()
     };
-    let corr = generate_lineage(
-        n_groups,
-        Scheme::Positive { l: 4, v: n_groups },
-        &opts,
-        seed,
-    );
+    let scheme = Scheme::Positive { l: 4, v: n_groups };
+    let corr = generate_lineage(n_groups, scheme, &opts, seed);
     let _span = telemetry::span(Phase::Build);
     let t0 = Instant::now();
-    let mut p = Program::new();
-    p.ensure_vars(corr.var_table.len() as u32);
-    let mut idents = Vec::with_capacity(n_groups);
-    for (g, phi) in corr.lineage.iter().enumerate() {
-        let id = p
-            .declare_closed_event(&format!("Exists{g}"), phi)
-            .expect("lineage events are closed");
-        p.add_target(id.clone());
-        idents.push(id);
-    }
-    let half = n_groups / 2;
-    let mut pairs = Vec::with_capacity(half);
-    for i in 0..half {
-        let id = p.declare_event(
-            &format!("Co{i}"),
-            Program::and([
-                Program::eref(idents[i].clone()),
-                Program::eref(idents[i + half].clone()),
-            ]),
-        );
-        p.add_target(id.clone());
-        pairs.push(id);
-    }
+    let (mut p, exists) = lineage_program(&corr);
+    let pairs = declare_pairs(&mut p, &exists);
     let window = window.max(1).min(pairs.len().max(1));
     for (w, win) in pairs
         .windows(window)
         .step_by((window / 2).max(1))
         .enumerate()
     {
-        let id = p.declare_event(
-            &format!("CoWin{w}"),
-            Program::or(win.iter().map(|id| Program::eref(id.clone()))),
-        );
-        p.add_target(id);
+        declare_any(&mut p, &format!("CoWin{w}"), win);
     }
-    let gp = p.ground().expect("workers-sweep program grounds");
-    let net = Network::build(&gp).expect("workers-sweep network builds");
-    LineagePrepared {
-        net,
-        vt: corr.var_table,
-        var_groups: corr.var_groups,
-        build_seconds: t0.elapsed().as_secs_f64(),
-    }
+    lineage_prepared(p, corr, t0)
 }
 
-/// Runs one engine over a lineage-query pipeline. Supports the
-/// sequential engines ([`Engine::Exact`], the three approximations, and
-/// [`Engine::BddExact`]); others report a skip.
-pub fn run_lineage_engine(prep: &LineagePrepared, engine: Engine, epsilon: f64) -> Measurement {
-    run_lineage_engine_budgeted(prep, engine, epsilon, Budget::unlimited())
-}
+/// The CSV header of every figure row. The trailing columns carry
+/// knowledge-compilation statistics and stay empty for engines that do
+/// not produce them: six OBDD manager columns (including the
+/// `peak_bytes` footprint estimate), then `cmp_branches` (Shannon
+/// branches for the BDD engines, expansion steps for the d-DNNF engine
+/// — the directly comparable pair), the d-DNNF node/edge counts, and
+/// eighteen telemetry columns distilled from the per-measurement
+/// [`Snapshot`] (cache hits, the compile/WMC phase split, the
+/// budget-governance triple: safe-point checks taken, cancellations
+/// observed, degradation fallbacks, the artifact-store quadruple: hits,
+/// misses, corruptions, revalidations, and the serving septet: mem-tier
+/// hits/misses, single-flight coalesces, batches and batched queries,
+/// epoch swings, and the queue-depth high-water mark).
+pub const CSV_HEADER: &str = "figure,series,x,seconds,status,detail,workers,live_nodes,peak_nodes,peak_bytes,gc_runs,reorders,load_factor,cmp_branches,dnnf_nodes,dnnf_edges,ite_hits,memo_hits,phase_compile_s,phase_wmc_s,budget_checks,cancellations,fallbacks,store_hits,store_misses,store_corruptions,store_revalidations,serve_mem_hits,serve_mem_misses,serve_coalesces,serve_batches,serve_batched_queries,serve_epoch_swings,serve_queue_depth";
 
-/// [`run_lineage_engine`] under a resource budget, with the same
-/// degradation ladder as [`run_engine_budgeted`].
-pub fn run_lineage_engine_budgeted(
-    prep: &LineagePrepared,
-    engine: Engine,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
-    telemetry::reset();
-    let mut m = run_lineage_engine_inner(prep, engine, epsilon, budget);
-    m.workers = engine.workers();
-    m.telemetry = Some(telemetry::snapshot());
-    m
-}
-
-fn run_lineage_engine_inner(
-    prep: &LineagePrepared,
-    engine: Engine,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
-    let vt = &prep.vt;
-    match engine {
-        Engine::Exact => {
-            if vt.len() > EXACT_VAR_CAP {
-                return timeout_measurement(&format!("v={}>{EXACT_VAR_CAP}", vt.len()));
-            }
-            let t0 = Instant::now();
-            let scope = BudgetScope::new(budget);
-            let res = compile_scoped(&prep.net, vt, Options::exact(), &scope);
-            scope.record_telemetry();
-            if res.exhausted.is_some() {
-                return degrade_to_bounds(&prep.net, vt, epsilon, budget, t0);
-            }
-            finish(t0, res)
-        }
-        Engine::Eager | Engine::Lazy | Engine::Hybrid => {
-            let t0 = Instant::now();
-            let scope = BudgetScope::new(budget);
-            let res = compile_scoped(
-                &prep.net,
-                vt,
-                Options::approx(strategy_of(engine), epsilon),
-                &scope,
-            );
-            scope.record_telemetry();
-            finish(t0, res)
-        }
-        Engine::BddExact => {
-            run_bdd_exact(&prep.net, vt, &prep.var_groups, false, 1, epsilon, budget)
-        }
-        Engine::BddStatic => {
-            run_bdd_exact(&prep.net, vt, &prep.var_groups, true, 1, epsilon, budget)
-        }
-        Engine::BddPar { .. } => run_bdd_exact(
-            &prep.net,
-            vt,
-            &prep.var_groups,
-            false,
-            engine.workers(),
-            epsilon,
-            budget,
-        ),
-        Engine::DnnfExact => run_dnnf_exact(&prep.net, vt, 1, epsilon, budget),
-        Engine::DnnfPar { .. } => run_dnnf_exact(&prep.net, vt, engine.workers(), epsilon, budget),
-        _ => timeout_measurement("engine not applicable to lineage queries"),
-    }
-}
-
-/// The decision-tree strategy behind an approximation engine selector.
-fn strategy_of(engine: Engine) -> Strategy {
-    match engine {
-        Engine::Eager => Strategy::Eager,
-        Engine::Lazy => Strategy::Lazy,
-        _ => Strategy::Hybrid,
-    }
-}
-
-/// Compiles a network's targets into OBDDs and counts them — the shared
-/// [`Engine::BddExact`]/[`Engine::BddStatic`] measurement of
-/// [`run_engine`] and [`run_lineage_engine`].
-fn run_bdd_exact(
-    net: &Network,
-    vt: &VarTable,
-    groups: &[Vec<Var>],
-    static_manager: bool,
-    workers: usize,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
-    let t0 = Instant::now();
-    let base = if static_manager {
-        ObddOptions::static_with_groups(groups.to_vec())
-    } else {
-        ObddOptions::with_groups(groups.to_vec())
-    };
-    let opts = ObddOptions {
-        workers,
-        budget,
-        ..base
-    };
-    match ObddEngine::compile(net, &opts) {
-        Ok(engine) => {
-            let probs = engine.probabilities(vt);
-            Measurement {
-                seconds: t0.elapsed().as_secs_f64(),
-                estimates: Some(probs),
-                status: "ok".into(),
-                stats: Some(engine.stats().clone()),
-                dnnf_stats: None,
-                workers: 1,
-                telemetry: None,
-                bounds: None,
-            }
-        }
-        // Budget exhaustion degrades to the bounds engine; structural
-        // failures (worker panics, injected faults) stay errors.
-        Err(ObddError::BudgetExceeded { .. }) => degrade_to_bounds(net, vt, epsilon, budget, t0),
-        Err(e) => error_measurement(e),
-    }
-}
-
-/// Compiles a network's targets into d-DNNF and counts them — the
-/// [`Engine::DnnfExact`] measurement shared by [`run_engine`] and
-/// [`run_lineage_engine`].
-fn run_dnnf_exact(
-    net: &Network,
-    vt: &VarTable,
-    workers: usize,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
-    let opts = DnnfOptions {
-        workers,
-        budget,
-        ..DnnfOptions::default()
-    };
-    compile_dnnf_measured(net, vt, &opts, epsilon, Instant::now()).0
-}
-
-/// Compiles the d-DNNF engine, counts under the same budget, and hands
-/// the engine back alongside the measurement so the artifact-store
-/// helpers can persist it. The measurement's seconds run from `t0` to
-/// the end of the WMC pass — persistence is *not* included.
-fn compile_dnnf_measured(
-    net: &Network,
-    vt: &VarTable,
-    opts: &DnnfOptions,
-    epsilon: f64,
-    t0: Instant,
-) -> (Measurement, Option<DnnfEngine>) {
-    match DnnfEngine::compile(net, opts) {
-        Ok(engine) => {
-            // The WMC pass runs under the same (absolute) budget as
-            // compilation — a deadline that expires mid-count degrades
-            // to bounds exactly like one that expires mid-compile.
-            match engine.try_probabilities(vt, &BudgetScope::new(opts.budget)) {
-                Ok(probs) => {
-                    let m = Measurement {
-                        seconds: t0.elapsed().as_secs_f64(),
-                        estimates: Some(probs),
-                        status: "ok".into(),
-                        stats: None,
-                        dnnf_stats: Some(engine.stats().clone()),
-                        workers: 1,
-                        telemetry: None,
-                        bounds: None,
-                    };
-                    (m, Some(engine))
-                }
-                Err(ObddError::BudgetExceeded { .. }) => {
-                    (degrade_to_bounds(net, vt, epsilon, opts.budget, t0), None)
-                }
-                Err(e) => (error_measurement(e), None),
-            }
-        }
-        // Budget exhaustion degrades to the bounds engine; structural
-        // failures (worker panics, injected faults) stay errors.
-        Err(ObddError::BudgetExceeded { .. }) => {
-            (degrade_to_bounds(net, vt, epsilon, opts.budget, t0), None)
-        }
-        Err(e) => (error_measurement(e), None),
-    }
-}
-
-/// The **cold** half of the warm-cache measurement (ISSUE 9): probes
-/// the artifact store under the pipeline's lineage fingerprint (the
-/// expected miss is part of the protocol — and of the telemetry
-/// contract CI asserts), compiles the d-DNNF engine under `budget`,
-/// and persists the artifact crash-safely. The reported seconds cover
-/// compile + WMC only, so the warm row divides out like-for-like.
-pub fn run_dnnf_cold_store(
-    prep: &Prepared,
-    store: &ArtifactStore,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
-    telemetry::reset();
-    let vt = &prep.workload.vt;
-    let opts = DnnfOptions {
-        budget,
-        ..DnnfOptions::default()
-    };
-    let fp = fingerprint_dnnf(&prep.net, &opts);
-    let _ = store.load_dnnf(fp, 1);
-    let t0 = Instant::now();
-    let (mut m, engine) = compile_dnnf_measured(&prep.net, vt, &opts, epsilon, t0);
-    if let Some(engine) = engine {
-        // A failed save must not fail the measurement: the next load
-        // will simply miss and recompile — the same ladder the chaos
-        // suite drives deliberately.
-        let _ = store.save_dnnf(fp, &engine, vt);
-    }
-    m.workers = 1;
-    m.telemetry = Some(telemetry::snapshot());
-    m
-}
-
-/// The **warm** half: loads the artifact saved by
-/// [`run_dnnf_cold_store`] — paying the zero-trust revalidation (frame
-/// checksums, structural invariants, WMC digest) — and counts. On *any*
-/// store failure (miss, corruption, version skew, fingerprint mismatch,
-/// I/O fault) it walks the recovery ladder instead of failing:
-/// recompile under the same budget, re-persist, and degrade to bounds
-/// only if the budget is exhausted too.
-pub fn run_dnnf_warm_store(
-    prep: &Prepared,
-    store: &ArtifactStore,
-    epsilon: f64,
-    budget: Budget,
-) -> Measurement {
-    telemetry::reset();
-    let vt = &prep.workload.vt;
-    let opts = DnnfOptions {
-        budget,
-        ..DnnfOptions::default()
-    };
-    let fp = fingerprint_dnnf(&prep.net, &opts);
-    let t0 = Instant::now();
-    let mut m = match store.load_dnnf(fp, 1) {
-        Ok(engine) => match engine.try_probabilities(vt, &BudgetScope::new(budget)) {
-            Ok(probs) => Measurement {
-                seconds: t0.elapsed().as_secs_f64(),
-                estimates: Some(probs),
-                status: "ok".into(),
-                stats: None,
-                dnnf_stats: Some(engine.stats().clone()),
-                workers: 1,
-                telemetry: None,
-                bounds: None,
-            },
-            Err(ObddError::BudgetExceeded { .. }) => {
-                degrade_to_bounds(&prep.net, vt, epsilon, budget, t0)
-            }
-            Err(e) => error_measurement(e),
-        },
-        Err(_) => {
-            // Recovery: recompile and repair the cache entry.
-            let (m, engine) = compile_dnnf_measured(&prep.net, vt, &opts, epsilon, t0);
-            if let Some(engine) = engine {
-                let _ = store.save_dnnf(fp, &engine, vt);
-            }
-            m
-        }
-    };
-    m.workers = 1;
-    m.telemetry = Some(telemetry::snapshot());
-    m
-}
-
-/// Serving mode of [`run_serve_throughput`] — the three lines of the
-/// `serve` figure (ISSUE 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// The memory tier is flushed before every request, so each query
-    /// re-resolves through the store tier: a crash-safe reload with
-    /// zero-trust revalidation per query. The baseline the warm
-    /// memory-tier hit is measured against.
-    Cold,
-    /// Warm memory tier, zero admission window: every request is a
-    /// mem-tier hit followed by its own solo WMC sweep.
-    Unbatched,
-    /// Warm memory tier with an open admission window: requests
-    /// arriving together share one sweep (and its warm WMC cache).
-    Batched,
-}
-
-impl ServeMode {
-    /// The `mode=…` label of the serve figure's x key.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeMode::Cold => "cold",
-            ServeMode::Unbatched => "unbatched",
-            ServeMode::Batched => "batched",
-        }
-    }
-}
-
-/// Admission window of the batched serve mode. Short enough that a
-/// single batch costs little latency, long enough that barrier-started
-/// clients reliably co-arrive inside it.
-pub const SERVE_BATCH_WINDOW: Duration = Duration::from_millis(2);
-
-/// One serve-throughput measurement: `clients` threads each issuing
-/// `per_client` queries against one shared [`QueryService`].
-#[derive(Debug, Clone)]
-pub struct ServeThroughput {
-    /// Wall-clock seconds from the start barrier to the last reply.
-    pub seconds: f64,
-    /// Queries per second: `clients * per_client / seconds`.
-    pub qps: f64,
-    /// Total queries answered (= `clients * per_client`).
-    pub queries: usize,
-    /// Mean batch size over all replies (1.0 when nothing batched).
-    pub mean_batch: f64,
-    /// Telemetry snapshot covering exactly this run.
-    pub telemetry: Option<Snapshot>,
-}
-
-/// Measures query throughput of the serving layer (ISSUE 10): `clients`
-/// barrier-started threads issue `per_client` queries each for the
-/// network's d-DNNF lineage against one [`QueryService`] backed by
-/// `store`, in the given [`ServeMode`]. Warm modes resolve the artifact
-/// once before the clock starts, so the measured loop isolates the
-/// serving path (mem-tier hit + sweep, shared or solo); the cold mode
-/// flushes the memory tier before every request, so each query pays the
-/// store tier's reload-and-revalidate path — reusing the artifact the
-/// probe's store section already persisted instead of recompiling.
-pub fn run_serve_throughput(
-    net: &Network,
-    vt: &VarTable,
-    store: &ArtifactStore,
-    clients: usize,
-    per_client: usize,
-    mode: ServeMode,
-) -> ServeThroughput {
-    telemetry::reset();
-    let lineage = Lineage::dnnf(Arc::new(net.clone()), DnnfOptions::default());
-    let svc = Arc::new(QueryService::new(ServeOptions {
-        batch_window: match mode {
-            ServeMode::Batched => SERVE_BATCH_WINDOW,
-            _ => Duration::ZERO,
-        },
-        store: Some(store.clone()),
-        ..ServeOptions::default()
-    }));
-    // Resolve once outside the clock: warm modes then serve every
-    // measured query from the memory tier, and the cold mode's
-    // per-query reloads hit a store entry that is guaranteed present.
-    let warmup = svc
-        .query(&lineage, vt, Budget::unlimited())
-        .expect("serve warmup resolves");
-    assert!(
-        matches!(warmup.answer, Answer::Exact(_)),
-        "unlimited warmup must serve exactly"
-    );
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let queries = clients * per_client;
-    let (batch_sum, seconds) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let svc = Arc::clone(&svc);
-                let lineage = lineage.clone();
-                let vt = vt.clone();
-                let barrier = Arc::clone(&barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    let mut sizes = 0usize;
-                    for _ in 0..per_client {
-                        if mode == ServeMode::Cold {
-                            svc.flush();
-                        }
-                        let reply = svc
-                            .query(&lineage, &vt, Budget::unlimited())
-                            .expect("serve throughput query");
-                        assert!(
-                            matches!(reply.answer, Answer::Exact(_)),
-                            "unlimited serve queries must answer exactly"
-                        );
-                        sizes += reply.batch_size;
-                    }
-                    sizes
-                })
-            })
-            .collect();
-        // The clock starts before the release: clients cannot pass the
-        // barrier until this thread arrives, and starting it afterwards
-        // would race the clients on a loaded host (they can finish
-        // before the releasing thread is rescheduled to read the time).
-        let t0 = Instant::now();
-        barrier.wait();
-        let mut sum = 0usize;
-        for h in handles {
-            sum += h.join().expect("serve client thread");
-        }
-        (sum, t0.elapsed().as_secs_f64())
-    });
-    ServeThroughput {
-        seconds,
-        qps: queries as f64 / seconds,
-        queries,
-        mean_batch: batch_sum as f64 / queries as f64,
-        telemetry: Some(telemetry::snapshot()),
-    }
-}
-
-/// The `"stats"` JSON object of a measurement — the single serialiser
-/// behind both `BENCH_probe.json` and any future exporter, so the
-/// knowledge-compilation stat keys exist in exactly one place. OBDD
-/// measurements carry the manager counters (including the
-/// `peak_bytes` footprint estimate), d-DNNF measurements the
-/// expansion/memo counters; `None` for engines with neither.
-pub fn stats_json(m: &Measurement) -> Option<String> {
-    if let Some(s) = &m.stats {
-        let mg = &s.manager;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"live_nodes\": {}, \"peak_nodes\": {}, \"peak_bytes\": {}, \"gc_runs\": {}, \
-             \"reorders\": {}, \"load_factor\": {:.3}, \"cmp_branches\": {}}}",
-            mg.live_nodes,
-            mg.peak_nodes,
-            mg.peak_bytes,
-            mg.gc_runs,
-            mg.reorders,
-            mg.load_factor,
-            s.cmp_branches
-        );
-        return Some(out);
-    }
-    m.dnnf_stats.as_ref().map(|d| {
-        format!(
-            "{{\"cmp_branches\": {}, \"dnnf_nodes\": {}, \"dnnf_edges\": {}, \"memo_hits\": {}}}",
-            d.expansion_steps, d.nodes, d.edges, d.memo_hits
-        )
-    })
-}
-
-/// The `"telemetry"` JSON object of a measurement: the fixed-key
-/// [`Snapshot`] serialisation, shared by every exporter.
-pub fn telemetry_json(m: &Measurement) -> Option<String> {
-    m.telemetry.as_ref().map(Snapshot::to_json)
-}
-
-/// Prints the CSV header used by all figure binaries. The trailing
-/// columns carry knowledge-compilation statistics and stay empty for
-/// engines that do not produce them: six OBDD manager columns
-/// (including the `peak_bytes` footprint estimate), then
-/// `cmp_branches` (Shannon branches for the BDD engines, expansion
-/// steps for the d-DNNF engine — the directly comparable pair), the
-/// d-DNNF node/edge counts, and eighteen telemetry columns distilled
-/// from the per-measurement [`Snapshot`] (cache hits, the compile/WMC
-/// phase split, the budget-governance triple: safe-point checks taken,
-/// cancellations observed, degradation fallbacks, the artifact-store
-/// quadruple: hits, misses, corruptions, revalidations, and the serving
-/// septet: mem-tier hits/misses, single-flight coalesces, batches and
-/// batched queries, epoch swings, and the queue-depth high-water mark).
-pub fn print_header() {
-    println!(
-        "figure,series,x,seconds,status,detail,workers,live_nodes,peak_nodes,peak_bytes,gc_runs,reorders,load_factor,cmp_branches,dnnf_nodes,dnnf_edges,ite_hits,memo_hits,phase_compile_s,phase_wmc_s,budget_checks,cancellations,fallbacks,store_hits,store_misses,store_corruptions,store_revalidations,serve_mem_hits,serve_mem_misses,serve_coalesces,serve_batches,serve_batched_queries,serve_epoch_swings,serve_queue_depth"
-    );
-}
-
-/// Prints one CSV measurement row (with the stat columns the
-/// measurement carries).
-pub fn print_row(figure: &str, series: &str, x: &str, m: &Measurement, detail: &str) {
+/// Formats one CSV measurement row (with the stat columns the
+/// measurement carries) under [`CSV_HEADER`]. `status` and `detail` are
+/// free text — a failed engine's error message ends up in `status` —
+/// so their commas and line breaks become `;` here, the one place rows
+/// are made, and every row keeps the header's column count.
+pub fn csv_row(figure: &str, series: &str, x: &str, m: &Measurement, detail: &str) -> String {
+    let text = |s: &str| s.replace([',', '\n', '\r'], ";");
     let secs = if m.seconds.is_nan() {
-        "".to_string()
+        String::new()
     } else {
         format!("{:.6}", m.seconds)
     };
@@ -1169,12 +717,35 @@ pub fn print_row(figure: &str, series: &str, x: &str, m: &Measurement, detail: &
         ),
         None => ",,,,,,,,,,,,,,,,,".into(),
     };
-    println!(
-        "{figure},{series},{x},{secs},{},{detail},{},{stats},{tel}",
-        m.status, m.workers
-    );
+    format!(
+        "{figure},{series},{x},{secs},{},{},{},{stats},{tel}",
+        text(&m.status),
+        text(detail),
+        m.workers
+    )
 }
 
+/// The one loop behind every figure: runs each engine of `engines` over
+/// one grid point (`x`, `detail`, `prep`) with an unlimited budget and
+/// hands `out` one [`csv_row`] per engine, series = [`Engine::label`].
+/// Returns the measurements, in `engines` order, for sweeps that check
+/// something across their rows.
+pub fn sweep(
+    out: &mut dyn FnMut(String),
+    figure: &str,
+    (x, detail, prep): (&str, &str, &Prepared),
+    engines: &[Engine],
+    epsilon: f64,
+) -> Vec<Measurement> {
+    engines
+        .iter()
+        .map(|&engine| {
+            let m = run_engine(prep, engine, epsilon, Budget::unlimited());
+            out(csv_row(figure, engine.label(), x, &m, detail));
+            m
+        })
+        .collect()
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1218,8 +789,8 @@ mod tests {
     fn engines_agree_on_small_workload() {
         let _t = counters_reset();
         let prep = tiny_prep();
-        let naive = run_engine(&prep, Engine::Naive, 0.0);
-        let exact = run_engine(&prep, Engine::Exact, 0.0);
+        let naive = run_engine(&prep, Engine::Naive, 0.0, Budget::unlimited());
+        let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited());
         let nv = naive.estimates.unwrap();
         let ev = exact.estimates.unwrap();
         assert_eq!(nv.len(), ev.len());
@@ -1233,7 +804,9 @@ mod tests {
         }
         let eps = 0.1;
         for engine in [Engine::Eager, Engine::Lazy, Engine::Hybrid] {
-            let a = run_engine(&prep, engine, eps).estimates.unwrap();
+            let a = run_engine(&prep, engine, eps, Budget::unlimited())
+                .estimates
+                .unwrap();
             for i in 0..ev.len() {
                 assert!(
                     (a[i] - ev[i]).abs() <= eps + 1e-9,
@@ -1250,6 +823,7 @@ mod tests {
                 job_depth: 3,
             },
             eps,
+            Budget::unlimited(),
         )
         .estimates
         .unwrap();
@@ -1264,15 +838,17 @@ mod tests {
         let _t = counters_reset();
         let prep = tiny_prep();
         assert!(prep.folded.is_some(), "2 iterations fold");
-        let exact = run_engine(&prep, Engine::Exact, 0.0).estimates.unwrap();
-        let folded = run_engine(&prep, Engine::ExactFolded, 0.0)
+        let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited())
+            .estimates
+            .unwrap();
+        let folded = run_engine(&prep, Engine::ExactFolded, 0.0, Budget::unlimited())
             .estimates
             .unwrap();
         for i in 0..exact.len() {
             assert!((exact[i] - folded[i]).abs() < 1e-9, "target {i}");
         }
         let eps = 0.1;
-        let hf = run_engine(&prep, Engine::HybridFolded, eps)
+        let hf = run_engine(&prep, Engine::HybridFolded, eps, Budget::unlimited())
             .estimates
             .unwrap();
         for i in 0..exact.len() {
@@ -1291,8 +867,10 @@ mod tests {
     fn bdd_exact_matches_tree_exact_on_kmedoids() {
         let _t = counters_reset();
         let prep = tiny_prep();
-        let exact = run_engine(&prep, Engine::Exact, 0.0).estimates.unwrap();
-        let bdd = run_engine(&prep, Engine::BddExact, 0.0);
+        let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited())
+            .estimates
+            .unwrap();
+        let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
         assert_eq!(bdd.status, "ok");
         let bv = bdd.estimates.unwrap();
         assert_eq!(bv.len(), exact.len());
@@ -1315,13 +893,13 @@ mod tests {
             Scheme::Conditional,
         ] {
             let prep = prepare_lineage(6, scheme, &LineageOpts::default(), 11);
-            let exact = run_lineage_engine(&prep, Engine::Exact, 0.0)
+            let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited())
                 .estimates
                 .unwrap();
-            let bdd = run_lineage_engine(&prep, Engine::BddExact, 0.0)
+            let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited())
                 .estimates
                 .unwrap();
-            let dnnf = run_lineage_engine(&prep, Engine::DnnfExact, 0.0)
+            let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited())
                 .estimates
                 .unwrap();
             assert_eq!(exact.len(), bdd.len());
@@ -1340,7 +918,7 @@ mod tests {
                     dnnf[i]
                 );
             }
-            let hybrid = run_lineage_engine(&prep, Engine::Hybrid, 0.1)
+            let hybrid = run_engine(&prep, Engine::Hybrid, 0.1, Budget::unlimited())
                 .estimates
                 .unwrap();
             for i in 0..exact.len() {
@@ -1357,8 +935,10 @@ mod tests {
     fn dnnf_matches_tree_exact_on_kmedoids_and_collapses_branches() {
         let _t = counters_reset();
         let prep = tiny_prep();
-        let exact = run_engine(&prep, Engine::Exact, 0.0).estimates.unwrap();
-        let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0);
+        let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited())
+            .estimates
+            .unwrap();
+        let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited());
         assert_eq!(dnnf.status, "ok");
         let dv = dnnf.estimates.unwrap();
         assert_eq!(dv.len(), exact.len());
@@ -1370,7 +950,7 @@ mod tests {
                 exact[i]
             );
         }
-        let bdd = run_engine(&prep, Engine::BddExact, 0.0);
+        let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
         let steps = dnnf.dnnf_stats.unwrap().expansion_steps;
         let branches = bdd.stats.unwrap().cmp_branches;
         assert!(
@@ -1395,13 +975,13 @@ mod tests {
             &LineageOpts::default(),
             7,
         );
-        let bdd = run_engine(&prep, Engine::BddExact, 0.0);
+        let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
         assert!(
             bdd.status.starts_with("timeout"),
             "v=14 must exceed the Shannon cap, got {}",
             bdd.status
         );
-        let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0);
+        let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited());
         assert_eq!(dnnf.status, "ok");
         let stats = dnnf.dnnf_stats.unwrap();
         // The recorded Shannon baseline at v = 14 is 874 k branches; the
@@ -1424,10 +1004,60 @@ mod tests {
             &LineageOpts::default(),
             1,
         );
-        let naive = run_engine(&prep, Engine::Naive, 0.0);
+        let naive = run_engine(&prep, Engine::Naive, 0.0, Budget::unlimited());
         assert!(naive.status.starts_with("timeout"));
-        let exact = run_engine(&prep, Engine::Exact, 0.0);
+        let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited());
         assert!(exact.status.starts_with("timeout"));
+    }
+
+    /// One failing row must not shift the CSV: an engine's error text
+    /// lands in `status`, commas and line breaks included.
+    #[test]
+    fn a_comma_bearing_error_keeps_the_row_at_the_headers_column_count() {
+        let e = ObddError::WorkerPanicked {
+            target: 3,
+            message: "index out of bounds: the len is 4, but the index is 7\nnote: in dnnf".into(),
+        };
+        let m = Measurement::bare(f64::NAN, format!("error({e})"));
+        assert!(m.status.contains(',') && m.status.contains('\n'));
+        let row = csv_row("fig_bdd", "dnnf", "v=96", &m, "targets=12, eps=0.1");
+        assert_eq!(
+            row.split(',').count(),
+            CSV_HEADER.split(',').count(),
+            "{row}"
+        );
+        assert_eq!(row.lines().count(), 1, "{row}");
+        assert!(
+            row.contains("the len is 4; but the index is 7;note"),
+            "{row}"
+        );
+    }
+
+    /// The loop every figure runs through: one complete, `ok` row per
+    /// engine, in order, under the engine's label.
+    #[test]
+    fn sweep_emits_one_complete_ok_row_per_engine() {
+        let _t = counters_reset();
+        let prep = tiny_prep();
+        let engines = [
+            Engine::Naive,
+            Engine::Exact,
+            Engine::Hybrid,
+            Engine::DnnfExact,
+        ];
+        let mut rows = Vec::new();
+        let point = ("v=6", "n=12;eps=0.1", &prep);
+        let ms = sweep(&mut |row| rows.push(row), "smoke", point, &engines, 0.1);
+        assert_eq!(rows.len(), engines.len());
+        assert_eq!(ms.len(), engines.len());
+        let header: Vec<&str> = CSV_HEADER.split(',').collect();
+        let status = header.iter().position(|&c| c == "status").unwrap();
+        for (row, engine) in rows.iter().zip(engines) {
+            let fields: Vec<&str> = row.split(',').collect();
+            assert_eq!(fields.len(), header.len(), "{row}");
+            assert_eq!(&fields[..3], ["smoke", engine.label(), "v=6"], "{row}");
+            assert_eq!(fields[status], "ok", "{row}");
+        }
     }
 
     /// ISSUE 8 acceptance: the v = 24 k-medoids query — far past the
@@ -1448,7 +1078,7 @@ mod tests {
             &LineageOpts::default(),
             7,
         );
-        let exact = run_engine(&prep, Engine::DnnfExact, 0.0);
+        let exact = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited());
         assert_eq!(exact.status, "ok");
         let exact = exact.estimates.unwrap();
         let budget = Budget {
@@ -1459,7 +1089,7 @@ mod tests {
             ..Budget::with_timeout(std::time::Duration::from_millis(50))
         };
         let t0 = Instant::now();
-        let m = run_engine_budgeted(&prep, Engine::DnnfExact, 0.1, budget);
+        let m = run_engine(&prep, Engine::DnnfExact, 0.1, budget);
         assert!(
             t0.elapsed().as_secs_f64() < 5.0,
             "budgeted run failed to stop promptly"
@@ -1481,43 +1111,6 @@ mod tests {
         assert!(tel.counter(Counter::BudgetCheck) > 0);
         assert!(tel.counter(Counter::Cancellation) > 0);
         assert!(tel.counter(Counter::Fallback) > 0);
-    }
-
-    /// The serve harness measures all three modes on one store-backed
-    /// service and the batched replies really share sweeps.
-    #[test]
-    fn serve_throughput_modes_measure_and_batch() {
-        let _t = counters_asserted();
-        telemetry::set_enabled(true);
-        let prep = tiny_prep();
-        let root = std::env::temp_dir().join(format!("enframe-bench-serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = ArtifactStore::new(&root);
-        let vt = &prep.workload.vt;
-        for mode in [ServeMode::Cold, ServeMode::Unbatched, ServeMode::Batched] {
-            let t = run_serve_throughput(&prep.net, vt, &store, 2, 3, mode);
-            assert_eq!(t.queries, 6, "{mode:?}");
-            assert!(t.qps > 0.0 && t.seconds > 0.0, "{mode:?}: {t:?}");
-            assert!(t.mean_batch >= 1.0, "{mode:?}: {t:?}");
-            let tel = t.telemetry.as_ref().unwrap();
-            match mode {
-                ServeMode::Cold => assert!(
-                    tel.counter(Counter::StoreHit) >= 1,
-                    "cold queries must reload through the store tier: {tel:?}"
-                ),
-                ServeMode::Unbatched | ServeMode::Batched => assert!(
-                    tel.counter(Counter::ServeMemHit) >= 6,
-                    "{mode:?} queries must hit the memory tier: {tel:?}"
-                ),
-            }
-            if mode == ServeMode::Batched {
-                assert!(
-                    tel.counter(Counter::ServeBatch) >= 1,
-                    "batched mode never formed a batch: {tel:?}"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     mod degradation_ladder {
@@ -1546,14 +1139,14 @@ mod tests {
                     Scheme::Conditional,
                 ][scheme_ix];
                 let prep = prepare_lineage(6, scheme, &LineageOpts::default(), seed);
-                let exact = run_lineage_engine(&prep, Engine::Exact, 0.0);
+                let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited());
                 prop_assert_eq!(&exact.status, "ok");
                 let exact = exact.estimates.unwrap();
                 let budget = Budget {
                     max_steps: Some(max_steps),
                     ..Budget::unlimited()
                 };
-                let m = run_lineage_engine_budgeted(&prep, Engine::Exact, 0.0, budget);
+                let m = run_engine(&prep, Engine::Exact, 0.0, budget);
                 if m.status == "ok" {
                     let got = m.estimates.as_ref().unwrap();
                     for i in 0..exact.len() {

@@ -7,8 +7,7 @@
 //! three machine words and lookups dominate. This module provides the
 //! `rustc-hash` algorithm — one multiply and one rotate per word — as a
 //! drop-in [`std::hash::BuildHasher`]. No crates-io access, so it lives
-//! in-tree; the `hasher` Criterion micro-bench in `enframe-bench` tracks
-//! its advantage over SipHash on node-key workloads.
+//! in-tree.
 //!
 //! All inputs here are internal indices, never attacker-controlled, so
 //! the loss of DoS resistance is irrelevant.

@@ -516,8 +516,7 @@ impl Snapshot {
     /// Serialises the snapshot as one flat JSON object: every counter
     /// under its [`Counter::name`], and per phase `phase_<name>_s`
     /// (seconds, scientific notation) and `phase_<name>_n` (span
-    /// count). Key set is fixed — `ci/validate_bench.py` requires it in
-    /// every bench row.
+    /// count). The key set is fixed, whatever was recorded.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for c in Counter::ALL {

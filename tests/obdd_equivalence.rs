@@ -20,12 +20,13 @@
 //!    conditioning queries on one engine keep both the node store and
 //!    the `ite` cache bounded.
 
+use enframe::core::budget::Budget;
 use enframe::core::space;
 use enframe::data::{generate_lineage, kmedoids_workload, LineageOpts, Scheme};
 use enframe::prelude::*;
 use enframe::translate::targets;
 use enframe::worlds::extract;
-use enframe_bench::{prepare_lineage, run_lineage_engine, Engine};
+use enframe_bench::{prepare_lineage, run_engine, Engine};
 use std::time::Instant;
 
 /// DnnfExact == BddExact == tree-exact == naïve enumeration on one
@@ -418,7 +419,7 @@ fn bdd_completes_mutex_sweep_beyond_exact_horizon() {
     assert_eq!(prep.vt.len(), v);
 
     // The decision-tree exact engine is out of its feasible range.
-    let exact = run_lineage_engine(&prep, Engine::Exact, 0.0);
+    let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited());
     assert!(
         exact.status.starts_with("timeout"),
         "v={v} must exceed the exact engine's cap, got {}",
@@ -428,7 +429,7 @@ fn bdd_completes_mutex_sweep_beyond_exact_horizon() {
     // The BDD backend answers exactly, fast. The guard is deliberately
     // generous (CI machines vary); the measured time is ~10⁻⁴ s.
     let t0 = Instant::now();
-    let bdd = run_lineage_engine(&prep, Engine::BddExact, 0.0);
+    let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(bdd.status, "ok");
     assert!(

@@ -9,7 +9,7 @@
 //!    arithmetic (both sweeps reduce each node's children in canonical
 //!    `total_cmp` order).
 //! 2. **Engine results are independent of the worker count and of
-//!    scheduling** — `run_lineage_engine` with [`Engine::DnnfPar`]
+//!    scheduling** — `run_engine` with [`Engine::DnnfPar`]
 //!    returns bitwise-identical estimates at workers ∈ {1, 2, 4, 8}
 //!    and across repeated compiles (the dynamic target-to-worker
 //!    assignment differs run to run; the merged result must not), and
@@ -17,9 +17,10 @@
 //!    1e-12 (its merged manager may settle on a different variable
 //!    order, so only FP-roundoff agreement is promised).
 
+use enframe::core::budget::Budget;
 use enframe::data::{LineageOpts, Scheme};
 use enframe::obdd::dnnf::{wmc, DnnfEngine, DnnfOptions};
-use enframe_bench::{prepare_lineage, run_lineage_engine, Engine};
+use enframe_bench::{prepare_lineage, run_engine, Engine};
 use proptest::prelude::*;
 
 fn scheme_of(idx: usize) -> Scheme {
@@ -55,14 +56,19 @@ fn check_wmc_bitwise(scheme: Scheme, n_groups: usize, seed: u64) {
 /// compiles; the parallel OBDD engine agrees with sequential to 1e-12.
 fn check_engine_worker_independence(scheme: Scheme, n_groups: usize, seed: u64) {
     let prep = prepare_lineage(n_groups, scheme, &LineageOpts::default(), seed);
-    let base = run_lineage_engine(&prep, Engine::DnnfPar { workers: 1 }, 0.0);
+    let base = run_engine(
+        &prep,
+        Engine::DnnfPar { workers: 1 },
+        0.0,
+        Budget::unlimited(),
+    );
     assert_eq!(base.status, "ok");
     let base = base.estimates.unwrap();
     for workers in [2usize, 4, 8] {
         // Two compiles per worker count: the dynamic target-to-worker
         // assignment is scheduling-dependent, the answer must not be.
         for round in 0..2 {
-            let m = run_lineage_engine(&prep, Engine::DnnfPar { workers }, 0.0);
+            let m = run_engine(&prep, Engine::DnnfPar { workers }, 0.0, Budget::unlimited());
             assert_eq!(m.status, "ok");
             assert_eq!(m.workers, workers);
             let est = m.estimates.unwrap();
@@ -79,11 +85,11 @@ fn check_engine_worker_independence(scheme: Scheme, n_groups: usize, seed: u64) 
             }
         }
     }
-    let bdd_seq = run_lineage_engine(&prep, Engine::BddExact, 0.0)
+    let bdd_seq = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited())
         .estimates
         .unwrap();
     for workers in [2usize, 4] {
-        let bdd_par = run_lineage_engine(&prep, Engine::BddPar { workers }, 0.0)
+        let bdd_par = run_engine(&prep, Engine::BddPar { workers }, 0.0, Budget::unlimited())
             .estimates
             .unwrap();
         assert_eq!(bdd_seq.len(), bdd_par.len());

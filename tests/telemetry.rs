@@ -13,9 +13,10 @@
 //!    engine's pipeline phases, and which records one worker span per
 //!    spawned fan-out worker.
 
+use enframe::core::budget::Budget;
 use enframe::data::{LineageOpts, Scheme};
 use enframe::telemetry::{self, Counter, Phase};
-use enframe_bench::{prepare_lineage, run_lineage_engine, Engine};
+use enframe_bench::{prepare_lineage, run_engine, Engine};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -53,22 +54,27 @@ fn check_toggle_invariance(scheme: Scheme, n_groups: usize, seed: u64) {
     let was = telemetry::enabled();
     let prep = prepare_lineage(n_groups, scheme, &LineageOpts::default(), seed);
     telemetry::set_enabled(false);
-    let dnnf_off = run_lineage_engine(&prep, Engine::DnnfExact, 0.0)
+    let dnnf_off = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited())
         .estimates
         .unwrap();
-    let bdd_off = run_lineage_engine(&prep, Engine::BddExact, 0.0)
+    let bdd_off = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited())
         .estimates
         .unwrap();
     telemetry::set_enabled(true);
-    let dnnf_on = run_lineage_engine(&prep, Engine::DnnfExact, 0.0)
+    let dnnf_on = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited())
         .estimates
         .unwrap();
-    let bdd_on = run_lineage_engine(&prep, Engine::BddExact, 0.0)
+    let bdd_on = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited())
         .estimates
         .unwrap();
-    let par_on = run_lineage_engine(&prep, Engine::DnnfPar { workers: 4 }, 0.0)
-        .estimates
-        .unwrap();
+    let par_on = run_engine(
+        &prep,
+        Engine::DnnfPar { workers: 4 },
+        0.0,
+        Budget::unlimited(),
+    )
+    .estimates
+    .unwrap();
     telemetry::set_enabled(was);
     assert_bitwise(&dnnf_off, &dnnf_on, "dnnf on-vs-off");
     assert_bitwise(&bdd_off, &bdd_on, "bdd on-vs-off");
@@ -107,8 +113,8 @@ fn measurement_snapshots_agree_with_engine_stats() {
         17,
     );
 
-    let m = run_lineage_engine(&prep, Engine::DnnfExact, 0.0);
-    let snap = m.telemetry.clone().expect("run_lineage_engine snapshots");
+    let m = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited());
+    let snap = m.telemetry.clone().expect("run_engine snapshots");
     let stats = m.dnnf_stats.clone().expect("dnnf run carries stats");
     // The counters and the engine's own tallies are two views of the
     // same events: a sequential run must agree exactly.
@@ -118,8 +124,8 @@ fn measurement_snapshots_agree_with_engine_stats() {
     assert!(snap.phase_seconds(Phase::DnnfExpand) > 0.0);
     assert!(snap.phase_count(Phase::Wmc) >= 1);
 
-    let m = run_lineage_engine(&prep, Engine::BddExact, 0.0);
-    let snap = m.telemetry.clone().expect("run_lineage_engine snapshots");
+    let m = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
+    let snap = m.telemetry.clone().expect("run_engine snapshots");
     assert!(snap.counter(Counter::UniqueProbe) > 0);
     assert!(snap.counter(Counter::NodeAlloc) > 0);
     assert!(snap.phase_count(Phase::BddApply) >= 1);
@@ -130,8 +136,13 @@ fn measurement_snapshots_agree_with_engine_stats() {
 
     // A 4-worker fan-out records (at least) one worker span per
     // spawned thread — the per-thread timeline rows of the trace.
-    let m = run_lineage_engine(&prep, Engine::DnnfPar { workers: 4 }, 0.0);
-    let snap = m.telemetry.clone().expect("run_lineage_engine snapshots");
+    let m = run_engine(
+        &prep,
+        Engine::DnnfPar { workers: 4 },
+        0.0,
+        Budget::unlimited(),
+    );
+    let snap = m.telemetry.clone().expect("run_engine snapshots");
     assert!(
         snap.phase_count(Phase::Worker) >= 4,
         "expected >=4 worker spans, got {}",
