@@ -658,14 +658,11 @@ pub fn prepare_workers_sweep(n_groups: usize, window: usize, seed: u64) -> Prepa
 /// `peak_bytes` footprint estimate), then `cmp_branches` (Shannon
 /// branches for the BDD engines, expansion steps for the d-DNNF engine
 /// — the directly comparable pair), the d-DNNF node/edge counts, and
-/// eighteen telemetry columns distilled from the per-measurement
-/// [`Snapshot`] (cache hits, the compile/WMC phase split, the
+/// seven telemetry columns distilled from the per-measurement
+/// [`Snapshot`] (cache hits, the compile/WMC phase split, and the
 /// budget-governance triple: safe-point checks taken, cancellations
-/// observed, degradation fallbacks, the artifact-store quadruple: hits,
-/// misses, corruptions, revalidations, and the serving septet: mem-tier
-/// hits/misses, single-flight coalesces, batches and batched queries,
-/// epoch swings, and the queue-depth high-water mark).
-pub const CSV_HEADER: &str = "figure,series,x,seconds,status,detail,workers,live_nodes,peak_nodes,peak_bytes,gc_runs,reorders,load_factor,cmp_branches,dnnf_nodes,dnnf_edges,ite_hits,memo_hits,phase_compile_s,phase_wmc_s,budget_checks,cancellations,fallbacks,store_hits,store_misses,store_corruptions,store_revalidations,serve_mem_hits,serve_mem_misses,serve_coalesces,serve_batches,serve_batched_queries,serve_epoch_swings,serve_queue_depth";
+/// observed, degradation fallbacks).
+pub const CSV_HEADER: &str = "figure,series,x,seconds,status,detail,workers,live_nodes,peak_nodes,peak_bytes,gc_runs,reorders,load_factor,cmp_branches,dnnf_nodes,dnnf_edges,ite_hits,memo_hits,phase_compile_s,phase_wmc_s,budget_checks,cancellations,fallbacks";
 
 /// Formats one CSV measurement row (with the stat columns the
 /// measurement carries) under [`CSV_HEADER`]. `status` and `detail` are
@@ -695,27 +692,16 @@ pub fn csv_row(figure: &str, series: &str, x: &str, m: &Measurement, detail: &st
     };
     let tel = match &m.telemetry {
         Some(t) => format!(
-            "{},{},{:.6e},{:.6e},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{:.6e},{:.6e},{},{},{}",
             t.counter(Counter::IteHit),
             t.counter(Counter::MemoHit),
             t.compile_seconds(),
             t.phase_seconds(Phase::Wmc),
             t.counter(Counter::BudgetCheck),
             t.counter(Counter::Cancellation),
-            t.counter(Counter::Fallback),
-            t.counter(Counter::StoreHit),
-            t.counter(Counter::StoreMiss),
-            t.counter(Counter::StoreCorruption),
-            t.counter(Counter::StoreRevalidation),
-            t.counter(Counter::ServeMemHit),
-            t.counter(Counter::ServeMemMiss),
-            t.counter(Counter::ServeCoalesce),
-            t.counter(Counter::ServeBatch),
-            t.counter(Counter::ServeBatchedQuery),
-            t.counter(Counter::ServeEpochSwing),
-            t.counter(Counter::ServeQueueDepth)
+            t.counter(Counter::Fallback)
         ),
-        None => ",,,,,,,,,,,,,,,,,".into(),
+        None => ",,,,,,".into(),
     };
     format!(
         "{figure},{series},{x},{secs},{},{},{},{stats},{tel}",

@@ -281,8 +281,8 @@ pub struct ObddEngine {
     stats: ObddStats,
     /// Persistent WMC cache, epoch/weight-stamped (see [`WmcCache`]).
     /// Behind a `Mutex` (not a `RefCell`) so the engine is `Sync`: the
-    /// serving layer evaluates batches against a shared `Arc<ObddEngine>`
-    /// snapshot, and batch members warm one cache instead of one each.
+    /// serving layer's concurrent readers sweep one shared
+    /// `Arc<ObddEngine>` snapshot and warm one cache instead of one each.
     wmc_cache: Mutex<WmcCache>,
 }
 
@@ -517,10 +517,10 @@ impl ObddEngine {
     /// cancelled request stops at the next target boundary with
     /// [`ObddError::BudgetExceeded`] instead of finishing the sweep.
     ///
-    /// Because the engine is `Sync`, a batch of queries can share one
-    /// `Arc<ObddEngine>` and this one sweep: the per-node cache the
-    /// sweep warms is the engine's persistent [`WmcCache`], so follow-up
-    /// queries under the same weights are near-free.
+    /// Because the engine is `Sync`, concurrent readers of one snapshot
+    /// share one `Arc<ObddEngine>`: the per-node cache each sweep warms
+    /// is the engine's persistent [`WmcCache`], so follow-up queries
+    /// under the same weights are near-free.
     ///
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
@@ -1011,8 +1011,8 @@ mod tests {
 
     #[test]
     fn engine_is_sync_and_try_probabilities_matches_probabilities() {
-        // The serving layer shares one compiled snapshot across batch
-        // members: the engine must be Send + Sync …
+        // The serving layer shares one compiled snapshot across
+        // concurrent readers: the engine must be Send + Sync …
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ObddEngine>();
 

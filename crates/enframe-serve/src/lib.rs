@@ -1,9 +1,9 @@
-//! # enframe-serve — batched query evaluation over epoch-snapshotted artifacts
+//! # enframe-serve — concurrent query evaluation over epoch-snapshotted artifacts
 //!
 //! The compilation pipeline (`enframe-obdd`, `enframe-store`) answers
 //! one query at a time: compile (or reload) the lineage, sweep, return.
 //! A *service* answering many concurrent queries over a working set of
-//! lineages wants three things the pipeline alone does not give:
+//! lineages wants two things the pipeline alone does not give:
 //!
 //! 1. **A two-tier artifact cache.** Each request's lineage
 //!    [`Fingerprint`] resolves through an in-memory LRU of live compiled
@@ -16,35 +16,30 @@
 //!    ([`QueryService::maintain`] — GC, reorder, recompile) builds a
 //!    replacement off to the side and swings the epoch:
 //!    publish-then-retire, no reader ever blocks on maintenance.
-//! 3. **Batched evaluation.** Requests that arrive within a short
-//!    admission window against the same `(artifact, epoch, weights)` key
-//!    share **one** WMC sweep — and the one warm [`enframe_obdd::WmcCache`]
-//!    it fills — instead of sweeping once per request. A batched answer
-//!    is the *same* sweep a sequential caller would run: bitwise-equal
-//!    for d-DNNF, within 1e-12 for OBDD (reordering between epochs may
-//!    permute the float reductions).
+//!
+//! Evaluation itself has one path: every request runs one WMC sweep of
+//! the snapshot it loaded. Concurrent readers share that `Arc<Artifact>`
+//! (and, for OBDD, its one warm [`enframe_obdd::WmcCache`]), and each
+//! answer is the sweep a sequential caller would run: bitwise-equal for
+//! d-DNNF, within 1e-12 for OBDD (reordering between epochs may permute
+//! the float reductions).
 //!
 //! Every request carries a [`Budget`] and rides the degradation ladder:
-//! budget exhaustion — at admission, during a coalesced wait, during
-//! compilation, or mid-sweep — degrades to the anytime bounds engine
+//! budget exhaustion — during a coalesced wait, during compilation, or
+//! mid-sweep — degrades to the anytime bounds engine
 //! ([`Answer::Degraded`]) under the *same* (absolute-deadline) budget,
-//! never an error. Structural failures (unsupported lineage, injected
-//! faults, worker panics) surface as structured [`ServeError`]s.
+//! never an error, and only for the request whose budget ran out.
+//! Structural failures (unsupported lineage, injected faults, worker
+//! panics) surface as structured [`ServeError`]s.
 //!
-//! ## Environment knobs
-//!
-//! * `ENFRAME_SERVE_MEM_CAP` — capacity (artifacts) of the in-memory
-//!   tier read by [`ServeOptions::from_env`]; default 32.
-//! * `ENFRAME_SERVE_WINDOW_US` — admission window in microseconds read
-//!   by [`ServeOptions::from_env`]; default 0 (unbatched).
-//! * `ENFRAME_FAILPOINTS=serve_admit:every-N` — fault admission
-//!   deterministically ([`enframe_core::failpoint`]).
+//! `ENFRAME_FAILPOINTS=serve_admit:every-N` faults admission
+//! deterministically ([`enframe_core::failpoint`]).
 
-use enframe_core::budget::{Budget, BudgetScope, Resource};
+use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::failpoint::{self, Site};
-use enframe_core::fingerprint::{Fingerprint, FingerprintHasher};
+use enframe_core::fingerprint::Fingerprint;
 use enframe_core::fxhash::FxHashMap;
-use enframe_core::{EpochCell, Var, VarTable};
+use enframe_core::{EpochCell, VarTable};
 use enframe_network::Network;
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions};
 use enframe_obdd::{ObddEngine, ObddError, ObddOptions};
@@ -176,9 +171,9 @@ impl Lineage {
     }
 }
 
-/// A live compiled form, either engine. Both engines are `Sync`, so a
-/// batch of queries shares one `Arc<Artifact>` snapshot and the one warm
-/// WMC cache inside it.
+/// A live compiled form, either engine. Both engines are `Sync`, so
+/// concurrent queries share one `Arc<Artifact>` snapshot and the one
+/// warm WMC cache inside it.
 #[derive(Debug)]
 pub enum Artifact {
     /// A compiled d-DNNF engine.
@@ -228,11 +223,6 @@ pub struct ServeOptions {
     /// Capacity of the in-memory artifact tier (live engines). At least
     /// 1; least-recently-used entries are evicted past the cap.
     pub mem_capacity: usize,
-    /// Admission window for batched evaluation: the first request for an
-    /// `(artifact, epoch, weights)` key waits this long for co-batched
-    /// requests before sweeping once for all of them.
-    /// [`Duration::ZERO`] (the default) serves every request solo.
-    pub batch_window: Duration,
     /// On-disk artifact tier behind the memory tier, or `None` to
     /// compile on every memory miss. Reloads are zero-trust revalidated
     /// by the store itself.
@@ -243,30 +233,8 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             mem_capacity: 32,
-            batch_window: Duration::ZERO,
             store: None,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Defaults, with `ENFRAME_SERVE_MEM_CAP` and
-    /// `ENFRAME_SERVE_WINDOW_US` applied when set and parseable.
-    pub fn from_env() -> ServeOptions {
-        let mut opts = ServeOptions::default();
-        if let Some(cap) = std::env::var("ENFRAME_SERVE_MEM_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            opts.mem_capacity = cap.max(1);
-        }
-        if let Some(us) = std::env::var("ENFRAME_SERVE_WINDOW_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            opts.batch_window = Duration::from_micros(us);
-        }
-        opts
     }
 }
 
@@ -294,12 +262,10 @@ pub struct Reply {
     /// Epoch of the snapshot the answer was computed against (0 for
     /// degraded answers computed without a snapshot).
     pub epoch: u64,
-    /// Number of requests that shared this answer's sweep (1 = solo).
-    pub batch_size: usize,
 }
 
 // ---------------------------------------------------------------------
-// Internal state: memory tier, single-flight, batches.
+// Internal state: memory tier, single-flight.
 // ---------------------------------------------------------------------
 
 /// In-memory LRU tier: fingerprint → live epoch-snapshotted artifact.
@@ -357,30 +323,31 @@ struct Flight {
     cv: Condvar,
 }
 
-/// One admission-window batch: the leader publishes the shared sweep's
-/// outcome (and the final batch size) for every member to read.
-#[derive(Debug)]
-struct Batch {
-    state: Mutex<BatchState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct BatchState {
-    members: usize,
-    outcome: Option<(BatchOutcome, usize)>,
-}
-
-/// `Err(())` = the leader's sweep failed (budget/panic); members fall
-/// back to solo sweeps under their own budgets.
-type BatchOutcome = Result<Arc<Vec<f64>>, ()>;
-
-type BatchKey = (u64, u64, u64);
-
 /// How long a waiter sleeps between re-checks of its own budget while
-/// parked on a flight or batch condvar — bounds degradation latency
-/// without busy-waiting.
+/// parked on a flight's condvar — bounds degradation latency without
+/// busy-waiting.
 const WAIT_POLL: Duration = Duration::from_millis(10);
+
+impl Flight {
+    /// Waits for the leader's published result, or until the waiter's
+    /// own budget runs out (then degrades rather than waiting further).
+    fn wait(&self, scope: &BudgetScope) -> Result<Arc<EpochCell<Artifact>>, ServeError> {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(result) = (*st).clone() {
+                return result;
+            }
+            scope
+                .checkpoint()
+                .map_err(|x| ServeError::Engine(x.into()))?;
+            st = self
+                .cv
+                .wait_timeout(st, WAIT_POLL)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+}
 
 /// Decrements the in-flight gauge even if evaluation panics, so the
 /// queue-depth high-water mark stays truthful under chaos.
@@ -403,7 +370,6 @@ pub struct QueryService {
     opts: ServeOptions,
     mem: Mutex<MemTier>,
     flights: Mutex<FxHashMap<Fingerprint, Arc<Flight>>>,
-    batches: Mutex<FxHashMap<BatchKey, Arc<Batch>>>,
     active: AtomicU64,
 }
 
@@ -419,16 +385,14 @@ impl QueryService {
                 entries: FxHashMap::default(),
             }),
             flights: Mutex::new(FxHashMap::default()),
-            batches: Mutex::new(FxHashMap::default()),
             active: AtomicU64::new(0),
         }
     }
 
     /// Answers one query: resolve the lineage through the cache tiers,
-    /// evaluate against the current epoch snapshot (batched when the
-    /// admission window is open), and stamp the reply with the epoch it
-    /// was computed against. Budget exhaustion anywhere on the path
-    /// degrades to bounds; only structural failures error.
+    /// sweep the current epoch snapshot once, and stamp the reply with
+    /// the epoch it was computed against. Budget exhaustion anywhere on
+    /// the path degrades to bounds; only structural failures error.
     pub fn query(
         &self,
         lineage: &Lineage,
@@ -452,12 +416,22 @@ impl QueryService {
             });
         }
         let scope = BudgetScope::new(budget);
-        let cell = match self.resolve(lineage, vt, budget, &scope) {
-            Ok(cell) => cell,
-            Err(e) if e.is_budget() => return Ok(self.degrade(lineage, vt, budget, 0)),
+        let (art, epoch) = match self.resolve(lineage, vt, budget, &scope) {
+            Ok(cell) => cell.load_with_epoch(),
+            Err(e) if e.is_budget() => {
+                return Ok(Reply {
+                    answer: degrade(lineage, vt, budget),
+                    epoch: 0,
+                })
+            }
             Err(e) => return Err(e),
         };
-        self.evaluate(lineage, &cell, vt, budget, &scope)
+        let answer = match art.try_probabilities(vt, &scope) {
+            Ok(probs) => Answer::Exact(probs),
+            Err(ObddError::BudgetExceeded { .. }) => degrade(lineage, vt, budget),
+            Err(e) => return Err(ServeError::Engine(e)),
+        };
+        Ok(Reply { answer, epoch })
     }
 
     /// Drops every in-memory artifact (the store tier is untouched).
@@ -529,21 +503,9 @@ impl QueryService {
         budget: Budget,
         scope: &BudgetScope,
     ) -> Result<Arc<EpochCell<Artifact>>, ServeError> {
-        {
-            let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cell) = mem.get(lineage.fp) {
-                // The memory tier holds live process memory, so unlike
-                // the zero-trust disk tier it is trusted — but a cheap
-                // structural screen (right engine, right target count)
-                // catches a poisoned or misfiled entry and falls back
-                // through the store tier instead of serving it.
-                let art = cell.load();
-                if art.kind() == lineage.kind() && art.n_targets() == lineage.net.targets.len() {
-                    telemetry::count(Counter::ServeMemHit);
-                    return Ok(cell);
-                }
-                mem.entries.remove(&lineage.fp);
-            }
+        if let Some(cell) = self.mem_hit(lineage) {
+            telemetry::count(Counter::ServeMemHit);
+            return Ok(cell);
         }
         telemetry::count(Counter::ServeMemMiss);
 
@@ -552,6 +514,13 @@ impl QueryService {
             match flights.get(&lineage.fp) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
+                    // A flight that ended since our miss filled the
+                    // memory tier before it retired: take its result
+                    // rather than compile a second time.
+                    if let Some(cell) = self.mem_hit(lineage) {
+                        telemetry::count(Counter::ServeCoalesce);
+                        return Ok(cell);
+                    }
                     let f = Arc::new(Flight {
                         state: Mutex::new(None),
                         cv: Condvar::new(),
@@ -595,28 +564,32 @@ impl QueryService {
         }
 
         telemetry::count(Counter::ServeCoalesce);
-        let mut st = flight.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = (*st).clone() {
-                return result;
+        match flight.wait(scope) {
+            // The leader ran out of *its* budget, not ours: resolve again
+            // under our own. The flight is already retired, so this
+            // starts or joins a fresh one.
+            Err(e) if e.is_budget() && scope.checkpoint().is_ok() => {
+                self.resolve(lineage, vt, budget, scope)
             }
-            if scope.checkpoint().is_err() {
-                // Our own budget ran out while coalesced behind the
-                // leader: degrade rather than wait further.
-                return Err(ServeError::Engine(ObddError::BudgetExceeded {
-                    resource: scope
-                        .verdict()
-                        .map(|v| v.resource)
-                        .unwrap_or(Resource::Time),
-                    spent: scope.verdict().map(|v| v.spent).unwrap_or(0),
-                }));
-            }
-            let (guard, _timeout) = flight
-                .cv
-                .wait_timeout(st, WAIT_POLL)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
+            result => result,
         }
+    }
+
+    /// The lineage's memory-tier entry, if it passes the screen. The
+    /// memory tier holds live process memory, so unlike the zero-trust
+    /// disk tier it is trusted — but a cheap structural screen (right
+    /// engine, right target count) catches a poisoned or misfiled entry,
+    /// evicts it, and falls back through the store tier instead of
+    /// serving it.
+    fn mem_hit(&self, lineage: &Lineage) -> Option<Arc<EpochCell<Artifact>>> {
+        let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
+        let cell = mem.get(lineage.fp)?;
+        let art = cell.load();
+        if art.kind() == lineage.kind() && art.n_targets() == lineage.net.targets.len() {
+            return Some(cell);
+        }
+        mem.entries.remove(&lineage.fp);
+        None
     }
 
     /// Store tier, then compile; saves a fresh compile back to the
@@ -672,208 +645,32 @@ impl QueryService {
         };
         Ok(Arc::new(EpochCell::new(art)))
     }
-
-    // -----------------------------------------------------------------
-    // Evaluation (batched or solo).
-    // -----------------------------------------------------------------
-
-    fn evaluate(
-        &self,
-        lineage: &Lineage,
-        cell: &EpochCell<Artifact>,
-        vt: &VarTable,
-        budget: Budget,
-        scope: &BudgetScope,
-    ) -> Result<Reply, ServeError> {
-        let (art, epoch) = cell.load_with_epoch();
-        if self.opts.batch_window.is_zero() {
-            return self.sweep_solo(lineage, &art, vt, budget, scope, epoch, 1);
-        }
-        let key = (lineage.fp.0, epoch, weights_hash(vt).0);
-        let (batch, leader) = {
-            let mut batches = self.batches.lock().unwrap_or_else(|e| e.into_inner());
-            match batches.get(&key) {
-                Some(b) => {
-                    let joined = {
-                        let mut st = b.state.lock().unwrap_or_else(|e| e.into_inner());
-                        // A closed batch (outcome already published)
-                        // cannot be joined; open our own instead.
-                        if st.outcome.is_none() {
-                            st.members += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if joined {
-                        (Arc::clone(b), false)
-                    } else {
-                        let b = Arc::new(Batch {
-                            state: Mutex::new(BatchState {
-                                members: 1,
-                                outcome: None,
-                            }),
-                            cv: Condvar::new(),
-                        });
-                        batches.insert(key, Arc::clone(&b));
-                        (b, true)
-                    }
-                }
-                None => {
-                    let b = Arc::new(Batch {
-                        state: Mutex::new(BatchState {
-                            members: 1,
-                            outcome: None,
-                        }),
-                        cv: Condvar::new(),
-                    });
-                    batches.insert(key, Arc::clone(&b));
-                    (b, true)
-                }
-            }
-        };
-
-        if leader {
-            // Admission window: co-arriving requests join while we wait.
-            std::thread::sleep(self.opts.batch_window);
-            // Close the batch to new joiners before sweeping.
-            {
-                let mut batches = self.batches.lock().unwrap_or_else(|e| e.into_inner());
-                if batches.get(&key).is_some_and(|b| Arc::ptr_eq(b, &batch)) {
-                    batches.remove(&key);
-                }
-            }
-            let swept = catch_unwind(AssertUnwindSafe(|| art.try_probabilities(vt, scope)));
-            let size;
-            {
-                let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-                size = st.members;
-                st.outcome = Some(match &swept {
-                    Ok(Ok(probs)) => (Ok(Arc::new(probs.clone())), size),
-                    _ => (Err(()), size),
-                });
-            }
-            batch.cv.notify_all();
-            telemetry::count(Counter::ServeBatch);
-            if size >= 2 {
-                telemetry::count_n(Counter::ServeBatchedQuery, size as u64);
-            }
-            match swept {
-                Ok(Ok(probs)) => Ok(Reply {
-                    answer: Answer::Exact(probs),
-                    epoch,
-                    batch_size: size,
-                }),
-                Ok(Err(ObddError::BudgetExceeded { .. })) => {
-                    Ok(self.degrade(lineage, vt, budget, epoch))
-                }
-                Ok(Err(e)) => Err(ServeError::Engine(e)),
-                Err(payload) => Err(ServeError::Panicked(
-                    payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into()),
-                )),
-            }
-        } else {
-            let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some((outcome, size)) = st.clone_outcome() {
-                    drop(st);
-                    return match outcome {
-                        Ok(probs) => Ok(Reply {
-                            answer: Answer::Exact((*probs).clone()),
-                            epoch,
-                            batch_size: size,
-                        }),
-                        // The leader's sweep failed under *its* budget
-                        // (or panicked): sweep solo under our own.
-                        Err(()) => self.sweep_solo(lineage, &art, vt, budget, scope, epoch, 1),
-                    };
-                }
-                if scope.checkpoint().is_err() {
-                    drop(st);
-                    return Ok(self.degrade(lineage, vt, budget, epoch));
-                }
-                let (guard, _timeout) = batch
-                    .cv
-                    .wait_timeout(st, WAIT_POLL)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
-            }
-        }
-    }
-
-    /// One unshared sweep; exhaustion degrades.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_solo(
-        &self,
-        lineage: &Lineage,
-        art: &Artifact,
-        vt: &VarTable,
-        budget: Budget,
-        scope: &BudgetScope,
-        epoch: u64,
-        batch_size: usize,
-    ) -> Result<Reply, ServeError> {
-        match art.try_probabilities(vt, scope) {
-            Ok(probs) => Ok(Reply {
-                answer: Answer::Exact(probs),
-                epoch,
-                batch_size,
-            }),
-            Err(ObddError::BudgetExceeded { .. }) => Ok(self.degrade(lineage, vt, budget, epoch)),
-            Err(e) => Err(ServeError::Engine(e)),
-        }
-    }
-
-    /// The degradation ladder's last rung: re-run the anytime hybrid
-    /// bounds engine over the lineage under the same (absolute-deadline)
-    /// budget and answer with a sound `[L, U]` enclosure.
-    fn degrade(&self, lineage: &Lineage, vt: &VarTable, budget: Budget, epoch: u64) -> Reply {
-        telemetry::count(Counter::Fallback);
-        let _span = telemetry::span(Phase::Degraded);
-        let scope = BudgetScope::new(budget);
-        let res = compile_scoped(
-            &lineage.net,
-            vt,
-            Options::approx(Strategy::Hybrid, 0.1),
-            &scope,
-        );
-        scope.record_telemetry();
-        Reply {
-            answer: Answer::Degraded {
-                lower: res.lower,
-                upper: res.upper,
-            },
-            epoch,
-            batch_size: 1,
-        }
-    }
 }
 
-impl BatchState {
-    fn clone_outcome(&self) -> Option<(BatchOutcome, usize)> {
-        self.outcome.as_ref().map(|(o, size)| (o.clone(), *size))
+/// The degradation ladder's last rung: re-run the anytime hybrid bounds
+/// engine over the lineage under the same (absolute-deadline) budget and
+/// answer with a sound `[L, U]` enclosure.
+fn degrade(lineage: &Lineage, vt: &VarTable, budget: Budget) -> Answer {
+    telemetry::count(Counter::Fallback);
+    let _span = telemetry::span(Phase::Degraded);
+    let scope = BudgetScope::new(budget);
+    let res = compile_scoped(
+        &lineage.net,
+        vt,
+        Options::approx(Strategy::Hybrid, 0.1),
+        &scope,
+    );
+    scope.record_telemetry();
+    Answer::Degraded {
+        lower: res.lower,
+        upper: res.upper,
     }
-}
-
-/// Bitwise hash of the variable probabilities — part of the batch key,
-/// so only requests under identical weights share a sweep.
-fn weights_hash(vt: &VarTable) -> Fingerprint {
-    let mut h = FingerprintHasher::new("enframe-serve/weights");
-    h.write_len(vt.len());
-    for i in 0..vt.len() {
-        h.write_f64_bits(vt.prob(Var(i as u32)));
-    }
-    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enframe_core::Program;
+    use enframe_core::{Program, Var};
     use std::sync::Barrier;
 
     /// Telemetry counters are process-global; tests that assert on them
@@ -939,7 +736,6 @@ mod tests {
                 assert!((got[j] - want[j]).abs() < 1e-12, "target {j}");
             }
             assert_eq!(reply.epoch, 0);
-            assert_eq!(reply.batch_size, 1);
         }
         let snap = telemetry::snapshot();
         assert_eq!(snap.counter(Counter::ServeMemMiss), 1);
@@ -987,43 +783,52 @@ mod tests {
         );
     }
 
+    /// A waiter coalesced behind a leader whose own deadline runs out
+    /// mid-compile must not inherit that exhaustion: it resolves again
+    /// under its own (unlimited) budget and answers exactly.
     #[test]
-    fn batched_answers_are_bitwise_equal_to_sequential() {
+    fn a_waiter_does_not_inherit_the_leaders_budget_failure() {
         let _t = telemetry_lock();
-        let (net, vt, _) = chain(10);
-        let reference = {
-            let engine = DnnfEngine::compile(&net, &DnnfOptions::default()).unwrap();
-            engine.probabilities(&vt)
-        };
-        let svc = Arc::new(QueryService::new(ServeOptions {
-            batch_window: Duration::from_millis(200),
-            ..ServeOptions::default()
-        }));
-        let lin = Lineage::dnnf(net, DnnfOptions::default());
-        // Warm the cache so the batch forms on the sweep, not the compile.
-        let _ = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
-        let n = 6;
-        let barrier = Arc::new(Barrier::new(n));
-        std::thread::scope(|s| {
-            for _ in 0..n {
-                let svc = Arc::clone(&svc);
-                let lin = lin.clone();
-                let vt = vt.clone();
-                let barrier = Arc::clone(&barrier);
-                let reference = reference.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    let reply = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
-                    assert_eq!(exact(&reply), reference.as_slice(), "bitwise d-DNNF");
-                });
-            }
-        });
-        let snap = telemetry::snapshot();
-        assert!(snap.counter(Counter::ServeBatch) >= 1);
-        assert!(
-            snap.counter(Counter::ServeBatchedQuery) >= 2,
-            "with a 200ms window and a barrier start, some queries must share a sweep"
+        let _calm = failpoint::arm("");
+        let (net, vt, want) = chain(12);
+        let lin = Lineage::dnnf(
+            net,
+            DnnfOptions {
+                workers: 2,
+                ..DnnfOptions::default()
+            },
         );
+        let mut coalesced = 0;
+        for _ in 0..5 {
+            let svc = QueryService::new(ServeOptions::default());
+            let in_flight = || {
+                svc.flights
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .contains_key(&lin.fp)
+            };
+            std::thread::scope(|s| {
+                let leader = s.spawn(|| {
+                    // A 40 ms stall per pool job: the 30 ms deadline
+                    // runs out while the flight is registered.
+                    let _stall = failpoint::arm("recv:every-1");
+                    svc.query(&lin, &vt, Budget::with_timeout(Duration::from_millis(30)))
+                });
+                while !in_flight() && !leader.is_finished() {
+                    std::thread::yield_now();
+                }
+                if in_flight() {
+                    coalesced += 1;
+                    let reply = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
+                    let got = exact(&reply);
+                    for j in 0..want.len() {
+                        assert!((got[j] - want[j]).abs() < 1e-12, "target {j}");
+                    }
+                }
+                assert!(leader.join().unwrap().is_ok(), "the leader degrades");
+            });
+        }
+        assert!(coalesced > 0, "no round caught the leader's flight");
     }
 
     #[test]
@@ -1201,18 +1006,5 @@ mod tests {
         let snap = telemetry::snapshot();
         assert_eq!(snap.counter(Counter::ServeMemMiss), 2);
         assert_eq!(snap.counter(Counter::ServeMemHit), 0);
-    }
-
-    #[test]
-    fn options_read_the_environment_knobs() {
-        // Parse-level checks only (env mutation is unsafe under the
-        // multi-threaded test harness): defaults are sane and explicit
-        // options round-trip.
-        let d = ServeOptions::default();
-        assert_eq!(d.mem_capacity, 32);
-        assert!(d.batch_window.is_zero());
-        assert!(d.store.is_none());
-        let e = ServeOptions::from_env();
-        assert!(e.mem_capacity >= 1);
     }
 }

@@ -4,8 +4,8 @@
 //! (`serve_admit` faults at admission, `spawn`/`alloc`/`recv` faults in
 //! the compile fan-out behind a cache miss, `store_*` faults in the
 //! disk tier), and the suite injects deterministic faults of its own:
-//! admission faults on a fixed period, mid-batch worker panics during
-//! serve-path compiles, and corrupt memory-tier entries planted over a
+//! admission faults on a fixed period, worker panics in the compile
+//! behind a single-flight, and corrupt memory-tier entries planted over a
 //! good (or deliberately rotten) store. The contract under any fault
 //! schedule:
 //!
@@ -125,7 +125,7 @@ fn classify(result: Result<Reply, ServeError>, want: &[f64], what: &str) -> bool
     }
 }
 
-/// Phase A — the env-armed schedule: concurrent batched queries, cold
+/// Phase A — the env-armed schedule: concurrent queries, cold
 /// flushes, tiny budgets, and both engines, for [`ROUNDS`] rounds under
 /// whatever `ENFRAME_FAILPOINTS` the environment armed. Every outcome
 /// must classify; at least one round must serve an answer.
@@ -134,10 +134,7 @@ fn service_survives_armed_fault_schedules() {
     let armed = std::env::var("ENFRAME_FAILPOINTS").unwrap_or_default();
     let t0 = Instant::now();
     let (net, vt, want) = fixture();
-    let svc = Arc::new(QueryService::new(ServeOptions {
-        batch_window: Duration::from_millis(2),
-        ..ServeOptions::default()
-    }));
+    let svc = Arc::new(QueryService::new(ServeOptions::default()));
     let mut served = 0usize;
     for round in 0..ROUNDS {
         assert!(
@@ -145,7 +142,7 @@ fn service_survives_armed_fault_schedules() {
             "serve chaos wedged after {round} rounds under `{armed}`"
         );
         // Alternate engines and fan-out widths so admission, compile,
-        // coalesced waits, and batched sweeps all meet the faults; a
+        // coalesced waits, and sweeps all meet the faults; a
         // zero-deadline budget every fifth round exercises the
         // degradation ladder under the same schedule.
         let workers = if round % 2 == 0 { 1 } else { 4 };
@@ -253,20 +250,17 @@ fn admission_faults_are_structured_and_clear() {
     assert!(classify(Ok(reply), &want, "post-disarm query"));
 }
 
-/// Phase C — mid-batch worker panic: with `spawn` armed, a fan-out
-/// compile behind a batch of coalesced queries panics in a worker. The
-/// engine's panic isolation must turn that into a structured
-/// [`ObddError::WorkerPanicked`] for the flight leader *and* every
-/// coalesced member (nobody hangs), and the service must serve exactly
-/// once the fault clears.
+/// Phase C — mid-flight worker panic: with `spawn` armed, the fan-out
+/// compile behind a single-flight of coalesced queries panics in a
+/// worker. The engine's panic isolation must turn that into a
+/// structured [`ObddError::WorkerPanicked`] for the flight leader *and*
+/// every coalesced member (nobody hangs), and the service must serve
+/// exactly once the fault clears.
 #[test]
-fn mid_batch_worker_panic_is_structured_for_every_member() {
+fn mid_flight_worker_panic_is_structured_for_every_member() {
     let t0 = Instant::now();
     let (net, vt, want) = fixture();
-    let svc = Arc::new(QueryService::new(ServeOptions {
-        batch_window: Duration::from_millis(2),
-        ..ServeOptions::default()
-    }));
+    let svc = Arc::new(QueryService::new(ServeOptions::default()));
     let lin = Lineage::dnnf(
         Arc::clone(&net),
         DnnfOptions {
@@ -285,7 +279,7 @@ fn mid_batch_worker_panic_is_structured_for_every_member() {
                 t0.elapsed() < WALL_LIMIT,
                 "worker-panic rounds wedged at {round}"
             );
-            // Cold every round: each batch's flight re-runs the faulted
+            // Cold every round: each round's flight re-runs the faulted
             // fan-out compile.
             svc.flush();
             let clients = 4;

@@ -17,7 +17,7 @@
 //!   cache hits/misses/evictions (ite, WMC, d-DNNF memo), unique-table
 //!   probes and resizes, trail pushes/backtracks, nodes
 //!   allocated/freed, queue waits per worker, and the serving layer's
-//!   cache-tier/batching/epoch counters (including the
+//!   cache-tier/single-flight/epoch counters (including the
 //!   [`count_max`]-maintained queue-depth high-water mark).
 //! * **Exporters** — [`snapshot`] returns the counter and per-phase
 //!   aggregates as a value (serialised to flat JSON by
@@ -136,13 +136,11 @@ pub enum Counter {
     ServeMemHit,
     ServeMemMiss,
     ServeCoalesce,
-    ServeBatch,
-    ServeBatchedQuery,
     ServeEpochSwing,
     ServeQueueDepth,
 }
 
-const N_COUNTERS: usize = 29;
+const N_COUNTERS: usize = 27;
 
 impl Counter {
     /// Every counter, in registry order (the order snapshots export).
@@ -172,8 +170,6 @@ impl Counter {
         Counter::ServeMemHit,
         Counter::ServeMemMiss,
         Counter::ServeCoalesce,
-        Counter::ServeBatch,
-        Counter::ServeBatchedQuery,
         Counter::ServeEpochSwing,
         Counter::ServeQueueDepth,
     ];
@@ -206,8 +202,6 @@ impl Counter {
             Counter::ServeMemHit => "serve_mem_hits",
             Counter::ServeMemMiss => "serve_mem_misses",
             Counter::ServeCoalesce => "serve_coalesces",
-            Counter::ServeBatch => "serve_batches",
-            Counter::ServeBatchedQuery => "serve_batched_queries",
             Counter::ServeEpochSwing => "serve_epoch_swings",
             Counter::ServeQueueDepth => "serve_queue_depth",
         }
@@ -285,7 +279,7 @@ pub enum Phase {
     /// Artifact-store zero-trust revalidation of a loaded artifact.
     StoreVerify,
     /// Query-service request handling: admission, artifact resolution
-    /// through the cache tiers, and the (possibly batched) evaluation.
+    /// through the cache tiers, and the one evaluation sweep.
     Serve,
 }
 

@@ -25,7 +25,7 @@
 //! | [`sprout`] | pc-tables and positive relational algebra with aggregates (the `loadData()` query path) |
 //! | [`data`] | workload generators: correlation schemes and synthetic sensor data (§5) |
 //! | [`store`] | crash-safe compiled-artifact store: fingerprinted persistence, zero-trust reloads with integrity revalidation, corruption recovery |
-//! | [`serve`] | query service: two-tier artifact cache with single-flight compiles, epoch-snapshotted lock-free reads, admission-window batched evaluation, per-request budgets with graceful degradation |
+//! | [`serve`] | query service: two-tier artifact cache with single-flight compiles, epoch-snapshotted lock-free reads, one WMC sweep per request, per-request budgets with graceful degradation |
 //! | [`telemetry`] | instrumentation: hierarchical spans, typed counters, worker timelines, Chrome Trace export |
 //!
 //! ## Quickstart

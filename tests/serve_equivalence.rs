@@ -1,11 +1,12 @@
 //! The serving layer's equivalence contract (property tests):
 //!
-//! 1. **Batched evaluation is answer-equivalent to sequential** — on
-//!    lineage networks of all three correlation schemes, queries
-//!    answered through a [`QueryService`] with an open admission window
-//!    (so concurrent requests share one WMC sweep) return exactly what
-//!    a direct sequential engine sweep returns: bitwise-equal for
-//!    d-DNNF, within 1e-12 for OBDD.
+//! 1. **Concurrent clients on a cold service equal a sequential
+//!    sweep** — on lineage networks of all three correlation schemes,
+//!    queries racing into a fresh [`QueryService`] (one compiles behind
+//!    the single-flight, the rest coalesce or hit the warm tier, all
+//!    sweep the one shared snapshot) return exactly what a direct
+//!    sequential engine sweep returns: bitwise-equal for d-DNNF, within
+//!    1e-12 for OBDD.
 //! 2. **Snapshot reads are invariant under concurrent maintenance** —
 //!    readers querying while another thread repeatedly swings epochs
 //!    (GC + reorder + republish) never observe an answer that differs
@@ -22,7 +23,6 @@ use enframe_bench::prepare_lineage;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 fn scheme_of(idx: usize) -> Scheme {
     match idx {
@@ -40,15 +40,12 @@ fn exact(answer: &Answer) -> &[f64] {
 }
 
 /// Property 1 for the d-DNNF engine: bitwise agreement.
-fn check_batched_dnnf(scheme: Scheme, n_groups: usize, seed: u64, clients: usize) {
+fn check_concurrent_dnnf(scheme: Scheme, n_groups: usize, seed: u64, clients: usize) {
     let prep = prepare_lineage(n_groups, scheme, &LineageOpts::default(), seed);
     let reference = DnnfEngine::compile(&prep.net, &DnnfOptions::default())
         .expect("lineage compiles")
         .probabilities(&prep.vt);
-    let svc = Arc::new(QueryService::new(ServeOptions {
-        batch_window: Duration::from_millis(30),
-        ..ServeOptions::default()
-    }));
+    let svc = Arc::new(QueryService::new(ServeOptions::default()));
     let lin = Lineage::dnnf(Arc::new(prep.net), DnnfOptions::default());
     let barrier = Arc::new(Barrier::new(clients));
     std::thread::scope(|s| {
@@ -67,7 +64,7 @@ fn check_batched_dnnf(scheme: Scheme, n_groups: usize, seed: u64, clients: usize
                     assert_eq!(
                         got[i].to_bits(),
                         reference[i].to_bits(),
-                        "target {i}: batched d-DNNF must be bitwise sequential"
+                        "target {i}: concurrent d-DNNF must be bitwise sequential"
                     );
                 }
             });
@@ -76,15 +73,12 @@ fn check_batched_dnnf(scheme: Scheme, n_groups: usize, seed: u64, clients: usize
 }
 
 /// Property 1 for the OBDD engine: 1e-12 agreement.
-fn check_batched_obdd(scheme: Scheme, n_groups: usize, seed: u64, clients: usize) {
+fn check_concurrent_obdd(scheme: Scheme, n_groups: usize, seed: u64, clients: usize) {
     let prep = prepare_lineage(n_groups, scheme, &LineageOpts::default(), seed);
     let reference = ObddEngine::compile(&prep.net, &ObddOptions::default())
         .expect("lineage compiles")
         .probabilities(&prep.vt);
-    let svc = Arc::new(QueryService::new(ServeOptions {
-        batch_window: Duration::from_millis(30),
-        ..ServeOptions::default()
-    }));
+    let svc = Arc::new(QueryService::new(ServeOptions::default()));
     let lin = Lineage::obdd(Arc::new(prep.net), ObddOptions::default());
     let barrier = Arc::new(Barrier::new(clients));
     std::thread::scope(|s| {
@@ -101,7 +95,7 @@ fn check_batched_obdd(scheme: Scheme, n_groups: usize, seed: u64, clients: usize
                 for i in 0..reference.len() {
                     assert!(
                         (got[i] - reference[i]).abs() < 1e-12,
-                        "target {i}: batched OBDD must match sequential to 1e-12"
+                        "target {i}: concurrent OBDD must match sequential to 1e-12"
                     );
                 }
             });
@@ -166,24 +160,24 @@ proptest! {
 
     /// Property 1 (d-DNNF, bitwise), across all three schemes.
     #[test]
-    fn batched_dnnf_equals_sequential_bitwise(
+    fn concurrent_dnnf_equals_sequential_bitwise(
         seed in 0u64..1000,
         scheme_idx in 0usize..3,
         n_groups in 4usize..=8,
         clients in 2usize..=5,
     ) {
-        check_batched_dnnf(scheme_of(scheme_idx), n_groups, seed, clients);
+        check_concurrent_dnnf(scheme_of(scheme_idx), n_groups, seed, clients);
     }
 
     /// Property 1 (OBDD, 1e-12), across all three schemes.
     #[test]
-    fn batched_obdd_equals_sequential(
+    fn concurrent_obdd_equals_sequential(
         seed in 0u64..1000,
         scheme_idx in 0usize..3,
         n_groups in 4usize..=8,
         clients in 2usize..=5,
     ) {
-        check_batched_obdd(scheme_of(scheme_idx), n_groups, seed, clients);
+        check_concurrent_obdd(scheme_of(scheme_idx), n_groups, seed, clients);
     }
 
     /// Property 2, across all three schemes.
