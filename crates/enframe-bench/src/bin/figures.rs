@@ -8,8 +8,7 @@
 //! the paper-scale grid (hours).
 
 use enframe_bench::Engine::{
-    BddExact, BddStatic, DnnfExact, DnnfPar, Eager, Exact, Hybrid, HybridD, HybridFolded, Lazy,
-    Naive,
+    BddExact, BddStatic, DnnfExact, DnnfPar, Eager, Exact, Hybrid, HybridD, Lazy, Naive,
 };
 use enframe_bench::*;
 use enframe_core::budget::Budget;
@@ -36,7 +35,7 @@ const FIGURES: &[Figure] = &[
     ("fig8_certain", "hybrid and hybrid-d at 0 % and 95 % certain points (positive)", fig8_certain),
     ("fig9_workers", "hybrid-d over #workers, job sizes 3/6/9 (positive, l = 8)", fig9_workers),
     ("fig_bdd", "OBDD/d-DNNF vs exact/hybrid on lineage queries; dnnf workers axis", fig_bdd),
-    ("ablations", "iterations, folding, epsilon, dimensions, targets, size, order", ablations),
+    ("ablations", "iterations, epsilon, dimensions, targets, size, order", ablations),
 ];
 
 /// The error budget every figure of the paper runs its approximations at.
@@ -396,10 +395,10 @@ fn timed_compile(net: &Network, vt: &VarTable, opts: Options) -> (f64, CompileRe
 }
 
 /// The paper's "further findings" (§5): sweeps over the number of
-/// iterations (linear effect), the loop encoding (§4.2: memory, not
-/// time), the error budget ε (strong effect), the number of dimensions
-/// (no effect), the kind/number of compilation targets (minor effect),
-/// event-network growth, and the variable-order heuristic.
+/// iterations (linear effect), the error budget ε (strong effect), the
+/// number of dimensions (no effect), the kind/number of compilation
+/// targets (minor effect), event-network growth, and the variable-order
+/// heuristic.
 fn ablations(full: bool) {
     let hybrid = Options::approx(Strategy::Hybrid, EPS);
     let ok = |seconds: f64| Measurement::bare(seconds, "ok");
@@ -410,30 +409,6 @@ fn ablations(full: bool) {
         let x = format!("iters={iters}");
         let detail = format!("nodes={}", prep.net.len());
         run("ablation_iterations", (&x, &detail, &prep), &[Hybrid]);
-    }
-
-    // --- folded vs unfolded loop encoding (§4.2) -------------------------
-    // The folded network stores the loop body once; the unfolded network
-    // stores it once per iteration. Compilation work is the same, so the
-    // trade-off is memory (nodes) at equal time.
-    for &iters in scale::<&[usize]>(full, &[2, 3, 4, 6, 8, 12], &[2, 3, 4, 6]) {
-        let prep = kmedoids(32, iters, Scheme::Positive { l: 4, v: 14 }, 0xAB15);
-        let x = format!("iters={iters}");
-        let unfolded = format!("nodes={}", prep.net.len());
-        let folded = match prep.folded.as_ref().map(|f| f.stats()) {
-            Some(st) => format!(
-                "nodes={};body={};carries={};expanded={}",
-                st.base_nodes, st.body_nodes, st.carries, st.expanded_nodes
-            ),
-            None => "unfoldable".into(),
-        };
-        for (series, detail, engine) in [
-            ("unfolded", &unfolded, Hybrid),
-            ("folded", &folded, HybridFolded),
-        ] {
-            let m = run_engine(&prep, engine, EPS, Budget::unlimited());
-            row("ablation_folded", series, (&x, detail), m);
-        }
     }
 
     // --- error budget: performance is highly sensitive to ε -------------

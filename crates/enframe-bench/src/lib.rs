@@ -24,21 +24,16 @@
 //! ε = 0.1 pruning horizon on this engine, and the reproduced shapes
 //! (certain-fraction speedup, job-granularity trade-off) are insensitive
 //! to v.
-//!
-//! Beyond the paper's figures, the `ablations` sweep also measures the
-//! §4.2 design choice: folded vs unfolded loop encoding
-//! (`ablation_folded`), via [`Engine::ExactFolded`]/[`Engine::HybridFolded`].
 
 use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::{Program, SymIdent, Var, VarTable};
 use enframe_data::{generate_lineage, kmedoids_workload, Correlations, LineageOpts, Scheme};
 use enframe_lang::{parse, programs, UserProgram};
-use enframe_network::{FoldedNetwork, Network};
+use enframe_network::Network;
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions, DnnfStats};
 use enframe_obdd::{ObddEngine, ObddError, ObddOptions, ObddStats};
 use enframe_prob::{
-    compile_distributed, compile_folded_scoped, compile_scoped, CompileResult, DistOptions,
-    Options, Strategy,
+    compile_distributed, compile_scoped, CompileResult, DistOptions, Options, Strategy,
 };
 use enframe_telemetry::{self as telemetry, Counter, Phase, Snapshot};
 use enframe_translate::{targets, translate, ProbEnv};
@@ -71,9 +66,6 @@ pub struct Prepared {
     /// [`Engine::Naive`] executes per world. `None` for lineage-query
     /// pipelines.
     pub source: Option<Source>,
-    /// The folded encoding of the same program (§4.2), when the loop
-    /// iterations fold (needs ≥ 2 structurally isomorphic iterations).
-    pub folded: Option<FoldedNetwork>,
     /// Variable cap for the OBDD engines on this scenario
     /// (`usize::MAX` = none): [`BDD_KMEDOIDS_VAR_CAP`] for the
     /// k-medoids pipeline, none for lineage queries.
@@ -114,7 +106,6 @@ pub fn prepare(
     let gp = tr.ground().expect("grounding succeeds");
     let net = Network::build(&gp).expect("network build succeeds");
     let build_seconds = t0.elapsed().as_secs_f64();
-    let folded = FoldedNetwork::build(&gp, &tr.outer_iter_boundaries).ok();
     Prepared {
         net,
         vt: workload.vt,
@@ -126,7 +117,6 @@ pub fn prepare(
             k,
             n,
         }),
-        folded,
         bdd_var_cap: BDD_KMEDOIDS_VAR_CAP,
         dnnf_var_cap: DNNF_KMEDOIDS_VAR_CAP,
     }
@@ -152,10 +142,6 @@ pub enum Engine {
         /// Job size `d`.
         job_depth: usize,
     },
-    /// Sequential exact compilation over the folded network (§4.2).
-    ExactFolded,
-    /// Sequential hybrid ε-approximation over the folded network (§4.2).
-    HybridFolded,
     /// OBDD knowledge compilation: exact probabilities via weighted model
     /// counting over compiled lineage (`enframe-obdd`), with the default
     /// maintenance policy (automatic GC + group sifting).
@@ -199,8 +185,6 @@ impl Engine {
             Engine::Lazy => "lazy",
             Engine::Hybrid => "hybrid",
             Engine::HybridD { .. } => "hybrid-d",
-            Engine::ExactFolded => "exact-folded",
-            Engine::HybridFolded => "hybrid-folded",
             Engine::BddExact | Engine::BddPar { .. } => "bdd-exact",
             Engine::BddStatic => "bdd-static",
             Engine::DnnfExact | Engine::DnnfPar { .. } => "dnnf",
@@ -324,9 +308,8 @@ pub fn naive_feasible(v: usize, n: usize) -> bool {
 /// the one runner behind every figure row and every facade equivalence
 /// suite. A configuration the engine cannot finish in harness time is
 /// not run but reported as `timeout(<reason>)`: the naïve baseline
-/// beyond [`naive_feasible`] (or without a [`Source`] to execute), an
-/// exact engine beyond its variable cap, a folded engine on a program
-/// that does not fold.
+/// beyond [`naive_feasible`] (or without a [`Source`] to execute), or an
+/// exact engine beyond its variable cap.
 ///
 /// This is also the **graceful-degradation ladder** (ISSUE 8): when an
 /// exact engine exhausts the budget mid-compilation, the measurement
@@ -360,15 +343,12 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
             }
             _ => timeout("naive"),
         },
-        Engine::Exact | Engine::ExactFolded if v > EXACT_VAR_CAP => over(EXACT_VAR_CAP),
+        Engine::Exact if v > EXACT_VAR_CAP => over(EXACT_VAR_CAP),
         Engine::BddExact | Engine::BddStatic | Engine::BddPar { .. } if v > prep.bdd_var_cap => {
             over(prep.bdd_var_cap)
         }
         Engine::DnnfExact | Engine::DnnfPar { .. } if v > prep.dnnf_var_cap => {
             over(prep.dnnf_var_cap)
-        }
-        Engine::ExactFolded | Engine::HybridFolded if prep.folded.is_none() => {
-            timeout("program does not fold")
         }
         Engine::HybridD { workers, job_depth } => {
             let opts = DistOptions {
@@ -422,29 +402,18 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
             });
             exact_or_degraded(counted, net, vt, epsilon, budget, t0)
         }
-        // The sequential decision-tree engines, folded or not.
-        Engine::Exact
-        | Engine::Eager
-        | Engine::Lazy
-        | Engine::Hybrid
-        | Engine::ExactFolded
-        | Engine::HybridFolded => {
-            let exact = matches!(engine, Engine::Exact | Engine::ExactFolded);
+        // The sequential decision-tree engines.
+        Engine::Exact | Engine::Eager | Engine::Lazy | Engine::Hybrid => {
             let opts = match engine {
-                Engine::Exact | Engine::ExactFolded => Options::exact(),
+                Engine::Exact => Options::exact(),
                 Engine::Eager => Options::approx(Strategy::Eager, epsilon),
                 Engine::Lazy => Options::approx(Strategy::Lazy, epsilon),
                 _ => Options::approx(Strategy::Hybrid, epsilon),
             };
             let scope = BudgetScope::new(budget);
-            let res = match (engine, &prep.folded) {
-                (Engine::ExactFolded | Engine::HybridFolded, Some(folded)) => {
-                    compile_folded_scoped(folded, vt, opts, &scope)
-                }
-                _ => compile_scoped(net, vt, opts, &scope),
-            };
+            let res = compile_scoped(net, vt, opts, &scope);
             scope.record_telemetry();
-            if exact && res.exhausted.is_some() {
+            if engine == Engine::Exact && res.exhausted.is_some() {
                 degrade_to_bounds(net, vt, epsilon, budget, t0)
             } else {
                 finish(t0, res)
@@ -573,7 +542,6 @@ fn lineage_prepared(p: Program, corr: Correlations, t0: Instant) -> Prepared {
         var_groups: corr.var_groups,
         build_seconds: t0.elapsed().as_secs_f64(),
         source: None,
-        folded: None,
         bdd_var_cap: usize::MAX,
         dnnf_var_cap: usize::MAX,
     }
@@ -816,34 +784,6 @@ mod tests {
         for i in 0..ev.len() {
             assert!((d[i] - ev[i]).abs() <= eps + 1e-9);
         }
-    }
-
-    /// The folded engines agree with their unfolded counterparts.
-    #[test]
-    fn folded_engines_agree() {
-        let _t = counters_reset();
-        let prep = tiny_prep();
-        assert!(prep.folded.is_some(), "2 iterations fold");
-        let exact = run_engine(&prep, Engine::Exact, 0.0, Budget::unlimited())
-            .estimates
-            .unwrap();
-        let folded = run_engine(&prep, Engine::ExactFolded, 0.0, Budget::unlimited())
-            .estimates
-            .unwrap();
-        for i in 0..exact.len() {
-            assert!((exact[i] - folded[i]).abs() < 1e-9, "target {i}");
-        }
-        let eps = 0.1;
-        let hf = run_engine(&prep, Engine::HybridFolded, eps, Budget::unlimited())
-            .estimates
-            .unwrap();
-        for i in 0..exact.len() {
-            assert!((hf[i] - exact[i]).abs() <= eps + 1e-9);
-        }
-        // The folded base network is strictly smaller than the unfolded
-        // network whenever more than one iteration folds.
-        let f = prep.folded.as_ref().unwrap();
-        assert!(f.len() < prep.net.len());
     }
 
     /// The OBDD backend is a first-class engine: on the same prepared

@@ -11,8 +11,8 @@ use std::rc::Rc;
 /// node id and equality is checked against `nodes[id]`, so interning
 /// stores no second copy of a node's children or constant. Colliding
 /// hashes probe linearly in key space (entries are never removed).
-pub(crate) struct NodeTable {
-    pub(crate) nodes: Vec<Node>,
+struct NodeTable {
+    nodes: Vec<Node>,
     index: FxHashMap<u64, NodeId>,
 }
 
@@ -40,7 +40,7 @@ fn content_hash(kind: &NodeKind, children: &[NodeId], value: Option<&Value>) -> 
 }
 
 impl NodeTable {
-    pub(crate) fn with_capacity(nodes: usize) -> Self {
+    fn with_capacity(nodes: usize) -> Self {
         NodeTable {
             nodes: Vec::with_capacity(nodes),
             index: FxHashMap::default(),
@@ -48,12 +48,7 @@ impl NodeTable {
     }
 
     /// The id of the node with this content, appended if it is new.
-    pub(crate) fn intern(
-        &mut self,
-        kind: NodeKind,
-        children: &[NodeId],
-        value: Option<&Value>,
-    ) -> NodeId {
+    fn intern(&mut self, kind: NodeKind, children: &[NodeId], value: Option<&Value>) -> NodeId {
         let mut key = content_hash(&kind, children, value);
         while let Some(&id) = self.index.get(&key) {
             let node = &self.nodes[id.index()];
@@ -360,9 +355,6 @@ impl Network {
                     let a = as_v(&out, node.children[0]);
                     let b = as_v(&out, node.children[1]);
                     EvalVal::V(a.dist(b)?)
-                }
-                NodeKind::LoopIn { .. } => {
-                    unreachable!("LoopIn nodes only occur in folded networks")
                 }
             };
             out.push(val);

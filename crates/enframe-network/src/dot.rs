@@ -32,64 +32,6 @@ pub fn to_dot(net: &Network) -> String {
     out
 }
 
-/// Renders a *folded* network in DOT format. Regions are drawn as
-/// clusters (prologue / body template / epilogue); loop-carry wiring is
-/// drawn as dashed edges: `source ⇢ LoopIn` (iteration `t−1 → t`) and
-/// `init ⇢ LoopIn` (dotted, iteration 0).
-pub fn folded_to_dot(net: &crate::folded::FoldedNetwork) -> String {
-    use crate::folded::Region;
-    let mut out = String::from("digraph folded_event_network {\n  rankdir=BT;\n");
-    for (name, region) in [
-        ("prologue", Region::Pro),
-        ("body", Region::Body),
-        ("epilogue", Region::Epi),
-    ] {
-        out.push_str(&format!(
-            "  subgraph cluster_{name} {{\n    label=\"{name}\";\n"
-        ));
-        for (i, node) in net.nodes().iter().enumerate() {
-            if net.region(crate::node::NodeId(i as u32)) != region {
-                continue;
-            }
-            let label = match (&node.kind, &node.value) {
-                (NodeKind::Cond, Some(v)) => format!("(x) {v}"),
-                (NodeKind::ConstVal, Some(v)) => format!("{v}"),
-                (kind, _) => kind.label(),
-            };
-            let shape = match node.kind {
-                NodeKind::Var(_) => "box",
-                NodeKind::LoopIn { .. } => "invtriangle",
-                _ if net.targets.contains(&crate::node::NodeId(i as u32)) => "doublecircle",
-                _ => "ellipse",
-            };
-            out.push_str(&format!(
-                "    n{i} [label=\"{}\", shape={shape}];\n",
-                label.replace('"', "'")
-            ));
-        }
-        out.push_str("  }\n");
-    }
-    for (i, node) in net.nodes().iter().enumerate() {
-        for c in &node.children {
-            out.push_str(&format!("  n{} -> n{i};\n", c.index()));
-        }
-    }
-    for carry in &net.carries {
-        out.push_str(&format!(
-            "  n{} -> n{} [style=dashed, label=\"t-1\"];\n",
-            carry.source.index(),
-            carry.input.index()
-        ));
-        out.push_str(&format!(
-            "  n{} -> n{} [style=dotted, label=\"init\"];\n",
-            carry.init.index(),
-            carry.input.index()
-        ));
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,33 +53,5 @@ mod tests {
         assert!(dot.contains("->"));
         assert!(dot.contains("doublecircle"));
         assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn folded_dot_draws_regions_and_carries() {
-        use crate::folded::FoldedNetwork;
-        let mut p = Program::new();
-        let x = p.fresh_var();
-        let y = p.fresh_var();
-        let phi = p.declare_event("Phi", Program::or([Program::var(x), Program::var(y)]));
-        let mut prev = p.declare_event("Sinit", Program::var(x));
-        let mut boundaries = Vec::new();
-        for t in 0..3 {
-            boundaries.push(2 + t);
-            prev = p.declare_event_at(
-                "S",
-                &[t as i64],
-                Program::and([Program::eref(prev.clone()), Program::eref(phi.clone())]),
-            );
-        }
-        p.add_target(prev);
-        let g = p.ground().unwrap();
-        let net = FoldedNetwork::build(&g, &boundaries).unwrap();
-        let dot = folded_to_dot(&net);
-        assert!(dot.contains("cluster_prologue"));
-        assert!(dot.contains("cluster_body"));
-        assert!(dot.contains("invtriangle"), "LoopIn node rendered");
-        assert!(dot.contains("style=dashed"), "carry edge rendered");
-        assert!(dot.contains("style=dotted"), "init edge rendered");
     }
 }

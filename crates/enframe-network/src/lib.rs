@@ -12,6 +12,12 @@
 //! compilation targets are registered. Comparisons whose two operands are
 //! the same node fold to constants where the §3.2 semantics allows.
 //!
+//! A bounded loop is stored unrolled, one copy of its body per iteration.
+//! The paper's §4.2 *folded* encoding (body stored once, masks carried
+//! across iterations) is not reproduced: an implementation of it was
+//! measured slower than the unrolled network and expanded to more mask
+//! slots than the unrolled network has nodes (see the README).
+//!
 //! The module also offers:
 //! * direct evaluation of the network under a complete valuation
 //!   ([`Network::eval`]) — used to validate the builder against the
@@ -22,9 +28,7 @@
 
 pub mod build;
 pub mod dot;
-pub mod folded;
 pub mod node;
 
 pub use build::Network;
-pub use folded::{Carry, FoldError, FoldedNetwork, FoldedStats, Region};
 pub use node::{Node, NodeId, NodeKind};

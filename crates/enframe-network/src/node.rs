@@ -47,15 +47,6 @@ pub enum NodeKind {
     Pow(i32),
     /// Distance between two c-values.
     Dist,
-    /// Loop-carry input of a *folded* network (paper §4.2): a leaf in the
-    /// body template whose value at iteration `t` is the value of its
-    /// carry source at iteration `t − 1` (or of the initialisation node at
-    /// `t = 0`). The wiring lives in [`crate::folded::Carry`]; unfolded
-    /// networks never contain this kind.
-    LoopIn {
-        /// Whether the carried value is Boolean (else a c-value).
-        boolish: bool,
-    },
 }
 
 impl NodeKind {
@@ -69,7 +60,6 @@ impl NodeKind {
                 | NodeKind::And
                 | NodeKind::Or
                 | NodeKind::Cmp(_)
-                | NodeKind::LoopIn { boolish: true }
         )
     }
 
@@ -91,7 +81,6 @@ impl NodeKind {
             NodeKind::Inv => "inv".into(),
             NodeKind::Pow(r) => format!("pow{r}"),
             NodeKind::Dist => "dist".into(),
-            NodeKind::LoopIn { .. } => "O".into(),
         }
     }
 }

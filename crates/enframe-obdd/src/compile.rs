@@ -33,7 +33,7 @@
 //! fixed level order.
 
 use crate::manager::{Bdd, Manager};
-use crate::peval::{loop_in_unsupported, Evaluator, Partial, VisitStamp};
+use crate::peval::{Evaluator, Partial, VisitStamp};
 use crate::ObddError;
 use enframe_core::budget::BudgetScope;
 use enframe_core::failpoint::{self, Site};
@@ -195,7 +195,6 @@ impl<'n> Compiler<'n> {
                 acc
             }
             NodeKind::Cmp(_) => self.expand_cmp(man, id)?,
-            NodeKind::LoopIn { .. } => return Err(loop_in_unsupported()),
             other => {
                 return Err(ObddError::Unsupported(format!(
                     "numeric node {} cannot be a Boolean compilation root",

@@ -53,7 +53,7 @@
 
 pub mod wmc;
 
-use crate::peval::{loop_in_unsupported, Evaluator, Partial, VisitStamp};
+use crate::peval::{Evaluator, Partial, VisitStamp};
 use crate::{stopped_early, ObddError};
 use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::failpoint::{self, Site};
@@ -820,7 +820,6 @@ impl<'n> Compiler<'n> {
                     NodeKind::Var(_) | NodeKind::And | NodeKind::Or | NodeKind::Cmp(_) => {
                         norm.push((id, pol))
                     }
-                    NodeKind::LoopIn { .. } => return Err(loop_in_unsupported()),
                     other => {
                         return Err(ObddError::Unsupported(format!(
                             "numeric node {} inside Boolean structure",

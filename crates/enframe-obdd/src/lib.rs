@@ -85,8 +85,9 @@ use std::sync::{Mutex, MutexGuard};
 /// Errors of the OBDD backend.
 #[derive(Debug, Clone)]
 pub enum ObddError {
-    /// The network contains structure with no OBDD encoding (folded
-    /// loops), or a query refers to unknown entities.
+    /// The network contains structure with no OBDD encoding (a numeric
+    /// node where a Boolean one is needed), or a query refers to unknown
+    /// entities.
     Unsupported(String),
     /// A numeric evaluation failed while expanding a comparison atom.
     Core(CoreError),

@@ -23,18 +23,6 @@ use enframe_core::{Value, Var};
 use enframe_network::{Network, NodeId, NodeKind};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 
-/// The shared rejection for folded networks: `LoopIn` carries have no
-/// flat Boolean semantics, so neither compilation path can encode them.
-pub(crate) fn loop_in_unsupported() -> ObddError {
-    ObddError::Unsupported(
-        "folded networks (LoopIn carries) cannot be compiled directly: build the \
-         unfolded network of the same program (Network::build, the §4.2 unfolding \
-         workaround) and compile that instead — native folded compilation is the \
-         ROADMAP 'incremental recompilation' item"
-            .into(),
-    )
-}
-
 /// An epoch-stamped visited set over network nodes: clearing between
 /// traversals is a counter bump, not an `O(net)` refill. The compilers
 /// run several traversals per target (cone collection, atom subtree
@@ -395,7 +383,6 @@ impl<'n> Evaluator<'n> {
                     _ => Partial::Unknown,
                 }
             }
-            NodeKind::LoopIn { .. } => return Err(loop_in_unsupported()),
         })
     }
 }

@@ -17,16 +17,20 @@
 //! * [`Strategy::Hybrid`] — halves the budget at every decision node,
 //!   passing unused left-branch budget to the right branch.
 //!
-//! Deviation from the pseudocode, documented in `DESIGN.md`: the prune
-//! check charges only targets still *unresolved* in the current branch —
-//! resolved targets have already accounted the subtree's mass, so charging
-//! them would waste budget without improving the guarantee.
+//! Deviation from the pseudocode: the prune check charges only targets
+//! still *unresolved* in the current branch — resolved targets have
+//! already accounted the subtree's mass, so charging them would waste
+//! budget without improving the guarantee.
+//!
+//! [`compile_scoped`] and [`crate::distr::compile_distributed`] share the
+//! up-front variable-table check, so a short table panics in both before
+//! any exploration starts.
 
-use crate::masks::{BoolMask, MaskStore, Masks, Topology};
+use crate::masks::{BoolMask, Masks};
 use crate::order::{static_order, VarOrder};
 use enframe_core::budget::{BudgetScope, Exceeded};
 use enframe_core::{Var, VarTable};
-use enframe_network::Network;
+use enframe_network::{Network, NodeId};
 use std::collections::HashMap;
 
 /// Budget-spending strategy.
@@ -141,6 +145,28 @@ pub fn compile(net: &Network, vt: &VarTable, opts: Options) -> CompileResult {
     compile_scoped(net, vt, opts, &BudgetScope::unlimited())
 }
 
+/// The up-front check of every compile entry point: a variable table
+/// shorter than the network's variable range is a caller error, reported
+/// before any work starts.
+pub(crate) fn check_var_table(net: &Network, vt: &VarTable) {
+    assert!(
+        vt.len() >= net.n_vars as usize,
+        "variable table covers {} variables but the network uses {}",
+        vt.len(),
+        net.n_vars
+    );
+}
+
+/// Each target's positions in `targets`, keyed by node: several targets
+/// may share one node.
+pub(crate) fn target_positions(targets: &[NodeId]) -> HashMap<NodeId, Vec<usize>> {
+    let mut node_targets: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    for (i, &t) in targets.iter().enumerate() {
+        node_targets.entry(t).or_default().push(i);
+    }
+    node_targets
+}
+
 /// [`compile`] under a budget: the exploration checks `scope` once per
 /// decision-tree branch and stops early when the budget runs out,
 /// returning the (sound, possibly wide) bounds accumulated so far with
@@ -154,57 +180,25 @@ pub fn compile_scoped(
     opts: Options,
     scope: &BudgetScope,
 ) -> CompileResult {
-    assert!(
-        vt.len() >= net.n_vars as usize,
-        "variable table covers {} variables but the network uses {}",
-        vt.len(),
-        net.n_vars
-    );
-    run_driver(
-        Masks::new(net),
-        vt,
-        opts,
-        static_order(net, opts.order),
-        net.n_vars as usize,
-        net.target_names.clone(),
-        scope,
-    )
-}
-
-/// Runs Algorithm 1 over an initialised mask store. Shared between the
-/// unfolded ([`compile`]) and folded (`crate::folded::compile_folded`)
-/// entry points — the driver only sees the [`Topology`] abstraction.
-pub(crate) fn run_driver<T: Topology>(
-    store: MaskStore<T>,
-    vt: &VarTable,
-    opts: Options,
-    order: Vec<Var>,
-    n_vars: usize,
-    names: Vec<String>,
-    scope: &BudgetScope,
-) -> CompileResult {
-    let targets = store.topo().target_gids();
-    let mut node_targets: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (i, &t) in targets.iter().enumerate() {
-        node_targets.entry(t).or_default().push(i);
-    }
+    check_var_table(net, vt);
+    let targets = net.targets.clone();
     let mut c = Driver {
         vt,
         opts,
         lower: vec![0.0; targets.len()],
         upper: vec![1.0; targets.len()],
+        node_targets: target_positions(&targets),
         targets,
-        store,
-        order,
-        assigned: vec![false; n_vars],
-        node_targets,
+        store: Masks::new(net),
+        order: static_order(net, opts.order),
+        assigned: vec![false; net.n_vars as usize],
         stats: Stats::default(),
         scope,
         stopped: false,
     };
     // Targets resolved by the empty assignment cover the whole space.
     for (i, &t) in c.targets.iter().enumerate() {
-        match c.store.bool_mask_g(t) {
+        match c.store.bool_mask(t) {
             BoolMask::True => c.lower[i] = 1.0,
             BoolMask::False => c.upper[i] = 0.0,
             BoolMask::Unknown => {}
@@ -220,23 +214,23 @@ pub(crate) fn run_driver<T: Topology>(
     CompileResult {
         lower: c.lower,
         upper: c.upper,
-        names,
+        names: net.target_names.clone(),
         stats: c.stats,
         exhausted: if c.stopped { scope.verdict() } else { None },
     }
 }
 
-struct Driver<'v, T: Topology> {
+struct Driver<'v, 'n> {
     vt: &'v VarTable,
     opts: Options,
-    store: MaskStore<T>,
-    /// Expanded target ids, parallel to `lower`/`upper`.
-    targets: Vec<u32>,
+    store: Masks<'n>,
+    /// Target nodes, parallel to `lower`/`upper`.
+    targets: Vec<NodeId>,
     order: Vec<Var>,
     assigned: Vec<bool>,
     lower: Vec<f64>,
     upper: Vec<f64>,
-    node_targets: HashMap<u32, Vec<usize>>,
+    node_targets: HashMap<NodeId, Vec<usize>>,
     stats: Stats,
     /// Shared budget/cancellation state, charged one step per branch.
     scope: &'v BudgetScope,
@@ -246,12 +240,12 @@ struct Driver<'v, T: Topology> {
     stopped: bool,
 }
 
-impl<T: Topology> Driver<'_, T> {
+impl Driver<'_, '_> {
     /// True iff every target is resolved in the current branch or has
     /// globally tight bounds (Algorithm 1's second entry check).
     fn all_reached_or_tight(&self, eps2: f64) -> bool {
         self.targets.iter().enumerate().all(|(i, &t)| {
-            self.store.state_g(t).is_resolved() || self.upper[i] - self.lower[i] <= eps2
+            self.store.state(t).is_resolved() || self.upper[i] - self.lower[i] <= eps2
         })
     }
 
@@ -349,11 +343,11 @@ impl<T: Topology> Driver<'_, T> {
                 .targets
                 .iter()
                 .enumerate()
-                .all(|(i, &t)| self.store.state_g(t).is_resolved() || budgets[i] >= p);
+                .all(|(i, &t)| self.store.state(t).is_resolved() || budgets[i] >= p);
             if prunable {
                 self.stats.prunes += 1;
                 for (i, &t) in self.targets.iter().enumerate() {
-                    if !self.store.state_g(t).is_resolved() {
+                    if !self.store.state(t).is_resolved() {
                         budgets[i] -= p;
                     }
                 }
@@ -363,7 +357,7 @@ impl<T: Topology> Driver<'_, T> {
         let mark = self.store.checkpoint();
         self.stats.assignments += 1;
         // Split borrows: collect resolutions first, then account.
-        let mut resolutions: Vec<(u32, bool)> = Vec::new();
+        let mut resolutions: Vec<(NodeId, bool)> = Vec::new();
         self.store
             .assign(x, value, &mut |id, truth| resolutions.push((id, truth)));
         for (id, truth) in resolutions {

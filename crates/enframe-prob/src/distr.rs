@@ -12,20 +12,17 @@
 //! shared spare pool that is drained by subsequently started jobs
 //! ("budgets are synchronised both at the start and end of a job").
 //!
-//! The engine is generic over the [`Topology`], so the unfolded
-//! ([`compile_distributed`]) and the folded §4.2 encoding
-//! ([`compile_folded_distributed`]) distribute identically: each worker
-//! owns a private mask store over the shared immutable network.
+//! Each worker owns a private [`Masks`] store over the shared immutable
+//! network.
 
-use crate::compile::{CompileResult, Options, Stats, Strategy};
-use crate::folded::FoldedTopo;
-use crate::masks::{BoolMask, MaskStore, Masks, Topology};
+use crate::compile::{check_var_table, target_positions, CompileResult, Options, Stats, Strategy};
+use crate::masks::{BoolMask, Masks};
 use crate::order::static_order;
 use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::error::CoreError;
 use enframe_core::pool;
 use enframe_core::{Var, VarTable};
-use enframe_network::{FoldedNetwork, Network};
+use enframe_network::{Network, NodeId};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -69,8 +66,8 @@ struct Shared<'v> {
     vt: &'v VarTable,
     opts: DistOptions,
     order: Vec<Var>,
-    targets: Vec<u32>,
-    node_targets: HashMap<u32, Vec<usize>>,
+    targets: Vec<NodeId>,
+    node_targets: HashMap<NodeId, Vec<usize>>,
     bounds: Mutex<(Vec<f64>, Vec<f64>)>,
     spare: Mutex<Vec<f64>>,
     /// Subtrees forked as jobs go back on the pool's queue.
@@ -97,83 +94,34 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// joined — no thread leaks); budget exhaustion is *not* an error: the
 /// sound bounds collected so far come back with
 /// [`CompileResult::exhausted`] set.
+///
+/// # Panics
+/// Panics if the variable table does not cover the network's variables,
+/// before any worker starts.
 pub fn compile_distributed(
     net: &Network,
     vt: &VarTable,
     opts: DistOptions,
 ) -> Result<CompileResult, CoreError> {
-    run_distributed(
-        || Masks::new(net),
-        vt,
-        opts,
-        static_order(net, opts.seq.order),
-        net.target_names.clone(),
-    )
-}
-
-/// Distributed compilation over a *folded* network (§4.2 + §4.4): each
-/// worker owns a private two-dimensional mask store `M[t][v]` over the
-/// shared body template. Errors as in [`compile_distributed`].
-pub fn compile_folded_distributed(
-    net: &FoldedNetwork,
-    vt: &VarTable,
-    opts: DistOptions,
-) -> Result<CompileResult, CoreError> {
-    let order = {
-        let occ = net.var_occurrences();
-        let mut vars: Vec<Var> = (0..net.n_vars)
-            .map(Var)
-            .filter(|v| net.var_node(*v).is_some())
-            .collect();
-        match opts.seq.order {
-            crate::order::VarOrder::Sequential => {}
-            _ => vars.sort_by_key(|v| std::cmp::Reverse(occ[v.index()])),
-        }
-        vars
-    };
-    run_distributed(
-        || MaskStore::from_topology(FoldedTopo::new(net)),
-        vt,
-        opts,
-        order,
-        net.target_names.clone(),
-    )
-}
-
-fn run_distributed<T, F>(
-    make_store: F,
-    vt: &VarTable,
-    opts: DistOptions,
-    order: Vec<Var>,
-    names: Vec<String>,
-) -> Result<CompileResult, CoreError>
-where
-    T: Topology,
-    F: Fn() -> MaskStore<T> + Sync,
-{
+    check_var_table(net, vt);
     let opts = DistOptions {
         workers: enframe_core::workers::resolve(opts.workers, 4),
         ..opts
     };
     assert!(opts.job_depth >= 1, "job depth must be at least 1");
 
-    // Account targets resolved by the empty assignment, and collect the
-    // expanded target ids.
-    let targets;
-    let mut lower;
-    let mut upper;
+    // Account targets resolved by the empty assignment.
+    let targets = net.targets.clone();
+    let mut lower = vec![0.0; targets.len()];
+    let mut upper = vec![1.0; targets.len()];
+    let names = net.target_names.clone();
     {
-        let store = make_store();
-        targets = store.topo().target_gids();
-        lower = vec![0.0; targets.len()];
-        upper = vec![1.0; targets.len()];
+        let store = Masks::new(net);
         for (i, &t) in targets.iter().enumerate() {
-            if store.state_g(t).is_resolved() {
-                match store.bool_mask_g(t) {
-                    BoolMask::True => lower[i] = 1.0,
-                    BoolMask::False => upper[i] = 0.0,
-                    BoolMask::Unknown => unreachable!(),
-                }
+            match store.bool_mask(t) {
+                BoolMask::True => lower[i] = 1.0,
+                BoolMask::False => upper[i] = 0.0,
+                BoolMask::Unknown => {}
             }
         }
         if store.unresolved_targets() == 0 {
@@ -192,17 +140,13 @@ where
     } else {
         2.0 * opts.seq.epsilon
     };
-    let mut node_targets: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (i, &t) in targets.iter().enumerate() {
-        node_targets.entry(t).or_default().push(i);
-    }
     let n_targets = targets.len();
     let shared = Shared {
         vt,
         opts,
-        order,
+        order: static_order(net, opts.seq.order),
+        node_targets: target_positions(&targets),
         targets,
-        node_targets,
         bounds: Mutex::new((lower, upper)),
         spare: Mutex::new(vec![0.0; n_targets]),
         // One root job; the pool shuts down when it and every job
@@ -219,7 +163,7 @@ where
     let ran = pool::run(&shared.scope, opts.workers, &shared.queue, |jobs| {
         let mut worker = Worker {
             shared: &shared,
-            store: make_store(),
+            store: Masks::new(net),
             local_lower: vec![0.0; n_targets],
             local_upper_delta: vec![0.0; n_targets],
             branches: 0,
@@ -252,9 +196,9 @@ where
     })
 }
 
-struct Worker<'v, 's, T: Topology> {
+struct Worker<'v, 's, 'n> {
     shared: &'s Shared<'v>,
-    store: MaskStore<T>,
+    store: Masks<'n>,
     local_lower: Vec<f64>,
     local_upper_delta: Vec<f64>,
     branches: u64,
@@ -264,7 +208,7 @@ struct Worker<'v, 's, T: Topology> {
     stopped: bool,
 }
 
-impl<T: Topology> Worker<'_, '_, T> {
+impl Worker<'_, '_, '_> {
     fn run_job(&mut self, mut job: Job) {
         let mark = self.store.checkpoint();
         // Replay the prefix silently: contributions along it were already
@@ -307,7 +251,7 @@ impl<T: Topology> Worker<'_, '_, T> {
             .targets
             .iter()
             .enumerate()
-            .all(|(i, &t)| self.store.state_g(t).is_resolved() || bounds.1[i] - bounds.0[i] <= eps2)
+            .all(|(i, &t)| self.store.state(t).is_resolved() || bounds.1[i] - bounds.0[i] <= eps2)
     }
 
     fn dfs(
@@ -406,10 +350,10 @@ impl<T: Topology> Worker<'_, '_, T> {
                 .targets
                 .iter()
                 .enumerate()
-                .all(|(i, &t)| self.store.state_g(t).is_resolved() || budgets[i] >= p);
+                .all(|(i, &t)| self.store.state(t).is_resolved() || budgets[i] >= p);
             if prunable {
                 for (i, &t) in self.shared.targets.iter().enumerate() {
-                    if !self.store.state_g(t).is_resolved() {
+                    if !self.store.state(t).is_resolved() {
                         budgets[i] -= p;
                     }
                 }
@@ -417,7 +361,7 @@ impl<T: Topology> Worker<'_, '_, T> {
             }
         }
         let mark = self.store.checkpoint();
-        let mut resolutions: Vec<(u32, bool)> = Vec::new();
+        let mut resolutions: Vec<(NodeId, bool)> = Vec::new();
         self.store
             .assign(x, value, &mut |id, truth| resolutions.push((id, truth)));
         for (id, truth) in resolutions {
@@ -619,87 +563,19 @@ mod tests {
         }
     }
 
-    /// A foldable loop program for the folded-distributed engine.
-    fn foldable_loop(iters: usize) -> (Program, Vec<usize>) {
+    /// A variable table shorter than the network's variable range is a
+    /// caller error, rejected before the pool starts — as by the
+    /// sequential `compile` — not a worker panic.
+    #[test]
+    #[should_panic(expected = "variable table covers")]
+    fn short_var_table_panics_before_the_pool_starts() {
         let mut p = Program::new();
-        let x0 = p.fresh_var();
-        let x1 = p.fresh_var();
-        let x2 = p.fresh_var();
-        let x3 = p.fresh_var();
-        let phi = p.declare_event("Phi", Program::or([Program::var(x0), Program::var(x1)]));
-        let mut prev = p.declare_event("Sinit", Program::var(x2));
-        let mut boundaries = Vec::new();
-        for t in 0..iters {
-            boundaries.push(2 + t);
-            prev = p.declare_event_at(
-                "S",
-                &[t as i64],
-                Program::or([
-                    Program::and([Program::eref(prev.clone()), Program::eref(phi.clone())]),
-                    Program::var(x3),
-                ]),
-            );
-        }
-        p.add_target(prev);
-        (p, boundaries)
-    }
-
-    #[test]
-    fn folded_distributed_exact_matches_brute_force() {
-        let (p, boundaries) = foldable_loop(4);
-        let g = p.ground().unwrap();
-        let folded = FoldedNetwork::build(&g, &boundaries).unwrap();
-        let vt = VarTable::new(vec![0.3, 0.5, 0.7, 0.4]);
-        let want = space::target_probabilities(&g, &vt);
-        for workers in [1, 3] {
-            for depth in [1, 2, 4] {
-                let got = compile_folded_distributed(
-                    &folded,
-                    &vt,
-                    DistOptions {
-                        workers,
-                        job_depth: depth,
-                        seq: Options::exact(),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                for i in 0..want.len() {
-                    assert!(
-                        (got.lower[i] - want[i]).abs() < 1e-9,
-                        "w={workers} d={depth}: {} vs {}",
-                        got.lower[i],
-                        want[i]
-                    );
-                    assert!((got.upper[i] - want[i]).abs() < 1e-9);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn folded_distributed_hybrid_respects_epsilon() {
-        let (p, boundaries) = foldable_loop(3);
-        let g = p.ground().unwrap();
-        let folded = FoldedNetwork::build(&g, &boundaries).unwrap();
-        let vt = VarTable::uniform(4, 0.55);
-        let want = space::target_probabilities(&g, &vt);
-        let eps = 0.05;
-        let got = compile_folded_distributed(
-            &folded,
-            &vt,
-            DistOptions {
-                workers: 4,
-                job_depth: 2,
-                seq: Options::approx(Strategy::Hybrid, eps),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for i in 0..want.len() {
-            assert!(got.lower[i] <= want[i] + 1e-9 && want[i] <= got.upper[i] + 1e-9);
-            assert!(got.width(i) <= 2.0 * eps + 1e-9);
-        }
+        let vars: Vec<_> = (0..3).map(|_| p.fresh_var()).collect();
+        let e = p.declare_event("E", Program::and(vars.iter().map(|&v| Program::var(v))));
+        p.add_target(e);
+        let net = Network::build(&p.ground().unwrap()).unwrap();
+        let vt = VarTable::uniform(2, 0.5);
+        let _ = compile_distributed(&net, &vt, DistOptions::default());
     }
 
     /// ISSUE 8: a worker panic mid-pool must come back as a structured

@@ -9,7 +9,7 @@
 //!    compiled in one depth-first exploration of the decision tree induced
 //!    by Shannon expansion on the input variables (Algorithm 1). Partial
 //!    variable assignments are *masked* into the event network
-//!    (Algorithm 2, [`masks`]) instead of materialising the restricted
+//!    (Algorithm 2, [`Masks`]) instead of materialising the restricted
 //!    events `Φ|x`, and a trail-based undo makes backtracking cheap.
 //!    Per-target probability bounds `[L, U]` tighten as branches resolve;
 //!    upon full exploration they converge to the exact probabilities.
@@ -24,30 +24,24 @@
 //!    workers that fork boundary nodes as new jobs and merge bound deltas
 //!    (§4.4).
 //!
-//! Two further capabilities build on the same machinery:
+//! All three run over the unrolled event network: the §4.2 folded loop
+//! encoding and its convergence check are not reproduced (see the
+//! README).
 //!
-//! * **Folded compilation** ([`folded`], §4.2): the body of a bounded
-//!   loop is stored once; masks become two-dimensional (`M[t][v]`) and
-//!   loop nodes carry them between iterations. All strategies above apply
-//!   unchanged (the mask store is generic over a [`Topology`]), including
-//!   distribution ([`compile_folded_distributed`]), plus convergence
-//!   detection across iterations.
-//! * **Sensitivity analysis** ([`sensitivity()`], §1): exact per-variable
-//!   derivatives of every target probability (multilinearity), influence
-//!   ranking for explanation, and exact what-if perturbation without
-//!   recompilation.
+//! **Sensitivity analysis** ([`sensitivity()`], §1) builds on the same
+//! engine: exact per-variable derivatives of every target probability
+//! (multilinearity), influence ranking for explanation, and exact what-if
+//! perturbation without recompilation.
 
 pub mod bounds;
 pub mod compile;
 pub mod distr;
-pub mod folded;
 pub mod masks;
 pub mod order;
 pub mod sensitivity;
 
 pub use compile::{compile, compile_scoped, CompileResult, Options, Stats, Strategy};
-pub use distr::{compile_distributed, compile_folded_distributed, DistOptions};
-pub use folded::{compile_folded, compile_folded_scoped, FoldedMasks, FoldedTopo};
-pub use masks::{BoolMask, MaskStore, Masks, Topology};
+pub use distr::{compile_distributed, DistOptions};
+pub use masks::{BoolMask, Masks};
 pub use order::VarOrder;
-pub use sensitivity::{sensitivity, sensitivity_folded, Influence, Sensitivity};
+pub use sensitivity::{sensitivity, Influence, Sensitivity};

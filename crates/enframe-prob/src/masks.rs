@@ -5,15 +5,8 @@
 //! nodes carry definedness plus interval bounds (see [`crate::bounds`]),
 //! and aggregates keep incremental bookkeeping so that a variable
 //! assignment propagates bottom-up in time proportional to the affected
-//! region rather than the network size.
-//!
-//! The store is generic over a [`Topology`]: the graph the masks propagate
-//! over. The unfolded [`Network`] maps one node to one mask slot
-//! ([`NetTopo`]); the folded networks of §4.2 expand one body-template
-//! node into one slot *per iteration* — the paper's two-dimensional mask
-//! store `M[t][v]` — with loop-carry edges crossing iterations (see
-//! `crate::folded`). All Algorithm-2 semantics below are shared verbatim
-//! between the two.
+//! region rather than the network size. [`Masks`] holds one state per node
+//! of a [`Network`], indexed by [`NodeId`].
 //!
 //! Two implementation choices beyond the pseudocode (results unchanged):
 //!
@@ -45,90 +38,6 @@ use enframe_core::{Value, Var};
 use enframe_network::{Network, NodeId, NodeKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// The graph a [`MaskStore`] propagates over.
-///
-/// Implementations expose an *expanded* node set addressed by dense `u32`
-/// ids in topological order (children strictly precede parents, including
-/// across loop-carry edges). For plain networks the expansion is the
-/// identity; for folded networks it instantiates the body template once
-/// per iteration without materialising it.
-pub trait Topology {
-    /// Number of expanded nodes.
-    fn len(&self) -> usize;
-    /// Whether the topology has no nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Operator of an expanded node. [`NodeKind::LoopIn`] acts as a
-    /// single-child passthrough whose child is iteration-dependent.
-    fn kind(&self, g: u32) -> &NodeKind;
-    /// Constant payload of `ConstVal`/`Cond` nodes.
-    fn value(&self, g: u32) -> Option<&Value>;
-    /// Number of children of `g`.
-    fn n_children(&self, g: u32) -> usize;
-    /// The `i`-th child of `g`.
-    fn child(&self, g: u32, i: usize) -> u32;
-    /// Calls `f` for every expanded parent of `g` (nodes that read `g`).
-    fn for_each_parent<F: FnMut(u32)>(&self, g: u32, f: F);
-    /// Expanded leaf of variable `v`, if the variable occurs.
-    fn var_gid(&self, v: Var) -> Option<u32>;
-    /// Expanded compilation-target ids, in registration order.
-    fn target_gids(&self) -> Vec<u32>;
-}
-
-/// The identity topology over an unfolded [`Network`].
-pub struct NetTopo<'n> {
-    net: &'n Network,
-}
-
-impl<'n> NetTopo<'n> {
-    /// Wraps a network.
-    pub fn new(net: &'n Network) -> Self {
-        NetTopo { net }
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &'n Network {
-        self.net
-    }
-}
-
-impl Topology for NetTopo<'_> {
-    fn len(&self) -> usize {
-        self.net.len()
-    }
-
-    fn kind(&self, g: u32) -> &NodeKind {
-        &self.net.node(NodeId(g)).kind
-    }
-
-    fn value(&self, g: u32) -> Option<&Value> {
-        self.net.node(NodeId(g)).value.as_ref()
-    }
-
-    fn n_children(&self, g: u32) -> usize {
-        self.net.node(NodeId(g)).children.len()
-    }
-
-    fn child(&self, g: u32, i: usize) -> u32 {
-        self.net.node(NodeId(g)).children[i].0
-    }
-
-    fn for_each_parent<F: FnMut(u32)>(&self, g: u32, mut f: F) {
-        for &p in &self.net.node(NodeId(g)).parents {
-            f(p.0);
-        }
-    }
-
-    fn var_gid(&self, v: Var) -> Option<u32> {
-        self.net.var_node(v).map(|n| n.0)
-    }
-
-    fn target_gids(&self) -> Vec<u32> {
-        self.net.targets.iter().map(|t| t.0).collect()
-    }
-}
 
 /// Three-valued mask of a Boolean node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,7 +112,7 @@ impl NState {
     }
 
     /// Whether the externally visible part changed (counters excluded).
-    pub(crate) fn visibly_differs(&self, other: &NState) -> bool {
+    fn visibly_differs(&self, other: &NState) -> bool {
         match (self, other) {
             (NState::Bool { mask: a, .. }, NState::Bool { mask: b, .. }) => a != b,
             (NState::Num(a), NState::Num(b)) => {
@@ -231,50 +140,28 @@ fn zero_like(i: &Ival) -> Ival {
     }
 }
 
-/// A mask store over a topology, with trail-based undo.
-pub struct MaskStore<T: Topology> {
-    topo: T,
+/// The mask store of a network, with trail-based undo.
+pub struct Masks<'n> {
+    net: &'n Network,
     state: Vec<NState>,
-    trail: Vec<(u32, NState)>,
+    trail: Vec<(NodeId, NState)>,
     is_target: Vec<bool>,
     unresolved_target_nodes: usize,
     // Wave machinery (buffers reused across assignments).
-    heap: BinaryHeap<Reverse<u32>>,
+    heap: BinaryHeap<Reverse<NodeId>>,
     in_heap: Vec<bool>,
-    pending: Vec<Vec<u32>>,
+    pending: Vec<Vec<NodeId>>,
     wave_old: Vec<Option<NState>>,
-    touched: Vec<u32>,
-    parent_buf: Vec<u32>,
+    touched: Vec<NodeId>,
 }
-
-/// Mask store over an unfolded network.
-pub type Masks<'n> = MaskStore<NetTopo<'n>>;
 
 impl<'n> Masks<'n> {
     /// Builds the initial mask state for a network (bottom-up over the
     /// empty assignment).
     pub fn new(net: &'n Network) -> Self {
-        MaskStore::from_topology(NetTopo::new(net))
-    }
-
-    /// The state of a node.
-    pub fn state(&self, id: NodeId) -> &NState {
-        self.state_g(id.0)
-    }
-
-    /// The Boolean mask of a Boolean node.
-    pub fn bool_mask(&self, id: NodeId) -> BoolMask {
-        self.bool_mask_g(id.0)
-    }
-}
-
-impl<T: Topology> MaskStore<T> {
-    /// Builds the initial mask state over a topology (bottom-up over the
-    /// empty assignment).
-    pub fn from_topology(topo: T) -> Self {
-        let n = topo.len();
-        let mut m = MaskStore {
-            topo,
+        let n = net.len();
+        let mut m = Masks {
+            net,
             state: Vec::with_capacity(n),
             trail: Vec::new(),
             is_target: vec![false; n],
@@ -284,39 +171,28 @@ impl<T: Topology> MaskStore<T> {
             pending: vec![Vec::new(); n],
             wave_old: vec![None; n],
             touched: Vec::new(),
-            parent_buf: Vec::new(),
         };
-        for g in 0..n {
-            let st = m.compute_full(g as u32);
+        for i in 0..n {
+            let st = m.compute_full(NodeId(i as u32));
             m.state.push(st);
         }
-        let targets = m.topo.target_gids();
-        for &t in &targets {
-            m.is_target[t as usize] = true;
+        for t in &net.targets {
+            m.is_target[t.index()] = true;
         }
-        m.unresolved_target_nodes = targets
-            .iter()
-            .copied()
-            .collect::<std::collections::HashSet<_>>()
-            .into_iter()
-            .filter(|&g| !m.state[g as usize].is_resolved())
+        m.unresolved_target_nodes = (0..n)
+            .filter(|&i| m.is_target[i] && !m.state[i].is_resolved())
             .count();
         m
     }
 
-    /// The underlying topology.
-    pub fn topo(&self) -> &T {
-        &self.topo
+    /// The state of a node.
+    pub fn state(&self, id: NodeId) -> &NState {
+        &self.state[id.index()]
     }
 
-    /// The state of an expanded node.
-    pub fn state_g(&self, g: u32) -> &NState {
-        &self.state[g as usize]
-    }
-
-    /// The Boolean mask of an expanded Boolean node.
-    pub fn bool_mask_g(&self, g: u32) -> BoolMask {
-        self.state[g as usize].bool_mask()
+    /// The Boolean mask of a Boolean node.
+    pub fn bool_mask(&self, id: NodeId) -> BoolMask {
+        self.state[id.index()].bool_mask()
     }
 
     /// Number of distinct target nodes still unresolved in this branch.
@@ -327,27 +203,24 @@ impl<T: Topology> MaskStore<T> {
     /// Number of *currently unresolved* parents of a variable's leaf — the
     /// dynamic influence measure of the §4.1 variable-order heuristic.
     pub fn unresolved_parents_of_var(&self, v: Var) -> usize {
-        let Some(g) = self.topo.var_gid(v) else {
-            return 0;
-        };
-        let mut n = 0;
-        self.topo.for_each_parent(g, |p| {
-            if !self.state[p as usize].is_resolved() {
-                n += 1;
-            }
-        });
-        n
+        self.net.var_node(v).map_or(0, |g| {
+            self.net
+                .node(g)
+                .parents
+                .iter()
+                .filter(|p| !self.state[p.index()].is_resolved())
+                .count()
+        })
     }
 
     /// Whether a variable's leaf is already resolved (or absent).
     pub fn var_resolved(&self, v: Var) -> bool {
-        self.topo
-            .var_gid(v)
-            .map(|g| self.state[g as usize].is_resolved())
-            .unwrap_or(true)
+        self.net
+            .var_node(v)
+            .is_none_or(|g| self.state[g.index()].is_resolved())
     }
 
-    /// Trail checkpoint for later [`MaskStore::rollback`].
+    /// Trail checkpoint for later [`Masks::rollback`].
     pub fn checkpoint(&self) -> usize {
         self.trail.len()
     }
@@ -358,25 +231,25 @@ impl<T: Topology> MaskStore<T> {
             let Some((g, old)) = self.trail.pop() else {
                 break; // unreachable: the loop condition bounds the pops
             };
-            let cur_resolved = self.state[g as usize].is_resolved();
+            let cur_resolved = self.state[g.index()].is_resolved();
             let old_resolved = old.is_resolved();
-            if self.is_target[g as usize] && cur_resolved && !old_resolved {
+            if self.is_target[g.index()] && cur_resolved && !old_resolved {
                 self.unresolved_target_nodes += 1;
             }
-            self.state[g as usize] = old;
+            self.state[g.index()] = old;
         }
     }
 
     /// Assigns variable `v := value` and propagates masks bottom-up.
-    /// `sink(gid, truth)` fires exactly once per **target node** that
+    /// `sink(node, truth)` fires exactly once per **target node** that
     /// resolves as a consequence (used to update probability bounds with
     /// the current branch mass).
-    pub fn assign(&mut self, v: Var, value: bool, sink: &mut dyn FnMut(u32, bool)) {
-        let Some(g) = self.topo.var_gid(v) else {
+    pub fn assign(&mut self, v: Var, value: bool, sink: &mut dyn FnMut(NodeId, bool)) {
+        let Some(g) = self.net.var_node(v) else {
             return; // variable does not occur in the network
         };
         debug_assert!(
-            !self.state[g as usize].is_resolved(),
+            !self.state[g.index()].is_resolved(),
             "variable x{} assigned twice",
             v.0
         );
@@ -390,26 +263,25 @@ impl<T: Topology> MaskStore<T> {
             n_false: 0,
         };
         self.set_state(g, new, sink);
-        // Process the wave in topological order: expanded ids are
-        // topological (children precede parents, iteration t precedes
-        // t + 1), so popping the smallest dirty id guarantees all of its
-        // inputs are final. Every node is therefore recomputed at most
-        // once per wave.
+        // Process the wave in topological order: ids are topological
+        // (children precede parents), so popping the smallest dirty id
+        // guarantees all of its inputs are final. Every node is therefore
+        // recomputed at most once per wave.
         while let Some(Reverse(pg)) = self.heap.pop() {
-            self.in_heap[pg as usize] = false;
-            let kids = std::mem::take(&mut self.pending[pg as usize]);
+            self.in_heap[pg.index()] = false;
+            let kids = std::mem::take(&mut self.pending[pg.index()]);
             if let Some(new_state) = self.recompute(pg, &kids) {
                 self.set_state(pg, new_state, sink);
             }
         }
         // Clear the wave snapshot.
         for g in std::mem::take(&mut self.touched) {
-            self.wave_old[g as usize] = None;
+            self.wave_old[g.index()] = None;
         }
     }
 
-    fn set_state(&mut self, g: u32, new: NState, sink: &mut dyn FnMut(u32, bool)) {
-        let idx = g as usize;
+    fn set_state(&mut self, g: NodeId, new: NState, sink: &mut dyn FnMut(NodeId, bool)) {
+        let idx = g.index();
         if self.state[idx] == new {
             return;
         }
@@ -430,23 +302,25 @@ impl<T: Topology> MaskStore<T> {
         }
         self.trail.push((g, old));
         if visible {
-            let mut buf = std::mem::take(&mut self.parent_buf);
-            buf.clear();
-            self.topo.for_each_parent(g, |p| buf.push(p));
-            for p in buf.drain(..) {
-                self.pending[p as usize].push(g);
-                if !self.in_heap[p as usize] {
-                    self.in_heap[p as usize] = true;
+            let net = self.net;
+            for &p in &net.node(g).parents {
+                self.pending[p.index()].push(g);
+                if !self.in_heap[p.index()] {
+                    self.in_heap[p.index()] = true;
                     self.heap.push(Reverse(p));
                 }
             }
-            self.parent_buf = buf;
         }
     }
 
+    /// The current state of the `i`-th child of `g`.
+    fn child(&self, g: NodeId, i: usize) -> &NState {
+        &self.state[self.net.node(g).children[i].index()]
+    }
+
     /// The wave-start state of a changed child.
-    fn old_of(&self, child: u32) -> &NState {
-        self.wave_old[child as usize]
+    fn old_of(&self, child: NodeId) -> &NState {
+        self.wave_old[child.index()]
             .as_ref()
             .expect("changed child has a wave snapshot")
     }
@@ -454,9 +328,10 @@ impl<T: Topology> MaskStore<T> {
     /// Recomputes `parent` given the children that changed this wave.
     /// Counter-based nodes (`And`/`Or`/`Sum`) apply exact deltas; all other
     /// kinds recompute from their (small) child lists.
-    fn recompute(&self, parent: u32, kids: &[u32]) -> Option<NState> {
-        let cur = &self.state[parent as usize];
-        let kind = self.topo.kind(parent);
+    fn recompute(&self, parent: NodeId, kids: &[NodeId]) -> Option<NState> {
+        let cur = &self.state[parent.index()];
+        let node = self.net.node(parent);
+        let kind = &node.kind;
         let new = match kind {
             NodeKind::Var(_) | NodeKind::ConstBool(_) | NodeKind::ConstVal => return None,
             NodeKind::And | NodeKind::Or => {
@@ -472,14 +347,14 @@ impl<T: Topology> MaskStore<T> {
                         BoolMask::False => n_false -= 1,
                         BoolMask::Unknown => {}
                     }
-                    match self.state[kid as usize].bool_mask() {
+                    match self.state[kid.index()].bool_mask() {
                         BoolMask::True => n_true += 1,
                         BoolMask::False => n_false += 1,
                         BoolMask::Unknown => {}
                     }
                 }
                 NState::Bool {
-                    mask: gate_mask(kind, n_true, n_false, self.topo.n_children(parent) as u32),
+                    mask: gate_mask(kind, n_true, n_false, node.children.len() as u32),
                     n_true,
                     n_false,
                 }
@@ -488,7 +363,7 @@ impl<T: Topology> MaskStore<T> {
                 let mut st = cur.num().clone();
                 for &kid in kids {
                     let oc = self.old_of(kid).num();
-                    let nc = self.state[kid as usize].num();
+                    let nc = self.state[kid.index()].num();
                     if oc.resolved.is_none() && nc.resolved.is_some() {
                         st.n_unres -= 1;
                     }
@@ -504,11 +379,7 @@ impl<T: Topology> MaskStore<T> {
                     }
                     st.ival.shift(&contribution(oc), &contribution(nc));
                 }
-                st.def = sum_def(
-                    st.n_def_yes,
-                    st.n_def_no,
-                    self.topo.n_children(parent) as u32,
-                );
+                st.def = sum_def(st.n_def_yes, st.n_def_no, node.children.len() as u32);
                 if st.n_unres == 0 && st.resolved.is_none() {
                     self.resolve_sum(parent, &mut st);
                 }
@@ -529,9 +400,9 @@ impl<T: Topology> MaskStore<T> {
 
     /// Computes a node's state from scratch from its children's current
     /// states (used for initialisation and for small-fan-in node kinds).
-    fn compute_full(&self, g: u32) -> NState {
-        let kind = self.topo.kind(g);
-        match kind {
+    fn compute_full(&self, g: NodeId) -> NState {
+        let node = self.net.node(g);
+        match &node.kind {
             NodeKind::Var(_) => NState::Bool {
                 mask: BoolMask::Unknown,
                 n_true: 0,
@@ -542,49 +413,40 @@ impl<T: Topology> MaskStore<T> {
                 n_true: 0,
                 n_false: 0,
             },
-            NodeKind::Not => {
-                let c = self.state[self.topo.child(g, 0) as usize].bool_mask();
-                NState::Bool {
-                    mask: match c {
-                        BoolMask::Unknown => BoolMask::Unknown,
-                        BoolMask::True => BoolMask::False,
-                        BoolMask::False => BoolMask::True,
-                    },
-                    n_true: 0,
-                    n_false: 0,
-                }
-            }
-            NodeKind::And | NodeKind::Or => {
+            NodeKind::Not => NState::Bool {
+                mask: match self.child(g, 0).bool_mask() {
+                    BoolMask::Unknown => BoolMask::Unknown,
+                    BoolMask::True => BoolMask::False,
+                    BoolMask::False => BoolMask::True,
+                },
+                n_true: 0,
+                n_false: 0,
+            },
+            kind @ (NodeKind::And | NodeKind::Or) => {
                 let mut n_true = 0u32;
                 let mut n_false = 0u32;
-                let len = self.topo.n_children(g);
-                for i in 0..len {
-                    match self.state[self.topo.child(g, i) as usize].bool_mask() {
+                for c in &node.children {
+                    match self.state[c.index()].bool_mask() {
                         BoolMask::True => n_true += 1,
                         BoolMask::False => n_false += 1,
                         BoolMask::Unknown => {}
                     }
                 }
                 NState::Bool {
-                    mask: gate_mask(kind, n_true, n_false, len as u32),
+                    mask: gate_mask(kind, n_true, n_false, node.children.len() as u32),
                     n_true,
                     n_false,
                 }
             }
-            NodeKind::Cmp(op) => {
-                let a = self.state[self.topo.child(g, 0) as usize].num();
-                let b = self.state[self.topo.child(g, 1) as usize].num();
-                NState::Bool {
-                    mask: cmp_mask(*op, a, b),
-                    n_true: 0,
-                    n_false: 0,
-                }
-            }
+            NodeKind::Cmp(op) => NState::Bool {
+                mask: cmp_mask(*op, self.child(g, 0).num(), self.child(g, 1).num()),
+                n_true: 0,
+                n_false: 0,
+            },
             NodeKind::ConstVal => {
-                let v = self
-                    .topo
-                    .value(g)
-                    .cloned()
+                let v = node
+                    .value
+                    .clone()
                     .expect("ConstVal node carries a literal value by construction");
                 match &v {
                     Value::Undef => NState::Num(NumState {
@@ -605,29 +467,23 @@ impl<T: Topology> MaskStore<T> {
                     }),
                 }
             }
-            NodeKind::Cond => {
-                let guard = self.state[self.topo.child(g, 0) as usize].bool_mask();
-                NState::Num(cond_state(
-                    guard,
-                    self.topo
-                        .value(g)
-                        .cloned()
-                        .expect("Cond node carries a literal value by construction"),
-                ))
-            }
-            NodeKind::Guard => {
-                let gm = self.state[self.topo.child(g, 0) as usize].bool_mask();
-                let c = self.state[self.topo.child(g, 1) as usize].num();
-                NState::Num(guard_state(gm, c))
-            }
+            NodeKind::Cond => NState::Num(cond_state(
+                self.child(g, 0).bool_mask(),
+                node.value
+                    .clone()
+                    .expect("Cond node carries a literal value by construction"),
+            )),
+            NodeKind::Guard => NState::Num(guard_state(
+                self.child(g, 0).bool_mask(),
+                self.child(g, 1).num(),
+            )),
             NodeKind::Sum => {
                 let mut n_unres = 0;
                 let mut n_def_yes = 0;
                 let mut n_def_no = 0;
                 let mut acc: Option<Ival> = None;
-                let len = self.topo.n_children(g);
-                for i in 0..len {
-                    let c = self.state[self.topo.child(g, i) as usize].num();
+                for c in &node.children {
+                    let c = self.state[c.index()].num();
                     if c.resolved.is_none() {
                         n_unres += 1;
                     }
@@ -643,7 +499,7 @@ impl<T: Topology> MaskStore<T> {
                     });
                 }
                 let mut st = NumState {
-                    def: sum_def(n_def_yes, n_def_no, len as u32),
+                    def: sum_def(n_def_yes, n_def_no, node.children.len() as u32),
                     ival: acc.unwrap_or_else(Ival::zero_scalar),
                     resolved: None,
                     n_unres,
@@ -656,57 +512,30 @@ impl<T: Topology> MaskStore<T> {
                 NState::Num(st)
             }
             NodeKind::Prod => NState::Num(self.prod_state(g)),
-            NodeKind::Inv => {
-                let c = self.state[self.topo.child(g, 0) as usize].num();
-                NState::Num(inv_state(c))
-            }
-            NodeKind::Pow(r) => {
-                let c = self.state[self.topo.child(g, 0) as usize].num();
-                NState::Num(pow_state(c, *r))
-            }
+            NodeKind::Inv => NState::Num(inv_state(self.child(g, 0).num())),
+            NodeKind::Pow(r) => NState::Num(pow_state(self.child(g, 0).num(), *r)),
             NodeKind::Dist => {
-                let a = self.state[self.topo.child(g, 0) as usize].num();
-                let b = self.state[self.topo.child(g, 1) as usize].num();
-                NState::Num(dist_state(a, b))
-            }
-            NodeKind::LoopIn { boolish } => {
-                // Loop-carry passthrough (§4.2): "carry over mask to next
-                // iteration". The topology resolves the child to the init
-                // node at iteration 0 and to the previous iteration's
-                // source otherwise.
-                let c = self.topo.child(g, 0);
-                if *boolish {
-                    NState::Bool {
-                        mask: self.state[c as usize].bool_mask(),
-                        n_true: 0,
-                        n_false: 0,
-                    }
-                } else {
-                    let n = self.state[c as usize].num();
-                    NState::Num(NumState {
-                        def: n.def,
-                        ival: n.ival.clone(),
-                        resolved: n.resolved.clone(),
-                        n_unres: 0,
-                        n_def_yes: 0,
-                        n_def_no: 0,
-                    })
-                }
+                NState::Num(dist_state(self.child(g, 0).num(), self.child(g, 1).num()))
             }
         }
     }
 
-    /// Exact resolution of a fully-resolved sum: the same left-fold as the
-    /// reference evaluator, so results agree bit-for-bit.
-    fn resolve_sum(&self, g: u32, st: &mut NumState) {
-        let mut acc = Value::Undef;
-        for i in 0..self.topo.n_children(g) {
-            let c = self.topo.child(g, i);
-            let v = self.state[c as usize]
+    /// The resolved values of `g`'s children, in order.
+    fn resolved_children(&self, g: NodeId) -> impl Iterator<Item = Value> + '_ {
+        self.net.node(g).children.iter().map(|c| {
+            self.state[c.index()]
                 .num()
                 .resolved
                 .clone()
-                .expect("child resolved");
+                .expect("child resolved")
+        })
+    }
+
+    /// Exact resolution of a fully-resolved sum: the same left-fold as the
+    /// reference evaluator, so results agree bit-for-bit.
+    fn resolve_sum(&self, g: NodeId, st: &mut NumState) {
+        let mut acc = Value::Undef;
+        for v in self.resolved_children(g) {
             acc = acc.add(&v).expect("well-typed sum");
         }
         match &acc {
@@ -721,13 +550,12 @@ impl<T: Topology> MaskStore<T> {
         st.resolved = Some(acc);
     }
 
-    fn prod_state(&self, g: u32) -> NumState {
+    fn prod_state(&self, g: NodeId) -> NumState {
         let mut def = Def3::Yes;
         let mut all_resolved = true;
         let mut ival: Option<Ival> = None;
-        let len = self.topo.n_children(g);
-        for i in 0..len {
-            let c = self.state[self.topo.child(g, i) as usize].num();
+        for c in &self.net.node(g).children {
+            let c = self.state[c.index()].num();
             def = def.and(c.def);
             if c.resolved.is_none() {
                 all_resolved = false;
@@ -750,12 +578,7 @@ impl<T: Topology> MaskStore<T> {
             st.resolved = Some(Value::Undef);
         } else if all_resolved {
             let mut acc = Value::Num(1.0);
-            for i in 0..len {
-                let v = self.state[self.topo.child(g, i) as usize]
-                    .num()
-                    .resolved
-                    .clone()
-                    .expect("factor resolved: all_resolved checked above");
+            for v in self.resolved_children(g) {
                 acc = acc.mul(&v).expect("well-typed product");
             }
             if let Value::Undef = acc {

@@ -22,9 +22,8 @@
 //! that o₃ is a medoid?").
 
 use crate::compile::{compile, CompileResult, Options};
-use crate::folded::compile_folded;
 use enframe_core::{Var, VarTable};
-use enframe_network::{FoldedNetwork, Network};
+use enframe_network::Network;
 
 /// Influence of one variable on one target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,30 +119,8 @@ impl Sensitivity {
 /// assert!((s.perturbed(0, x0, 1.0) - 1.0).abs() < 1e-12);
 /// ```
 pub fn sensitivity(net: &Network, vt: &VarTable, opts: Options) -> Sensitivity {
-    sensitivity_impl(
-        vt,
-        |table| compile(net, table, opts),
-        |v| net.var_node(v).is_some(),
-    )
-}
-
-/// [`sensitivity`] over a *folded* network (§4.2): same analysis, folded
-/// engine for every conditioned compilation.
-pub fn sensitivity_folded(net: &FoldedNetwork, vt: &VarTable, opts: Options) -> Sensitivity {
-    sensitivity_impl(
-        vt,
-        |table| compile_folded(net, table, opts),
-        |v| net.var_node(v).is_some(),
-    )
-}
-
-fn sensitivity_impl(
-    vt: &VarTable,
-    compile_at: impl Fn(&VarTable) -> CompileResult,
-    var_occurs: impl Fn(Var) -> bool,
-) -> Sensitivity {
     let m = vt.len();
-    let base_res = compile_at(vt);
+    let base_res = compile(net, vt, opts);
     let n_targets = base_res.lower.len();
     let base: Vec<f64> = (0..n_targets).map(|i| base_res.estimate(i)).collect();
     let probs: Vec<f64> = (0..m).map(|i| vt.prob(Var(i as u32))).collect();
@@ -152,7 +129,7 @@ fn sensitivity_impl(
     let mut cond_false = vec![vec![0.0; m]; n_targets];
     for i in 0..m {
         let v = Var(i as u32);
-        if !var_occurs(v) {
+        if net.var_node(v).is_none() {
             // The variable does not occur: conditioning changes nothing.
             for t in 0..n_targets {
                 cond_true[t][i] = base[t];
@@ -163,7 +140,7 @@ fn sensitivity_impl(
         for (value, out) in [(true, &mut cond_true), (false, &mut cond_false)] {
             let mut pinned = probs.clone();
             pinned[i] = if value { 1.0 } else { 0.0 };
-            let res = compile_at(&VarTable::new(pinned));
+            let res = compile(net, &VarTable::new(pinned), opts);
             for (t, row) in out.iter_mut().enumerate() {
                 row[i] = res.estimate(t);
             }
@@ -315,44 +292,6 @@ mod tests {
         for v in 0..2 {
             let d = (approx.derivative(0, Var(v)) - exact.derivative(0, Var(v))).abs();
             assert!(d <= 2.0 * eps + 1e-12, "var {v}: |Δ| = {d}");
-        }
-    }
-
-    #[test]
-    fn folded_sensitivity_matches_unfolded() {
-        // S.t ≡ (S.{t−1} ∧ Phi) ∨ x3 over 3 iterations: derivatives from
-        // the folded engine equal the unfolded ones exactly.
-        let mut p = Program::new();
-        let x0 = p.fresh_var();
-        let x1 = p.fresh_var();
-        let x2 = p.fresh_var();
-        let x3 = p.fresh_var();
-        let phi = p.declare_event("Phi", Program::or([Program::var(x0), Program::var(x1)]));
-        let mut prev = p.declare_event("Sinit", Program::var(x2));
-        let mut boundaries = Vec::new();
-        for t in 0..3 {
-            boundaries.push(2 + t);
-            prev = p.declare_event_at(
-                "S",
-                &[t as i64],
-                Program::or([
-                    Program::and([Program::eref(prev.clone()), Program::eref(phi.clone())]),
-                    Program::var(x3),
-                ]),
-            );
-        }
-        p.add_target(prev);
-        let g = p.ground().unwrap();
-        let net = Network::build(&g).unwrap();
-        let folded = FoldedNetwork::build(&g, &boundaries).unwrap();
-        let vt = VarTable::new(vec![0.3, 0.5, 0.7, 0.2]);
-        let a = sensitivity(&net, &vt, Options::exact());
-        let b = sensitivity_folded(&folded, &vt, Options::exact());
-        for v in 0..4 {
-            assert!(
-                (a.derivative(0, Var(v)) - b.derivative(0, Var(v))).abs() < 1e-12,
-                "var {v}"
-            );
         }
     }
 

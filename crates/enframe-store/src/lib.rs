@@ -240,6 +240,8 @@ pub fn fingerprint_obdd(net: &Network, opts: &ObddOptions) -> Fingerprint {
     fingerprint_network(net, EngineKind::Obdd, opts.order, &opts.groups)
 }
 
+/// Node-kind discriminants are part of every stored key: renumbering one
+/// orphans every artifact already on disk (`fingerprints_are_pinned`).
 fn hash_kind(h: &mut FingerprintHasher, k: &NodeKind) {
     match k {
         NodeKind::Var(v) => {
@@ -274,10 +276,6 @@ fn hash_kind(h: &mut FingerprintHasher, k: &NodeKind) {
             h.write_u64(*e as i64 as u64);
         }
         NodeKind::Dist => h.write_discriminant(13),
-        NodeKind::LoopIn { boolish } => {
-            h.write_discriminant(14);
-            h.write_u32(*boolish as u32);
-        }
     }
 }
 
@@ -1107,6 +1105,68 @@ mod tests {
             r => panic!("expected corruption, got {r:?}"),
         }
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A three-target network with one node of every [`NodeKind`].
+    fn every_kind_network() -> Network {
+        use enframe_core::program::{SymCVal, SymEvent, ValSrc};
+        use std::rc::Rc;
+        let lit = |v: Value| Rc::new(SymCVal::Lit(ValSrc::Const(v)));
+        let mut p = Program::new();
+        let x = p.fresh_var();
+        let y = p.fresh_var();
+        let z = p.fresh_var();
+        let cx = Rc::new(SymCVal::Cond(
+            Program::var(x),
+            ValSrc::Const(Value::Num(2.0)),
+        ));
+        let gy = Rc::new(SymCVal::Guard(Program::nvar(y), lit(Value::Num(3.0))));
+        let sum = Rc::new(SymCVal::Sum(vec![cx.clone(), gy]));
+        let prod = Rc::new(SymCVal::Prod(vec![cx, lit(Value::Num(4.0))]));
+        let dist = Rc::new(SymCVal::Dist(
+            Rc::new(SymCVal::Inv(sum)),
+            Rc::new(SymCVal::Pow(prod, 2)),
+        ));
+        let a = p.declare_event(
+            "A",
+            Rc::new(SymEvent::Atom(CmpOp::Le, dist, lit(Value::Num(5.0)))),
+        );
+        let b = p.declare_event(
+            "B",
+            Program::and([
+                Program::var(x),
+                Program::or([Program::var(y), Program::var(z)]),
+            ]),
+        );
+        let t = p.declare_event("T", Rc::new(SymEvent::Tru));
+        for id in [a, b, t] {
+            p.add_target(id);
+        }
+        Network::build(&p.ground().unwrap()).unwrap()
+    }
+
+    /// Store identity is stable across builds: an artifact written by an
+    /// earlier build of the same lineage must still be found. The pins
+    /// were printed by the build that still had a fifteenth node kind
+    /// (discriminant 14); deleting it moved none of them. Changing the
+    /// fingerprint on purpose (a wider hash, a new field) updates them.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let net = every_kind_network();
+        let kinds: std::collections::HashSet<_> = net
+            .nodes()
+            .iter()
+            .map(|n| std::mem::discriminant(&n.kind))
+            .collect();
+        assert_eq!(kinds.len(), 14, "one node of every kind");
+        assert_eq!(
+            fingerprint_dnnf(&net, &DnnfOptions::default()),
+            Fingerprint(0x9e67_5b76_c283_cb3a)
+        );
+        assert_eq!(
+            fingerprint_obdd(&net, &ObddOptions::default()),
+            Fingerprint(0x1df8_f3be_e450_6d80)
+        );
     }
 
     #[test]

@@ -97,7 +97,9 @@ pub struct Translated {
     /// Final variable bindings of the abstract execution.
     pub slots: HashMap<String, Slot>,
     /// For the outermost `for` loop: the number of declarations present at
-    /// the start of each iteration (used to fold networks by iteration).
+    /// the start of each iteration: the boundaries that compiling
+    /// iteration *i + 1* against iteration *i*'s artifact (delta
+    /// compilation across iterations) starts from.
     pub outer_iter_boundaries: Vec<usize>,
 }
 

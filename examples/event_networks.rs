@@ -100,53 +100,4 @@ fn main() {
         hybrid.stats.prunes,
         hybrid.max_width()
     );
-
-    // --- folded networks (§4.2): a loop stored once ---------------------
-    // S.t ≡ (S.{t−1} ∧ Φ(o0)) ∨ x3 over four iterations: the unfolded
-    // network repeats the body per iteration, the folded one stores it
-    // once with a LoopIn carry node.
-    let mut lp = Program::new();
-    let y0 = lp.fresh_var();
-    let y1 = lp.fresh_var();
-    let phi = lp.declare_event("Phi", Program::or([Program::var(y0), Program::var(y1)]));
-    let mut prev = lp.declare_event("Sinit", Program::var(y0));
-    let mut boundaries: Vec<usize> = Vec::new();
-    for t in 0..4usize {
-        boundaries.push(2 + t);
-        prev = lp.declare_event_at(
-            "S",
-            &[t as i64],
-            Program::or([
-                Program::and([Program::eref(prev.clone()), Program::eref(phi.clone())]),
-                Program::var(y1),
-            ]),
-        );
-    }
-    lp.add_target(prev);
-    let lg = lp.ground().unwrap();
-    let unfolded = Network::build(&lg).unwrap();
-    let folded = FoldedNetwork::build(&lg, &boundaries).unwrap();
-    let fs = folded.stats();
-    println!(
-        "
---- folded loop (§4.2): unfolded {} nodes vs folded {} ({} prologue + {} body × {} iterations) ---",
-        unfolded.len(),
-        fs.base_nodes,
-        fs.pro_nodes,
-        fs.body_nodes,
-        fs.iters
-    );
-    let lvt = VarTable::new(vec![0.5, 0.25]);
-    let a = compile(&unfolded, &lvt, Options::exact());
-    let b = compile_folded(&folded, &lvt, Options::exact());
-    println!(
-        "  P[S.3] unfolded = {:.4}, folded = {:.4} (identical)",
-        a.estimate(0),
-        b.estimate(0)
-    );
-    println!(
-        "
---- folded DOT (regions as clusters, dashed carry edges) ---"
-    );
-    println!("{}", dot::folded_to_dot(&folded));
 }

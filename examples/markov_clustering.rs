@@ -88,48 +88,4 @@ fn main() {
             res.estimate(0)
         );
     }
-
-    // Folded vs unfolded (§4.2): with more iterations the unfolded network
-    // replicates the expansion/inflation body per round, while the folded
-    // network stores it once and carries the flow matrix across rounds
-    // through LoopIn nodes. Results are identical.
-    println!("\nfolded vs unfolded loop encoding, more MCL rounds:");
-    for rounds in [3usize, 5, 8] {
-        let env_r = ProbEnv {
-            params: vec![ProbValue::int(2), ProbValue::int(rounds as i64)],
-            ..env.clone()
-        };
-        let mut tr = translate(&ast, &env_r).unwrap();
-        let m13 = tr
-            .cval_ident("M", &[1, 3])
-            .expect("matrix entry is symbolic");
-        let atom = Rc::new(SymEvent::Atom(
-            CmpOp::Gt,
-            Rc::new(SymCVal::Ref(m13)),
-            Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(0.005)))),
-        ));
-        let t = tr.program.declare_event("CrossFlow", atom);
-        tr.program.add_target(t);
-        let gp = tr.ground().unwrap();
-        let unfolded = Network::build(&gp).unwrap();
-        let vt = VarTable::new(vec![0.5]);
-        let want = compile(&unfolded, &vt, Options::exact());
-        match FoldedNetwork::build(&gp, &tr.outer_iter_boundaries) {
-            Ok(folded) => {
-                let got = compile_folded(&folded, &vt, Options::exact());
-                assert!((got.estimate(0) - want.estimate(0)).abs() < 1e-9);
-                println!(
-                    "  {rounds} rounds: unfolded {:>5} nodes | folded {:>4} base nodes \
-                     (body {} × {} iterations, fold starts at round {}) | P = {:.4}",
-                    unfolded.len(),
-                    folded.len(),
-                    folded.n_body(),
-                    folded.iters,
-                    folded.fold_start,
-                    got.estimate(0)
-                );
-            }
-            Err(e) => println!("  {rounds} rounds: does not fold ({e})"),
-        }
-    }
 }

@@ -78,11 +78,10 @@ pub mod prelude {
     };
     pub use enframe_data::{kmedoids_workload, LineageOpts, Scheme};
     pub use enframe_lang::{parse, programs, Interp, RtValue, SimpleEnv};
-    pub use enframe_network::{FoldedNetwork, Network};
+    pub use enframe_network::Network;
     pub use enframe_obdd::{ObddEngine, ObddOptions, ReorderPolicy};
     pub use enframe_prob::{
-        compile, compile_distributed, compile_folded, compile_folded_distributed, CompileResult,
-        DistOptions, Options, Strategy,
+        compile, compile_distributed, CompileResult, DistOptions, Options, Strategy,
     };
     pub use enframe_serve::{Answer, Lineage, QueryService, Reply, ServeOptions};
     pub use enframe_sprout::{PcTable, Query, Schema};

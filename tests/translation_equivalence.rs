@@ -15,19 +15,27 @@ use enframe::translate::world_env;
 use enframe::worlds::extract;
 use proptest::prelude::*;
 
-/// Full-stack check on one workload: interpreter-per-world == network eval
-/// == brute-force == exact compilation, on every Centre target.
-fn check_workload(n: usize, k: usize, iters: usize, scheme: Scheme, seed: u64) {
+/// Full-stack check of one clustering program on one workload:
+/// interpreter-per-world == network eval == brute-force == exact
+/// compilation, on every entry of the `k × n` Boolean matrix `target`.
+fn check_workload(
+    (program, target): (&str, &str),
+    n: usize,
+    k: usize,
+    iters: usize,
+    scheme: Scheme,
+    seed: u64,
+) {
     let w = kmedoids_workload(n, k, iters, scheme, &LineageOpts::default(), seed);
     let v = w.vt.len();
     assert!(v <= 12, "keep the world space enumerable");
-    let ast = parse(programs::K_MEDOIDS).unwrap();
+    let ast = parse(program).unwrap();
     let mut tr = translate(&ast, &w.env).unwrap();
-    targets::add_all_bool_targets(&mut tr, "Centre");
+    targets::add_all_bool_targets(&mut tr, target);
     let gp = tr.ground().unwrap();
     let net = Network::build(&gp).unwrap();
 
-    let mut extractor = extract::bool_matrix("Centre", k, n);
+    let mut extractor = extract::bool_matrix(target, k, n);
     for code in 0..(1u64 << v) {
         let nu = Valuation::from_code(v, code);
         // 1. Interpreter on the materialised world.
@@ -64,24 +72,35 @@ fn check_workload(n: usize, k: usize, iters: usize, scheme: Scheme, seed: u64) {
     }
 }
 
+/// k-medoids with its medoid-selection targets.
+const MEDOIDS: (&str, &str) = (programs::K_MEDOIDS, "Centre");
+
 #[test]
 fn equivalence_positive_small() {
-    check_workload(12, 2, 2, Scheme::Positive { l: 2, v: 6 }, 5);
+    check_workload(MEDOIDS, 12, 2, 2, Scheme::Positive { l: 2, v: 6 }, 5);
 }
 
 #[test]
 fn equivalence_positive_three_clusters() {
-    check_workload(12, 3, 2, Scheme::Positive { l: 3, v: 8 }, 17);
+    check_workload(MEDOIDS, 12, 3, 2, Scheme::Positive { l: 3, v: 8 }, 17);
 }
 
 #[test]
 fn equivalence_mutex() {
-    check_workload(16, 2, 2, Scheme::Mutex { m: 8 }, 23);
+    check_workload(MEDOIDS, 16, 2, 2, Scheme::Mutex { m: 8 }, 23);
 }
 
 #[test]
 fn equivalence_conditional() {
-    check_workload(12, 2, 3, Scheme::Conditional, 29);
+    check_workload(MEDOIDS, 12, 2, 3, Scheme::Conditional, 29);
+}
+
+/// The paper's k-means program (Figure 2) through the whole stack, with
+/// its cluster-membership targets.
+#[test]
+fn equivalence_kmeans() {
+    let kmeans = (programs::K_MEANS, "InCl");
+    check_workload(kmeans, 12, 2, 3, Scheme::Positive { l: 2, v: 8 }, 23);
 }
 
 proptest! {
@@ -95,6 +114,6 @@ proptest! {
         n_groups in 2usize..3,
     ) {
         let n = n_groups * 4 + k.max(2);
-        check_workload(n, k, 2, Scheme::Positive { l: 2, v: 2 * n_groups + 2 }, seed);
+        check_workload(MEDOIDS, n, k, 2, Scheme::Positive { l: 2, v: 2 * n_groups + 2 }, seed);
     }
 }
