@@ -1,8 +1,8 @@
 //! Complete clustering workloads for the figure harnesses.
 
 use crate::correlations::{generate_lineage, LineageOpts, Scheme};
+use crate::init::farthest_first;
 use crate::sensor::{generate_sensor_points, SensorConfig};
-use enframe_cluster::{farthest_first, DistanceKind, Point};
 use enframe_core::{Var, VarTable};
 use enframe_translate::env::{clustering_env, ProbEnv, ProbObjects};
 
@@ -40,8 +40,7 @@ pub fn kmedoids_workload(
         seed,
         ..SensorConfig::default()
     });
-    let cluster_points: Vec<Point> = points.iter().map(|p| Point::new(p.clone())).collect();
-    let seeds = farthest_first(&cluster_points, k, DistanceKind::Euclidean);
+    let seeds = farthest_first(&points, k);
     let corr = generate_lineage(n, scheme, opts, seed.wrapping_add(1));
     let n_vars = corr.var_table.len() as u32;
     let objects = ProbObjects::new(points.clone(), corr.lineage);
@@ -85,6 +84,43 @@ mod tests {
         assert_eq!(a.points, b.points);
         assert_eq!(a.seeds, b.seeds);
         assert_eq!(a.vt, b.vt);
+    }
+
+    /// Seed medoids of the benchmark's ten structures (`kmedoids_exact`: n =
+    /// 16, seeds 1–8; `kmedoids_approx`: n = 80, seeds 2 and 6), plus k = 6
+    /// to exercise the running minimum-distance update. A change to the
+    /// farthest-first arithmetic shows here before it moves a ledger instance.
+    #[test]
+    fn ledger_seeds_are_pinned() {
+        let exact = LineageOpts::default();
+        let approx = LineageOpts {
+            certain_frac: 0.5,
+            ..LineageOpts::default()
+        };
+        let pinned = [
+            [8, 5],
+            [5, 0],
+            [7, 15],
+            [4, 15],
+            [13, 9],
+            [3, 14],
+            [12, 1],
+            [0, 12],
+        ];
+        for (s, want) in (1..=8).zip(pinned) {
+            let w = kmedoids_workload(16, 2, 2, Scheme::Positive { l: 8, v: 14 }, &exact, s);
+            assert_eq!(w.seeds, want, "n = 16, structure seed {s}");
+        }
+        let pinned: [(u64, usize, &[usize]); 4] = [
+            (2, 2, &[34, 54]),
+            (6, 2, &[3, 76]),
+            (2, 6, &[34, 54, 70, 79, 21, 42]),
+            (6, 6, &[3, 76, 53, 36, 18, 43]),
+        ];
+        for (s, k, want) in pinned {
+            let w = kmedoids_workload(80, k, 3, Scheme::Positive { l: 8, v: 16 }, &approx, s);
+            assert_eq!(w.seeds, want, "n = 80, k = {k}, structure seed {s}");
+        }
     }
 
     #[test]

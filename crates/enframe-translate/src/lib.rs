@@ -15,7 +15,8 @@
 //! against Example 3 in [`label`]).
 //!
 //! Translation fixes two small inconsistencies in the paper's §3.5
-//! translation table, documented in `DESIGN.md` §3.5 notes:
+//! translation table. Taken literally, each would let a filtered-out
+//! element change the aggregate, breaking the correctness contract below:
 //!
 //! * `reduce_and([E for i in r if C])` becomes `∧ᵢ (¬Cᵢ ∨ Eᵢ)` (the paper's
 //!   `∧ᵢ Cᵢ ∧ Eᵢ` would force all filters true);

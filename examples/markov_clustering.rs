@@ -8,10 +8,10 @@
 //!
 //! Run with: `cargo run --example markov_clustering`
 
-use enframe::cluster::{mcl, MclParams};
 use enframe::core::program::{SymCVal, SymEvent, ValSrc};
 use enframe::prelude::*;
 use enframe::translate::env::{ProbMatrix, ProbObjects};
+use enframe::translate::world_env;
 use std::rc::Rc;
 
 fn main() {
@@ -34,18 +34,7 @@ fn main() {
         })
         .collect();
 
-    // Deterministic reference: MCL with and without the bridge.
-    let full = mcl(&w, MclParams::default());
-    println!("deterministic MCL with bridge present: {:?}", full.clusters);
-    let mut w_nobridge = w.clone();
-    for i in 0..n {
-        w_nobridge[2][i] = 0.0;
-        w_nobridge[i][2] = 0.0;
-    }
-    let cut = mcl(&w_nobridge, MclParams::default());
-    println!("deterministic MCL without bridge:      {:?}", cut.clusters);
-
-    // Probabilistic interpretation via the user program of Figure 3.
+    // The user program of Figure 3 over the uncertain graph.
     let env = ProbEnv {
         data: vec![
             ProbValue::Objects(ProbObjects::certain(
@@ -59,12 +48,31 @@ fn main() {
         n_vars: 1,
     };
     let ast = parse(programs::MCL).unwrap();
+
+    // Deterministic reference: the same program run in each of the two
+    // worlds (bridge present and absent), as the naïve baseline does.
+    for (world, code) in [("present", 1), ("absent", 0)] {
+        let wenv = world_env(&env, &Valuation::from_code(1, code));
+        let mut interp = Interp::new(&wenv);
+        interp.run(&ast).unwrap();
+        let m13 = match interp.get("M") {
+            Some(RtValue::Array(rows)) => match &rows[1] {
+                RtValue::Array(row) => row[3].as_f64().expect("M[1][3] is a number"),
+                other => panic!("unexpected row {other:?}"),
+            },
+            other => panic!("unexpected M {other:?}"),
+        };
+        println!("bridge {world:<7}: M[1][3] after 2 iterations = {m13:.4}");
+    }
+
+    // Probabilistic interpretation via translation.
     let mut tr = translate(&ast, &env).unwrap();
 
     // Target: after 2 rounds, does node 1 send non-trivial flow to node 3
     // (i.e. do the communities connect)? With the bridge present the flow
-    // M[1][3] is ≈ 0.011 after two inflation rounds; absent, it is 0 — so
-    // the event [M[1][3] > 0.005] holds exactly when the bridge exists.
+    // M[1][3] is ≈ 0.019 after two inflation rounds; absent, it is 0 (both
+    // printed above) — so the event [M[1][3] > 0.005] holds exactly when the
+    // bridge exists.
     let m13 = tr
         .cval_ident("M", &[1, 3])
         .expect("matrix entry is symbolic");
@@ -86,6 +94,10 @@ fn main() {
             "P[bridge] = {:.1}  =>  P[cross-community flow] = {:.4}",
             p_bridge,
             res.estimate(0)
+        );
+        assert!(
+            (res.estimate(0) - p_bridge).abs() <= 1e-12,
+            "CrossFlow must hold exactly when the bridge exists"
         );
     }
 }

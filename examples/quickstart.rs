@@ -85,4 +85,5 @@ fn main() {
         "\nnaive baseline enumerated {} worlds; max |naive − exact| = {:.2e}",
         naive.worlds, max_diff
     );
+    assert!(max_diff <= 1e-9, "exact must match the naive baseline");
 }

@@ -5,12 +5,13 @@
 //!
 //! Run with: `cargo run --release --example sensor_clustering`
 
-use enframe::data::{generate_lineage, generate_sensor_points, LineageOpts, Scheme, SensorConfig};
+use enframe::data::{
+    farthest_first, generate_lineage, generate_sensor_points, LineageOpts, Scheme, SensorConfig,
+};
 use enframe::prelude::*;
 use enframe::translate::env::clustering_env as mk_env;
 use enframe::translate::targets;
 use enframe::worlds::extract;
-use enframe_cluster::{farthest_first, DistanceKind, Point};
 use std::time::Instant;
 
 fn main() {
@@ -22,8 +23,7 @@ fn main() {
         seed: 2014,
         ..SensorConfig::default()
     });
-    let cluster_points: Vec<Point> = points.iter().map(|p| Point::new(p.clone())).collect();
-    let seeds = farthest_first(&cluster_points, k, DistanceKind::Euclidean);
+    let seeds = farthest_first(&points, k);
     println!("clustering {n} sensor readings, k={k}, seeds {seeds:?}\n");
 
     for (name, scheme) in [
@@ -85,6 +85,7 @@ fn main() {
             t_naive / t_exact.max(1e-9),
             t_exact / t_hybrid.max(1e-9)
         );
+        assert!(max_diff <= 1e-9, "exact must match the naive baseline");
         for (i, p) in ranked.iter().take(2) {
             println!(
                 "  most probable medoid event: P[{}] = {:.4}",

@@ -21,9 +21,8 @@
 //! | [`prob`] | probability computation: exact, eager/lazy/hybrid ε-approximation, distributed (§4) |
 //! | [`obdd`] | knowledge compilation: OBDDs (exact and conditioned probabilities, linear-time queries over compiled lineage) and d-DNNF (`obdd::dnnf` — residual-state-memoised compilation for aggregate-comparison workloads) |
 //! | [`worlds`] | the naïve possible-worlds baseline (§5) |
-//! | [`cluster`] | deterministic k-means / k-medoids / MCL with ENFrame tie-breaking |
 //! | [`sprout`] | pc-tables and positive relational algebra with aggregates (the `loadData()` query path) |
-//! | [`data`] | workload generators: correlation schemes and synthetic sensor data (§5) |
+//! | [`data`] | workload generators: correlation schemes, synthetic sensor data (§5), farthest-first seeding (`farthest_first`) |
 //! | [`store`] | crash-safe compiled-artifact store: fingerprinted persistence, zero-trust reloads with integrity revalidation, corruption recovery |
 //! | [`serve`] | query service: two-tier artifact cache with single-flight compiles, epoch-snapshotted lock-free reads, one WMC sweep per request, per-request budgets with graceful degradation |
 //! | [`telemetry`] | instrumentation: hierarchical spans, typed counters, worker timelines, Chrome Trace export |
@@ -56,7 +55,6 @@
 //! assert!(result.max_width() < 1e-12); // exact: bounds converged
 //! ```
 
-pub use enframe_cluster as cluster;
 pub use enframe_core as core;
 pub use enframe_data as data;
 pub use enframe_lang as lang;
@@ -72,7 +70,6 @@ pub use enframe_worlds as worlds;
 
 /// The most common types and functions in one import.
 pub mod prelude {
-    pub use enframe_cluster::{kmeans, kmedoids, mcl, DistanceKind, Point};
     pub use enframe_core::{
         CVal, CmpOp, Event, GroundProgram, Program, Valuation, Value, Var, VarTable,
     };
