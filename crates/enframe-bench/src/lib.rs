@@ -33,7 +33,8 @@ use enframe_network::Network;
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions, DnnfStats};
 use enframe_obdd::{ObddEngine, ObddError, ObddOptions, ObddStats};
 use enframe_prob::{
-    compile_distributed, compile_scoped, CompileResult, DistOptions, Options, Strategy,
+    compile_distributed, compile_scoped, degrade_to_bounds, CompileResult, DistOptions, Options,
+    Strategy,
 };
 use enframe_telemetry::{self as telemetry, Counter, Phase, Snapshot};
 use enframe_translate::{targets, translate, ProbEnv};
@@ -414,7 +415,7 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
             let res = compile_scoped(net, vt, opts, &scope);
             scope.record_telemetry();
             if engine == Engine::Exact && res.exhausted.is_some() {
-                degrade_to_bounds(net, vt, epsilon, budget, t0)
+                degrade(net, vt, epsilon, budget, t0)
             } else {
                 finish(t0, res)
             }
@@ -455,31 +456,16 @@ fn exact_or_degraded(
 ) -> Measurement {
     match counted {
         Ok(m) => m,
-        Err(ObddError::BudgetExceeded { .. }) => degrade_to_bounds(net, vt, epsilon, budget, t0),
+        Err(ObddError::BudgetExceeded { .. }) => degrade(net, vt, epsilon, budget, t0),
         Err(e) => Measurement::bare(f64::NAN, format!("error({e})")),
     }
 }
 
-/// The bottom rung of the degradation ladder: after an exact engine
-/// exhausted its budget, re-run the hybrid bounds engine over the same
-/// network under the *same* budget (the absolute deadline grants it
-/// exactly the remaining time) and report the result as `degraded`.
-/// The hybrid engine is anytime, so whatever it reaches is a sound
-/// `[L, U]` enclosure of the exact answer.
-fn degrade_to_bounds(
-    net: &Network,
-    vt: &VarTable,
-    epsilon: f64,
-    budget: Budget,
-    t0: Instant,
-) -> Measurement {
-    telemetry::count(Counter::Fallback);
-    let _span = telemetry::span(Phase::Degraded);
+/// The bottom rung of the degradation ladder ([`degrade_to_bounds`] at
+/// the run's ε, or 0.1 for an exact run), reported as `degraded`.
+fn degrade(net: &Network, vt: &VarTable, epsilon: f64, budget: Budget, t0: Instant) -> Measurement {
     let eps = if epsilon > 0.0 { epsilon } else { 0.1 };
-    let scope = BudgetScope::new(budget);
-    let res = compile_scoped(net, vt, Options::approx(Strategy::Hybrid, eps), &scope);
-    scope.record_telemetry();
-    let mut m = finish(t0, res);
+    let mut m = finish(t0, degrade_to_bounds(net, vt, eps, budget));
     m.status = "degraded".into();
     m
 }

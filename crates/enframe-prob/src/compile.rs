@@ -22,16 +22,15 @@
 //! already accounted the subtree's mass, so charging them would waste
 //! budget without improving the guarantee.
 //!
-//! [`compile_scoped`] and [`crate::distr::compile_distributed`] share the
-//! up-front variable-table check, so a short table panics in both before
-//! any exploration starts.
+//! The search itself lives in [`crate::distr`]: [`compile_scoped`] runs
+//! it as one job on the calling thread, and
+//! [`crate::distr::compile_distributed`] cuts it into jobs for a pool.
 
-use crate::masks::{BoolMask, Masks};
-use crate::order::{static_order, VarOrder};
-use enframe_core::budget::{BudgetScope, Exceeded};
-use enframe_core::{Var, VarTable};
-use enframe_network::{Network, NodeId};
-use std::collections::HashMap;
+use crate::order::VarOrder;
+use enframe_core::budget::{Budget, BudgetScope, Exceeded};
+use enframe_core::VarTable;
+use enframe_network::Network;
+use enframe_telemetry::{self as telemetry, Counter, Phase};
 
 /// Budget-spending strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,32 +144,13 @@ pub fn compile(net: &Network, vt: &VarTable, opts: Options) -> CompileResult {
     compile_scoped(net, vt, opts, &BudgetScope::unlimited())
 }
 
-/// The up-front check of every compile entry point: a variable table
-/// shorter than the network's variable range is a caller error, reported
-/// before any work starts.
-pub(crate) fn check_var_table(net: &Network, vt: &VarTable) {
-    assert!(
-        vt.len() >= net.n_vars as usize,
-        "variable table covers {} variables but the network uses {}",
-        vt.len(),
-        net.n_vars
-    );
-}
-
-/// Each target's positions in `targets`, keyed by node: several targets
-/// may share one node.
-pub(crate) fn target_positions(targets: &[NodeId]) -> HashMap<NodeId, Vec<usize>> {
-    let mut node_targets: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    for (i, &t) in targets.iter().enumerate() {
-        node_targets.entry(t).or_default().push(i);
-    }
-    node_targets
-}
-
 /// [`compile`] under a budget: the exploration checks `scope` once per
 /// decision-tree branch and stops early when the budget runs out,
 /// returning the (sound, possibly wide) bounds accumulated so far with
 /// [`CompileResult::exhausted`] set to the verdict.
+///
+/// This is the one-job case of [`crate::distr`]'s search: the root job,
+/// explored with no depth limit on the calling thread.
 ///
 /// # Panics
 /// Panics if the variable table does not cover the network's variables.
@@ -180,203 +160,26 @@ pub fn compile_scoped(
     opts: Options,
     scope: &BudgetScope,
 ) -> CompileResult {
-    check_var_table(net, vt);
-    let targets = net.targets.clone();
-    let mut c = Driver {
-        vt,
-        opts,
-        lower: vec![0.0; targets.len()],
-        upper: vec![1.0; targets.len()],
-        node_targets: target_positions(&targets),
-        targets,
-        store: Masks::new(net),
-        order: static_order(net, opts.order),
-        assigned: vec![false; net.n_vars as usize],
-        stats: Stats::default(),
-        scope,
-        stopped: false,
-    };
-    // Targets resolved by the empty assignment cover the whole space.
-    for (i, &t) in c.targets.iter().enumerate() {
-        match c.store.bool_mask(t) {
-            BoolMask::True => c.lower[i] = 1.0,
-            BoolMask::False => c.upper[i] = 0.0,
-            BoolMask::Unknown => {}
-        }
-    }
-    let eps2 = if opts.strategy == Strategy::Exact {
-        0.0
-    } else {
-        2.0 * opts.epsilon
-    };
-    let budgets = vec![eps2; c.targets.len()];
-    c.dfs(0, 1.0, budgets);
-    CompileResult {
-        lower: c.lower,
-        upper: c.upper,
-        names: net.target_names.clone(),
-        stats: c.stats,
-        exhausted: if c.stopped { scope.verdict() } else { None },
-    }
+    crate::distr::compile_one_job(net, vt, opts, scope)
 }
 
-struct Driver<'v, 'n> {
-    vt: &'v VarTable,
-    opts: Options,
-    store: Masks<'n>,
-    /// Target nodes, parallel to `lower`/`upper`.
-    targets: Vec<NodeId>,
-    order: Vec<Var>,
-    assigned: Vec<bool>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    node_targets: HashMap<NodeId, Vec<usize>>,
-    stats: Stats,
-    /// Shared budget/cancellation state, charged one step per branch.
-    scope: &'v BudgetScope,
-    /// Set once the scope rejects a check: the rest of the tree unwinds
-    /// without exploring. Early stop is *sound* for the bounds — an
-    /// unexplored branch's mass just stays between `lower` and `upper`.
-    stopped: bool,
-}
-
-impl Driver<'_, '_> {
-    /// True iff every target is resolved in the current branch or has
-    /// globally tight bounds (Algorithm 1's second entry check).
-    fn all_reached_or_tight(&self, eps2: f64) -> bool {
-        self.targets.iter().enumerate().all(|(i, &t)| {
-            self.store.state(t).is_resolved() || self.upper[i] - self.lower[i] <= eps2
-        })
-    }
-
-    fn next_var(&self, depth: usize) -> Option<Var> {
-        match self.opts.order {
-            VarOrder::Dynamic => {
-                let mut best: Option<(usize, Var)> = None;
-                for &v in &self.order {
-                    if self.assigned[v.index()] {
-                        continue;
-                    }
-                    let score = self.store.unresolved_parents_of_var(v);
-                    if best.is_none_or(|(s, _)| score > s) {
-                        best = Some((score, v));
-                    }
-                }
-                best.map(|(_, v)| v)
-            }
-            _ => self.order.get(depth).copied(),
-        }
-    }
-
-    fn dfs(&mut self, depth: usize, p: f64, budgets: Vec<f64>) -> Vec<f64> {
-        // Budget safe point, one step per branch. Returning without
-        // exploring is always sound for the bounds (see `stopped`).
-        if self.stopped || self.scope.check_steps(1).is_err() {
-            self.stopped = true;
-            return budgets;
-        }
-        self.stats.branches += 1;
-        self.stats.deepest = self.stats.deepest.max(depth as u32);
-        if self.store.unresolved_targets() == 0 {
-            return budgets;
-        }
-        let approx = self.opts.strategy != Strategy::Exact;
-        let eps2 = 2.0 * self.opts.epsilon;
-        if approx && self.all_reached_or_tight(eps2) {
-            return budgets;
-        }
-        let Some(x) = self.next_var(depth) else {
-            // All variables assigned: every target must be resolved.
-            debug_assert_eq!(self.store.unresolved_targets(), 0);
-            return budgets;
-        };
-        let px = self.vt.prob(x);
-
-        // Budget split per strategy.
-        let (left_budget, mut right_budget) = match self.opts.strategy {
-            Strategy::Exact => (budgets.clone(), budgets),
-            Strategy::Eager => {
-                let zeros = vec![0.0; budgets.len()];
-                (budgets, zeros)
-            }
-            Strategy::Lazy => {
-                let zeros = vec![0.0; budgets.len()];
-                (zeros, budgets)
-            }
-            Strategy::Hybrid => {
-                let half: Vec<f64> = budgets.iter().map(|b| b * 0.5).collect();
-                (half.clone(), half)
-            }
-        };
-
-        let left_residual = self.branch(depth, x, true, p * px, left_budget);
-        if self.opts.strategy != Strategy::Exact {
-            for (r, l) in right_budget.iter_mut().zip(&left_residual) {
-                *r += l;
-            }
-        } else {
-            right_budget = left_residual;
-        }
-        if approx && self.all_reached_or_tight(eps2) {
-            // All probability bounds ε-approximated: skip the right branch.
-            return right_budget;
-        }
-        self.branch(depth, x, false, p * (1.0 - px), right_budget)
-    }
-
-    fn branch(
-        &mut self,
-        depth: usize,
-        x: Var,
-        value: bool,
-        p: f64,
-        mut budgets: Vec<f64>,
-    ) -> Vec<f64> {
-        if p == 0.0 {
-            // Zero-mass branch: resolutions would contribute nothing.
-            return budgets;
-        }
-        if self.opts.strategy != Strategy::Exact {
-            // Prune if the branch mass fits in every unresolved target's
-            // budget.
-            let prunable = self
-                .targets
-                .iter()
-                .enumerate()
-                .all(|(i, &t)| self.store.state(t).is_resolved() || budgets[i] >= p);
-            if prunable {
-                self.stats.prunes += 1;
-                for (i, &t) in self.targets.iter().enumerate() {
-                    if !self.store.state(t).is_resolved() {
-                        budgets[i] -= p;
-                    }
-                }
-                return budgets;
-            }
-        }
-        let mark = self.store.checkpoint();
-        self.stats.assignments += 1;
-        // Split borrows: collect resolutions first, then account.
-        let mut resolutions: Vec<(NodeId, bool)> = Vec::new();
-        self.store
-            .assign(x, value, &mut |id, truth| resolutions.push((id, truth)));
-        for (id, truth) in resolutions {
-            if let Some(targets) = self.node_targets.get(&id) {
-                for &i in targets {
-                    if truth {
-                        self.lower[i] += p;
-                    } else {
-                        self.upper[i] -= p;
-                    }
-                }
-            }
-        }
-        self.assigned[x.index()] = true;
-        let res = self.dfs(depth + 1, p, budgets);
-        self.assigned[x.index()] = false;
-        self.store.rollback(mark);
-        res
-    }
+/// The bottom rung of the degradation ladder: after an exact engine
+/// exhausted `budget`, re-run the anytime hybrid search at `epsilon` over
+/// the same network under the *same* budget (an absolute deadline grants
+/// it exactly the remaining time). Whatever it reaches is a sound
+/// `[L, U]` enclosure of the exact answer.
+pub fn degrade_to_bounds(
+    net: &Network,
+    vt: &VarTable,
+    epsilon: f64,
+    budget: Budget,
+) -> CompileResult {
+    telemetry::count(Counter::Fallback);
+    let _span = telemetry::span(Phase::Degraded);
+    let scope = BudgetScope::new(budget);
+    let res = compile_scoped(net, vt, Options::approx(Strategy::Hybrid, epsilon), &scope);
+    scope.record_telemetry();
+    res
 }
 
 #[cfg(test)]

@@ -1,24 +1,28 @@
-//! Distributed probability computation (paper §4.4).
+//! The decision-tree search, distributed as in paper §4.4.
 //!
 //! The decision tree is split into *jobs*: a job is a tree fragment rooted
 //! at a prefix assignment, explored to relative depth `d`. One worker
 //! starts from the root; whenever exploration reaches depth `d` with
 //! unresolved targets, the subtree is forked as a new job that continues
-//! from that node. Per-branch bound contributions accumulate in
-//! worker-local deltas and merge into the shared bounds at job end; the
-//! job's prefix is replayed with contribution *disabled* so that
-//! resolutions already accounted by the forking worker are not counted
-//! twice. Error budgets travel with the jobs and residuals return to a
-//! shared spare pool that is drained by subsequently started jobs
-//! ("budgets are synchronised both at the start and end of a job").
+//! from that node. Each branch accounts its resolutions straight into the
+//! shared bounds, under their lock; a job replays its prefix with
+//! accounting *disabled*, so resolutions the forking worker already
+//! accounted are not counted twice. Error budgets travel with the jobs
+//! and residuals return to a shared spare pool that is drained by
+//! subsequently started jobs ("budgets are synchronised both at the start
+//! and end of a job").
+//!
+//! The sequential [`compile_scoped`](crate::compile_scoped) is the
+//! one-job case: the root job with no depth limit, run on the calling
+//! thread without the pool, so both entry points run the one search.
 //!
 //! Each worker owns a private [`Masks`] store over the shared immutable
 //! network.
 
-use crate::compile::{check_var_table, target_positions, CompileResult, Options, Stats, Strategy};
+use crate::compile::{CompileResult, Options, Stats, Strategy};
 use crate::masks::{BoolMask, Masks};
-use crate::order::static_order;
-use enframe_core::budget::{Budget, BudgetScope};
+use crate::order::{static_order, VarOrder};
+use enframe_core::budget::{Budget, BudgetScope, Exceeded};
 use enframe_core::error::CoreError;
 use enframe_core::pool;
 use enframe_core::{Var, VarTable};
@@ -62,20 +66,44 @@ struct Job {
     budgets: Vec<f64>,
 }
 
-struct Shared<'v> {
-    vt: &'v VarTable,
-    opts: DistOptions,
+impl Job {
+    /// The whole tree: the empty prefix with a `2ε` budget per target
+    /// (none when exact).
+    fn root(n_targets: usize, opts: &Options) -> Job {
+        let eps2 = if opts.strategy == Strategy::Exact {
+            0.0
+        } else {
+            2.0 * opts.epsilon
+        };
+        Job {
+            prefix: Vec::new(),
+            prob: 1.0,
+            budgets: vec![eps2; n_targets],
+        }
+    }
+}
+
+/// What every worker of one run shares.
+struct Search<'a> {
+    vt: &'a VarTable,
+    opts: Options,
     order: Vec<Var>,
+    /// Target nodes, parallel to the bounds.
     targets: Vec<NodeId>,
+    /// Each target's positions in `targets`, keyed by node: several
+    /// targets may share one node.
     node_targets: HashMap<NodeId, Vec<usize>>,
+    /// `[L, U]`, charged once per branch that resolves a target.
     bounds: Mutex<(Vec<f64>, Vec<f64>)>,
     spare: Mutex<Vec<f64>>,
-    /// Subtrees forked as jobs go back on the pool's queue.
-    queue: pool::Queue<Job>,
-    /// Shared budget/cancellation state: a worker that exhausts the
-    /// budget — or panics — cancels the scope, and every sibling's queue
-    /// poll and per-branch check observes it.
-    scope: BudgetScope,
+    /// The job size `d` and the pool's queue that subtrees forked at
+    /// that depth go back on; `None` for the one-job run, which never
+    /// forks.
+    forks: Option<(usize, pool::Queue<Job>)>,
+    /// Shared budget/cancellation state, charged one step per branch: a
+    /// worker that exhausts the budget — or panics — cancels the scope,
+    /// and every sibling's queue poll and per-branch check observes it.
+    scope: &'a BudgetScope,
 }
 
 /// Locks one of the shared accumulators. They are only ever held over
@@ -83,6 +111,80 @@ struct Shared<'v> {
 /// the run is reported as failed and their contents are dropped unread.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl<'a> Search<'a> {
+    /// The run's shared state, its bounds already charged with the
+    /// targets `store` resolves under the empty assignment (they cover
+    /// the whole space). A variable table shorter than the network's
+    /// variable range is a caller error, reported before any work starts.
+    fn new(
+        net: &Network,
+        store: &Masks<'_>,
+        vt: &'a VarTable,
+        opts: Options,
+        job_depth: Option<usize>,
+        scope: &'a BudgetScope,
+    ) -> Self {
+        assert!(
+            vt.len() >= net.n_vars as usize,
+            "variable table covers {} variables but the network uses {}",
+            vt.len(),
+            net.n_vars
+        );
+        let targets = net.targets.clone();
+        let mut lower = vec![0.0; targets.len()];
+        let mut upper = vec![1.0; targets.len()];
+        let mut node_targets: HashMap<NodeId, Vec<usize>> = HashMap::new();
+        for (i, &t) in targets.iter().enumerate() {
+            match store.bool_mask(t) {
+                BoolMask::True => lower[i] = 1.0,
+                BoolMask::False => upper[i] = 0.0,
+                BoolMask::Unknown => {}
+            }
+            node_targets.entry(t).or_default().push(i);
+        }
+        Search {
+            vt,
+            opts,
+            order: static_order(net, opts.order),
+            forks: job_depth.map(|d| (d, pool::Queue::new([Job::root(targets.len(), &opts)]))),
+            spare: Mutex::new(vec![0.0; targets.len()]),
+            bounds: Mutex::new((lower, upper)),
+            node_targets,
+            targets,
+            scope,
+        }
+    }
+
+    fn result(self, net: &Network, stats: Stats, exhausted: Option<Exceeded>) -> CompileResult {
+        let (lower, upper) = self.bounds.into_inner().unwrap_or_else(|e| e.into_inner());
+        CompileResult {
+            lower,
+            upper,
+            names: net.target_names.clone(),
+            stats,
+            exhausted,
+        }
+    }
+}
+
+/// The one-job run behind [`compile_scoped`](crate::compile_scoped): the
+/// root job, explored with no depth limit on the calling thread.
+pub(crate) fn compile_one_job(
+    net: &Network,
+    vt: &VarTable,
+    opts: Options,
+    scope: &BudgetScope,
+) -> CompileResult {
+    let store = Masks::new(net);
+    let search = Search::new(net, &store, vt, opts, None, scope);
+    let mut worker = Worker::new(&search, store);
+    worker.run_job(Job::root(search.targets.len(), &opts));
+    let Worker { stats, stopped, .. } = worker;
+    // Only a stopped search is reported exhausted: a scope the caller
+    // shares may have run out elsewhere.
+    search.result(net, stats, if stopped { scope.verdict() } else { None })
 }
 
 /// Compiles the network with `workers` threads and job size `d`, returning
@@ -103,197 +205,176 @@ pub fn compile_distributed(
     vt: &VarTable,
     opts: DistOptions,
 ) -> Result<CompileResult, CoreError> {
-    check_var_table(net, vt);
-    let opts = DistOptions {
-        workers: enframe_core::workers::resolve(opts.workers, 4),
-        ..opts
-    };
+    let workers = enframe_core::workers::resolve(opts.workers, 4);
     assert!(opts.job_depth >= 1, "job depth must be at least 1");
-
-    // Account targets resolved by the empty assignment.
-    let targets = net.targets.clone();
-    let mut lower = vec![0.0; targets.len()];
-    let mut upper = vec![1.0; targets.len()];
-    let names = net.target_names.clone();
-    {
+    let scope = BudgetScope::new(opts.budget);
+    let search = {
         let store = Masks::new(net);
-        for (i, &t) in targets.iter().enumerate() {
-            match store.bool_mask(t) {
-                BoolMask::True => lower[i] = 1.0,
-                BoolMask::False => upper[i] = 0.0,
-                BoolMask::Unknown => {}
-            }
-        }
+        let search = Search::new(net, &store, vt, opts.seq, Some(opts.job_depth), &scope);
         if store.unresolved_targets() == 0 {
-            return Ok(CompileResult {
-                lower,
-                upper,
-                names,
-                stats: Stats::default(),
-                exhausted: None,
-            });
+            return Ok(search.result(net, Stats::default(), None));
         }
-    }
-
-    let eps2 = if opts.seq.strategy == Strategy::Exact {
-        0.0
-    } else {
-        2.0 * opts.seq.epsilon
+        search
     };
-    let n_targets = targets.len();
-    let shared = Shared {
-        vt,
-        opts,
-        order: static_order(net, opts.seq.order),
-        node_targets: target_positions(&targets),
-        targets,
-        bounds: Mutex::new((lower, upper)),
-        spare: Mutex::new(vec![0.0; n_targets]),
-        // One root job; the pool shuts down when it and every job
-        // forked below it are finished — or the scope is cancelled: a
-        // dead worker's jobs would otherwise never drain.
-        queue: pool::Queue::new([Job {
-            prefix: Vec::new(),
-            prob: 1.0,
-            budgets: vec![eps2; n_targets],
-        }]),
-        scope: BudgetScope::new(opts.budget),
-    };
-
-    let ran = pool::run(&shared.scope, opts.workers, &shared.queue, |jobs| {
-        let mut worker = Worker {
-            shared: &shared,
-            store: Masks::new(net),
-            local_lower: vec![0.0; n_targets],
-            local_upper_delta: vec![0.0; n_targets],
-            branches: 0,
-            stopped: false,
-        };
+    let (_, queue) = search.forks.as_ref().expect("a pooled run has a queue");
+    // The pool shuts down when the root job and every job forked below
+    // it are finished — or the scope is cancelled: a dead worker's jobs
+    // would otherwise never drain.
+    let ran = pool::run(&scope, workers, queue, |jobs| {
+        let mut worker = Worker::new(&search, Masks::new(net));
         while let Some(job) = jobs.next_job() {
             worker.run_job(job);
         }
-        Ok::<u64, CoreError>(worker.branches)
+        Ok::<Stats, CoreError>(worker.stats)
     });
-
-    shared.scope.record_telemetry();
-    let branches = ran?.into_iter().sum();
-    let exhausted = shared.scope.verdict();
-    let (lower, upper) = shared
-        .bounds
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    Ok(CompileResult {
-        lower,
-        upper,
-        names,
-        stats: Stats {
-            branches,
-            assignments: 0,
-            prunes: 0,
-            deepest: 0,
-        },
-        exhausted,
-    })
+    scope.record_telemetry();
+    let stats = ran?.into_iter().fold(Stats::default(), |sum, s| Stats {
+        branches: sum.branches + s.branches,
+        assignments: sum.assignments + s.assignments,
+        prunes: sum.prunes + s.prunes,
+        deepest: sum.deepest.max(s.deepest),
+    });
+    Ok(search.result(net, stats, scope.verdict()))
 }
 
-struct Worker<'v, 's, 'n> {
-    shared: &'s Shared<'v>,
+struct Worker<'s, 'a, 'n> {
+    search: &'s Search<'a>,
     store: Masks<'n>,
-    local_lower: Vec<f64>,
-    local_upper_delta: Vec<f64>,
-    branches: u64,
+    /// The assignments of the current branch, the job's prefix included:
+    /// their count is the decision depth, and a forked job starts from
+    /// a copy.
+    prefix: Vec<(Var, bool)>,
+    /// The current job's prefix length, from which its depth `d` counts.
+    job_start: usize,
+    /// The variables `prefix` assigns, for [`VarOrder::Dynamic`].
+    assigned: Vec<bool>,
+    stats: Stats,
     /// Set when the shared scope rejects a check: the current job's
     /// remaining subtree unwinds without exploring (sound — unexplored
     /// mass stays between the bounds) and the job loop exits next poll.
     stopped: bool,
 }
 
-impl Worker<'_, '_, '_> {
-    fn run_job(&mut self, mut job: Job) {
+impl<'s, 'a, 'n> Worker<'s, 'a, 'n> {
+    fn new(search: &'s Search<'a>, store: Masks<'n>) -> Self {
+        Worker {
+            search,
+            store,
+            prefix: Vec::new(),
+            job_start: 0,
+            assigned: vec![false; search.vt.len()],
+            stats: Stats::default(),
+            stopped: false,
+        }
+    }
+
+    fn run_job(&mut self, job: Job) {
+        let approx = self.search.opts.strategy != Strategy::Exact;
         let mark = self.store.checkpoint();
-        // Replay the prefix silently: contributions along it were already
+        // Replay the prefix silently: its resolutions were already
         // accounted by the forking worker.
         for &(v, val) in &job.prefix {
             self.store.assign(v, val, &mut |_, _| {});
+            self.assigned[v.index()] = true;
         }
+        self.job_start = job.prefix.len();
+        self.prefix = job.prefix;
+        let mut budgets = job.budgets;
         // Synchronise budgets at job start: drain the spare pool.
-        if self.shared.opts.seq.strategy != Strategy::Exact {
-            let mut spare = lock(&self.shared.spare);
-            for (b, s) in job.budgets.iter_mut().zip(spare.iter_mut()) {
+        if approx {
+            let mut spare = lock(&self.search.spare);
+            for (b, s) in budgets.iter_mut().zip(spare.iter_mut()) {
                 *b += *s;
                 *s = 0.0;
             }
         }
-        self.local_lower.fill(0.0);
-        self.local_upper_delta.fill(0.0);
-        let residual = self.dfs(job.prefix.len(), 0, job.prob, job.budgets, &mut job.prefix);
-        // Merge bound deltas.
-        {
-            let mut bounds = lock(&self.shared.bounds);
-            for i in 0..self.local_lower.len() {
-                bounds.0[i] += self.local_lower[i];
-                bounds.1[i] -= self.local_upper_delta[i];
-            }
-        }
+        let residual = self.dfs(job.prob, budgets);
         // Return residual budgets to the pool.
-        if self.shared.opts.seq.strategy != Strategy::Exact {
-            let mut spare = lock(&self.shared.spare);
+        if approx {
+            let mut spare = lock(&self.search.spare);
             for (s, r) in spare.iter_mut().zip(&residual) {
                 *s += r;
             }
         }
+        for &(v, _) in &self.prefix {
+            self.assigned[v.index()] = false;
+        }
         self.store.rollback(mark);
     }
 
-    fn global_tight_or_resolved(&self, eps2: f64) -> bool {
-        let bounds = lock(&self.shared.bounds);
-        self.shared
+    /// True iff every target is resolved in the current branch or has
+    /// globally tight bounds (Algorithm 1's second entry check).
+    fn all_reached_or_tight(&self) -> bool {
+        let eps2 = 2.0 * self.search.opts.epsilon;
+        let bounds = lock(&self.search.bounds);
+        self.search
             .targets
             .iter()
             .enumerate()
             .all(|(i, &t)| self.store.state(t).is_resolved() || bounds.1[i] - bounds.0[i] <= eps2)
     }
 
-    fn dfs(
-        &mut self,
-        depth: usize,
-        rel_depth: usize,
-        p: f64,
-        budgets: Vec<f64>,
-        prefix: &mut Vec<(Var, bool)>,
-    ) -> Vec<f64> {
-        // Budget safe point, one step per branch (shared across the
-        // whole pool through the scope's atomic step counter).
-        if self.stopped || self.shared.scope.check_steps(1).is_err() {
+    fn next_var(&self) -> Option<Var> {
+        let order = &self.search.order;
+        match self.search.opts.order {
+            VarOrder::Dynamic => {
+                let mut best: Option<(usize, Var)> = None;
+                for &v in order {
+                    if self.assigned[v.index()] {
+                        continue;
+                    }
+                    let score = self.store.unresolved_parents_of_var(v);
+                    if best.is_none_or(|(s, _)| score > s) {
+                        best = Some((score, v));
+                    }
+                }
+                best.map(|(_, v)| v)
+            }
+            _ => order.get(self.prefix.len()).copied(),
+        }
+    }
+
+    fn dfs(&mut self, p: f64, budgets: Vec<f64>) -> Vec<f64> {
+        let search = self.search;
+        // Budget safe point, one step per branch (shared across a pool
+        // through the scope's atomic step counter). Returning without
+        // exploring is always sound for the bounds (see `stopped`).
+        if self.stopped || search.scope.check_steps(1).is_err() {
             self.stopped = true;
             return budgets;
         }
-        self.branches += 1;
+        let depth = self.prefix.len();
+        self.stats.branches += 1;
+        self.stats.deepest = self.stats.deepest.max(depth as u32);
         if self.store.unresolved_targets() == 0 {
             return budgets;
         }
-        let approx = self.shared.opts.seq.strategy != Strategy::Exact;
-        let eps2 = 2.0 * self.shared.opts.seq.epsilon;
-        if approx && self.global_tight_or_resolved(eps2) {
+        let approx = search.opts.strategy != Strategy::Exact;
+        if approx && self.all_reached_or_tight() {
             return budgets;
         }
-        if rel_depth >= self.shared.opts.job_depth {
-            // Fork the subtree as a new job carrying the current budgets.
-            self.shared.queue.push(Job {
-                prefix: prefix.clone(),
-                prob: p,
-                budgets: budgets.clone(),
-            });
-            // The budget moved into the job; nothing residual here.
-            return vec![0.0; budgets.len()];
+        if let Some((job_depth, queue)) = &search.forks {
+            if depth - self.job_start >= *job_depth {
+                // Fork the subtree as a new job carrying the current
+                // budgets; nothing residual stays here.
+                let n = budgets.len();
+                queue.push(Job {
+                    prefix: self.prefix.clone(),
+                    prob: p,
+                    budgets,
+                });
+                return vec![0.0; n];
+            }
         }
-        let Some(&x) = self.shared.order.get(depth) else {
+        let Some(x) = self.next_var() else {
+            // All variables assigned: every target must be resolved.
             debug_assert_eq!(self.store.unresolved_targets(), 0);
             return budgets;
         };
-        let px = self.shared.vt.prob(x);
+        let px = search.vt.prob(x);
 
-        let (left_budget, mut right_budget) = match self.shared.opts.seq.strategy {
+        // Budget split per strategy.
+        let (left_budget, mut right_budget) = match search.opts.strategy {
             Strategy::Exact => (budgets.clone(), budgets),
             Strategy::Eager => {
                 let zeros = vec![0.0; budgets.len()];
@@ -308,51 +389,38 @@ impl Worker<'_, '_, '_> {
                 (half.clone(), half)
             }
         };
-        let left_res = self.branch(depth, rel_depth, x, true, p * px, left_budget, prefix);
-        if self.shared.opts.seq.strategy != Strategy::Exact {
-            for (r, l) in right_budget.iter_mut().zip(&left_res) {
+        let left_residual = self.branch(x, true, p * px, left_budget);
+        if approx {
+            for (r, l) in right_budget.iter_mut().zip(&left_residual) {
                 *r += l;
             }
         } else {
-            right_budget = left_res;
+            right_budget = left_residual;
         }
-        if approx && self.global_tight_or_resolved(eps2) {
+        if approx && self.all_reached_or_tight() {
+            // All probability bounds ε-approximated: skip the right branch.
             return right_budget;
         }
-        self.branch(
-            depth,
-            rel_depth,
-            x,
-            false,
-            p * (1.0 - px),
-            right_budget,
-            prefix,
-        )
+        self.branch(x, false, p * (1.0 - px), right_budget)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn branch(
-        &mut self,
-        depth: usize,
-        rel_depth: usize,
-        x: Var,
-        value: bool,
-        p: f64,
-        mut budgets: Vec<f64>,
-        prefix: &mut Vec<(Var, bool)>,
-    ) -> Vec<f64> {
+    fn branch(&mut self, x: Var, value: bool, p: f64, mut budgets: Vec<f64>) -> Vec<f64> {
         if p == 0.0 {
+            // Zero-mass branch: resolutions would contribute nothing.
             return budgets;
         }
-        if self.shared.opts.seq.strategy != Strategy::Exact {
-            let prunable = self
-                .shared
+        let search = self.search;
+        if search.opts.strategy != Strategy::Exact {
+            // Prune if the branch mass fits in every unresolved target's
+            // budget.
+            let prunable = search
                 .targets
                 .iter()
                 .enumerate()
                 .all(|(i, &t)| self.store.state(t).is_resolved() || budgets[i] >= p);
             if prunable {
-                for (i, &t) in self.shared.targets.iter().enumerate() {
+                self.stats.prunes += 1;
+                for (i, &t) in search.targets.iter().enumerate() {
                     if !self.store.state(t).is_resolved() {
                         budgets[i] -= p;
                     }
@@ -361,28 +429,33 @@ impl Worker<'_, '_, '_> {
             }
         }
         let mark = self.store.checkpoint();
+        self.stats.assignments += 1;
+        // Collect resolutions first, then account them under one lock.
         let mut resolutions: Vec<(NodeId, bool)> = Vec::new();
         self.store
             .assign(x, value, &mut |id, truth| resolutions.push((id, truth)));
-        for (id, truth) in resolutions {
-            if let Some(targets) = self.shared.node_targets.get(&id) {
-                for &i in targets {
+        if !resolutions.is_empty() {
+            let mut bounds = lock(&search.bounds);
+            let (lower, upper) = &mut *bounds;
+            for (id, truth) in resolutions {
+                for &i in search.node_targets.get(&id).into_iter().flatten() {
                     if truth {
-                        self.local_lower[i] += p;
+                        lower[i] += p;
                     } else {
-                        self.local_upper_delta[i] += p;
+                        upper[i] -= p;
                     }
                 }
             }
         }
-        prefix.push((x, value));
-        let res = self.dfs(depth + 1, rel_depth + 1, p, budgets, prefix);
-        prefix.pop();
+        self.assigned[x.index()] = true;
+        self.prefix.push((x, value));
+        let res = self.dfs(p, budgets);
+        self.prefix.pop();
+        self.assigned[x.index()] = false;
         self.store.rollback(mark);
         res
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,8 +21,10 @@
 //!    branches (§4.3). The guarantee `U − L ≤ 2ε` holds on termination.
 //! 3. **Distributed compilation** ([`distr`]): the decision tree is split
 //!    into jobs of bounded depth `d`, explored concurrently by a pool of
-//!    workers that fork boundary nodes as new jobs and merge bound deltas
-//!    (§4.4).
+//!    workers that fork boundary nodes as new jobs and account every
+//!    branch straight into the shared bounds (§4.4). This is the one
+//!    search: sequential [`compile()`] runs it as a single job on the
+//!    calling thread.
 //!
 //! All three run over the unrolled event network: the §4.2 folded loop
 //! encoding and its convergence check are not reproduced (see the
@@ -40,7 +42,9 @@ pub mod masks;
 pub mod order;
 pub mod sensitivity;
 
-pub use compile::{compile, compile_scoped, CompileResult, Options, Stats, Strategy};
+pub use compile::{
+    compile, compile_scoped, degrade_to_bounds, CompileResult, Options, Stats, Strategy,
+};
 pub use distr::{compile_distributed, DistOptions};
 pub use masks::{BoolMask, Masks};
 pub use order::VarOrder;

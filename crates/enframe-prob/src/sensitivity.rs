@@ -21,7 +21,7 @@
 //! to *explain* a result ("which sensor readings drive the probability
 //! that o₃ is a medoid?").
 
-use crate::compile::{compile, CompileResult, Options};
+use crate::compile::{compile, Options};
 use enframe_core::{Var, VarTable};
 use enframe_network::Network;
 
@@ -154,16 +154,6 @@ pub fn sensitivity(net: &Network, vt: &VarTable, opts: Options) -> Sensitivity {
         cond_false,
         probs,
     }
-}
-
-/// Convenience: the base compilation result alongside the analysis, for
-/// callers that also want the bounds.
-pub fn sensitivity_with_bounds(
-    net: &Network,
-    vt: &VarTable,
-    opts: Options,
-) -> (CompileResult, Sensitivity) {
-    (compile(net, vt, opts), sensitivity(net, vt, opts))
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use enframe_core::{EpochCell, VarTable};
 use enframe_network::Network;
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions};
 use enframe_obdd::{ObddEngine, ObddError, ObddOptions};
-use enframe_prob::{compile_scoped, Options, Strategy};
+use enframe_prob::degrade_to_bounds;
 use enframe_store::{fingerprint_dnnf, fingerprint_obdd, ArtifactStore, EngineKind};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -647,20 +647,10 @@ impl QueryService {
     }
 }
 
-/// The degradation ladder's last rung: re-run the anytime hybrid bounds
-/// engine over the lineage under the same (absolute-deadline) budget and
-/// answer with a sound `[L, U]` enclosure.
+/// The degradation ladder's last rung ([`degrade_to_bounds`] at
+/// ε = 0.1): answer with a sound `[L, U]` enclosure.
 fn degrade(lineage: &Lineage, vt: &VarTable, budget: Budget) -> Answer {
-    telemetry::count(Counter::Fallback);
-    let _span = telemetry::span(Phase::Degraded);
-    let scope = BudgetScope::new(budget);
-    let res = compile_scoped(
-        &lineage.net,
-        vt,
-        Options::approx(Strategy::Hybrid, 0.1),
-        &scope,
-    );
-    scope.record_telemetry();
+    let res = degrade_to_bounds(&lineage.net, vt, 0.1, budget);
     Answer::Degraded {
         lower: res.lower,
         upper: res.upper,
