@@ -5,7 +5,8 @@
 //! `figures all` every one, no argument lists them. Rows go to stdout as
 //! CSV under [`CSV_HEADER`], everything else to stderr. The default is
 //! the *smoke* grid (minutes per sweep); `ENFRAME_BENCH_FULL=1` selects
-//! the paper-scale grid (hours).
+//! the paper-scale grid (hours). A row whose status is `error(…)` makes
+//! the binary exit non-zero once every selected sweep has printed.
 
 use enframe_bench::Engine::{
     BddExact, BddStatic, DnnfExact, DnnfPar, Eager, Exact, Hybrid, HybridD, Lazy, Naive,
@@ -20,6 +21,7 @@ use enframe_prob::{compile, CompileResult, Options, Strategy, VarOrder};
 use enframe_telemetry as telemetry;
 use enframe_translate::env::clustering_env;
 use enframe_translate::{targets, translate, ProbEnv, ProbObjects, Translated};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// A named sweep: what the listing says about it, and what
@@ -40,6 +42,9 @@ const FIGURES: &[Figure] = &[
 
 /// The error budget every figure of the paper runs its approximations at.
 const EPS: f64 = 0.1;
+
+/// Whether a row reported an engine error.
+static ENGINE_ERROR: AtomicBool = AtomicBool::new(false);
 
 /// The distributed series of Figures 6–8: 8 workers, job size 3.
 const HYBRID_D: Engine = HybridD {
@@ -71,6 +76,18 @@ fn main() {
     for (_, _, run) in selected {
         run(full_scale());
     }
+    if ENGINE_ERROR.load(Ordering::Relaxed) {
+        eprintln!("figures: an engine reported an error (see the `error(` rows)");
+        std::process::exit(1)
+    }
+}
+
+/// Prints one CSV row, noting an `error(…)` status (the fifth column)
+/// for the exit code.
+fn emit(row: String) {
+    let status = row.split(',').nth(4).unwrap_or_default();
+    ENGINE_ERROR.fetch_or(status.starts_with("error("), Ordering::Relaxed);
+    println!("{row}");
 }
 
 /// The paper-scale or the smoke value of a grid parameter.
@@ -85,13 +102,13 @@ fn scale<T>(full: bool, paper: T, smoke: T) -> T {
 /// Runs `engines` over one grid point (`x`, `detail`, scenario) at
 /// ε = [`EPS`] and prints the rows.
 fn run(figure: &str, point: (&str, &str, &Prepared), engines: &[Engine]) -> Vec<Measurement> {
-    sweep(&mut |row| println!("{row}"), figure, point, engines, EPS)
+    sweep(&mut emit, figure, point, engines, EPS)
 }
 
 /// Prints one row that [`sweep`] cannot make: its series is not the
 /// engine's label, or no engine of [`run_engine`]'s produced it.
 fn row(figure: &str, series: &str, (x, detail): (&str, &str), m: Measurement) {
-    println!("{}", csv_row(figure, series, x, &m, detail));
+    emit(csv_row(figure, series, x, &m, detail));
 }
 
 /// The paper's k-medoids pipeline: k = 2, default lineage options.
@@ -414,10 +431,9 @@ fn ablations(full: bool) {
     // --- error budget: performance is highly sensitive to ε -------------
     let v = scale(full, 24, 18);
     let prep = kmedoids(48, 3, Scheme::Positive { l: 8, v }, 0xAB20);
-    let mut print = |row| println!("{row}");
     for eps in [0.01, 0.02, 0.05, 0.1, 0.2, 0.4] {
         let point = (&*format!("eps={eps}"), "", &prep);
-        sweep(&mut print, "ablation_epsilon", point, &[Hybrid], eps);
+        sweep(&mut emit, "ablation_epsilon", point, &[Hybrid], eps);
     }
 
     // --- dimensions: no effect (distances are precomputed scalars) ------

@@ -67,13 +67,11 @@ pub struct Prepared {
     /// [`Engine::Naive`] executes per world. `None` for lineage-query
     /// pipelines.
     pub source: Option<Source>,
-    /// Variable cap for the OBDD engines on this scenario
-    /// (`usize::MAX` = none): [`BDD_KMEDOIDS_VAR_CAP`] for the
-    /// k-medoids pipeline, none for lineage queries.
-    pub bdd_var_cap: usize,
-    /// Variable cap for the d-DNNF engines on this scenario
+    /// Variable cap for the OBDD and d-DNNF engines on this scenario
     /// (`usize::MAX` = none): [`DNNF_KMEDOIDS_VAR_CAP`] for the
-    /// k-medoids pipeline, none for lineage queries.
+    /// k-medoids pipeline, none for lineage queries. The two compiled
+    /// forms share it because they share the expander of comparison
+    /// atoms.
     pub dnnf_var_cap: usize,
 }
 
@@ -118,7 +116,6 @@ pub fn prepare(
             k,
             n,
         }),
-        bdd_var_cap: BDD_KMEDOIDS_VAR_CAP,
         dnnf_var_cap: DNNF_KMEDOIDS_VAR_CAP,
     }
 }
@@ -154,9 +151,9 @@ pub enum Engine {
     /// d-DNNF knowledge compilation (`enframe::obdd::dnnf`): targets
     /// compiled with residual-state memoisation (partial-sum DP over
     /// comparison atoms, decomposable-AND factoring), probabilities by
-    /// single-pass weighted model counting. The engine that breaks the
-    /// Shannon-expansion wall on aggregate-comparison workloads — see
-    /// [`DNNF_KMEDOIDS_VAR_CAP`] vs [`BDD_KMEDOIDS_VAR_CAP`].
+    /// single-pass weighted model counting. Its DP is also how the OBDD
+    /// engines expand comparison atoms, so both run to
+    /// [`DNNF_KMEDOIDS_VAR_CAP`] on the k-medoids pipeline.
     DnnfExact,
     /// [`Engine::DnnfExact`] with a parallel target fan-out and
     /// data-parallel WMC (`DnnfOptions::workers`). Same series label —
@@ -220,7 +217,8 @@ pub struct Measurement {
     /// peak nodes, GC and reorder counts, table load factor.
     pub stats: Option<ObddStats>,
     /// d-DNNF compilation statistics ([`Engine::DnnfExact`] only):
-    /// expansion steps (the `cmp_branches` analogue), node/edge counts.
+    /// expansion steps (what the OBDD engines report as `cmp_branches`),
+    /// node/edge counts.
     pub dnnf_stats: Option<DnnfStats>,
     /// Worker threads the engine ran with (after `0 = auto`
     /// resolution); 1 for the sequential engines.
@@ -266,36 +264,14 @@ pub const NAIVE_VAR_CAP: usize = 16;
 /// `timeout`, mirroring the paper's 3600 s cut-off.
 pub const EXACT_VAR_CAP: usize = 18;
 
-/// Cap on variables for BDD-exact on the **k-medoids** pipeline. The
-/// clustering events' comparison atoms aggregate over every point, so
-/// their support spans nearly all variables and Shannon expansion costs
-/// ~2^v *per atom* — the one workload shape where knowledge compilation
-/// inherits the decision tree's exponent. Lineage-query pipelines
-/// ([`prepare_lineage`]) carry no such cap.
-///
-/// Re-evaluated under the reordering manager: the wall is the
-/// **expansion branch count**, not diagram size (measured on the
-/// n = 16, 2-iteration pipeline: 111 k branches / 1.9 s at v = 12 vs
-/// 874 k branches / 14.8 s at v = 14, with the manager peak staying
-/// under 500 nodes throughout), so group sifting moves nothing here and
-/// the cap stays at 12 — this is precisely the wall the d-DNNF engine
-/// removes ([`Engine::DnnfExact`], [`DNNF_KMEDOIDS_VAR_CAP`]).
-pub const BDD_KMEDOIDS_VAR_CAP: usize = 12;
-
-/// Cap on variables for the d-DNNF engine on the **k-medoids** pipeline
-/// — twice the OBDD cap, because residual-state memoisation collapses
-/// the per-atom Shannon branch tree onto the DP over distinct
-/// (support level, partial-sum) states. Measured on the same n = 16,
-/// 2-iteration pipeline as [`BDD_KMEDOIDS_VAR_CAP`]'s baseline: the
-/// 874 k-branch / 14.8 s Shannon compilation at v = 14 becomes 1 178
-/// expansion steps / ~0.35 s (742× fewer steps), and expansion steps
-/// then grow *polynomially* in v — 1 922 at v = 20, 2 124 at v = 24,
-/// 4 898 at v = 40 (~1.4 s) — because the comparison atoms' sums are
-/// functions of a handful of shared lineage events, not of individual
-/// variables. The remaining wall is the **point count**, not v: more
-/// points mean more distinct lineage groups and denser guard structure
-/// (n = 32 at v = 20 takes ~100 s), so the cap guards v only, at the
-/// fig-grid margin where the n = 16 pipeline stays well under a second.
+/// Cap on variables for the compiled engines (d-DNNF and OBDD) on the
+/// **k-medoids** pipeline. The comparison atoms' support spans nearly
+/// all variables, but their sums are functions of a handful of shared
+/// lineage events, so the residual-state DP that expands them for both
+/// forms grows *polynomially* in v (n = 16, 2 iterations: 1 178 steps
+/// at v = 14, 2 124 at v = 24, 4 898 at v = 40 in ~1.4 s). The wall is
+/// the **point count** (n = 32 at v = 20 takes ~100 s), so the cap sits
+/// where the n = 16 pipeline stays well under a second.
 pub const DNNF_KMEDOIDS_VAR_CAP: usize = 24;
 
 /// Whether a naïve run of `2^v` worlds over `n` objects finishes within a
@@ -345,10 +321,13 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
             _ => timeout("naive"),
         },
         Engine::Exact if v > EXACT_VAR_CAP => over(EXACT_VAR_CAP),
-        Engine::BddExact | Engine::BddStatic | Engine::BddPar { .. } if v > prep.bdd_var_cap => {
-            over(prep.bdd_var_cap)
-        }
-        Engine::DnnfExact | Engine::DnnfPar { .. } if v > prep.dnnf_var_cap => {
+        Engine::BddExact
+        | Engine::BddStatic
+        | Engine::BddPar { .. }
+        | Engine::DnnfExact
+        | Engine::DnnfPar { .. }
+            if v > prep.dnnf_var_cap =>
+        {
             over(prep.dnnf_var_cap)
         }
         Engine::HybridD { workers, job_depth } => {
@@ -528,7 +507,6 @@ fn lineage_prepared(p: Program, corr: Correlations, t0: Instant) -> Prepared {
         var_groups: corr.var_groups,
         build_seconds: t0.elapsed().as_secs_f64(),
         source: None,
-        bdd_var_cap: usize::MAX,
         dnnf_var_cap: usize::MAX,
     }
 }
@@ -609,9 +587,10 @@ pub fn prepare_workers_sweep(n_groups: usize, window: usize, seed: u64) -> Prepa
 /// The CSV header of every figure row. The trailing columns carry
 /// knowledge-compilation statistics and stay empty for engines that do
 /// not produce them: six OBDD manager columns (including the
-/// `peak_bytes` footprint estimate), then `cmp_branches` (Shannon
-/// branches for the BDD engines, expansion steps for the d-DNNF engine
-/// — the directly comparable pair), the d-DNNF node/edge counts, and
+/// `peak_bytes` footprint estimate), then `cmp_branches` (d-DNNF
+/// expansion steps, which both compiled forms report: the OBDD engines
+/// for the targets that reach a comparison atom, the d-DNNF engine for
+/// every target), the d-DNNF node/edge counts, and
 /// seven telemetry columns distilled from the per-measurement
 /// [`Snapshot`] (cache hits, the compile/WMC phase split, and the
 /// budget-governance triple: safe-point checks taken, cancellations
@@ -840,9 +819,12 @@ mod tests {
     }
 
     /// The headline of this backend: on the k-medoids
-    /// aggregate-comparison workload the d-DNNF engine reproduces the
-    /// decision-tree exact probabilities with orders of magnitude fewer
-    /// expansion steps than the Shannon path's branch count.
+    /// aggregate-comparison workload the d-DNNF engine — and the OBDD
+    /// engine, which expands comparison atoms through the same DP —
+    /// reproduces the decision-tree exact probabilities with orders of
+    /// magnitude fewer expansion steps than an assignment-level Shannon
+    /// expansion's branch count (5 064 on this network, recorded before
+    /// that expander was deleted).
     #[test]
     fn dnnf_matches_tree_exact_on_kmedoids_and_collapses_branches() {
         let _t = counters_reset();
@@ -851,50 +833,49 @@ mod tests {
             .estimates
             .unwrap();
         let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited());
-        assert_eq!(dnnf.status, "ok");
-        let dv = dnnf.estimates.unwrap();
-        assert_eq!(dv.len(), exact.len());
-        for i in 0..exact.len() {
-            assert!(
-                (dv[i] - exact[i]).abs() < 1e-9,
-                "target {i}: dnnf {} vs exact {}",
-                dv[i],
-                exact[i]
-            );
-        }
         let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
+        for (m, what) in [(&dnnf, "dnnf"), (&bdd, "bdd")] {
+            assert_eq!(m.status, "ok", "{what}");
+            let got = m.estimates.as_ref().unwrap();
+            assert_eq!(got.len(), exact.len());
+            for i in 0..exact.len() {
+                assert!(
+                    (got[i] - exact[i]).abs() < 1e-9,
+                    "target {i}: {what} {} vs exact {}",
+                    got[i],
+                    exact[i]
+                );
+            }
+        }
         let steps = dnnf.dnnf_stats.unwrap().expansion_steps;
-        let branches = bdd.stats.unwrap().cmp_branches;
         assert!(
-            steps * 10 <= branches,
+            steps * 10 <= 5_064,
             "residual-state memoisation must collapse the branch tree: \
-             {steps} dnnf steps vs {branches} Shannon branches"
+             {steps} dnnf steps vs 5 064 Shannon branches"
         );
     }
 
-    /// The raised d-DNNF cap: the aggregate-comparison pipeline compiles
-    /// past the old v = 12 Shannon cap, and the caps gate as documented.
+    /// The shared cap: the aggregate-comparison pipeline compiles on
+    /// both compiled forms past v = 12, where the deleted Shannon
+    /// expander's wall stood, and both stop at [`DNNF_KMEDOIDS_VAR_CAP`].
     #[test]
     fn dnnf_cap_is_raised_past_the_shannon_wall() {
         let _t = counters_reset();
         let cap = DNNF_KMEDOIDS_VAR_CAP;
         assert!(cap >= 20, "the d-DNNF cap must stay past the ISSUE bound");
-        let prep = prepare(
-            16,
-            2,
-            2,
-            Scheme::Positive { l: 8, v: 14 },
-            &LineageOpts::default(),
-            7,
-        );
+        let kmedoids = |v| {
+            let scheme = Scheme::Positive { l: 8, v };
+            prepare(16, 2, 2, scheme, &LineageOpts::default(), 7)
+        };
+        let prep = kmedoids(14);
         let bdd = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
-        assert!(
-            bdd.status.starts_with("timeout"),
-            "v=14 must exceed the Shannon cap, got {}",
-            bdd.status
-        );
         let dnnf = run_engine(&prep, Engine::DnnfExact, 0.0, Budget::unlimited());
+        assert_eq!(bdd.status, "ok");
         assert_eq!(dnnf.status, "ok");
+        let (bv, dv) = (bdd.estimates.unwrap(), dnnf.estimates.unwrap());
+        for i in 0..dv.len() {
+            assert!((bv[i] - dv[i]).abs() < 1e-9, "target {i}");
+        }
         let stats = dnnf.dnnf_stats.unwrap();
         // The recorded Shannon baseline at v = 14 is 874 k branches; the
         // DP must be at least 50× below it (measured: ~1.2 k).
@@ -903,6 +884,11 @@ mod tests {
             "expansion steps regressed: {}",
             stats.expansion_steps
         );
+        let over = kmedoids(cap + 1);
+        for engine in [Engine::BddExact, Engine::DnnfExact] {
+            let m = run_engine(&over, engine, 0.0, Budget::unlimited());
+            assert!(m.status.starts_with("timeout"), "{engine:?}: {}", m.status);
+        }
     }
 
     #[test]

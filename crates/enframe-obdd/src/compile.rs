@@ -5,40 +5,31 @@
 //! the manager's apply operations, bottom-up over the network's
 //! topological order, so shared sub-events are compiled exactly once.
 //! For the read-once and hierarchical lineage produced by the mutex and
-//! conditional correlation schemes this stays polynomial — the whole
-//! point of the knowledge-compilation route.
+//! conditional correlation schemes this stays polynomial.
 //!
 //! Comparison atoms (`Cmp`) close over *numeric* c-value structure, which
-//! has no direct BDD encoding. They are compiled by **Shannon expansion**
-//! over the atom's support variables in global order, with the
-//! three-valued partial evaluator ([`crate::peval`]) pruning every branch
-//! as soon as the comparison's outcome is forced (e.g. once one side is
-//! known undefined the atom is true, §3.2). Worst case this is
-//! exponential in the atom's support — the same cost the decision-tree
-//! engine pays for the *whole network* — but it is local to each atom,
-//! shared across targets, and the partial evaluator cuts mutex- and
-//! guard-heavy structure early. The d-DNNF path ([`crate::dnnf`]) removes
-//! this exponent for aggregate-heavy workloads by memoising the expansion
-//! on residual states instead of assignments.
+//! has no direct BDD encoding. A target whose Boolean cone reaches one is
+//! compiled **whole** by the d-DNNF residual-state DP ([`crate::dnnf`]),
+//! built on the first such target, and folded into the manager.
 //!
 //! The compiler cooperates with the manager's automatic maintenance:
 //! every per-network-node BDD it memoises is [`Manager::protect`]ed as a
 //! GC root until [`Compiler::finish`], and [`Manager::maybe_maintain`]
-//! runs at *safe points* — between cone nodes and between the apply steps
-//! of n-ary `And`/`Or` accumulations (with the accumulator protected) —
-//! so garbage collection and growth-triggered sifting can reclaim and
-//! shrink the table mid-compilation without ever invalidating a handle
-//! the compiler still holds. No maintenance runs inside a Shannon
-//! expansion: its recursion holds pending cofactors and relies on a
-//! fixed level order.
+//! runs at *safe points* — between cone nodes, between the apply steps
+//! of n-ary `And`/`Or` accumulations (with the accumulator protected),
+//! and after each fold (never inside one: its memo holds unprotected
+//! handles) — so GC and sifting never invalidate a handle in use.
 
+use crate::dnnf::{self, Dnnf, DnnfManager, DnnfNode};
 use crate::manager::{Bdd, Manager};
-use crate::peval::{Evaluator, Partial, VisitStamp};
+use crate::peval::VisitStamp;
 use crate::ObddError;
 use enframe_core::budget::BudgetScope;
 use enframe_core::failpoint::{self, Site};
+use enframe_core::fxhash::FxHashMap;
 use enframe_core::Var;
 use enframe_network::{Network, NodeId, NodeKind};
+use enframe_prob::order::VarOrder;
 
 /// A maintenance safe point with `acc` as the only unprotected live
 /// handle: protect it, let the manager GC/sift if its growth triggers
@@ -59,52 +50,54 @@ pub(crate) struct Compiler<'n> {
     net: &'n Network,
     /// Manager variable label of each `Var`, `None` when absent.
     level_of: Vec<Option<u32>>,
-    /// Compiled BDD per network node (Boolean cone only).
+    /// Compiled BDD per network node (propositional cones only).
     cache: Vec<Option<Bdd>>,
-    /// Shared three-valued evaluator (assignment + per-node scratch).
-    eval: Evaluator<'n>,
-    /// Scratch: visited stamps for cone/subtree traversals, reused
-    /// across `compile()` calls.
+    /// Scratch reused across `compile()` calls: visited stamps, the DFS
+    /// stack, and the Boolean cone of the current target.
     seen: VisitStamp,
-    /// Scratch: DFS stack, reused across traversals.
     stack: Vec<NodeId>,
-    /// Scratch: the Boolean cone of the current target.
     cone: Vec<NodeId>,
-    /// Scratch: the numeric subtree of the current `Cmp` atom.
-    subtree: Vec<NodeId>,
-    /// Scratch: the current atom's support variables.
-    support: Vec<Var>,
-    /// Count of Shannon-expansion branches taken for `Cmp` atoms.
-    pub(crate) cmp_branches: u64,
-    /// Shared budget/cancellation state, checked at the existing safe
-    /// points: per cone node (size limits) and per Shannon branch (step
-    /// limit). Unlimited scopes short-circuit every check.
+    /// Decision-order heuristic of the DP.
+    order: VarOrder,
+    /// The DP and its node store, once a target reached a `Cmp` atom.
+    dp: Option<(dnnf::Compiler<'n>, DnnfManager)>,
+    /// Shared budget/cancellation state, checked per cone node (size
+    /// limits) and per DP step (step and DP-store limits). Unlimited
+    /// scopes short-circuit every check.
     scope: BudgetScope,
 }
 
 impl<'n> Compiler<'n> {
-    pub(crate) fn new(net: &'n Network, level_of: Vec<Option<u32>>, scope: BudgetScope) -> Self {
+    pub(crate) fn new(
+        net: &'n Network,
+        level_of: Vec<Option<u32>>,
+        order: VarOrder,
+        scope: BudgetScope,
+    ) -> Self {
         Compiler {
             net,
             level_of,
             cache: vec![None; net.len()],
-            eval: Evaluator::new(net, scope.clone()),
             seen: VisitStamp::new(net.len()),
             stack: Vec::new(),
             cone: Vec::new(),
-            subtree: Vec::new(),
-            support: Vec::new(),
-            cmp_branches: 0,
+            order,
+            dp: None,
             scope,
         }
+    }
+
+    /// DP expansion steps taken so far.
+    pub(crate) fn cmp_branches(&self) -> u64 {
+        self.dp.as_ref().map_or(0, |(dp, _)| dp.expansion_steps)
     }
 
     /// Compiles one Boolean node (typically a target) into a BDD.
     pub(crate) fn compile(&mut self, man: &mut Manager, root: NodeId) -> Result<Bdd, ObddError> {
         let _span = enframe_telemetry::span(enframe_telemetry::Phase::BddApply);
         // The Boolean cone of `root`: nodes whose BDDs are combined
-        // compositionally. Recursion stops at `Cmp` atoms — their numeric
-        // subtrees are handled by Shannon expansion instead.
+        // compositionally. A cone that reaches a `Cmp` atom sends the
+        // whole target to the DP instead.
         self.seen.reset();
         self.cone.clear();
         self.stack.clear();
@@ -119,6 +112,7 @@ impl<'n> Compiler<'n> {
                 NodeKind::Not | NodeKind::And | NodeKind::Or => {
                     self.stack.extend(node.children.iter().copied());
                 }
+                NodeKind::Cmp(_) => return self.compile_dp(man, root),
                 _ => {}
             }
         }
@@ -157,24 +151,34 @@ impl<'n> Compiler<'n> {
         }
     }
 
-    fn compile_one(&mut self, man: &mut Manager, id: NodeId) -> Result<Bdd, ObddError> {
+    /// Compiles `root` whole by the DP and folds the sentence into `man`;
+    /// not memoised, so every target that reaches a `Cmp` atom runs it.
+    fn compile_dp(&mut self, man: &mut Manager, root: NodeId) -> Result<Bdd, ObddError> {
+        if self.dp.is_none() {
+            let mut dp = dnnf::Compiler::new(self.net, self.order, self.scope.clone());
+            dp.prime()?;
+            self.dp = Some((dp, DnnfManager::new()));
+        }
+        let (dp, store) = self.dp.as_mut().expect("built above");
+        let sentence = dp.compile(store, root)?;
+        let mut memo = FxHashMap::default();
+        let bdd = fold(man, store, &self.level_of, sentence, &mut memo)?;
+        checkpoint(man, bdd);
+        Ok(bdd)
+    }
+
+    fn compile_one(&self, man: &mut Manager, id: NodeId) -> Result<Bdd, ObddError> {
         let node = self.net.node(id);
-        let cached = |c: NodeId, cache: &[Option<Bdd>]| {
-            cache[c.index()].expect("children compiled before parents")
-        };
+        let cached = |c: NodeId| self.cache[c.index()].expect("children compiled before parents");
         Ok(match &node.kind {
-            NodeKind::Var(v) => {
-                let level = self.level(*v)?;
-                man.var(level)
-            }
+            NodeKind::Var(v) => man.var(level(&self.level_of, *v)?),
             NodeKind::ConstBool(true) => Bdd::TRUE,
             NodeKind::ConstBool(false) => Bdd::FALSE,
-            NodeKind::Not => !cached(node.children[0], &self.cache),
+            NodeKind::Not => !cached(node.children[0]),
             NodeKind::And => {
                 let mut acc = Bdd::TRUE;
                 for &c in &node.children {
-                    let b = cached(c, &self.cache);
-                    acc = man.and(acc, b);
+                    acc = man.and(acc, cached(c));
                     if acc == Bdd::FALSE {
                         break;
                     }
@@ -185,8 +189,7 @@ impl<'n> Compiler<'n> {
             NodeKind::Or => {
                 let mut acc = Bdd::FALSE;
                 for &c in &node.children {
-                    let b = cached(c, &self.cache);
-                    acc = man.or(acc, b);
+                    acc = man.or(acc, cached(c));
                     if acc == Bdd::TRUE {
                         break;
                     }
@@ -194,7 +197,6 @@ impl<'n> Compiler<'n> {
                 }
                 acc
             }
-            NodeKind::Cmp(_) => self.expand_cmp(man, id)?,
             other => {
                 return Err(ObddError::Unsupported(format!(
                     "numeric node {} cannot be a Boolean compilation root",
@@ -203,94 +205,41 @@ impl<'n> Compiler<'n> {
             }
         })
     }
+}
 
-    fn level(&self, v: Var) -> Result<u32, ObddError> {
-        self.level_of[v.index()].ok_or_else(|| {
-            ObddError::Unsupported(format!("variable x{} has no assigned level", v.0))
-        })
-    }
+fn level(level_of: &[Option<u32>], v: Var) -> Result<u32, ObddError> {
+    level_of[v.index()]
+        .ok_or_else(|| ObddError::Unsupported(format!("variable x{} has no assigned level", v.0)))
+}
 
-    /// The variable's *current* level under the manager's order — the
-    /// sort key for Shannon-expansion supports (labels are stable,
-    /// levels move under reordering).
-    fn current_level(&self, man: &Manager, v: Var) -> u32 {
-        self.level_of[v.index()]
-            .map(|label| man.level_of_var(label))
-            .unwrap_or(u32::MAX)
+/// Folds the d-DNNF sentence `f` into `man`, children first: literals
+/// become variables, `And`s conjunctions and decision `Or`s disjunctions.
+fn fold(
+    man: &mut Manager,
+    store: &DnnfManager,
+    level_of: &[Option<u32>],
+    f: Dnnf,
+    memo: &mut FxHashMap<Dnnf, Bdd>,
+) -> Result<Bdd, ObddError> {
+    if let Some(&b) = memo.get(&f) {
+        return Ok(b);
     }
-
-    /// Shannon expansion of a comparison atom over its support, in global
-    /// level order, pruning branches the partial evaluator resolves.
-    fn expand_cmp(&mut self, man: &mut Manager, id: NodeId) -> Result<Bdd, ObddError> {
-        let _span = enframe_telemetry::span(enframe_telemetry::Phase::Shannon);
-        // The atom's reachable subtree, ascending (topological) order.
-        self.seen.reset();
-        self.subtree.clear();
-        self.stack.clear();
-        self.stack.push(id);
-        while let Some(n) = self.stack.pop() {
-            if self.seen.visit(n) {
-                continue;
-            }
-            self.subtree.push(n);
-            self.stack.extend(self.net.node(n).children.iter().copied());
-        }
-        self.subtree.sort_unstable();
-        // Support variables, root-most level first.
-        self.support.clear();
-        for &n in &self.subtree {
-            if let NodeKind::Var(v) = self.net.node(n).kind {
-                self.support.push(v);
-            }
-        }
-        for i in 0..self.support.len() {
-            let _ = self.level(self.support[i])?; // fail early on unlevelled variables
-        }
-        let support = std::mem::take(&mut self.support);
-        let mut by_level = support;
-        by_level.sort_by_key(|&v| self.current_level(man, v));
-        let subtree = std::mem::take(&mut self.subtree);
-        let out = self.expand_rec(man, id, &subtree, &by_level, 0);
-        // Hand the buffers back for the next atom (their contents are
-        // dead; only the allocations are kept).
-        self.subtree = subtree;
-        self.support = by_level;
-        out
-    }
-
-    fn expand_rec(
-        &mut self,
-        man: &mut Manager,
-        id: NodeId,
-        subtree: &[NodeId],
-        support: &[Var],
-        next: usize,
-    ) -> Result<Bdd, ObddError> {
-        self.cmp_branches += 1;
-        // One budget step per Shannon branch — the quantity that blows
-        // up on aggregate-heavy workloads, and the knob `max_steps`
-        // bounds.
-        self.scope.check_steps(1)?;
-        self.eval.eval_subtree(subtree)?;
-        if let Partial::B(b) = self.eval.value(id) {
-            return Ok(if *b { Bdd::TRUE } else { Bdd::FALSE });
-        }
-        let v = *support.get(next).ok_or_else(|| {
-            ObddError::Unsupported(format!(
-                "comparison at node {} undetermined under a complete assignment",
-                id.0
-            ))
-        })?;
-        self.eval.assign(v, Some(true));
-        let hi = self.expand_rec(man, id, subtree, support, next + 1);
-        self.eval.assign(v, Some(false));
-        let lo = hi.and_then(|hi| {
-            self.expand_rec(man, id, subtree, support, next + 1)
-                .map(|lo| (hi, lo))
-        });
-        self.eval.assign(v, None);
-        let (hi, lo) = lo?;
-        let level = self.level(v)?;
-        Ok(man.node(level, hi, lo))
-    }
+    let b = match store.node(f) {
+        DnnfNode::Const(true) => Bdd::TRUE,
+        DnnfNode::Const(false) => Bdd::FALSE,
+        DnnfNode::Lit { var, positive } => match (level(level_of, *var)?, positive) {
+            (l, true) => man.var(l),
+            (l, false) => man.nvar(l),
+        },
+        DnnfNode::And(cs) => cs.iter().try_fold(Bdd::TRUE, |acc, &c| {
+            let b = fold(man, store, level_of, c, memo)?;
+            Ok::<_, ObddError>(man.and(acc, b))
+        })?,
+        DnnfNode::Or(cs) => cs.iter().try_fold(Bdd::FALSE, |acc, &c| {
+            let b = fold(man, store, level_of, c, memo)?;
+            Ok::<_, ObddError>(man.or(acc, b))
+        })?,
+    };
+    memo.insert(f, b);
+    Ok(b)
 }

@@ -1,17 +1,12 @@
-//! # d-DNNF compilation — breaking the Shannon-expansion wall
+//! # d-DNNF compilation — the one expander of comparison atoms
 //!
-//! The OBDD route ([`crate::ObddEngine`]) compiles comparison atoms by
-//! Shannon expansion over *full assignments* of the atom's support: every
-//! partial assignment is its own branch, so aggregate-heavy workloads
-//! (the k-medoids pipeline, where each atom compares sums over all
-//! points) pay `~2^v` branches per atom even though the resulting
-//! diagrams stay tiny. PR 3 measured the wall precisely: 111 k branches
-//! at v = 12 vs 874 k at v = 14, with the BDD manager peak under 500
-//! nodes throughout — the cost is the *branch count*, not the diagram.
-//!
-//! This module removes that exponent by compiling targets into
-//! **deterministic decomposable negation normal form** (d-DNNF) with
-//! expansion memoised on **residual states** instead of assignments:
+//! Expanding a comparison atom over *assignments* of its support costs
+//! `~2^v` branches on aggregate-heavy workloads (the k-medoids pipeline,
+//! where each atom compares sums over all points). This module compiles
+//! targets into **deterministic decomposable negation normal form**
+//! (d-DNNF) with expansion memoised on **residual states** instead, and
+//! the OBDD route ([`crate::ObddEngine`]) folds this DP's sentences for
+//! every target that reaches a comparison atom:
 //!
 //! * **Hash-consed d-DNNF nodes** — literals, decomposable `AND`
 //!   (children over pairwise disjoint variable sets) and deterministic
@@ -405,8 +400,7 @@ pub struct DnnfStats {
     /// Nodes reachable from the largest single target.
     pub largest_target: usize,
     /// Expansion steps: residual states actually expanded (memo misses).
-    /// The direct analogue of the Shannon path's `cmp_branches` — the
-    /// headline number the DP collapses.
+    /// The OBDD route reports the same steps as `cmp_branches`.
     pub expansion_steps: u64,
     /// Residual states answered from the memo instead of re-expanded.
     pub memo_hits: u64,
@@ -465,10 +459,11 @@ impl DnnfEngine {
         scope: &BudgetScope,
     ) -> Result<Self, ObddError> {
         let mut man = DnnfManager::new();
-        let mut compiler = Compiler::new(net, opts, scope.clone());
+        let mut compiler = Compiler::new(net, opts.order, scope.clone());
         compiler.prime()?;
         let mut targets = Vec::with_capacity(net.targets.len());
         for &t in &net.targets {
+            let _span = telemetry::span(Phase::DnnfExpand);
             targets.push(compiler.compile(&mut man, t)?);
         }
         Ok(Self::assemble(
@@ -524,10 +519,11 @@ impl DnnfEngine {
         let queue = pool::Queue::new(0..net.targets.len());
         let outs: Vec<WorkerOut> = pool::run(scope, workers, &queue, |worker| {
             let mut man = DnnfManager::new();
-            let mut compiler = Compiler::new(net, opts, scope.clone());
+            let mut compiler = Compiler::new(net, opts.order, scope.clone());
             let mut compiled = Vec::new();
             compiler.prime()?;
             while let Some(i) = worker.next_job() {
+                let _span = telemetry::span(Phase::DnnfExpand);
                 // An error stops this worker (the evaluator's assignment
                 // may be dirty) and, through the pool, its siblings.
                 compiled.push((i, compiler.compile(&mut man, net.targets[i])?));
@@ -623,7 +619,7 @@ impl DnnfEngine {
     /// count over the union DAG (products across `And` children, sums
     /// across `Or` children). With more than one worker configured and a
     /// store large enough to amortise thread startup, the sweep runs
-    /// data-parallel ([`wmc::node_probabilities_par`]) — bitwise-equal
+    /// data-parallel ([`wmc::node_probabilities`]) — bitwise-equal
     /// to the sequential sweep by construction.
     ///
     /// # Panics
@@ -652,7 +648,7 @@ impl DnnfEngine {
         } else {
             1
         };
-        let probs = wmc::node_probabilities_par_scoped(&self.man, vt, wmc_workers, scope)?;
+        let probs = wmc::node_probabilities(&self.man, vt, wmc_workers, scope)?;
         Ok(self.targets.iter().map(|&t| probs[t.index()]).collect())
     }
 }
@@ -700,7 +696,10 @@ fn push_value(key: &mut Vec<u64>, v: &Value) {
 /// compilation. `false` polarity means the item must be *violated*.
 type Item = (NodeId, bool);
 
-struct Compiler<'n> {
+/// The residual-state DP, shared by both compiled forms: [`DnnfEngine`]
+/// compiles every target with it, and the OBDD route every target whose
+/// cone reaches a comparison atom.
+pub(crate) struct Compiler<'n> {
     net: &'n Network,
     /// Shared three-valued evaluator (assignment + per-node scratch).
     eval: Evaluator<'n>,
@@ -725,7 +724,7 @@ struct Compiler<'n> {
     /// stamp only): lets a repeat visit from another item union the two
     /// items' components without re-walking the shared sub-DAG.
     opened_by: Vec<u32>,
-    expansion_steps: u64,
+    pub(crate) expansion_steps: u64,
     memo_hits: u64,
     /// Shared budget/cancellation state, checked once per expansion step
     /// (memo misses — the quantity that grows on hard instances; memo
@@ -734,8 +733,8 @@ struct Compiler<'n> {
 }
 
 impl<'n> Compiler<'n> {
-    fn new(net: &'n Network, opts: &DnnfOptions, scope: BudgetScope) -> Self {
-        let order = static_order(net, opts.order);
+    pub(crate) fn new(net: &'n Network, order: VarOrder, scope: BudgetScope) -> Self {
+        let order = static_order(net, order);
         let mut rank_of = vec![u32::MAX; net.n_vars as usize];
         for (i, v) in order.iter().enumerate() {
             rank_of[v.index()] = i as u32;
@@ -755,12 +754,17 @@ impl<'n> Compiler<'n> {
 
     /// Evaluates the whole network once under the empty assignment;
     /// every later re-evaluation is an upward delta from one variable.
-    fn prime(&mut self) -> Result<(), ObddError> {
+    pub(crate) fn prime(&mut self) -> Result<(), ObddError> {
         self.eval.prime()
     }
 
-    fn compile(&mut self, man: &mut DnnfManager, root: NodeId) -> Result<Dnnf, ObddError> {
-        let _span = telemetry::span(Phase::DnnfExpand);
+    /// Compiles one Boolean node into `man`. Callers open the compile
+    /// phase's span, so each route records exactly one.
+    pub(crate) fn compile(
+        &mut self,
+        man: &mut DnnfManager,
+        root: NodeId,
+    ) -> Result<Dnnf, ObddError> {
         if !self.net.node(root).is_bool() {
             return Err(ObddError::Unsupported(format!(
                 "numeric node {} cannot be a Boolean compilation root",

@@ -1,4 +1,5 @@
-//! Weighted model counting over d-DNNF — sequential and data-parallel.
+//! Weighted model counting over d-DNNF — one sweep, sequential or
+//! data-parallel by its worker count.
 //!
 //! This is the payoff of the two structural invariants the compiler
 //! maintains: children of an `And` mention **disjoint** variable sets,
@@ -15,16 +16,14 @@
 //!
 //! Floating-point reduction is order-sensitive for three or more
 //! operands, and child *handle* order is a manager-numbering artefact
-//! (merging per-worker managers renumbers handles). Both sweeps
-//! therefore reduce each node's child probabilities in a **canonical
-//! order** — sorted by [`f64::total_cmp`] — through the shared
-//! `node_probability` kernel. Consequences, both load-bearing for the
-//! parallel paths:
+//! (merging per-worker managers renumbers handles). The sweep therefore
+//! reduces each node's child probabilities in a **canonical order** —
+//! sorted by [`f64::total_cmp`] — through one `node_probability`
+//! kernel. Consequences, both load-bearing for the parallel paths:
 //!
-//! * [`node_probabilities_par`] is bitwise-equal to
-//!   [`node_probabilities`] for every worker count and chunking: each
-//!   node's value is the same pure function of its children's values,
-//!   only the evaluation schedule differs.
+//! * [`node_probabilities`] is bitwise-equal across worker counts and
+//!   chunkings: each node's value is the same pure function of its
+//!   children's values, only the evaluation schedule differs.
 //! * A sentence's probability depends only on its *abstract* structure,
 //!   not on handle numbering — so a parallel target fan-out, whose
 //!   merged manager numbers nodes differently than a sequential
@@ -32,7 +31,7 @@
 
 use super::{DnnfManager, DnnfNode};
 use crate::ObddError;
-use enframe_core::budget::{BudgetScope, Exceeded};
+use enframe_core::budget::BudgetScope;
 use enframe_core::{pool, VarTable};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -42,8 +41,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 const WMC_CHECK_STRIDE: usize = 4096;
 
 /// One node's probability from its children's probabilities — the
-/// single reduction kernel shared by the sequential and parallel
-/// sweeps, so the two are bitwise-identical by construction. `child`
+/// single reduction kernel of the sequential and the parallel sweep,
+/// so the two are bitwise-identical by construction. `child`
 /// reads an already-computed probability by node index; `scratch` is a
 /// reusable buffer for the canonical (totally ordered) reduction.
 ///
@@ -91,72 +90,11 @@ fn node_probability(
     }
 }
 
-/// The probability of every stored node under `vt`, indexed by node
-/// index — one linear pass over the manager. `probs[f.index()]` is the
-/// probability of sentence `f`.
-///
-/// # Panics
-/// Panics if a stored literal's variable is not covered by `vt`.
-pub fn node_probabilities(man: &DnnfManager, vt: &VarTable) -> Vec<f64> {
-    node_probabilities_scoped(man, vt, &BudgetScope::unlimited())
-        .expect("unlimited scope cannot exceed a budget")
-}
-
-/// [`node_probabilities`] under a budget: the sweep checkpoints the
-/// scope every `WMC_CHECK_STRIDE` nodes and aborts with the verdict
-/// when the budget is spent or a sibling cancelled.
-///
-/// # Panics
-/// Panics if a stored literal's variable is not covered by `vt`.
-pub fn node_probabilities_scoped(
-    man: &DnnfManager,
-    vt: &VarTable,
-    scope: &BudgetScope,
-) -> Result<Vec<f64>, Exceeded> {
-    let nodes = man.nodes();
-    let mut probs: Vec<f64> = Vec::with_capacity(nodes.len());
-    let mut scratch = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if i % WMC_CHECK_STRIDE == 0 {
-            scope.checkpoint()?;
-        }
-        // Children are created before parents, so their entries are
-        // already in `probs`.
-        let p = node_probability(node, vt, |c| probs[c], &mut scratch);
-        probs.push(p);
-    }
-    Ok(probs)
-}
-
-/// Data-parallel [`node_probabilities`]: the creation-ordered node
-/// array is swept as a **level wavefront**. A node's level is one more
-/// than its deepest child's, so all nodes of a level depend only on
-/// lower levels; each level is split into `workers` deterministic
-/// contiguous chunks (by creation index) computed concurrently, and a
-/// level starts when the one below is complete. Every node's value is
-/// computed by the same canonical-order kernel as the sequential sweep,
-/// so the result is **bitwise-equal to [`node_probabilities`] for every
-/// worker count** — parallelism changes the schedule, never the
-/// arithmetic.
-///
-/// `workers <= 1` falls back to the sequential sweep.
-///
-/// # Panics
-/// Panics if a stored literal's variable is not covered by `vt`.
-pub fn node_probabilities_par(man: &DnnfManager, vt: &VarTable, workers: usize) -> Vec<f64> {
-    unlimited(node_probabilities_par_scoped(
-        man,
-        vt,
-        workers,
-        &BudgetScope::unlimited(),
-    ))
-}
-
 /// Unwraps a sweep made under the unlimited scope. The one error such a
 /// sweep can return is a worker's caught panic — the documented one for
 /// a `vt` that is too short — which is raised again here, on the
 /// caller's thread, after the pool was joined.
-pub(super) fn unlimited<T>(swept: Result<T, ObddError>) -> T {
+pub(crate) fn unlimited<T>(swept: Result<T, ObddError>) -> T {
     match swept {
         Ok(value) => value,
         Err(ObddError::WorkerPanicked { message, .. }) => panic!("{message}"),
@@ -164,15 +102,24 @@ pub(super) fn unlimited<T>(swept: Result<T, ObddError>) -> T {
     }
 }
 
-/// [`node_probabilities_par`] under a budget, on the shared worker
-/// pool. Every chunk checkpoints the scope, so an exhausted budget
-/// stops the sweep within a level, and the pool's cancellation-aware
-/// queue is the level hand-off: a worker that fails (or panics — a
-/// `vt` that is too short surfaces as [`ObddError::WorkerPanicked`]
-/// carrying the documented message) cancels the scope, its siblings
-/// stop waiting for the level it will never finish, and the error is
-/// returned after the join.
-pub fn node_probabilities_par_scoped(
+/// The probability of every stored node under `vt`, indexed by node
+/// index: `probs[f.index()]` is the probability of sentence `f`.
+///
+/// At one worker this is one linear pass that checkpoints `scope` every
+/// `WMC_CHECK_STRIDE` nodes. With more, the nodes are swept as a
+/// **level wavefront** on the worker pool: a node's level is one past
+/// its deepest child's, each level is split into `workers` contiguous
+/// chunks by creation index, and a level starts when the one below is
+/// complete. The kernel is the same, so the result is **bitwise-equal
+/// for every worker count**. Every chunk checkpoints the scope; a
+/// worker that fails or panics (a `vt` that is too short surfaces as
+/// [`ObddError::WorkerPanicked`] with the documented message) cancels
+/// its siblings, and the error is returned after the join.
+///
+/// # Panics
+/// Panics if a stored literal's variable is not covered by `vt` and
+/// the sweep runs sequentially.
+pub fn node_probabilities(
     man: &DnnfManager,
     vt: &VarTable,
     workers: usize,
@@ -181,7 +128,18 @@ pub fn node_probabilities_par_scoped(
     let nodes = man.nodes();
     let workers = workers.min(nodes.len()).max(1);
     if workers <= 1 {
-        return Ok(node_probabilities_scoped(man, vt, scope)?);
+        let mut probs: Vec<f64> = Vec::with_capacity(nodes.len());
+        let mut scratch = Vec::new();
+        for (i, node) in nodes.iter().enumerate() {
+            if i % WMC_CHECK_STRIDE == 0 {
+                scope.checkpoint()?;
+            }
+            // Children are created before parents, so their entries are
+            // already in `probs`.
+            let p = node_probability(node, vt, |c| probs[c], &mut scratch);
+            probs.push(p);
+        }
+        return Ok(probs);
     }
 
     // Levels: constants and literals are 0, internal nodes one past
@@ -262,13 +220,23 @@ mod tests {
     use crate::dnnf::Dnnf;
     use enframe_core::Var;
 
+    /// The sweep at `workers` under the unlimited scope.
+    fn sweep(man: &DnnfManager, vt: &VarTable, workers: usize) -> Vec<f64> {
+        unlimited(node_probabilities(
+            man,
+            vt,
+            workers,
+            &BudgetScope::unlimited(),
+        ))
+    }
+
     #[test]
     fn constants_and_literals() {
         let mut man = DnnfManager::new();
         let x = man.lit(Var(0), true);
         let nx = man.lit(Var(0), false);
         let vt = VarTable::new(vec![0.3]);
-        let probs = node_probabilities(&man, &vt);
+        let probs = sweep(&man, &vt, 1);
         assert_eq!(probs[Dnnf::TRUE.index()], 1.0);
         assert_eq!(probs[Dnnf::FALSE.index()], 0.0);
         assert!((probs[x.index()] - 0.3).abs() < 1e-12);
@@ -284,7 +252,7 @@ mod tests {
         // (x0 ∧ x1) via decision on x2: x2 ? (x0 ∧ x1) : x0.
         let d = man.decision(Var(2), xy, x);
         let vt = VarTable::new(vec![0.5, 0.4, 0.25]);
-        let probs = node_probabilities(&man, &vt);
+        let probs = sweep(&man, &vt, 1);
         assert!((probs[xy.index()] - 0.2).abs() < 1e-12);
         let want = 0.25 * 0.2 + 0.75 * 0.5;
         assert!((probs[d.index()] - want).abs() < 1e-12);
@@ -296,7 +264,7 @@ mod tests {
         let mut man = DnnfManager::new();
         let x = man.lit(Var(0), true);
         let vt = VarTable::new(vec![0.6, 0.1, 0.9]);
-        let probs = node_probabilities(&man, &vt);
+        let probs = sweep(&man, &vt, 1);
         assert!((probs[x.index()] - 0.6).abs() < 1e-12);
     }
 
@@ -336,9 +304,9 @@ mod tests {
                 .map(|i| 0.17 + 0.029 * i as f64)
                 .collect::<Vec<_>>(),
         );
-        let seq = node_probabilities(&man, &vt);
+        let seq = sweep(&man, &vt, 1);
         for workers in [2, 3, 5, 8, 64] {
-            let par = node_probabilities_par(&man, &vt, workers);
+            let par = sweep(&man, &vt, workers);
             assert_eq!(seq.len(), par.len());
             for i in 0..seq.len() {
                 assert_eq!(
@@ -361,7 +329,7 @@ mod tests {
         let b = man.and(lits[4..9].iter().copied());
         let d = man.decision(Var(9), a, b);
         let vt = VarTable::new((0..10).map(|i| 0.05 + 0.09 * i as f64).collect::<Vec<_>>());
-        let probs = node_probabilities(&man, &vt);
+        let probs = sweep(&man, &vt, 1);
 
         // Interleave unrelated nodes first so absorb renumbers.
         let mut other = DnnfManager::new();
@@ -369,7 +337,7 @@ mod tests {
             other.lit(Var(v), false);
         }
         let map = other.absorb(&man);
-        let probs2 = node_probabilities(&other, &vt);
+        let probs2 = sweep(&other, &vt, 1);
         for f in [a, b, d] {
             assert_eq!(
                 probs[f.index()].to_bits(),
@@ -382,9 +350,8 @@ mod tests {
     /// documented assertion, a table shorter than a stored literal's
     /// variable) used to miss its barrier, so its siblings waited
     /// forever and the sweep never returned. The sweep must end, with
-    /// the panic as a structured error from the scoped entry point and
-    /// raised again, same message, from the panicking one. This thread
-    /// is the watchdog.
+    /// the panic as a structured error, and `unlimited` must raise it
+    /// again with the same message. This thread is the watchdog.
     #[test]
     fn a_panicking_worker_ends_the_sweep() {
         for workers in [2, 8] {
@@ -392,10 +359,8 @@ mod tests {
             std::thread::spawn(move || {
                 let (man, _) = layered_dag();
                 let short = VarTable::uniform(5, 0.5);
-                let scoped =
-                    node_probabilities_par_scoped(&man, &short, workers, &BudgetScope::unlimited());
-                let raised =
-                    std::panic::catch_unwind(|| node_probabilities_par(&man, &short, workers));
+                let scoped = node_probabilities(&man, &short, workers, &BudgetScope::unlimited());
+                let raised = std::panic::catch_unwind(|| sweep(&man, &short, workers));
                 let _ = tx.send((scoped, raised.map_err(|p| p.downcast::<String>().ok())));
             });
             let (scoped, raised) = rx

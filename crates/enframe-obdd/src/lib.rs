@@ -21,17 +21,17 @@
 //!   growth threshold ([`ReorderPolicy`]) or on demand
 //!   ([`Manager::reorder`]).
 //! * [`ObddEngine`] — compiles an [`enframe_network::Network`]'s targets
-//!   (propositional structure compositionally; comparison atoms by
-//!   Shannon expansion with three-valued pruning), computes exact
-//!   probabilities by weighted model counting ([`Wmc`]), and answers
-//!   [`ObddEngine::condition`] queries: posteriors `P(target | evidence)`
-//!   for arbitrary evidence events.
-//! * [`dnnf`] — the second compilation route: targets compiled to
+//!   (propositional structure compositionally; comparison atoms through
+//!   the d-DNNF DP below), computes exact probabilities by weighted
+//!   model counting ([`Wmc`]), and answers [`ObddEngine::condition`]
+//!   queries: posteriors `P(target | evidence)` for arbitrary evidence
+//!   events.
+//! * [`dnnf`] — the second compiled form: targets compiled to
 //!   **d-DNNF** with expansion memoised on residual states (a
 //!   partial-sum DP over comparison atoms) and decomposable-AND
-//!   factoring, breaking the Shannon-expansion exponent on
-//!   aggregate-comparison workloads where every atom's support spans
-//!   nearly all variables ([`dnnf::DnnfEngine`]).
+//!   factoring ([`dnnf::DnnfEngine`]) — the one expander of comparison
+//!   atoms for both forms, polynomial on aggregate-comparison workloads
+//!   where expanding assignments costs `~2^v` per atom.
 //!
 //! Mutex var-groups — the paper's encoding of a multi-valued "which of
 //! these points exists" choice as a Boolean chain `¬x₁ ∧ … ∧ xⱼ` — are
@@ -247,7 +247,9 @@ pub struct ObddStats {
     pub nodes: usize,
     /// Decision nodes of the largest single target BDD.
     pub largest_target: usize,
-    /// Shannon-expansion branches taken while compiling comparison atoms.
+    /// d-DNNF expansion steps of the residual-state DP, which compiles
+    /// every target whose cone reaches a comparison atom; 0 on purely
+    /// propositional networks.
     pub cmp_branches: u64,
     /// `ite` computed-table hits during compilation.
     pub cache_hits: u64,
@@ -319,11 +321,12 @@ impl ObddEngine {
             man.set_level_blocks(&blocks);
             man
         };
+        let new_compiler = || Compiler::new(net, level_of.clone(), opts.order, scope.clone());
         let mut man = new_manager(opts.reorder.clone());
         let (targets, cmp_branches, cache_hits);
         if workers > 1 {
             (targets, cmp_branches, cache_hits) =
-                Self::fan_out(net, workers, scope, &level_of, &new_manager, &mut man)?;
+                Self::fan_out(net, workers, scope, &new_compiler, &new_manager, &mut man)?;
             if opts.reorder.auto {
                 man.collect_garbage();
                 // The merged manager never reordered mid-compile the way a
@@ -332,14 +335,14 @@ impl ObddEngine {
                 man.maybe_maintain();
             }
         } else {
-            let mut compiler = Compiler::new(net, level_of.clone(), scope.clone());
+            let mut compiler = new_compiler();
             let mut compiled = Vec::with_capacity(net.targets.len());
             for &t in &net.targets {
                 let bdd = compiler.compile(&mut man, t)?;
                 man.protect(bdd);
                 compiled.push(bdd);
             }
-            (targets, cmp_branches) = (compiled, compiler.cmp_branches);
+            (targets, cmp_branches) = (compiled, compiler.cmp_branches());
             compiler.finish(&mut man);
             if opts.reorder.auto {
                 // Final sweep: drop the compilation scaffolding so the
@@ -374,11 +377,11 @@ impl ObddEngine {
     /// are then merged into `man` by [`import_bdd`], which deduplicates
     /// shared structure via the unique tables. Returns the merged
     /// targets and the workers' summed `cmp_branches` and `cache_hits`.
-    fn fan_out(
-        net: &Network,
+    fn fan_out<'n>(
+        net: &'n Network,
         workers: usize,
         scope: &BudgetScope,
-        level_of: &[Option<u32>],
+        new_compiler: &(impl Fn() -> Compiler<'n> + Sync),
         new_manager: &(impl Fn(ReorderPolicy) -> Manager + Sync),
         man: &mut Manager,
     ) -> Result<(Vec<Bdd>, u64, u64), ObddError> {
@@ -391,14 +394,14 @@ impl ObddEngine {
         let queue = pool::Queue::new(0..net.targets.len());
         let outs: Vec<WorkerOut> = pool::run(scope, workers, &queue, |worker| {
             let mut man = new_manager(ReorderPolicy::disabled());
-            let mut compiler = Compiler::new(net, level_of.to_vec(), scope.clone());
+            let mut compiler = new_compiler();
             let mut compiled = Vec::new();
             while let Some(i) = worker.next_job() {
                 let bdd = compiler.compile(&mut man, net.targets[i])?;
                 man.protect(bdd);
                 compiled.push((i, bdd));
             }
-            let cmp_branches = compiler.cmp_branches;
+            let cmp_branches = compiler.cmp_branches();
             let cache_hits = man.cache_hits();
             compiler.finish(&mut man);
             Ok::<_, ObddError>(WorkerOut {
@@ -500,15 +503,7 @@ impl ObddEngine {
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
     pub fn probabilities(&self, vt: &VarTable) -> Vec<f64> {
-        let _span = telemetry::span(Phase::Wmc);
-        let mut wmc = Wmc::with_cache(
-            &self.man,
-            self.level_weights(vt),
-            std::mem::take(&mut *self.wmc_cache()),
-        );
-        let probs = self.targets.iter().map(|&t| wmc.probability(t)).collect();
-        *self.wmc_cache() = wmc.into_cache();
-        probs
+        dnnf::wmc::unlimited(self.try_probabilities(vt, &BudgetScope::unlimited()))
     }
 
     /// Budget-aware variant of [`ObddEngine::probabilities`] — the WMC

@@ -1,21 +1,17 @@
 //! Three-valued partial evaluation of event-network nodes.
 //!
-//! Both knowledge-compilation paths — the Shannon expander of
-//! [`crate::compile`] and the d-DNNF compiler of [`crate::dnnf`] — drive
-//! their case analysis with the same oracle: given a *partial* assignment
-//! of the input variables, which network nodes are already forced? A
-//! comparison atom whose sides are determined (or undefined, §3.2)
-//! resolves to a constant and prunes the whole branch; a node that stays
-//! [`Partial::Unknown`] keeps the expansion alive.
+//! The residual-state DP of [`crate::dnnf`] — the one expander of both
+//! compiled forms — drives its case analysis with this oracle: given a
+//! *partial* assignment of the input variables, which network nodes are
+//! already forced? A comparison atom whose sides are determined (or
+//! undefined, §3.2) resolves to a constant and prunes the whole branch;
+//! a node that stays [`Partial::Unknown`] keeps the expansion alive.
 //!
 //! The evaluator owns the current assignment and a per-node scratch
-//! vector. One [`Evaluator::eval_subtree`] pass fills the scratch
-//! bottom-up for every node of a subtree (callers pass subtrees in
-//! ascending — topological — node order), after which
-//! [`Evaluator::value`] reads off any node's three-valued state. The
-//! d-DNNF compiler walks exactly this scratch to build its residual
-//! memoisation keys, so the semantics of "forced" is shared by
-//! construction.
+//! vector, kept current incrementally: [`Evaluator::prime`] once, then
+//! [`Evaluator::assign_monotone`] / [`Evaluator::undo_to`] per decision.
+//! [`Evaluator::value`] reads off any node's three-valued state, and the
+//! DP walks exactly this scratch to build its residual memoisation keys.
 
 use crate::ObddError;
 use enframe_core::budget::BudgetScope;
@@ -25,10 +21,9 @@ use enframe_telemetry::{self as telemetry, Counter, Phase};
 
 /// An epoch-stamped visited set over network nodes: clearing between
 /// traversals is a counter bump, not an `O(net)` refill. The compilers
-/// run several traversals per target (cone collection, atom subtree
-/// collection, residual-key walks) and used to allocate a fresh
-/// `vec![false; net.len()]` for each — measurable allocation churn on
-/// many-target networks.
+/// run several traversals per target (cone collection, residual-key
+/// walks) and used to allocate a fresh `vec![false; net.len()]` for
+/// each — measurable allocation churn on many-target networks.
 pub(crate) struct VisitStamp {
     stamp: Vec<u32>,
     current: u32,
@@ -71,22 +66,11 @@ pub(crate) enum Partial {
 }
 
 /// A reusable three-valued evaluator over one network: the current
-/// partial assignment plus per-node scratch.
-///
-/// Two usage modes share the same node semantics:
-///
-/// * **Pass mode** ([`Evaluator::eval_subtree`]) — re-evaluate a whole
-///   subtree bottom-up after the caller mutated the assignment directly
-///   via [`Evaluator::assign`]. The Shannon expander uses this: its
-///   subtrees are single atoms, small enough to sweep per branch.
-/// * **Incremental mode** ([`Evaluator::prime`] once, then
-///   [`Evaluator::assign_monotone`] / [`Evaluator::undo_to`] per
-///   decision) — keep the whole network's scratch current by
-///   propagating `Unknown` → determined flips upward along parent
-///   edges, with a trail for exact backtracking. The d-DNNF compiler
-///   uses this: its blocks span whole target cones, and over one
-///   root-to-leaf decision path each node flips (and is re-evaluated)
-///   at most once.
+/// partial assignment plus per-node scratch, kept current by
+/// propagating `Unknown` → determined flips upward along parent edges,
+/// with a trail for exact backtracking. The DP's blocks span whole
+/// target cones, and over one root-to-leaf decision path each node flips
+/// (and is re-evaluated) at most once.
 pub(crate) struct Evaluator<'n> {
     net: &'n Network,
     /// Current partial assignment, indexed by variable.
@@ -142,15 +126,7 @@ impl<'n> Evaluator<'n> {
         }
     }
 
-    /// Sets (or with `None`, retracts) one variable of the assignment
-    /// **without** propagating — pass-mode callers re-evaluate subtrees
-    /// themselves.
-    pub(crate) fn assign(&mut self, v: Var, value: Option<bool>) {
-        self.assignment[v.index()] = value;
-    }
-
-    /// The three-valued state of `id` as of the last evaluation that
-    /// covered it.
+    /// The three-valued state of `id` under the current assignment.
     pub(crate) fn value(&self, id: NodeId) -> &Partial {
         &self.scratch[id.index()]
     }
@@ -240,17 +216,6 @@ impl<'n> Evaluator<'n> {
                     work.push(p);
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Evaluates every node of `subtree` (ascending topological order)
-    /// under the current assignment, bottom-up, leaving the results
-    /// readable via [`Evaluator::value`].
-    pub(crate) fn eval_subtree(&mut self, subtree: &[NodeId]) -> Result<(), ObddError> {
-        for &id in subtree {
-            let val = self.eval_node(id)?;
-            self.scratch[id.index()] = val;
         }
         Ok(())
     }

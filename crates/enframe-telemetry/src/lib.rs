@@ -6,11 +6,10 @@
 //! this crate instead of hand-threading ad-hoc statistics:
 //!
 //! * **[Spans](span)** — hierarchical, monotonic-clock timed, one per
-//!   pipeline [`Phase`] (network construction, BDD apply, Shannon
-//!   expansion, d-DNNF expansion, unit propagation, WMC sweep, GC,
-//!   reorder, parallel merge). A thread-local span stack tracks nesting;
-//!   the guard closes its span on drop, so spans survive panics and
-//!   early returns. [`worker_span`] additionally labels the calling
+//!   pipeline [`Phase`] (network construction, BDD apply, d-DNNF
+//!   expansion, unit propagation, WMC sweep, GC, reorder, parallel
+//!   merge). A thread-local span stack tracks nesting; the guard closes
+//!   its span on drop, so spans survive panics and early returns. [`worker_span`] additionally labels the calling
 //!   thread as a worker track, so parallel fan-out runs produce a
 //!   per-thread timeline.
 //! * **[Counters](Counter)** — typed, registry-keyed relaxed atomics:
@@ -251,10 +250,9 @@ pub fn count_max(c: Counter, n: u64) {
 pub enum Phase {
     /// Event-network construction (lineage build).
     Build,
-    /// OBDD compilation: the per-target apply/compose loop.
+    /// OBDD compilation: one span per target, covering its apply loop
+    /// or its DP expansion and fold.
     BddApply,
-    /// Shannon expansion of a comparison atom (OBDD route).
-    Shannon,
     /// d-DNNF block expansion (residual-state DP).
     DnnfExpand,
     /// Three-valued priming / monotone unit propagation.
@@ -285,14 +283,13 @@ pub enum Phase {
     Serve,
 }
 
-const N_PHASES: usize = 16;
+const N_PHASES: usize = 15;
 
 impl Phase {
     /// Every phase, in registry order (the order snapshots export).
     pub const ALL: [Phase; N_PHASES] = [
         Phase::Build,
         Phase::BddApply,
-        Phase::Shannon,
         Phase::DnnfExpand,
         Phase::UnitProp,
         Phase::Wmc,
@@ -314,7 +311,6 @@ impl Phase {
         match self {
             Phase::Build => "build",
             Phase::BddApply => "bdd_apply",
-            Phase::Shannon => "shannon",
             Phase::DnnfExpand => "dnnf_expand",
             Phase::UnitProp => "unit_prop",
             Phase::Wmc => "wmc",
@@ -501,12 +497,12 @@ impl Snapshot {
         self.phase_n[p as usize]
     }
 
-    /// Seconds spent compiling, whichever route ran: BDD apply +
-    /// Shannon expansion + d-DNNF expansion.
+    /// Seconds spent compiling, whichever route ran: BDD apply + d-DNNF
+    /// expansion. Each route records exactly one of the two phases per
+    /// target, never one nested in the other, so the sum counts no
+    /// time twice.
     pub fn compile_seconds(&self) -> f64 {
-        self.phase_seconds(Phase::BddApply)
-            + self.phase_seconds(Phase::Shannon)
-            + self.phase_seconds(Phase::DnnfExpand)
+        self.phase_seconds(Phase::BddApply) + self.phase_seconds(Phase::DnnfExpand)
     }
 
     /// Serialises the snapshot as one flat JSON object: every counter
@@ -686,15 +682,15 @@ mod tests {
             let _outer = span(Phase::BddApply);
             assert_eq!(current_stack(), vec!["bdd_apply"]);
             {
-                let _inner = span(Phase::Shannon);
-                assert_eq!(current_stack(), vec!["bdd_apply", "shannon"]);
+                let _inner = span(Phase::UnitProp);
+                assert_eq!(current_stack(), vec!["bdd_apply", "unit_prop"]);
             }
             assert_eq!(current_stack(), vec!["bdd_apply"]);
         }
         assert!(current_stack().is_empty());
         let s = snapshot();
         assert_eq!(s.phase_count(Phase::BddApply), 1);
-        assert_eq!(s.phase_count(Phase::Shannon), 1);
+        assert_eq!(s.phase_count(Phase::UnitProp), 1);
         set_enabled(false);
     }
 

@@ -3,9 +3,9 @@
 //! 1. BDD **and d-DNNF** weighted model counting equal the naïve
 //!    `enframe-worlds` enumeration **and** the decision-tree exact
 //!    engine on random k-medoids workloads with ≤ 10 variables, across
-//!    all three correlation schemes (property test) — and the d-DNNF
-//!    engine keeps matching tree-exact on aggregate-comparison targets
-//!    *past* the old v = 12 Shannon cap, where the BDD path times out.
+//!    all three correlation schemes (property test) — and both keep
+//!    matching tree-exact at v = 13–14, the OBDD route taking exactly
+//!    the d-DNNF DP's expansion steps (its one comparison expander).
 //! 2. Conditioning posteriors equal possible-worlds filtering and
 //!    hand-computed values on small instances.
 //! 3. Scalability: a mutex-correlated fig6-style sweep at v ≥ 20 —
@@ -106,19 +106,16 @@ mod prop {
             check_kmedoids_scheme(Scheme::Conditional, 12, seed);
         }
 
-        /// Aggregate-comparison targets **past the old v = 12 Shannon
-        /// cap**: the d-DNNF engine must keep matching the decision-tree
-        /// exact engine where the BDD path's per-atom expansion is
-        /// capped out (874 k branches / ~15 s at v = 14) and the naïve
-        /// baseline's 2^v world sweep is out of test budget.
+        /// Aggregate-comparison targets at v = 13–14, past the v = 12
+        /// wall of the deleted Shannon expander and out of the naïve
+        /// baseline's test budget: both compiled forms match tree-exact,
+        /// and the OBDD route takes exactly the DP's expansion steps.
         #[test]
-        fn dnnf_matches_tree_exact_past_the_shannon_cap(
+        fn obdd_and_dnnf_match_tree_exact_through_one_expander(
             seed in 0u64..1000,
             v in 13usize..=14,
         ) {
             use enframe::obdd::dnnf::{DnnfEngine, DnnfOptions};
-            use enframe_bench::BDD_KMEDOIDS_VAR_CAP;
-            prop_assert!(v > BDD_KMEDOIDS_VAR_CAP);
             let w = kmedoids_workload(
                 16, 2, 2, Scheme::Positive { l: 8, v }, &LineageOpts::default(), seed,
             );
@@ -127,19 +124,25 @@ mod prop {
             targets::add_all_bool_targets(&mut tr, "Centre");
             let net = Network::build(&tr.ground().unwrap()).unwrap();
             let exact = compile(&net, &w.vt, Options::exact());
-            let engine = DnnfEngine::compile(&net, &DnnfOptions::default()).unwrap();
-            let dnnf = engine.probabilities(&w.vt);
-            for i in 0..dnnf.len() {
-                prop_assert!(
-                    (dnnf[i] - exact.lower[i]).abs() < 1e-9,
-                    "v={v} target {i}: dnnf {} vs tree-exact {}",
-                    dnnf[i],
-                    exact.lower[i]
-                );
+            let engine = DnnfEngine::compile(&net, &DnnfOptions { workers: 1, ..Default::default() })
+                .unwrap();
+            let groups = ObddOptions::with_groups(w.var_groups.clone());
+            let obdd = ObddEngine::compile(&net, &ObddOptions { workers: 1, ..groups }).unwrap();
+            let (dnnf, bdd) = (engine.probabilities(&w.vt), obdd.probabilities(&w.vt));
+            for (what, got) in [("dnnf", &dnnf), ("bdd", &bdd)] {
+                for i in 0..got.len() {
+                    prop_assert!(
+                        (got[i] - exact.lower[i]).abs() < 1e-9,
+                        "v={v} target {i}: {what} {} vs tree-exact {}",
+                        got[i],
+                        exact.lower[i]
+                    );
+                }
             }
-            // The point of the new engine: a polynomial expansion count
-            // where Shannon expansion recorded ~874 k branches at v = 14.
+            // A polynomial expansion count where Shannon expansion
+            // recorded ~874 k branches at v = 14.
             prop_assert!(engine.stats().expansion_steps <= 874_000 / 50);
+            prop_assert_eq!(obdd.stats().cmp_branches, engine.stats().expansion_steps);
         }
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! 1. **Data-parallel WMC is bitwise-equal to the sequential sweep** —
 //!    on d-DNNFs compiled from lineage networks of all three
-//!    correlation schemes, `wmc::node_probabilities_par` returns the
-//!    same bits as `wmc::node_probabilities` at every node, for every
-//!    worker count. Parallelism changes the schedule, never the
+//!    correlation schemes, `wmc::node_probabilities` returns the same
+//!    bits at every node for every worker count as at one worker. Parallelism changes the schedule, never the
 //!    arithmetic (both sweeps reduce each node's children in canonical
 //!    `total_cmp` order).
 //! 2. **Engine results are independent of the worker count and of
@@ -17,7 +16,7 @@
 //!    1e-12 (its merged manager may settle on a different variable
 //!    order, so only FP-roundoff agreement is promised).
 
-use enframe::core::budget::Budget;
+use enframe::core::budget::{Budget, BudgetScope};
 use enframe::data::{LineageOpts, Scheme};
 use enframe::obdd::dnnf::{wmc, DnnfEngine, DnnfOptions};
 use enframe_bench::{prepare_lineage, run_engine, Engine};
@@ -37,9 +36,13 @@ fn check_wmc_bitwise(scheme: Scheme, n_groups: usize, seed: u64) {
     let prep = prepare_lineage(n_groups, scheme, &LineageOpts::default(), seed);
     let engine = DnnfEngine::compile(&prep.net, &DnnfOptions::default()).expect("lineage compiles");
     let man = engine.manager();
-    let seq = wmc::node_probabilities(man, &prep.vt);
+    let sweep = |workers| {
+        wmc::node_probabilities(man, &prep.vt, workers, &BudgetScope::unlimited())
+            .expect("an unlimited sweep over a covering table succeeds")
+    };
+    let seq = sweep(1);
     for workers in [2usize, 3, 8] {
-        let par = wmc::node_probabilities_par(man, &prep.vt, workers);
+        let par = sweep(workers);
         assert_eq!(seq.len(), par.len());
         for i in 0..seq.len() {
             assert_eq!(

@@ -12,11 +12,16 @@
 //!    `DnnfStats` accounting, whose phase aggregates cover the
 //!    engine's pipeline phases, and which records one worker span per
 //!    spawned fan-out worker.
+//! 3. **Each compile route records exactly one compile phase** — so
+//!    `compile_seconds` never exceeds the measured wall time. The OBDD
+//!    route expands comparison atoms through the d-DNNF DP inside its
+//!    `bdd_apply` span, and builds that DP only for a target that
+//!    reaches a comparison atom: a lineage compile never primes it.
 
 use enframe::core::budget::Budget;
 use enframe::data::{LineageOpts, Scheme};
 use enframe::telemetry::{self, Counter, Phase};
-use enframe_bench::{prepare_lineage, run_engine, Engine};
+use enframe_bench::{prepare, prepare_lineage, run_engine, Engine};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -129,6 +134,10 @@ fn measurement_snapshots_agree_with_engine_stats() {
     assert!(snap.counter(Counter::UniqueProbe) > 0);
     assert!(snap.counter(Counter::NodeAlloc) > 0);
     assert!(snap.phase_count(Phase::BddApply) >= 1);
+    // No target of a lineage network reaches a comparison atom, so the
+    // OBDD route never builds, let alone primes, its d-DNNF DP.
+    assert_eq!(snap.phase_count(Phase::UnitProp), 0, "the DP was primed");
+    assert_eq!(m.stats.as_ref().unwrap().cmp_branches, 0);
     assert!(snap.phase_count(Phase::Wmc) >= 1);
     // WMC traversed the compiled diagrams: every probability is either
     // a fresh node visit or a cache hit, and both were observed.
@@ -150,4 +159,28 @@ fn measurement_snapshots_agree_with_engine_stats() {
     );
     assert!(snap.counter(Counter::QueueWait) >= 4);
     telemetry::set_enabled(was);
+}
+
+/// Property 3: on a k-medoids network, whose `Centre` targets rest on
+/// comparison atoms, the OBDD route's compile time is counted once — a
+/// compile span nested inside `bdd_apply` would count it twice.
+#[test]
+fn compile_seconds_counts_each_route_once() {
+    let _guard = lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let (scheme, opts) = (Scheme::Positive { l: 3, v: 8 }, LineageOpts::default());
+    let prep = prepare(12, 2, 2, scheme, &opts, 7);
+    let m = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
+    telemetry::set_enabled(was);
+    assert_eq!(m.status, "ok");
+    let snap = m.telemetry.expect("run_engine snapshots");
+    assert!(
+        snap.compile_seconds() <= 1.05 * m.seconds + 1e-3,
+        "compile_seconds {:.4} s for a {:.4} s run",
+        snap.compile_seconds(),
+        m.seconds
+    );
+    assert!(m.stats.expect("bdd run carries stats").cmp_branches > 0);
+    assert_eq!(snap.phase_count(Phase::UnitProp), 1, "one DP, primed once");
 }
