@@ -198,6 +198,82 @@ fn mcl_network_is_node_for_node_the_golden_one() {
     );
 }
 
+/// A lineage query shaped like the serving workloads': `Exists[g]` per
+/// group from `declare_closed_event`, `Any[w]` per window of four groups,
+/// `AtLeastOne`, `Co[i] = Exists[i] ∧ Exists[i + n/2]` and `AnyCo`.
+fn lineage_network(scheme: Scheme) -> Network {
+    let opts = LineageOpts {
+        group_size: 1,
+        ..LineageOpts::default()
+    };
+    let corr = enframe::data::generate_lineage(16, scheme, &opts, 3);
+    let mut p = Program::new();
+    p.ensure_vars(corr.var_table.len() as u32);
+    let exists: Vec<_> = corr
+        .lineage
+        .iter()
+        .enumerate()
+        .map(|(g, phi)| p.declare_closed_event(&format!("Exists{g}"), phi).unwrap())
+        .collect();
+    for id in exists.iter().cloned() {
+        p.add_target(id);
+    }
+    for (w, window) in exists.chunks(4).enumerate() {
+        let id = p.declare_event(
+            &format!("Any{w}"),
+            Program::or(window.iter().cloned().map(Program::eref)),
+        );
+        p.add_target(id);
+    }
+    let id = p.declare_event(
+        "AtLeastOne",
+        Program::or(exists.iter().cloned().map(Program::eref)),
+    );
+    p.add_target(id);
+    let half = exists.len() / 2;
+    let pairs: Vec<_> = (0..half)
+        .map(|i| {
+            let both = [&exists[i], &exists[half + i]];
+            p.declare_event(
+                &format!("Co{i}"),
+                Program::and(both.into_iter().cloned().map(Program::eref)),
+            )
+        })
+        .collect();
+    for id in pairs.iter().cloned() {
+        p.add_target(id);
+    }
+    let id = p.declare_event("AnyCo", Program::or(pairs.into_iter().map(Program::eref)));
+    p.add_target(id);
+    Network::build(&p.ground().unwrap()).unwrap()
+}
+
+#[test]
+fn mutex_lineage_network_is_node_for_node_the_golden_one() {
+    assert_eq!(
+        golden(&lineage_network(Scheme::Mutex { m: 4 })),
+        Golden {
+            nodes: 54,
+            edges: 104,
+            targets: 30,
+            digest: 16_051_445_334_096_452_604,
+        }
+    );
+}
+
+#[test]
+fn positive_lineage_network_is_node_for_node_the_golden_one() {
+    assert_eq!(
+        golden(&lineage_network(Scheme::Positive { l: 3, v: 8 })),
+        Golden {
+            nodes: 38,
+            edges: 104,
+            targets: 30,
+            digest: 2_549_133_780_445_667_520,
+        }
+    );
+}
+
 // ---- error parity ----------------------------------------------------------
 
 /// A 2×3 integer matrix `A`, a scalar `s`, then one statement under test.
