@@ -26,7 +26,7 @@
 //! to v.
 
 use enframe_core::budget::{Budget, BudgetScope};
-use enframe_core::{Program, SymIdent, Var, VarTable};
+use enframe_core::{EventId, Program, Var, VarTable};
 use enframe_data::{generate_lineage, kmedoids_workload, Correlations, LineageOpts, Scheme};
 use enframe_lang::{parse, programs, UserProgram};
 use enframe_network::Network;
@@ -454,7 +454,7 @@ pub const LINEAGE_WINDOW: usize = 4;
 
 /// Starts a lineage-query program over `corr`: one `Exists[g]` target
 /// per lineage group, returned alongside.
-fn lineage_program(corr: &Correlations) -> (Program, Vec<SymIdent>) {
+fn lineage_program(corr: &Correlations) -> (Program, Vec<EventId>) {
     let mut p = Program::new();
     p.ensure_vars(corr.var_table.len() as u32);
     let mut exists = Vec::with_capacity(corr.lineage.len());
@@ -462,7 +462,7 @@ fn lineage_program(corr: &Correlations) -> (Program, Vec<SymIdent>) {
         let id = p
             .declare_closed_event(&format!("Exists{g}"), phi)
             .expect("lineage events are closed");
-        p.add_target(id.clone());
+        p.add_target(id);
         exists.push(id);
     }
     (p, exists)
@@ -470,25 +470,22 @@ fn lineage_program(corr: &Correlations) -> (Program, Vec<SymIdent>) {
 
 /// Declares the **distant-pair co-existence** targets
 /// `Co[i] = Exists[i] ∧ Exists[i + n/2]` and returns them.
-fn declare_pairs(p: &mut Program, exists: &[SymIdent]) -> Vec<SymIdent> {
+fn declare_pairs(p: &mut Program, exists: &[EventId]) -> Vec<EventId> {
     let half = exists.len() / 2;
     let mut pairs = Vec::with_capacity(half);
     for i in 0..half {
         let id = p.declare_event(
             &format!("Co{i}"),
-            Program::and([
-                Program::eref(exists[i].clone()),
-                Program::eref(exists[i + half].clone()),
-            ]),
+            Program::and([Program::eref(exists[i]), Program::eref(exists[i + half])]),
         );
-        p.add_target(id.clone());
+        p.add_target(id);
         pairs.push(id);
     }
     pairs
 }
 
 /// Declares the target `name = ⋁ members`.
-fn declare_any(p: &mut Program, name: &str, members: &[SymIdent]) {
+fn declare_any(p: &mut Program, name: &str, members: &[EventId]) {
     let id = p.declare_event(
         name,
         Program::or(members.iter().cloned().map(Program::eref)),

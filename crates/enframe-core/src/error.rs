@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised while constructing, grounding, or evaluating event programs.
+/// Errors raised while declaring, grounding, or evaluating event programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
     /// A named event/c-value was redeclared. Event declarations are
@@ -10,10 +10,6 @@ pub enum CoreError {
     Redeclaration(String),
     /// An expression referenced an identifier that has no declaration.
     UnknownIdent(String),
-    /// A loop bound or index expression referenced an unbound loop counter.
-    UnboundLoopVar(String),
-    /// A declaration's definition (transitively) refers to itself.
-    CyclicDefinition(String),
     /// A Boolean expression was used where a c-value was expected, or
     /// vice versa.
     TypeMismatch {
@@ -25,8 +21,6 @@ pub enum CoreError {
     /// Arithmetic on incompatible values (e.g. vector + scalar). The
     /// offending operation is described in the payload.
     ValueType(String),
-    /// A target was registered that does not name a declaration.
-    UnknownTarget(String),
     /// A worker thread panicked; the panic was isolated and converted
     /// into this error, and the remaining workers were cancelled. The
     /// payload identifies the worker and carries its panic message.
@@ -45,15 +39,10 @@ impl fmt::Display for CoreError {
                 write!(f, "event identifier `{id}` declared more than once")
             }
             CoreError::UnknownIdent(id) => write!(f, "unknown event identifier `{id}`"),
-            CoreError::UnboundLoopVar(v) => write!(f, "unbound loop variable `{v}`"),
-            CoreError::CyclicDefinition(id) => {
-                write!(f, "cyclic definition involving `{id}`")
-            }
             CoreError::TypeMismatch { ident, expected } => {
                 write!(f, "`{ident}` used as {expected} but declared otherwise")
             }
             CoreError::ValueType(msg) => write!(f, "value type error: {msg}"),
-            CoreError::UnknownTarget(id) => write!(f, "unknown compilation target `{id}`"),
             CoreError::WorkerPanicked { worker, message } => {
                 write!(f, "worker {worker} panicked: {message}")
             }

@@ -19,8 +19,9 @@
 //!   otherwise, closed under `+`, `·`, `⁻¹`, exponentiation, `dist`, and
 //!   guarding (`Φ ∧ c`).
 //! * [`Program`] — *event programs*: immutable named event/c-value
-//!   declarations, optionally parameterised by bounded `∀`-loops, which
-//!   [ground](Program::ground) into a flat [`GroundProgram`].
+//!   declarations, each returning a typed handle ([`EventId`] /
+//!   [`CValId`]) that later terms [reference](Program::eref); the table
+//!   [grounds](Program::ground) into a [`GroundProgram`] without a copy.
 //! * [`VarTable`] / [`space`] — the probability space induced by the input
 //!   random variables (Definition 1 of the paper), brute-force world
 //!   enumeration, and exact distributions of event/c-value targets. These
@@ -37,11 +38,15 @@
 //! let x1 = Var(0);
 //! let x3 = Var(1);
 //! let o0 = p.declare_event("phi_o0", Program::or([Program::var(x1), Program::var(x3)]));
+//! // Φ(o0) ∧ ¬x1, through a reference to the declaration.
+//! let only_x3 = p.declare_event("only_x3", Program::and([Program::eref(o0), Program::nvar(x1)]));
 //! p.add_target(o0);
+//! p.add_target(only_x3);
 //! let ground = p.ground().unwrap();
 //! let vt = VarTable::uniform(2, 0.5);
 //! let probs = space::target_probabilities(&ground, &vt);
 //! assert!((probs[0] - 0.75).abs() < 1e-12);
+//! assert!((probs[1] - 0.25).abs() < 1e-12);
 //! ```
 
 pub mod budget;
@@ -65,7 +70,7 @@ pub use epoch::EpochCell;
 pub use error::CoreError;
 pub use event::{CVal, CmpOp, Event};
 pub use ground::{Def, DefId, GroundProgram, Ident};
-pub use program::{lift_cval, lift_event, IdxExpr, Item, Program, SymCVal, SymEvent, SymIdent};
+pub use program::{CValId, EventId, Program};
 pub use symbol::{Interner, Symbol};
 pub use value::Value;
 pub use var::{Valuation, Var, VarTable};

@@ -1,318 +1,63 @@
-//! Symbolic event programs: declarations and `∀`-loops (paper §3.4).
+//! Event programs: named event and c-value declarations (paper §3.4).
 //!
-//! An event program is an imperative specification that defines a finite set
-//! of named c-values and event expressions:
+//! An event program is a finite set of immutable declarations
+//! `EID ≡ EVENT` and `EID ≡ CVAL`. [`Program`] takes them one at a time as
+//! grounded [`Event`]/[`CVal`] terms, and each declaration returns a typed
+//! handle ([`EventId`] or [`CValId`]). A later term refers to it through
+//! [`Program::eref`] or [`Program::cref`]. A reference built this way is
+//! always to an earlier declaration of the right kind, so the definitions
+//! are in dependency order by construction.
 //!
-//! ```text
-//! LOOP ::= { {DECL} { ∀ VAR in INT..INT: {LOOP} } }
-//! DECL ::= EID ≡ EVENT
-//! ```
-//!
-//! Identifiers inside a `∀i`-loop may be parameterised by affine expressions
-//! over the loop counters (`M[1][2i]`, `InCl[i][l]`, …), creating a distinct
-//! identifier per iteration. Big operators (`∧`, `∨`, `Σ`, `Π` over a
-//! bounded range) give the concise iteration-parametrised events of
-//! Figures 1–3. [`Program::ground`] instantiates all loops and produces a
-//! flat [`crate::GroundProgram`].
+//! The paper's `∀`-loops are not a construct here. Translation unrolls
+//! every loop of a user program, so each iteration's declarations arrive
+//! with concrete indices (`M[1][2]`, `InCl[0][3]`, …).
+//! [`Program::ground`] packages the table and the targets into a
+//! [`GroundProgram`] without copying a term.
 
-use crate::event::CmpOp;
-use crate::ground::{ground_program, GroundProgram};
-use crate::symbol::{Interner, Symbol};
-use crate::value::Value;
+use crate::event::{CVal, Event};
+use crate::ground::{Def, DefId, GroundProgram, Ident, Table};
 use crate::var::Var;
 use crate::CoreError;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
-/// An affine index expression `Σ coeffᵢ·varᵢ + c` over loop counters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct IdxExpr {
-    /// `(loop counter, coefficient)` pairs; empty for constants.
-    pub terms: Vec<(Symbol, i64)>,
-    /// The constant offset.
-    pub konst: i64,
-}
-
-impl IdxExpr {
-    /// A constant index.
-    pub fn konst(c: i64) -> Self {
-        IdxExpr {
-            terms: vec![],
-            konst: c,
-        }
-    }
-
-    /// The loop counter `v` itself.
-    pub fn var(v: Symbol) -> Self {
-        IdxExpr {
-            terms: vec![(v, 1)],
-            konst: 0,
-        }
-    }
-
-    /// `coeff·v + c`.
-    pub fn affine(v: Symbol, coeff: i64, c: i64) -> Self {
-        if coeff == 0 {
-            return IdxExpr::konst(c);
-        }
-        IdxExpr {
-            terms: vec![(v, coeff)],
-            konst: c,
-        }
-    }
-
-    /// Adds a constant offset.
-    pub fn plus(mut self, c: i64) -> Self {
-        self.konst += c;
-        self
-    }
-
-    /// Evaluates under the loop-counter environment.
-    pub fn eval(&self, env: &HashMap<Symbol, i64>, interner: &Interner) -> Result<i64, CoreError> {
-        let mut acc = self.konst;
-        for (v, coeff) in &self.terms {
-            let val = env
-                .get(v)
-                .copied()
-                .ok_or_else(|| CoreError::UnboundLoopVar(interner.resolve(*v).to_owned()))?;
-            acc += coeff * val;
-        }
-        Ok(acc)
-    }
-}
-
-/// A symbolic identifier: a base name plus affine index expressions, one per
-/// "dot level" (e.g. `M₁.₍₂ᵢ₎.ⱼ` has three levels).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SymIdent {
-    /// Interned base name.
-    pub sym: Symbol,
-    /// Index expressions, outermost level first.
-    pub idx: Vec<IdxExpr>,
-}
-
-impl SymIdent {
-    /// An identifier with no indices.
-    pub fn plain(sym: Symbol) -> Self {
-        SymIdent { sym, idx: vec![] }
-    }
-
-    /// An identifier with the given index expressions.
-    pub fn indexed(sym: Symbol, idx: Vec<IdxExpr>) -> Self {
-        SymIdent { sym, idx }
-    }
-}
-
-/// Identifier of a data table registered with [`Program::add_table`].
+/// Handle of a declared Boolean event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TableId(pub u32);
+pub struct EventId(DefId);
 
-/// A multi-dimensional table of constant [`Value`]s that symbolic
-/// expressions can index with loop counters (e.g. the input objects `oᵢ`,
-/// or precomputed pairwise distances `dist(oₗ, oₚ)`).
-#[derive(Debug, Clone)]
-pub struct DataTable {
-    /// Dimension sizes, outermost first.
-    pub dims: Vec<usize>,
-    /// Row-major values; `values.len() == dims.iter().product()`.
-    pub values: Vec<Value>,
-}
+/// Handle of a declared c-value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CValId(DefId);
 
-impl DataTable {
-    /// Creates a table, checking that the value count matches the shape.
-    pub fn new(dims: Vec<usize>, values: Vec<Value>) -> Self {
-        let expect: usize = dims.iter().product();
-        assert_eq!(values.len(), expect, "data table shape mismatch");
-        DataTable { dims, values }
-    }
-
-    /// Row-major lookup with bounds checking.
-    pub fn get(&self, idx: &[i64]) -> Result<&Value, CoreError> {
-        if idx.len() != self.dims.len() {
-            return Err(CoreError::ValueType(format!(
-                "table indexed with {} indices but has {} dimensions",
-                idx.len(),
-                self.dims.len()
-            )));
-        }
-        let mut flat = 0usize;
-        for (i, (&ix, &dim)) in idx.iter().zip(self.dims.iter()).enumerate() {
-            if ix < 0 || ix as usize >= dim {
-                return Err(CoreError::ValueType(format!(
-                    "table index {ix} out of range 0..{dim} at dimension {i}"
-                )));
-            }
-            flat = flat * dim + ix as usize;
-        }
-        Ok(&self.values[flat])
+impl EventId {
+    /// The declaration's id in the grounded program.
+    pub fn def(self) -> DefId {
+        self.0
     }
 }
 
-/// The source of a `⊗`-payload: a literal constant or a data-table lookup
-/// parameterised by loop counters.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ValSrc {
-    /// A fixed value.
-    Const(Value),
-    /// A value read from a data table at a loop-dependent index.
-    Data {
-        /// The table to read from.
-        table: TableId,
-        /// One index expression per table dimension.
-        index: Vec<IdxExpr>,
-    },
+impl CValId {
+    /// The declaration's id in the grounded program.
+    pub fn def(self) -> DefId {
+        self.0
+    }
 }
 
-/// A symbolic Boolean event expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SymEvent {
-    /// ⊤
-    Tru,
-    /// ⊥
-    Fls,
-    /// An input random variable.
-    Var(Var),
-    /// Negation.
-    Not(Rc<SymEvent>),
-    /// N-ary conjunction.
-    And(Vec<Rc<SymEvent>>),
-    /// N-ary disjunction.
-    Or(Vec<Rc<SymEvent>>),
-    /// Comparison atom.
-    Atom(CmpOp, Rc<SymCVal>, Rc<SymCVal>),
-    /// Reference to a named declaration.
-    Ref(SymIdent),
-    /// `∧_{var=lo..hi} body` (inclusive `lo`, exclusive `hi`).
-    BigAnd {
-        /// Bound counter.
-        var: Symbol,
-        /// Lower bound (inclusive).
-        lo: IdxExpr,
-        /// Upper bound (exclusive).
-        hi: IdxExpr,
-        /// Loop body.
-        body: Rc<SymEvent>,
-    },
-    /// `∨_{var=lo..hi} body`.
-    BigOr {
-        /// Bound counter.
-        var: Symbol,
-        /// Lower bound (inclusive).
-        lo: IdxExpr,
-        /// Upper bound (exclusive).
-        hi: IdxExpr,
-        /// Loop body.
-        body: Rc<SymEvent>,
-    },
-}
-
-/// A symbolic conditional value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SymCVal {
-    /// `⊤ ⊗ v`.
-    Lit(ValSrc),
-    /// `Φ ⊗ v`.
-    Cond(Rc<SymEvent>, ValSrc),
-    /// `Φ ∧ c`.
-    Guard(Rc<SymEvent>, Rc<SymCVal>),
-    /// N-ary sum.
-    Sum(Vec<Rc<SymCVal>>),
-    /// N-ary product.
-    Prod(Vec<Rc<SymCVal>>),
-    /// Inverse.
-    Inv(Rc<SymCVal>),
-    /// Integer power.
-    Pow(Rc<SymCVal>, i32),
-    /// Distance.
-    Dist(Rc<SymCVal>, Rc<SymCVal>),
-    /// Reference to a named declaration.
-    Ref(SymIdent),
-    /// `Σ_{var=lo..hi} body`.
-    BigSum {
-        /// Bound counter.
-        var: Symbol,
-        /// Lower bound (inclusive).
-        lo: IdxExpr,
-        /// Upper bound (exclusive).
-        hi: IdxExpr,
-        /// Loop body.
-        body: Rc<SymCVal>,
-    },
-    /// `Π_{var=lo..hi} body`.
-    BigProd {
-        /// Bound counter.
-        var: Symbol,
-        /// Lower bound (inclusive).
-        lo: IdxExpr,
-        /// Upper bound (exclusive).
-        hi: IdxExpr,
-        /// Loop body.
-        body: Rc<SymCVal>,
-    },
-}
-
-/// One item of an event program: a declaration or a `∀`-loop.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Item {
-    /// `EID ≡ EVENT` (Boolean).
-    DeclEvent {
-        /// Left-hand side.
-        lhs: SymIdent,
-        /// Right-hand side.
-        rhs: Rc<SymEvent>,
-    },
-    /// `EID ≡ CVAL` (numeric).
-    DeclCVal {
-        /// Left-hand side.
-        lhs: SymIdent,
-        /// Right-hand side.
-        rhs: Rc<SymCVal>,
-    },
-    /// `∀ var in lo..hi: body` (inclusive `lo`, exclusive `hi`).
-    Loop {
-        /// Bound counter.
-        var: Symbol,
-        /// Lower bound (inclusive).
-        lo: IdxExpr,
-        /// Upper bound (exclusive).
-        hi: IdxExpr,
-        /// Loop body.
-        body: Vec<Item>,
-    },
-}
-
-/// How a compilation target is selected from the grounded definitions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TargetSpec {
-    /// A single identifier with concrete indices.
-    Exact(SymIdent),
-    /// Every grounded definition whose base name matches.
-    Family(Symbol),
-}
-
-/// A symbolic event program: data tables, items, and compilation targets.
+/// An event program: named definitions in declaration order, and the
+/// compilation targets among them.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    /// Identifier interner.
-    pub interner: Interner,
-    /// Registered data tables.
-    pub tables: Vec<DataTable>,
-    /// Top-level items in declaration order.
-    pub items: Vec<Item>,
-    /// Compilation-target selectors.
-    pub targets: Vec<TargetSpec>,
+    pub(crate) table: Rc<Table>,
+    targets: Vec<DefId>,
     n_vars: u32,
+    /// The first identifier declared twice; [`Program::ground`] reports it.
+    redeclared: Option<String>,
 }
 
 impl Program {
     /// An empty program.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Interns a name.
-    pub fn sym(&mut self, name: &str) -> Symbol {
-        self.interner.intern(name)
     }
 
     /// Registers a fresh input random variable and returns it.
@@ -333,267 +78,186 @@ impl Program {
         self.n_vars
     }
 
-    /// Registers a data table and returns its id.
-    pub fn add_table(&mut self, table: DataTable) -> TableId {
-        let id = TableId(self.tables.len() as u32);
-        self.tables.push(table);
+    /// Number of declarations.
+    pub fn len(&self) -> usize {
+        self.table.defs.len()
+    }
+
+    /// Whether nothing has been declared.
+    pub fn is_empty(&self) -> bool {
+        self.table.defs.is_empty()
+    }
+
+    fn declare(&mut self, name: &str, idx: &[i64], def: Def) -> DefId {
+        let table = Rc::make_mut(&mut self.table);
+        let ident = Ident::indexed(table.interner.intern(name), idx.to_vec());
+        let id = DefId(table.defs.len() as u32);
+        match table.index.entry(ident.clone()) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => {
+                if self.redeclared.is_none() {
+                    self.redeclared = Some(ident.render(&table.interner));
+                }
+            }
+        }
+        table.defs.push((ident, def));
         id
     }
 
-    /// Appends an item.
-    pub fn push(&mut self, item: Item) {
-        self.items.push(item);
+    /// Declares a top-level (unindexed) Boolean event.
+    pub fn declare_event(&mut self, name: &str, rhs: Rc<Event>) -> EventId {
+        self.declare_event_at(name, &[], rhs)
     }
 
-    /// Declares a top-level (unindexed) Boolean event and returns its
-    /// identifier.
-    pub fn declare_event(&mut self, name: &str, rhs: Rc<SymEvent>) -> SymIdent {
-        let lhs = SymIdent::plain(self.sym(name));
-        self.items.push(Item::DeclEvent {
-            lhs: lhs.clone(),
-            rhs,
-        });
-        lhs
+    /// Declares an indexed Boolean event, e.g. `InCl[0][3]`.
+    pub fn declare_event_at(&mut self, name: &str, idx: &[i64], rhs: Rc<Event>) -> EventId {
+        EventId(self.declare(name, idx, Def::Event(rhs)))
     }
 
-    /// Declares a top-level Boolean event from a *closed* [`crate::event::Event`]
-    /// expression (no `Ref`s) — the shape produced by the lineage
-    /// generators of `enframe-data`. This makes externally built lineage
-    /// directly targetable by every compilation engine.
+    /// Declares a top-level (unindexed) c-value.
+    pub fn declare_cval(&mut self, name: &str, rhs: Rc<CVal>) -> CValId {
+        self.declare_cval_at(name, &[], rhs)
+    }
+
+    /// Declares an indexed c-value, e.g. `M[1][2]`.
+    pub fn declare_cval_at(&mut self, name: &str, idx: &[i64], rhs: Rc<CVal>) -> CValId {
+        CValId(self.declare(name, idx, Def::CVal(rhs)))
+    }
+
+    /// Declares a top-level Boolean event from a *closed* expression (no
+    /// `Ref`s), the shape produced by the lineage generators of
+    /// `enframe-data`. This makes externally built lineage directly
+    /// targetable by every compilation engine.
     ///
     /// Also registers the event's variables via [`Program::ensure_vars`],
-    /// so the grounded program's variable count covers the lineage.
+    /// so the grounded program's variable count covers the lineage. Fails
+    /// with [`CoreError::UnknownIdent`] if `e` refers to a declaration.
     pub fn declare_closed_event(
         &mut self,
         name: &str,
-        e: &crate::event::Event,
-    ) -> Result<SymIdent, CoreError> {
-        let rhs = lift_event(e)?;
+        e: &Rc<Event>,
+    ) -> Result<EventId, CoreError> {
+        if !closed(e) {
+            return Err(CoreError::UnknownIdent(format!(
+                "closed event `{name}` refers to a declaration"
+            )));
+        }
         let mut vars = Vec::new();
         e.collect_vars(&mut vars);
         if let Some(max) = vars.iter().map(|v| v.0).max() {
             self.ensure_vars(max + 1);
         }
-        Ok(self.declare_event(name, rhs))
+        Ok(self.declare_event(name, e.clone()))
     }
 
-    /// Declares a top-level (unindexed) c-value and returns its identifier.
-    pub fn declare_cval(&mut self, name: &str, rhs: Rc<SymCVal>) -> SymIdent {
-        let lhs = SymIdent::plain(self.sym(name));
-        self.items.push(Item::DeclCVal {
-            lhs: lhs.clone(),
-            rhs,
-        });
-        lhs
+    /// The event declared as `name[idx…]`, if there is one.
+    pub fn event_at(&self, name: &str, idx: &[i64]) -> Option<EventId> {
+        self.table.lookup(name, idx).and_then(|d| self.event_id(d))
     }
 
-    /// Declares an indexed Boolean event with *concrete* indices.
-    pub fn declare_event_at(&mut self, name: &str, idx: &[i64], rhs: Rc<SymEvent>) -> SymIdent {
-        let lhs = SymIdent::indexed(
-            self.sym(name),
-            idx.iter().map(|&i| IdxExpr::konst(i)).collect(),
-        );
-        self.items.push(Item::DeclEvent {
-            lhs: lhs.clone(),
-            rhs,
-        });
-        lhs
+    /// The handle of definition `d` if it is an event of this program.
+    pub fn event_id(&self, d: DefId) -> Option<EventId> {
+        match self.table.defs.get(d.index()) {
+            Some((_, Def::Event(_))) => Some(EventId(d)),
+            _ => None,
+        }
     }
 
-    /// Declares an indexed c-value with *concrete* indices.
-    pub fn declare_cval_at(&mut self, name: &str, idx: &[i64], rhs: Rc<SymCVal>) -> SymIdent {
-        let lhs = SymIdent::indexed(
-            self.sym(name),
-            idx.iter().map(|&i| IdxExpr::konst(i)).collect(),
-        );
-        self.items.push(Item::DeclCVal {
-            lhs: lhs.clone(),
-            rhs,
-        });
-        lhs
+    /// The handle of definition `d` if it is a c-value of this program.
+    pub fn cval_id(&self, d: DefId) -> Option<CValId> {
+        match self.table.defs.get(d.index()) {
+            Some((_, Def::CVal(_))) => Some(CValId(d)),
+            _ => None,
+        }
     }
 
-    /// Registers a single-identifier compilation target.
-    pub fn add_target(&mut self, ident: SymIdent) {
-        self.targets.push(TargetSpec::Exact(ident));
+    /// Registers a compilation target.
+    pub fn add_target(&mut self, id: EventId) {
+        self.targets.push(id.0);
     }
 
-    /// Registers every grounded definition with base name `name` as a
-    /// compilation target.
-    pub fn add_target_family(&mut self, name: &str) {
-        let s = self.sym(name);
-        self.targets.push(TargetSpec::Family(s));
-    }
-
-    /// Instantiates all loops, resolving references, producing a flat
-    /// [`GroundProgram`].
+    /// The grounded program: this program's definitions, shared rather
+    /// than copied, and its targets. Fails with
+    /// [`CoreError::Redeclaration`] if an identifier was declared twice.
     pub fn ground(&self) -> Result<GroundProgram, CoreError> {
-        ground_program(self)
+        if let Some(ident) = &self.redeclared {
+            return Err(CoreError::Redeclaration(ident.clone()));
+        }
+        Ok(GroundProgram {
+            table: self.table.clone(),
+            targets: self.targets.clone(),
+            n_vars: self.n_vars,
+        })
     }
 
-    // --- symbolic expression helpers -------------------------------------
+    // --- expression helpers ---------------------------------------------
 
     /// A variable literal.
-    pub fn var(v: Var) -> Rc<SymEvent> {
-        Rc::new(SymEvent::Var(v))
+    pub fn var(v: Var) -> Rc<Event> {
+        Event::var(v)
     }
 
     /// A negated variable literal.
-    pub fn nvar(v: Var) -> Rc<SymEvent> {
-        Rc::new(SymEvent::Not(Rc::new(SymEvent::Var(v))))
+    pub fn nvar(v: Var) -> Rc<Event> {
+        Event::nvar(v)
     }
 
-    /// Smart symbolic conjunction (constant folding only; flattening happens
-    /// at grounding).
-    pub fn and(parts: impl IntoIterator<Item = Rc<SymEvent>>) -> Rc<SymEvent> {
-        let parts: Vec<_> = parts.into_iter().collect();
-        match parts.len() {
-            0 => Rc::new(SymEvent::Tru),
-            1 => parts.into_iter().next().unwrap(),
-            _ => Rc::new(SymEvent::And(parts)),
-        }
+    /// Conjunction ([`Event::and`]).
+    pub fn and(parts: impl IntoIterator<Item = Rc<Event>>) -> Rc<Event> {
+        Event::and(parts)
     }
 
-    /// Smart symbolic disjunction.
-    pub fn or(parts: impl IntoIterator<Item = Rc<SymEvent>>) -> Rc<SymEvent> {
-        let parts: Vec<_> = parts.into_iter().collect();
-        match parts.len() {
-            0 => Rc::new(SymEvent::Fls),
-            1 => parts.into_iter().next().unwrap(),
-            _ => Rc::new(SymEvent::Or(parts)),
-        }
+    /// Disjunction ([`Event::or`]).
+    pub fn or(parts: impl IntoIterator<Item = Rc<Event>>) -> Rc<Event> {
+        Event::or(parts)
     }
 
-    /// Symbolic negation.
-    pub fn not(e: Rc<SymEvent>) -> Rc<SymEvent> {
-        Rc::new(SymEvent::Not(e))
+    /// Negation ([`Event::not`]).
+    pub fn not(e: Rc<Event>) -> Rc<Event> {
+        Event::not(e)
     }
 
-    /// Reference to a named event/c-value.
-    pub fn eref(ident: SymIdent) -> Rc<SymEvent> {
-        Rc::new(SymEvent::Ref(ident))
+    /// Reference to a declared event.
+    pub fn eref(id: EventId) -> Rc<Event> {
+        Rc::new(Event::Ref(id.0))
     }
 
-    /// C-value reference to a named declaration.
-    pub fn cref(ident: SymIdent) -> Rc<SymCVal> {
-        Rc::new(SymCVal::Ref(ident))
+    /// Reference to a declared c-value.
+    pub fn cref(id: CValId) -> Rc<CVal> {
+        Rc::new(CVal::Ref(id.0))
     }
 }
 
-/// Lifts a *closed* [`crate::event::Event`] (no `Ref`s) into the symbolic
-/// event language. Fails with [`CoreError::UnknownIdent`] on references —
-/// those are grounded `DefId`s with no symbolic counterpart.
-pub fn lift_event(e: &crate::event::Event) -> Result<Rc<SymEvent>, CoreError> {
-    use crate::event::Event as E;
-    Ok(match e {
-        E::Tru => Rc::new(SymEvent::Tru),
-        E::Fls => Rc::new(SymEvent::Fls),
-        E::Var(v) => Rc::new(SymEvent::Var(*v)),
-        E::Not(inner) => Rc::new(SymEvent::Not(lift_event(inner)?)),
-        E::And(parts) => Rc::new(SymEvent::And(
-            parts
-                .iter()
-                .map(|p| lift_event(p))
-                .collect::<Result<_, _>>()?,
-        )),
-        E::Or(parts) => Rc::new(SymEvent::Or(
-            parts
-                .iter()
-                .map(|p| lift_event(p))
-                .collect::<Result<_, _>>()?,
-        )),
-        E::Atom(op, a, b) => Rc::new(SymEvent::Atom(*op, lift_cval(a)?, lift_cval(b)?)),
-        E::Ref(d) => {
-            return Err(CoreError::UnknownIdent(format!(
-                "cannot lift grounded reference #{} into a symbolic event",
-                d.0
-            )))
-        }
-    })
+/// Whether `e` refers to no declaration.
+fn closed(e: &Event) -> bool {
+    match e {
+        Event::Tru | Event::Fls | Event::Var(_) => true,
+        Event::Not(inner) => closed(inner),
+        Event::And(parts) | Event::Or(parts) => parts.iter().all(|p| closed(p)),
+        Event::Atom(_, a, b) => closed_cval(a) && closed_cval(b),
+        Event::Ref(_) => false,
+    }
 }
 
-/// Lifts a *closed* [`crate::event::CVal`] (no `Ref`s) into the symbolic
-/// c-value language. See [`lift_event`].
-pub fn lift_cval(c: &crate::event::CVal) -> Result<Rc<SymCVal>, CoreError> {
-    use crate::event::CVal as C;
-    Ok(match c {
-        C::Const(v) => Rc::new(SymCVal::Lit(ValSrc::Const(v.clone()))),
-        C::Cond(e, v) => Rc::new(SymCVal::Cond(lift_event(e)?, ValSrc::Const(v.clone()))),
-        C::Guard(e, inner) => Rc::new(SymCVal::Guard(lift_event(e)?, lift_cval(inner)?)),
-        C::Sum(parts) => Rc::new(SymCVal::Sum(
-            parts
-                .iter()
-                .map(|p| lift_cval(p))
-                .collect::<Result<_, _>>()?,
-        )),
-        C::Prod(parts) => Rc::new(SymCVal::Prod(
-            parts
-                .iter()
-                .map(|p| lift_cval(p))
-                .collect::<Result<_, _>>()?,
-        )),
-        C::Inv(inner) => Rc::new(SymCVal::Inv(lift_cval(inner)?)),
-        C::Pow(inner, r) => Rc::new(SymCVal::Pow(lift_cval(inner)?, *r)),
-        C::Dist(a, b) => Rc::new(SymCVal::Dist(lift_cval(a)?, lift_cval(b)?)),
-        C::Ref(d) => {
-            return Err(CoreError::UnknownIdent(format!(
-                "cannot lift grounded reference #{} into a symbolic c-value",
-                d.0
-            )))
-        }
-    })
+fn closed_cval(c: &CVal) -> bool {
+    match c {
+        CVal::Const(_) => true,
+        CVal::Cond(e, _) => closed(e),
+        CVal::Guard(e, inner) => closed(e) && closed_cval(inner),
+        CVal::Sum(parts) | CVal::Prod(parts) => parts.iter().all(|p| closed_cval(p)),
+        CVal::Inv(inner) | CVal::Pow(inner, _) => closed_cval(inner),
+        CVal::Dist(a, b) => closed_cval(a) && closed_cval(b),
+        CVal::Ref(_) => false,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn idx_expr_eval() {
-        let mut int = Interner::new();
-        let i = int.intern("i");
-        let mut env = HashMap::new();
-        env.insert(i, 3i64);
-        assert_eq!(IdxExpr::konst(7).eval(&env, &int).unwrap(), 7);
-        assert_eq!(IdxExpr::var(i).eval(&env, &int).unwrap(), 3);
-        assert_eq!(IdxExpr::affine(i, 2, -1).eval(&env, &int).unwrap(), 5);
-    }
-
-    #[test]
-    fn idx_expr_unbound_var_errors() {
-        let mut int = Interner::new();
-        let j = int.intern("j");
-        let env = HashMap::new();
-        assert!(matches!(
-            IdxExpr::var(j).eval(&env, &int),
-            Err(CoreError::UnboundLoopVar(_))
-        ));
-    }
-
-    #[test]
-    fn affine_zero_coeff_is_constant() {
-        let mut int = Interner::new();
-        let i = int.intern("i");
-        let e = IdxExpr::affine(i, 0, 9);
-        assert!(e.terms.is_empty());
-        assert_eq!(e.konst, 9);
-    }
-
-    #[test]
-    fn data_table_shape_and_lookup() {
-        let t = DataTable::new(vec![2, 3], (0..6).map(|i| Value::Num(i as f64)).collect());
-        assert_eq!(t.get(&[1, 2]).unwrap(), &Value::Num(5.0));
-        assert_eq!(t.get(&[0, 0]).unwrap(), &Value::Num(0.0));
-        assert!(t.get(&[2, 0]).is_err());
-        assert!(t.get(&[0, -1]).is_err());
-        assert!(t.get(&[0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn data_table_rejects_bad_shape() {
-        DataTable::new(vec![2, 2], vec![Value::Num(0.0)]);
-    }
+    use crate::event::CmpOp;
+    use crate::value::Value;
 
     #[test]
     fn fresh_vars_are_sequential() {
@@ -609,9 +273,8 @@ mod tests {
 
     #[test]
     fn closed_events_lift_and_ground() {
-        use crate::event::{CVal, Event};
         use crate::{space, VarTable};
-        // Φ = (x0 ∧ ¬x2) ∨ [x1 ⊗ 1 ≤ 0.5] — exercises every lifted shape.
+        // Φ = (x0 ∧ ¬x2) ∨ [x1 ⊗ 1 ≤ 0.5] — a closed event with an atom.
         let atom = Rc::new(Event::Atom(
             CmpOp::Le,
             CVal::cond(Event::var(Var(1)), Value::Num(1.0)),
@@ -634,11 +297,26 @@ mod tests {
 
     #[test]
     fn lifting_references_is_rejected() {
-        use crate::event::{CVal, Event};
-        use crate::ground::DefId;
-        assert!(lift_event(&Event::Ref(DefId(0))).is_err());
-        assert!(lift_cval(&CVal::Ref(DefId(0))).is_err());
+        // A reference anywhere in the term, here inside an atom.
         let mut p = Program::new();
-        assert!(p.declare_closed_event("R", &Event::Ref(DefId(0))).is_err());
+        let c = p.declare_cval("C", CVal::num(1.0));
+        let e = p.declare_event("E", Program::var(Var(0)));
+        let atom = Rc::new(Event::Atom(CmpOp::Le, Program::cref(c), CVal::num(0.0)));
+        assert!(p.declare_closed_event("A", &atom).is_err());
+        let guarded = Event::and([Program::var(Var(1)), Program::eref(e)]);
+        assert!(p.declare_closed_event("G", &guarded).is_err());
+        assert_eq!(p.len(), 2, "a rejected event is not declared");
+    }
+
+    #[test]
+    fn handles_are_kinded() {
+        let mut p = Program::new();
+        let e = p.declare_event_at("E", &[2], Program::var(Var(0)));
+        let c = p.declare_cval("C", CVal::num(1.0));
+        assert_eq!(p.event_at("E", &[2]), Some(e));
+        assert_eq!(p.event_at("C", &[]), None, "a c-value is no event");
+        assert_eq!(p.event_id(c.def()), None);
+        assert_eq!(p.cval_id(c.def()), Some(c));
+        assert_eq!(p.cval_id(DefId(9)), None);
     }
 }

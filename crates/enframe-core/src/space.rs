@@ -129,7 +129,8 @@ pub fn cval_expectation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Program, SymCVal, ValSrc};
+    use crate::event::{CVal, Event};
+    use crate::program::Program;
     use crate::Var;
     use std::rc::Rc;
 
@@ -176,15 +177,9 @@ mod tests {
         let b = p.fresh_var();
         let c = p.declare_cval(
             "C",
-            Rc::new(SymCVal::Sum(vec![
-                Rc::new(SymCVal::Cond(
-                    Program::var(a),
-                    ValSrc::Const(Value::Num(1.0)),
-                )),
-                Rc::new(SymCVal::Cond(
-                    Program::var(b),
-                    ValSrc::Const(Value::Num(2.0)),
-                )),
+            Rc::new(CVal::Sum(vec![
+                CVal::cond(Program::var(a), Value::Num(1.0)),
+                CVal::cond(Program::var(b), Value::Num(2.0)),
             ])),
         );
         let g = p.ground().unwrap();
@@ -202,13 +197,7 @@ mod tests {
         // C = x0 ⊗ 10 with p = 0.25: E[C | defined] = 10, P(defined) = 0.25.
         let mut p = Program::new();
         let a = p.fresh_var();
-        p.declare_cval(
-            "C",
-            Rc::new(SymCVal::Cond(
-                Program::var(a),
-                ValSrc::Const(Value::Num(10.0)),
-            )),
-        );
+        p.declare_cval("C", CVal::cond(Program::var(a), Value::Num(10.0)));
         let g = p.ground().unwrap();
         let id = g.lookup_named("C", &[]).unwrap();
         let vt = VarTable::new(vec![0.25]);
@@ -237,16 +226,10 @@ mod tests {
         let b = p.fresh_var();
         let at = p.declare_event(
             "A",
-            Rc::new(crate::program::SymEvent::Atom(
+            Rc::new(Event::Atom(
                 crate::CmpOp::Le,
-                Rc::new(SymCVal::Cond(
-                    Program::var(a),
-                    ValSrc::Const(Value::Num(1.0)),
-                )),
-                Rc::new(SymCVal::Cond(
-                    Program::var(b),
-                    ValSrc::Const(Value::Num(2.0)),
-                )),
+                CVal::cond(Program::var(a), Value::Num(1.0)),
+                CVal::cond(Program::var(b), Value::Num(2.0)),
             )),
         );
         p.add_target(at);

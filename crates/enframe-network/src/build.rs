@@ -156,7 +156,8 @@ impl Network {
         }
         let mut net = Network {
             nodes: b.table.nodes,
-            n_vars: gp.n_vars,
+            // A term may mention a variable the program never counted.
+            n_vars: b.var_nodes.len() as u32,
             targets,
             target_names,
             var_nodes: b.var_nodes,
@@ -453,6 +454,9 @@ impl Builder {
             Event::Fls => self.const_bool(false),
             Event::Var(v) => {
                 let id = self.table.intern(NodeKind::Var(*v), &[], None);
+                if v.index() >= self.var_nodes.len() {
+                    self.var_nodes.resize(v.index() + 1, None);
+                }
                 self.var_nodes[v.index()] = Some(id);
                 id
             }
@@ -550,8 +554,8 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enframe_core::program::{SymCVal, ValSrc};
     use enframe_core::{space, Program, VarTable};
+    use enframe_core::{CVal, Event};
     use std::rc::Rc;
 
     /// Example 1 lineage with a couple of derived events.
@@ -567,12 +571,12 @@ mod tests {
         let _o3 = p.declare_event("Phi3", Program::and([Program::nvar(x2), Program::var(x4)]));
         let both = p.declare_event(
             "Both12",
-            Program::and([Program::eref(o1.clone()), Program::eref(o2.clone())]),
+            Program::and([Program::eref(o1), Program::eref(o2)]),
         );
         // A shared subexpression: Phi0 ∨ Phi1 used twice.
-        let shared = Program::or([Program::eref(o0.clone()), Program::eref(o1.clone())]);
+        let shared = Program::or([Program::eref(o0), Program::eref(o1)]);
         let d1 = p.declare_event("D1", shared.clone());
-        let d2 = p.declare_event("D2", Program::and([shared, Program::eref(o2.clone())]));
+        let d2 = p.declare_event("D2", Program::and([shared, Program::eref(o2)]));
         p.add_target(both);
         p.add_target(d1);
         p.add_target(d2);
@@ -633,10 +637,7 @@ mod tests {
         let _x = p.fresh_var();
         p.declare_cval(
             "C",
-            Rc::new(SymCVal::Guard(
-                Rc::new(enframe_core::program::SymEvent::Tru),
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(3.0)))),
-            )),
+            Rc::new(CVal::Guard(Rc::new(Event::Tru), CVal::num(3.0))),
         );
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
@@ -649,14 +650,10 @@ mod tests {
 
     #[test]
     fn self_comparison_folds_true() {
-        use enframe_core::program::SymEvent;
         let mut p = Program::new();
         let x = p.fresh_var();
-        let c = Rc::new(SymCVal::Cond(
-            Program::var(x),
-            ValSrc::Const(Value::Num(1.0)),
-        ));
-        let a = p.declare_event("A", Rc::new(SymEvent::Atom(CmpOp::Le, c.clone(), c)));
+        let c = CVal::cond(Program::var(x), Value::Num(1.0));
+        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Le, c.clone(), c)));
         p.add_target(a);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
@@ -712,10 +709,32 @@ mod tests {
     fn cval_targets_rejected() {
         let mut p = Program::new();
         let _ = p.fresh_var();
-        let c = p.declare_cval("C", Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(1.0)))));
-        p.add_target(c);
-        let g = p.ground().unwrap();
+        let c = p.declare_cval("C", CVal::num(1.0));
+        // `Program::add_target` takes events only; a grounded program's
+        // targets are open, so the builder checks them too.
+        let mut g = p.ground().unwrap();
+        g.targets.push(c.def());
         assert!(Network::build(&g).is_err());
+    }
+
+    #[test]
+    fn n_vars_covers_uncounted_variables() {
+        // The program counts no variable, yet its term mentions x3.
+        let mut p = Program::new();
+        let e = p.declare_event("E", Program::var(Var(3)));
+        p.add_target(e);
+        let g = p.ground().unwrap();
+        assert_eq!(g.n_vars, 0);
+        let net = Network::build(&g).unwrap();
+        assert_eq!(net.n_vars, 4);
+        assert_eq!(net.var_node(Var(3)), Some(net.targets[0]));
+        assert_eq!(net.var_occurrences().len(), 4);
+        // A program that counts more variables than it mentions keeps its count.
+        let mut p = Program::new();
+        p.ensure_vars(6);
+        let e = p.declare_event("E", Program::var(Var(3)));
+        p.add_target(e);
+        assert_eq!(Network::build(&p.ground().unwrap()).unwrap().n_vars, 6);
     }
 
     #[test]

@@ -1131,7 +1131,7 @@ mod tests {
                 Program::var(z),
             ]),
         );
-        let e2 = p.declare_event("E2", Program::not(Program::eref(e1.clone())));
+        let e2 = p.declare_event("E2", Program::not(Program::eref(e1)));
         p.add_target(e1);
         p.add_target(e2);
         let (engine, want, vt) = engine_for(&p);
@@ -1210,7 +1210,7 @@ mod tests {
 
     #[test]
     fn comparison_atom_collapses_onto_partial_sums() {
-        use enframe_core::program::{SymCVal, SymEvent, ValSrc};
+        use enframe_core::{CVal, Event};
         use enframe_core::{CmpOp, Value};
         use std::rc::Rc;
         // E = [Σᵢ xᵢ⊗1 ≥ t]: a cardinality constraint. The Shannon tree
@@ -1220,24 +1220,12 @@ mod tests {
         let t = 6.0;
         let mut p = Program::new();
         let vars: Vec<_> = (0..n).map(|_| p.fresh_var()).collect();
-        let sum = Rc::new(SymCVal::Sum(
+        let sum = Rc::new(CVal::Sum(
             vars.iter()
-                .map(|&v| {
-                    Rc::new(SymCVal::Cond(
-                        Program::var(v),
-                        ValSrc::Const(Value::Num(1.0)),
-                    ))
-                })
+                .map(|&v| CVal::cond(Program::var(v), Value::Num(1.0)))
                 .collect(),
         ));
-        let e = p.declare_event(
-            "E",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                sum,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(t)))),
-            )),
-        );
+        let e = p.declare_event("E", Rc::new(Event::Atom(CmpOp::Ge, sum, CVal::num(t))));
         p.add_target(e);
         let (engine, want, vt) = engine_for(&p);
         let got = engine.probabilities(&vt);
@@ -1265,7 +1253,7 @@ mod tests {
                 Program::and([Program::var(y), Program::var(z)]),
             ]),
         );
-        let e1 = p.declare_event("E1", Program::eref(shared.clone()));
+        let e1 = p.declare_event("E1", Program::eref(shared));
         let e2 = p.declare_event("E2", Program::not(Program::eref(shared)));
         p.add_target(e1);
         p.add_target(e2);

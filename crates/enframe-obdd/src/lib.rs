@@ -994,7 +994,7 @@ mod tests {
                 Program::var(z),
             ]),
         );
-        let e2 = p.declare_event("E2", Program::not(Program::eref(e1.clone())));
+        let e2 = p.declare_event("E2", Program::not(Program::eref(e1)));
         p.add_target(e1);
         p.add_target(e2);
         let (engine, want, vt) = engine_for(&p, &ObddOptions::default());
@@ -1076,31 +1076,19 @@ mod tests {
 
     #[test]
     fn comparison_atoms_expand_correctly() {
-        use enframe_core::program::{SymCVal, SymEvent, ValSrc};
+        use enframe_core::{CVal, Event};
         use enframe_core::{CmpOp, Value};
         use std::rc::Rc;
         // E = [Σᵢ xᵢ⊗(i+1) ≥ 3] over 3 variables.
         let mut p = Program::new();
         let vars: Vec<_> = (0..3).map(|_| p.fresh_var()).collect();
-        let sum = Rc::new(SymCVal::Sum(
+        let sum = Rc::new(CVal::Sum(
             vars.iter()
                 .enumerate()
-                .map(|(i, &v)| {
-                    Rc::new(SymCVal::Cond(
-                        Program::var(v),
-                        ValSrc::Const(Value::Num(i as f64 + 1.0)),
-                    ))
-                })
+                .map(|(i, &v)| CVal::cond(Program::var(v), Value::Num(i as f64 + 1.0)))
                 .collect(),
         ));
-        let e = p.declare_event(
-            "E",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                sum,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(3.0)))),
-            )),
-        );
+        let e = p.declare_event("E", Rc::new(Event::Atom(CmpOp::Ge, sum, CVal::num(3.0))));
         p.add_target(e);
         let (engine, want, vt) = engine_for(&p, &ObddOptions::default());
         let got = engine.probabilities(&vt);

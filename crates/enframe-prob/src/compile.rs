@@ -185,8 +185,8 @@ pub fn degrade_to_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enframe_core::program::{SymCVal, SymEvent, ValSrc};
     use enframe_core::{space, CmpOp, Program, Value};
+    use enframe_core::{CVal, Event};
     use std::rc::Rc;
 
     fn exact_probs(p: &Program, vt: &VarTable) -> (Vec<f64>, CompileResult) {
@@ -208,28 +208,13 @@ mod tests {
                 Program::var(vars[2]),
             ]),
         );
-        let sum = Rc::new(SymCVal::Sum(
+        let sum = Rc::new(CVal::Sum(
             (0..4)
-                .map(|i| {
-                    Rc::new(SymCVal::Cond(
-                        Program::var(vars[i]),
-                        ValSrc::Const(Value::Num(i as f64 + 1.0)),
-                    ))
-                })
+                .map(|i| CVal::cond(Program::var(vars[i]), Value::Num(i as f64 + 1.0)))
                 .collect(),
         ));
-        let e2 = p.declare_event(
-            "E2",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                sum,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(4.0)))),
-            )),
-        );
-        let e3 = p.declare_event(
-            "E3",
-            Program::and([Program::eref(e1.clone()), Program::eref(e2.clone())]),
-        );
+        let e2 = p.declare_event("E2", Rc::new(Event::Atom(CmpOp::Ge, sum, CVal::num(4.0))));
+        let e3 = p.declare_event("E3", Program::and([Program::eref(e1), Program::eref(e2)]));
         p.add_target(e1);
         p.add_target(e2);
         p.add_target(e3);
@@ -341,8 +326,8 @@ mod tests {
     fn constant_targets_resolve_without_exploration() {
         let mut p = Program::new();
         let _x = p.fresh_var();
-        let t = p.declare_event("T", Rc::new(SymEvent::Tru));
-        let f = p.declare_event("F", Rc::new(SymEvent::Fls));
+        let t = p.declare_event("T", Rc::new(Event::Tru));
+        let f = p.declare_event("F", Rc::new(Event::Fls));
         p.add_target(t);
         p.add_target(f);
         let g = p.ground().unwrap();
@@ -391,7 +376,7 @@ mod tests {
             s ^= s << 17;
             s
         };
-        let mut exprs: Vec<Rc<SymEvent>> = vars.iter().map(|&v| Program::var(v)).collect();
+        let mut exprs: Vec<Rc<Event>> = vars.iter().map(|&v| Program::var(v)).collect();
         for _ in 0..6 {
             let a = exprs[(next() as usize) % exprs.len()].clone();
             let b = exprs[(next() as usize) % exprs.len()].clone();

@@ -461,8 +461,8 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use enframe_core::failpoint;
-    use enframe_core::program::{SymCVal, SymEvent, ValSrc};
     use enframe_core::{space, CmpOp, Program, Value};
+    use enframe_core::{CVal, Event};
     use std::rc::Rc;
 
     fn mixed_program(n: usize) -> Program {
@@ -475,24 +475,15 @@ mod tests {
                     .map(|c| Program::and(c.iter().map(|&v| Program::var(v)).collect::<Vec<_>>())),
             ),
         );
-        let sum = Rc::new(SymCVal::Sum(
+        let sum = Rc::new(CVal::Sum(
             vars.iter()
                 .enumerate()
-                .map(|(i, &v)| {
-                    Rc::new(SymCVal::Cond(
-                        Program::var(v),
-                        ValSrc::Const(Value::Num(i as f64 + 1.0)),
-                    ))
-                })
+                .map(|(i, &v)| CVal::cond(Program::var(v), Value::Num(i as f64 + 1.0)))
                 .collect(),
         ));
         let e2 = p.declare_event(
             "E2",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                sum,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(n as f64)))),
-            )),
+            Rc::new(Event::Atom(CmpOp::Ge, sum, CVal::num(n as f64))),
         );
         p.add_target(e1);
         p.add_target(e2);
@@ -568,7 +559,7 @@ mod tests {
     fn trivially_resolved_targets_short_circuit() {
         let mut p = Program::new();
         let _x = p.fresh_var();
-        let t = p.declare_event("T", Rc::new(SymEvent::Tru));
+        let t = p.declare_event("T", Rc::new(Event::Tru));
         p.add_target(t);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();

@@ -793,7 +793,7 @@ fn sum_def(n_yes: u32, n_no: u32, len: u32) -> Def3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enframe_core::program::{SymCVal, SymEvent, ValSrc};
+    use enframe_core::{CVal, Event};
     use enframe_core::{CmpOp, Program, Valuation};
     use std::rc::Rc;
 
@@ -851,24 +851,11 @@ mod tests {
         let x = p.fresh_var();
         let y = p.fresh_var();
         // A ≡ [x⊗1 + y⊗2 >= 2]
-        let sum = Rc::new(SymCVal::Sum(vec![
-            Rc::new(SymCVal::Cond(
-                Program::var(x),
-                ValSrc::Const(Value::Num(1.0)),
-            )),
-            Rc::new(SymCVal::Cond(
-                Program::var(y),
-                ValSrc::Const(Value::Num(2.0)),
-            )),
+        let sum = Rc::new(CVal::Sum(vec![
+            CVal::cond(Program::var(x), Value::Num(1.0)),
+            CVal::cond(Program::var(y), Value::Num(2.0)),
         ]));
-        let a = p.declare_event(
-            "A",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                sum,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(2.0)))),
-            )),
-        );
+        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Ge, sum, CVal::num(2.0))));
         p.add_target(a);
         check_full_assignments(&p);
     }
@@ -879,21 +866,11 @@ mod tests {
         // contribution of x⊗1 is [0,1], so S ∈ [5,6] ≥ 4.
         let mut p = Program::new();
         let x = p.fresh_var();
-        let s = Rc::new(SymCVal::Sum(vec![
-            Rc::new(SymCVal::Cond(
-                Program::var(x),
-                ValSrc::Const(Value::Num(1.0)),
-            )),
-            Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(5.0)))),
+        let s = Rc::new(CVal::Sum(vec![
+            CVal::cond(Program::var(x), Value::Num(1.0)),
+            CVal::num(5.0),
         ]));
-        let a = p.declare_event(
-            "A",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                s,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(4.0)))),
-            )),
-        );
+        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Ge, s, CVal::num(4.0))));
         p.add_target(a);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
@@ -909,13 +886,10 @@ mod tests {
         let x = p.fresh_var();
         let a = p.declare_event(
             "A",
-            Rc::new(SymEvent::Atom(
+            Rc::new(Event::Atom(
                 CmpOp::Le,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Undef))),
-                Rc::new(SymCVal::Cond(
-                    Program::var(x),
-                    ValSrc::Const(Value::Num(0.0)),
-                )),
+                Rc::new(CVal::Const(Value::Undef)),
+                CVal::cond(Program::var(x), Value::Num(0.0)),
             )),
         );
         p.add_target(a);
@@ -930,21 +904,11 @@ mod tests {
         // P = (x⊗2) · 3; atom [P > 100] with x = false: P = u ⇒ atom true.
         let mut p = Program::new();
         let x = p.fresh_var();
-        let prod = Rc::new(SymCVal::Prod(vec![
-            Rc::new(SymCVal::Cond(
-                Program::var(x),
-                ValSrc::Const(Value::Num(2.0)),
-            )),
-            Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(3.0)))),
+        let prod = Rc::new(CVal::Prod(vec![
+            CVal::cond(Program::var(x), Value::Num(2.0)),
+            CVal::num(3.0),
         ]));
-        let a = p.declare_event(
-            "A",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Gt,
-                prod,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(100.0)))),
-            )),
-        );
+        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Gt, prod, CVal::num(100.0))));
         p.add_target(a);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
@@ -1015,31 +979,15 @@ mod tests {
         let x = p.fresh_var();
         // S = x⊗1 + x⊗2 + dist(x⊗3, ⊤⊗0); assigning x changes all three
         // summands (and the dist's child) in one wave.
-        let s = Rc::new(SymCVal::Sum(vec![
-            Rc::new(SymCVal::Cond(
-                Program::var(x),
-                ValSrc::Const(Value::Num(1.0)),
-            )),
-            Rc::new(SymCVal::Cond(
-                Program::var(x),
-                ValSrc::Const(Value::Num(2.0)),
-            )),
-            Rc::new(SymCVal::Dist(
-                Rc::new(SymCVal::Cond(
-                    Program::var(x),
-                    ValSrc::Const(Value::Num(3.0)),
-                )),
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(0.0)))),
+        let s = Rc::new(CVal::Sum(vec![
+            CVal::cond(Program::var(x), Value::Num(1.0)),
+            CVal::cond(Program::var(x), Value::Num(2.0)),
+            Rc::new(CVal::Dist(
+                CVal::cond(Program::var(x), Value::Num(3.0)),
+                CVal::num(0.0),
             )),
         ]));
-        let a = p.declare_event(
-            "A",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Ge,
-                s,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(6.0)))),
-            )),
-        );
+        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Ge, s, CVal::num(6.0))));
         p.add_target(a);
         check_full_assignments(&p);
     }
@@ -1051,33 +999,17 @@ mod tests {
         let mut p = Program::new();
         let x0 = p.fresh_var();
         let x1 = p.fresh_var();
-        let o0 = Rc::new(SymCVal::Cond(
-            Program::var(x0),
-            ValSrc::Const(Value::point(&[0.0, 0.0])),
-        ));
-        let o1 = Rc::new(SymCVal::Cond(
-            Program::var(x1),
-            ValSrc::Const(Value::point(&[3.0, 4.0])),
-        ));
-        let o2 = Rc::new(SymCVal::Lit(ValSrc::Const(Value::point(&[6.0, 8.0]))));
-        let d01 = Rc::new(SymCVal::Dist(o0.clone(), o1.clone()));
-        let d02 = Rc::new(SymCVal::Dist(o0.clone(), o2.clone()));
-        let a = p.declare_event("A", Rc::new(SymEvent::Atom(CmpOp::Le, d01, d02)));
-        let s = Rc::new(SymCVal::Sum(vec![
-            Rc::new(SymCVal::Guard(
-                Program::eref(a.clone()),
-                Rc::new(SymCVal::Dist(o1, o2)),
-            )),
-            Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(1.0)))),
+        let o0 = CVal::cond(Program::var(x0), Value::point(&[0.0, 0.0]));
+        let o1 = CVal::cond(Program::var(x1), Value::point(&[3.0, 4.0]));
+        let o2 = CVal::point(&[6.0, 8.0]);
+        let d01 = Rc::new(CVal::Dist(o0.clone(), o1.clone()));
+        let d02 = Rc::new(CVal::Dist(o0.clone(), o2.clone()));
+        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Le, d01, d02)));
+        let s = Rc::new(CVal::Sum(vec![
+            Rc::new(CVal::Guard(Program::eref(a), Rc::new(CVal::Dist(o1, o2)))),
+            CVal::num(1.0),
         ]));
-        let b = p.declare_event(
-            "B",
-            Rc::new(SymEvent::Atom(
-                CmpOp::Lt,
-                s,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(5.0)))),
-            )),
-        );
+        let b = p.declare_event("B", Rc::new(Event::Atom(CmpOp::Lt, s, CVal::num(5.0))));
         p.add_target(a);
         p.add_target(b);
         check_full_assignments(&p);

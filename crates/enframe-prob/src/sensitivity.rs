@@ -287,7 +287,7 @@ mod tests {
 
     mod prop {
         use super::*;
-        use enframe_core::program::SymEvent;
+        use enframe_core::Event;
         use proptest::prelude::*;
         use std::rc::Rc;
 
@@ -301,7 +301,7 @@ mod tests {
                 s ^= s << 17;
                 s
             };
-            let mut exprs: Vec<Rc<SymEvent>> = vars.iter().map(|&v| Program::var(v)).collect();
+            let mut exprs: Vec<Rc<Event>> = vars.iter().map(|&v| Program::var(v)).collect();
             for _ in 0..5 {
                 let a = exprs[(next() as usize) % exprs.len()].clone();
                 let b = exprs[(next() as usize) % exprs.len()].clone();

@@ -27,7 +27,7 @@ fn chunked_or(n: usize) -> Program {
                 .map(|c| Program::and(c.iter().map(|&v| Program::var(v)).collect::<Vec<_>>())),
         ),
     );
-    let e2 = p.declare_event("E2", Program::not(Program::eref(e1.clone())));
+    let e2 = p.declare_event("E2", Program::not(Program::eref(e1)));
     p.add_target(e1);
     p.add_target(e2);
     p

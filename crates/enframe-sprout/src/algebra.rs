@@ -248,26 +248,12 @@ mod tests {
         for _ in 0..4 {
             p.fresh_var();
         }
-        let id = p.declare_event("Q", enframe_translate_free(&lineage));
+        let id = p.declare_event("Q", lineage);
         p.add_target(id);
         let g = p.ground().unwrap();
         let vt = VarTable::new(vec![0.5, 0.5, 0.5, 0.5]);
         let got = space::target_probabilities(&g, &vt)[0];
         assert!((got - 0.75).abs() < 1e-12);
-    }
-
-    /// Local helper converting a closed core event to a symbolic event.
-    fn enframe_translate_free(e: &Event) -> std::rc::Rc<enframe_core::program::SymEvent> {
-        use enframe_core::program::SymEvent;
-        Rc::new(match e {
-            Event::Tru => SymEvent::Tru,
-            Event::Fls => SymEvent::Fls,
-            Event::Var(v) => SymEvent::Var(*v),
-            Event::Not(i) => return Rc::new(SymEvent::Not(enframe_translate_free(i))),
-            Event::And(ps) => SymEvent::And(ps.iter().map(|p| enframe_translate_free(p)).collect()),
-            Event::Or(ps) => SymEvent::Or(ps.iter().map(|p| enframe_translate_free(p)).collect()),
-            _ => panic!("unexpected lineage"),
-        })
     }
 
     #[test]

@@ -1109,27 +1109,24 @@ mod tests {
 
     /// A three-target network with one node of every [`NodeKind`].
     fn every_kind_network() -> Network {
-        use enframe_core::program::{SymCVal, SymEvent, ValSrc};
+        use enframe_core::{CVal, Event};
         use std::rc::Rc;
-        let lit = |v: Value| Rc::new(SymCVal::Lit(ValSrc::Const(v)));
+        let lit = |v: Value| Rc::new(CVal::Const(v));
         let mut p = Program::new();
         let x = p.fresh_var();
         let y = p.fresh_var();
         let z = p.fresh_var();
-        let cx = Rc::new(SymCVal::Cond(
-            Program::var(x),
-            ValSrc::Const(Value::Num(2.0)),
-        ));
-        let gy = Rc::new(SymCVal::Guard(Program::nvar(y), lit(Value::Num(3.0))));
-        let sum = Rc::new(SymCVal::Sum(vec![cx.clone(), gy]));
-        let prod = Rc::new(SymCVal::Prod(vec![cx, lit(Value::Num(4.0))]));
-        let dist = Rc::new(SymCVal::Dist(
-            Rc::new(SymCVal::Inv(sum)),
-            Rc::new(SymCVal::Pow(prod, 2)),
+        let cx = CVal::cond(Program::var(x), Value::Num(2.0));
+        let gy = Rc::new(CVal::Guard(Program::nvar(y), lit(Value::Num(3.0))));
+        let sum = Rc::new(CVal::Sum(vec![cx.clone(), gy]));
+        let prod = Rc::new(CVal::Prod(vec![cx, lit(Value::Num(4.0))]));
+        let dist = Rc::new(CVal::Dist(
+            Rc::new(CVal::Inv(sum)),
+            Rc::new(CVal::Pow(prod, 2)),
         ));
         let a = p.declare_event(
             "A",
-            Rc::new(SymEvent::Atom(CmpOp::Le, dist, lit(Value::Num(5.0)))),
+            Rc::new(Event::Atom(CmpOp::Le, dist, lit(Value::Num(5.0)))),
         );
         let b = p.declare_event(
             "B",
@@ -1138,7 +1135,7 @@ mod tests {
                 Program::or([Program::var(y), Program::var(z)]),
             ]),
         );
-        let t = p.declare_event("T", Rc::new(SymEvent::Tru));
+        let t = p.declare_event("T", Rc::new(Event::Tru));
         for id in [a, b, t] {
             p.add_target(id);
         }

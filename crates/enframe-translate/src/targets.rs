@@ -5,54 +5,23 @@
 //! the probability that two data points are assigned to the same cluster"
 //! (paper §1). These helpers turn final program slots into such targets.
 
-use crate::translate::{Slot, Translated};
-use enframe_core::program::{IdxExpr, Item, SymEvent};
-use enframe_core::{Program, SymIdent};
+use crate::translate::{check_lineage, Slot, Translated};
+use enframe_core::{Event, EventId, Program};
 use enframe_lang::RtValue;
-use std::collections::HashSet;
 use std::rc::Rc;
 
-/// The constant events standing for concrete Boolean entries of `var`:
-/// `{var}_const[path] ≡ ⊤/⊥`, so that target indices stay aligned with
-/// array positions. An entry registered again — by either helper, in any
-/// order — targets the declaration it already has.
-struct ConstEvents {
-    name: String,
-    declared: HashSet<SymIdent>,
-}
-
-impl ConstEvents {
-    fn of(program: &Program, var: &str) -> Self {
-        let name = format!("{var}_const");
-        let declared = match program.interner.get(&name) {
-            None => HashSet::new(),
-            Some(sym) => program
-                .items
-                .iter()
-                .filter_map(|item| match item {
-                    Item::DeclEvent { lhs, .. } if lhs.sym == sym => Some(lhs.clone()),
-                    _ => None,
-                })
-                .collect(),
-        };
-        ConstEvents { name, declared }
-    }
-
-    fn target(&mut self, program: &mut Program, path: &[i64], value: bool) -> SymIdent {
-        let si = SymIdent::indexed(
-            program.sym(&self.name),
-            path.iter().map(|&i| IdxExpr::konst(i)).collect(),
-        );
-        if self.declared.insert(si.clone()) {
-            let rhs = Rc::new(if value { SymEvent::Tru } else { SymEvent::Fls });
-            program.push(Item::DeclEvent {
-                lhs: si.clone(),
-                rhs,
-            });
-        }
-        program.add_target(si.clone());
-        si
-    }
+/// Targets the constant event standing for a concrete Boolean entry:
+/// `{var}_const[path] ≡ ⊤/⊥` (`name` is `{var}_const`), so that target
+/// indices stay aligned with array positions. An entry registered again —
+/// by either helper, in any order — targets the declaration it already
+/// has.
+fn const_target(program: &mut Program, name: &str, path: &[i64], value: bool) -> EventId {
+    let id = program.event_at(name, path).unwrap_or_else(|| {
+        let rhs = Rc::new(if value { Event::Tru } else { Event::Fls });
+        program.declare_event_at(name, path, rhs)
+    });
+    program.add_target(id);
+    id
 }
 
 /// Adds every Boolean entry of the (possibly nested) final array `var` as a
@@ -64,15 +33,15 @@ pub fn add_all_bool_targets(t: &mut Translated, var: &str) -> usize {
     let Some(slot) = slots.get(var) else {
         return 0;
     };
-    let mut consts = ConstEvents::of(program, var);
+    let name = format!("{var}_const");
     let mut count = 0;
-    add_rec(program, &mut consts, slot, &mut Vec::new(), &mut count);
+    add_rec(program, &name, slot, &mut Vec::new(), &mut count);
     count
 }
 
 fn add_rec(
     program: &mut Program,
-    consts: &mut ConstEvents,
+    const_name: &str,
     slot: &Slot,
     path: &mut Vec<i64>,
     count: &mut usize,
@@ -81,42 +50,59 @@ fn add_rec(
         Slot::Array(items) => {
             for (i, item) in items.iter().enumerate() {
                 path.push(i as i64);
-                add_rec(program, consts, item, path, count);
+                add_rec(program, const_name, item, path, count);
                 path.pop();
             }
         }
         Slot::Event(e) => {
-            if let SymEvent::Ref(si) = &**e {
-                program.add_target(si.clone());
+            if let Some(id) = ref_target(program, e) {
+                program.add_target(id);
                 *count += 1;
             }
         }
         Slot::Concrete(RtValue::Bool(b)) => {
-            consts.target(program, path, *b);
+            const_target(program, const_name, path, *b);
             *count += 1;
         }
         _ => {}
     }
 }
 
+/// The declared event an event slot refers to, if it is a reference.
+fn ref_target(program: &Program, e: &Event) -> Option<EventId> {
+    match *e {
+        Event::Ref(d) => program.event_id(d),
+        _ => None,
+    }
+}
+
 /// Adds the single Boolean entry `var[idx...]` as a target, returning its
-/// identifier (constants are declared as constant events).
-pub fn add_bool_target_at(t: &mut Translated, var: &str, idx: &[usize]) -> Option<SymIdent> {
+/// handle (constants are declared as constant events).
+pub fn add_bool_target_at(t: &mut Translated, var: &str, idx: &[usize]) -> Option<EventId> {
     match t.slot_at(var, idx)? {
-        Slot::Event(e) => match &**e {
-            SymEvent::Ref(si) => {
-                let si = si.clone();
-                t.program.add_target(si.clone());
-                Some(si)
-            }
-            _ => None,
-        },
+        Slot::Event(e) => {
+            let id = ref_target(&t.program, e)?;
+            t.program.add_target(id);
+            Some(id)
+        }
         &Slot::Concrete(RtValue::Bool(b)) => {
             let path: Vec<i64> = idx.iter().map(|&i| i as i64).collect();
-            Some(ConstEvents::of(&t.program, var).target(&mut t.program, &path, b))
+            let name = format!("{var}_const");
+            Some(const_target(&mut t.program, &name, &path, b))
         }
         _ => None,
     }
+}
+
+/// `∨_i (var[i][l1] ∧ var[i][l2])` over the first `k` rows of `var`.
+fn same_cluster(t: &Translated, var: &str, k: usize, l1: usize, l2: usize) -> Option<Rc<Event>> {
+    let mut disjuncts = Vec::with_capacity(k);
+    for i in 0..k {
+        let a = bool_event(t, var, &[i, l1])?;
+        let b = bool_event(t, var, &[i, l2])?;
+        disjuncts.push(Event::and([a, b]));
+    }
+    Some(Event::or(disjuncts))
 }
 
 /// Declares and targets the co-occurrence event "objects `l1` and `l2` are
@@ -128,28 +114,13 @@ pub fn add_same_cluster_target(
     k: usize,
     l1: usize,
     l2: usize,
-) -> Option<SymIdent> {
-    let mut disjuncts: Vec<Rc<SymEvent>> = Vec::with_capacity(k);
-    for i in 0..k {
-        let a = bool_sym(t, var, &[i, l1])?;
-        let b = bool_sym(t, var, &[i, l2])?;
-        match (&*a, &*b) {
-            (SymEvent::Fls, _) | (_, SymEvent::Fls) => continue,
-            (SymEvent::Tru, _) => disjuncts.push(b),
-            (_, SymEvent::Tru) => disjuncts.push(a),
-            _ => disjuncts.push(Rc::new(SymEvent::And(vec![a, b]))),
-        }
-    }
-    let rhs = match disjuncts.len() {
-        0 => Rc::new(SymEvent::Fls),
-        1 => disjuncts.pop().unwrap(),
-        _ => Rc::new(SymEvent::Or(disjuncts)),
-    };
-    let si = t
+) -> Option<EventId> {
+    let rhs = same_cluster(t, var, k, l1, l2)?;
+    let id = t
         .program
         .declare_event_at("SameCluster", &[l1 as i64, l2 as i64], rhs);
-    t.program.add_target(si.clone());
-    Some(si)
+    t.program.add_target(id);
+    Some(id)
 }
 
 /// Declares and targets the *existence-conjoined* co-occurrence event
@@ -167,40 +138,23 @@ pub fn add_coexist_same_cluster_target(
     t: &mut Translated,
     var: &str,
     k: usize,
-    (l1, phi1): (usize, &Rc<enframe_core::Event>),
-    (l2, phi2): (usize, &Rc<enframe_core::Event>),
-) -> Option<SymIdent> {
-    let mut disjuncts: Vec<Rc<SymEvent>> = Vec::with_capacity(k);
-    for i in 0..k {
-        let a = bool_sym(t, var, &[i, l1])?;
-        let b = bool_sym(t, var, &[i, l2])?;
-        match (&*a, &*b) {
-            (SymEvent::Fls, _) | (_, SymEvent::Fls) => continue,
-            (SymEvent::Tru, _) => disjuncts.push(b),
-            (_, SymEvent::Tru) => disjuncts.push(a),
-            _ => disjuncts.push(Rc::new(SymEvent::And(vec![a, b]))),
-        }
-    }
-    let same = match disjuncts.len() {
-        0 => Rc::new(SymEvent::Fls),
-        1 => disjuncts.pop().unwrap(),
-        _ => Rc::new(SymEvent::Or(disjuncts)),
-    };
-    let e1 = crate::translate::lineage_to_sym(phi1).ok()?;
-    let e2 = crate::translate::lineage_to_sym(phi2).ok()?;
-    let rhs = Rc::new(SymEvent::And(vec![e1, e2, same]));
-    let si = t
+    (l1, phi1): (usize, &Rc<Event>),
+    (l2, phi2): (usize, &Rc<Event>),
+) -> Option<EventId> {
+    let same = same_cluster(t, var, k, l1, l2)?;
+    check_lineage([phi1, phi2]).ok()?;
+    let rhs = Event::and([phi1.clone(), phi2.clone(), same]);
+    let id = t
         .program
         .declare_event_at("CoexistSameCluster", &[l1 as i64, l2 as i64], rhs);
-    t.program.add_target(si.clone());
-    Some(si)
+    t.program.add_target(id);
+    Some(id)
 }
 
-fn bool_sym(t: &Translated, var: &str, idx: &[usize]) -> Option<Rc<SymEvent>> {
+fn bool_event(t: &Translated, var: &str, idx: &[usize]) -> Option<Rc<Event>> {
     match t.slot_at(var, idx)? {
         Slot::Event(e) => Some(e.clone()),
-        Slot::Concrete(RtValue::Bool(true)) => Some(Rc::new(SymEvent::Tru)),
-        Slot::Concrete(RtValue::Bool(false)) => Some(Rc::new(SymEvent::Fls)),
+        Slot::Concrete(RtValue::Bool(b)) => Some(Rc::new(if *b { Event::Tru } else { Event::Fls })),
         _ => None,
     }
 }
@@ -210,7 +164,7 @@ mod tests {
     use super::*;
     use crate::env::{clustering_env, ProbObjects};
     use crate::translate::translate;
-    use enframe_core::{space, Event, Var, VarTable};
+    use enframe_core::{space, Var, VarTable};
     use enframe_lang::{parse, programs};
 
     fn translated() -> Translated {
@@ -374,11 +328,14 @@ mod tests {
         assert_eq!((g.len(), g.targets.len()), (8, 9));
         assert_eq!(g.name_of(g.targets[8]), "Centre_const[1][2]");
         assert_eq!(g.targets[8], g.targets[4 + 2]);
+        assert_eq!(g.targets[8], single.def());
         let mut t = translated_certain();
-        assert_eq!(add_bool_target_at(&mut t, "Centre", &[1, 2]), Some(single));
+        let first = add_bool_target_at(&mut t, "Centre", &[1, 2]).unwrap();
         add_all_bool_targets(&mut t, "Centre");
         let g = t.ground().unwrap();
         assert_eq!((g.len(), g.targets.len()), (8, 9));
+        assert_eq!(g.targets[0], first.def());
+        assert_eq!(g.name_of(first.def()), "Centre_const[1][2]");
         // The values are the entries' own.
         let p = space::target_probabilities(&g, &VarTable::new(vec![]));
         assert_eq!(p[0], p[1 + 4 + 2]);

@@ -15,8 +15,7 @@
 //! `u`-absorption is applied eagerly.
 
 use crate::env::{ProbEnv, ProbValue};
-use enframe_core::program::{SymCVal, SymEvent, SymIdent, ValSrc};
-use enframe_core::{CmpOp, CoreError, Event, GroundProgram, Program, Value};
+use enframe_core::{CVal, CValId, CmpOp, CoreError, Event, EventId, GroundProgram, Program, Value};
 use enframe_lang::ast::{
     Cmp, Expr, ExtCall, ListCompr, Lval, ReduceKind, Stmt, TieKind, UserProgram,
 };
@@ -67,9 +66,9 @@ pub enum Slot {
     /// A certain value, evaluated concretely.
     Concrete(RtValue),
     /// A symbolic Boolean event (usually a reference to a declaration).
-    Event(Rc<SymEvent>),
+    Event(Rc<Event>),
     /// A symbolic conditional value.
-    CVal(Rc<SymCVal>),
+    CVal(Rc<CVal>),
     /// An array of slots (structure is always concrete).
     Array(Vec<Slot>),
 }
@@ -126,23 +125,23 @@ impl Translated {
         Some(cur)
     }
 
-    /// The event identifier stored at `name[idx...]`, if that slot is a
+    /// The event declared at `name[idx...]`, if that slot is a
     /// symbolic event reference.
-    pub fn event_ident(&self, name: &str, idx: &[usize]) -> Option<SymIdent> {
+    pub fn event_ident(&self, name: &str, idx: &[usize]) -> Option<EventId> {
         match self.slot_at(name, idx)? {
-            Slot::Event(e) => match &**e {
-                SymEvent::Ref(si) => Some(si.clone()),
+            Slot::Event(e) => match **e {
+                Event::Ref(d) => self.program.event_id(d),
                 _ => None,
             },
             _ => None,
         }
     }
 
-    /// The c-value identifier stored at `name[idx...]`, if any.
-    pub fn cval_ident(&self, name: &str, idx: &[usize]) -> Option<SymIdent> {
+    /// The c-value declared at `name[idx...]`, if any.
+    pub fn cval_ident(&self, name: &str, idx: &[usize]) -> Option<CValId> {
         match self.slot_at(name, idx)? {
-            Slot::CVal(c) => match &**c {
-                SymCVal::Ref(si) => Some(si.clone()),
+            Slot::CVal(c) => match **c {
+                CVal::Ref(d) => self.program.cval_id(d),
                 _ => None,
             },
             _ => None,
@@ -159,7 +158,6 @@ pub fn translate(program: &UserProgram, ext: &ProbEnv) -> Result<Translated, Tra
         ext,
         outer_iter_boundaries: Vec::new(),
         seen_outer_loop: false,
-        decl_count: 0,
     };
     tr.prog.ensure_vars(ext.n_vars);
     for stmt in &program.stmts {
@@ -172,31 +170,26 @@ pub fn translate(program: &UserProgram, ext: &ProbEnv) -> Result<Translated, Tra
     })
 }
 
-/// Converts a closed core [`Event`] (lineage) into a symbolic event.
-pub fn lineage_to_sym(e: &Event) -> Result<Rc<SymEvent>, TranslateError> {
-    Ok(match e {
-        Event::Tru => Rc::new(SymEvent::Tru),
-        Event::Fls => Rc::new(SymEvent::Fls),
-        Event::Var(v) => Rc::new(SymEvent::Var(*v)),
-        Event::Not(inner) => Rc::new(SymEvent::Not(lineage_to_sym(inner)?)),
-        Event::And(parts) => Rc::new(SymEvent::And(
-            parts
-                .iter()
-                .map(|p| lineage_to_sym(p))
-                .collect::<Result<_, _>>()?,
-        )),
-        Event::Or(parts) => Rc::new(SymEvent::Or(
-            parts
-                .iter()
-                .map(|p| lineage_to_sym(p))
-                .collect::<Result<_, _>>()?,
-        )),
-        Event::Atom(..) | Event::Ref(_) => {
-            return Err(TranslateError::Unsupported(
-                "lineage events must be propositional formulas over input variables".into(),
-            ))
+/// Rejects lineage that is not a closed propositional formula over input
+/// variables. External lineage is used as it is, so this is its one check.
+pub(crate) fn check_lineage<'a>(
+    lineage: impl IntoIterator<Item = &'a Rc<Event>>,
+) -> Result<(), TranslateError> {
+    fn propositional(e: &Event) -> bool {
+        match e {
+            Event::Tru | Event::Fls | Event::Var(_) => true,
+            Event::Not(inner) => propositional(inner),
+            Event::And(parts) | Event::Or(parts) => parts.iter().all(|p| propositional(p)),
+            Event::Atom(..) | Event::Ref(_) => false,
         }
-    })
+    }
+    if lineage.into_iter().all(|e| propositional(e)) {
+        Ok(())
+    } else {
+        Err(TranslateError::Unsupported(
+            "lineage events must be propositional formulas over input variables".into(),
+        ))
+    }
 }
 
 fn rt_to_value(rt: &RtValue) -> Result<Value, TranslateError> {
@@ -221,16 +214,15 @@ struct Tr<'e> {
     ext: &'e ProbEnv,
     outer_iter_boundaries: Vec<usize>,
     seen_outer_loop: bool,
-    decl_count: usize,
 }
 
 impl<'e> Tr<'e> {
     // ---- symbolic/concrete helpers --------------------------------------
 
-    fn to_event(&self, s: &Slot) -> Result<Rc<SymEvent>, TranslateError> {
+    fn to_event(&self, s: &Slot) -> Result<Rc<Event>, TranslateError> {
         match s {
-            Slot::Concrete(RtValue::Bool(true)) => Ok(Rc::new(SymEvent::Tru)),
-            Slot::Concrete(RtValue::Bool(false)) => Ok(Rc::new(SymEvent::Fls)),
+            Slot::Concrete(RtValue::Bool(true)) => Ok(Rc::new(Event::Tru)),
+            Slot::Concrete(RtValue::Bool(false)) => Ok(Rc::new(Event::Fls)),
             Slot::Event(e) => Ok(e.clone()),
             other => Err(TranslateError::Unsupported(format!(
                 "expected a Boolean, found {other:?}"
@@ -238,9 +230,9 @@ impl<'e> Tr<'e> {
         }
     }
 
-    fn to_cval(&self, s: &Slot) -> Result<Rc<SymCVal>, TranslateError> {
+    fn to_cval(&self, s: &Slot) -> Result<Rc<CVal>, TranslateError> {
         match s {
-            Slot::Concrete(rt) => Ok(Rc::new(SymCVal::Lit(ValSrc::Const(rt_to_value(rt)?)))),
+            Slot::Concrete(rt) => Ok(Rc::new(CVal::Const(rt_to_value(rt)?))),
             Slot::CVal(c) => Ok(c.clone()),
             other => Err(TranslateError::Unsupported(format!(
                 "expected a numeric value, found {other:?}"
@@ -251,7 +243,7 @@ impl<'e> Tr<'e> {
     fn b_not(&self, s: Slot) -> Result<Slot, TranslateError> {
         Ok(match s {
             Slot::Concrete(RtValue::Bool(b)) => Slot::Concrete(RtValue::Bool(!b)),
-            Slot::Event(e) => Slot::Event(Rc::new(SymEvent::Not(e))),
+            Slot::Event(e) => Slot::Event(Event::not(e)),
             other => {
                 return Err(TranslateError::Unsupported(format!(
                     "negation of non-Boolean {other:?}"
@@ -267,7 +259,7 @@ impl<'e> Tr<'e> {
             (Slot::Concrete(RtValue::Bool(true)), x) | (x, Slot::Concrete(RtValue::Bool(true))) => {
                 x
             }
-            (Slot::Event(x), Slot::Event(y)) => Slot::Event(Rc::new(SymEvent::And(vec![x, y]))),
+            (Slot::Event(x), Slot::Event(y)) => Slot::Event(Event::and([x, y])),
             (a, b) => {
                 return Err(TranslateError::Unsupported(format!(
                     "conjunction of {a:?} and {b:?}"
@@ -283,7 +275,7 @@ impl<'e> Tr<'e> {
             }
             (Slot::Concrete(RtValue::Bool(false)), x)
             | (x, Slot::Concrete(RtValue::Bool(false))) => x,
-            (Slot::Event(x), Slot::Event(y)) => Slot::Event(Rc::new(SymEvent::Or(vec![x, y]))),
+            (Slot::Event(x), Slot::Event(y)) => Slot::Event(Event::or([x, y])),
             (a, b) => {
                 return Err(TranslateError::Unsupported(format!(
                     "disjunction of {a:?} and {b:?}"
@@ -324,16 +316,14 @@ impl<'e> Tr<'e> {
             Slot::Event(e) => {
                 let mut idx = vec![version];
                 idx.extend_from_slice(path);
-                let si = self.prog.declare_event_at(name, &idx, e);
-                self.decl_count += 1;
-                Ok(Slot::Event(Rc::new(SymEvent::Ref(si))))
+                let id = self.prog.declare_event_at(name, &idx, e);
+                Ok(Slot::Event(Program::eref(id)))
             }
             Slot::CVal(c) => {
                 let mut idx = vec![version];
                 idx.extend_from_slice(path);
-                let si = self.prog.declare_cval_at(name, &idx, c);
-                self.decl_count += 1;
-                Ok(Slot::CVal(Rc::new(SymCVal::Ref(si))))
+                let id = self.prog.declare_cval_at(name, &idx, c);
+                Ok(Slot::CVal(Program::cref(id)))
             }
         }
     }
@@ -344,6 +334,7 @@ impl<'e> Tr<'e> {
         let slot = match value {
             ProbValue::Certain(rt) => Slot::Concrete(rt.clone()),
             ProbValue::Objects(objs) => {
+                check_lineage(&objs.lineage)?;
                 let version = self.bump(name);
                 let mut items = Vec::with_capacity(objs.len());
                 for (l, (p, phi)) in objs.points.iter().zip(&objs.lineage).enumerate() {
@@ -351,20 +342,19 @@ impl<'e> Tr<'e> {
                         items.push(Slot::Concrete(RtValue::Point(p.clone())));
                         continue;
                     }
-                    let sym = lineage_to_sym(phi)?;
-                    let cv = Rc::new(SymCVal::Cond(sym, ValSrc::Const(Value::point(p))));
-                    let si = self.prog.declare_cval_at(name, &[version, l as i64], cv);
-                    self.decl_count += 1;
-                    items.push(Slot::CVal(Rc::new(SymCVal::Ref(si))));
+                    let cv = CVal::cond(phi.clone(), Value::point(p));
+                    let id = self.prog.declare_cval_at(name, &[version, l as i64], cv);
+                    items.push(Slot::CVal(Program::cref(id)));
                 }
                 Slot::Array(items)
             }
             ProbValue::SeedMedoids(seeds) => {
-                let objs = self.ext.objects().ok_or_else(|| {
+                let ext = self.ext;
+                let objs = ext.objects().ok_or_else(|| {
                     TranslateError::Unsupported("SeedMedoids requires Objects in loadData()".into())
                 })?;
-                let points = objs.points.clone();
-                let lineage = objs.lineage.clone();
+                let (points, lineage) = (&objs.points, &objs.lineage);
+                check_lineage(seeds.iter().map(|&s| &lineage[s]))?;
                 let version = self.bump(name);
                 let mut items = Vec::with_capacity(seeds.len());
                 for (i, &s) in seeds.iter().enumerate() {
@@ -372,17 +362,18 @@ impl<'e> Tr<'e> {
                         items.push(Slot::Concrete(RtValue::Point(points[s].clone())));
                         continue;
                     }
-                    let sym = lineage_to_sym(&lineage[s])?;
-                    let cv = Rc::new(SymCVal::Cond(sym, ValSrc::Const(Value::point(&points[s]))));
-                    let si = self.prog.declare_cval_at(name, &[version, i as i64], cv);
-                    self.decl_count += 1;
-                    items.push(Slot::CVal(Rc::new(SymCVal::Ref(si))));
+                    let cv = CVal::cond(lineage[s].clone(), Value::point(&points[s]));
+                    let id = self.prog.declare_cval_at(name, &[version, i as i64], cv);
+                    items.push(Slot::CVal(Program::cref(id)));
                 }
                 Slot::Array(items)
             }
             ProbValue::Matrix(m) => {
                 let version = self.bump(name);
                 let certain = m.node_lineage.iter().all(|e| matches!(**e, Event::Tru));
+                if !certain {
+                    check_lineage(&m.node_lineage)?;
+                }
                 let mut rows = Vec::with_capacity(m.weights.len());
                 for (i, row) in m.weights.iter().enumerate() {
                     let mut out_row = Vec::with_capacity(row.len());
@@ -391,16 +382,13 @@ impl<'e> Tr<'e> {
                             out_row.push(Slot::Concrete(RtValue::Float(w)));
                             continue;
                         }
-                        let guard = Rc::new(SymEvent::And(vec![
-                            lineage_to_sym(&m.node_lineage[i])?,
-                            lineage_to_sym(&m.node_lineage[j])?,
-                        ]));
-                        let cv = Rc::new(SymCVal::Cond(guard, ValSrc::Const(Value::Num(w))));
-                        let si =
+                        let guard =
+                            Event::and([m.node_lineage[i].clone(), m.node_lineage[j].clone()]);
+                        let cv = CVal::cond(guard, Value::Num(w));
+                        let id =
                             self.prog
                                 .declare_cval_at(name, &[version, i as i64, j as i64], cv);
-                        self.decl_count += 1;
-                        out_row.push(Slot::CVal(Rc::new(SymCVal::Ref(si))));
+                        out_row.push(Slot::CVal(Program::cref(id)));
                     }
                     rows.push(Slot::Array(out_row));
                 }
@@ -469,7 +457,7 @@ impl<'e> Tr<'e> {
                 let saved = self.vars.get(var).cloned();
                 for i in lo..hi {
                     if record {
-                        self.outer_iter_boundaries.push(self.decl_count);
+                        self.outer_iter_boundaries.push(self.prog.len());
                     }
                     self.vars
                         .insert(var.clone(), Slot::Concrete(RtValue::Int(i)));
@@ -613,7 +601,7 @@ impl<'e> Tr<'e> {
                             Cmp::Gt => CmpOp::Gt,
                             Cmp::Eq => CmpOp::Eq,
                         };
-                        Ok(Slot::Event(Rc::new(SymEvent::Atom(
+                        Ok(Slot::Event(Rc::new(Event::Atom(
                             op,
                             self.to_cval(&sa)?,
                             self.to_cval(&sb)?,
@@ -628,7 +616,7 @@ impl<'e> Tr<'e> {
                     (Slot::Concrete(ra), Slot::Concrete(rb)) => {
                         Ok(Slot::Concrete(ra.add(rb).map_err(TranslateError::Lang)?))
                     }
-                    _ => Ok(Slot::CVal(Rc::new(SymCVal::Sum(vec![
+                    _ => Ok(Slot::CVal(Rc::new(CVal::Sum(vec![
                         self.to_cval(&sa)?,
                         self.to_cval(&sb)?,
                     ])))),
@@ -653,7 +641,7 @@ impl<'e> Tr<'e> {
                     (Slot::Concrete(ra), Slot::Concrete(rb)) => {
                         Ok(Slot::Concrete(ra.mul(rb).map_err(TranslateError::Lang)?))
                     }
-                    _ => Ok(Slot::CVal(Rc::new(SymCVal::Prod(vec![
+                    _ => Ok(Slot::CVal(Rc::new(CVal::Prod(vec![
                         self.to_cval(&sa)?,
                         self.to_cval(&sb)?,
                     ])))),
@@ -678,10 +666,7 @@ impl<'e> Tr<'e> {
                     Slot::Concrete(ra) => {
                         Ok(Slot::Concrete(ra.pow(r).map_err(TranslateError::Lang)?))
                     }
-                    _ => Ok(Slot::CVal(Rc::new(SymCVal::Pow(
-                        self.to_cval(&sa)?,
-                        r as i32,
-                    )))),
+                    _ => Ok(Slot::CVal(Rc::new(CVal::Pow(self.to_cval(&sa)?, r as i32)))),
                 }
             }
             Expr::Invert(a) => {
@@ -690,7 +675,7 @@ impl<'e> Tr<'e> {
                     Slot::Concrete(ra) => {
                         Ok(Slot::Concrete(ra.invert().map_err(TranslateError::Lang)?))
                     }
-                    _ => Ok(Slot::CVal(Rc::new(SymCVal::Inv(self.to_cval(&sa)?)))),
+                    _ => Ok(Slot::CVal(Rc::new(CVal::Inv(self.to_cval(&sa)?)))),
                 }
             }
             Expr::Dist(a, b) => {
@@ -700,7 +685,7 @@ impl<'e> Tr<'e> {
                     (Slot::Concrete(ra), Slot::Concrete(rb)) => {
                         Ok(Slot::Concrete(ra.dist(rb).map_err(TranslateError::Lang)?))
                     }
-                    _ => Ok(Slot::CVal(Rc::new(SymCVal::Dist(
+                    _ => Ok(Slot::CVal(Rc::new(CVal::Dist(
                         self.to_cval(&sa)?,
                         self.to_cval(&sb)?,
                     )))),
@@ -713,7 +698,7 @@ impl<'e> Tr<'e> {
                     (Slot::Concrete(rs), Slot::Concrete(rv)) => {
                         Ok(Slot::Concrete(rs.mul(rv).map_err(TranslateError::Lang)?))
                     }
-                    _ => Ok(Slot::CVal(Rc::new(SymCVal::Prod(vec![
+                    _ => Ok(Slot::CVal(Rc::new(CVal::Prod(vec![
                         self.to_cval(&ss)?,
                         self.to_cval(&sv)?,
                     ])))),
@@ -735,10 +720,7 @@ impl<'e> Tr<'e> {
         // to either concrete-true (None) or a symbolic event.
         enum Part {
             ConcreteElem(RtValue),
-            Symbolic {
-                cond: Option<Rc<SymEvent>>,
-                elem: Slot,
-            },
+            Symbolic { cond: Option<Rc<Event>>, elem: Slot },
         }
         let mut parts: Vec<Part> = Vec::new();
         let mut result: Result<(), TranslateError> = Ok(());
@@ -746,7 +728,7 @@ impl<'e> Tr<'e> {
             self.vars
                 .insert(compr.var.clone(), Slot::Concrete(RtValue::Int(i)));
             let step = (|| -> Result<(), TranslateError> {
-                let cond: Option<Rc<SymEvent>> = match &compr.cond {
+                let cond: Option<Rc<Event>> = match &compr.cond {
                     None => None,
                     Some(c) => match self.expr(c)? {
                         Slot::Concrete(RtValue::Bool(false)) => return Ok(()), // filtered out
@@ -783,7 +765,7 @@ impl<'e> Tr<'e> {
 
         match kind {
             ReduceKind::And => {
-                let mut sym: Vec<Rc<SymEvent>> = Vec::new();
+                let mut sym: Vec<Rc<Event>> = Vec::new();
                 for p in parts {
                     match p {
                         Part::ConcreteElem(RtValue::Bool(true)) => {}
@@ -801,14 +783,9 @@ impl<'e> Tr<'e> {
                             let part = match (cond, &*ee) {
                                 (None, _) => ee,
                                 // ¬C ∨ E (fixed translation; see crate docs).
-                                (Some(c), SymEvent::Tru) => {
-                                    let _ = c;
-                                    continue;
-                                }
-                                (Some(c), SymEvent::Fls) => Rc::new(SymEvent::Not(c)),
-                                (Some(c), _) => {
-                                    Rc::new(SymEvent::Or(vec![Rc::new(SymEvent::Not(c)), ee]))
-                                }
+                                (Some(_), Event::Tru) => continue,
+                                (Some(c), Event::Fls) => Event::not(c),
+                                (Some(c), _) => Event::or([Event::not(c), ee]),
                             };
                             sym.push(part);
                         }
@@ -817,11 +794,11 @@ impl<'e> Tr<'e> {
                 Ok(match sym.len() {
                     0 => Slot::Concrete(RtValue::Bool(true)),
                     1 => Slot::Event(sym.pop().unwrap()),
-                    _ => Slot::Event(Rc::new(SymEvent::And(sym))),
+                    _ => Slot::Event(Event::and(sym)),
                 })
             }
             ReduceKind::Or => {
-                let mut sym: Vec<Rc<SymEvent>> = Vec::new();
+                let mut sym: Vec<Rc<Event>> = Vec::new();
                 for p in parts {
                     match p {
                         Part::ConcreteElem(RtValue::Bool(false)) => {}
@@ -838,9 +815,9 @@ impl<'e> Tr<'e> {
                             let ee = self.to_event(&elem)?;
                             let part = match (cond, &*ee) {
                                 (None, _) => ee,
-                                (Some(c), SymEvent::Tru) => c,
-                                (Some(_), SymEvent::Fls) => continue,
-                                (Some(c), _) => Rc::new(SymEvent::And(vec![c, ee])),
+                                (Some(c), Event::Tru) => c,
+                                (Some(_), Event::Fls) => continue,
+                                (Some(c), _) => Event::and([c, ee]),
                             };
                             sym.push(part);
                         }
@@ -849,14 +826,14 @@ impl<'e> Tr<'e> {
                 Ok(match sym.len() {
                     0 => Slot::Concrete(RtValue::Bool(false)),
                     1 => Slot::Event(sym.pop().unwrap()),
-                    _ => Slot::Event(Rc::new(SymEvent::Or(sym))),
+                    _ => Slot::Event(Event::or(sym)),
                 })
             }
             ReduceKind::Sum => {
                 // Fold certain summands into one accumulated constant — the
                 // paper's certain-data optimisation.
                 let mut acc = RtValue::Undef;
-                let mut sym: Vec<Rc<SymCVal>> = Vec::new();
+                let mut sym: Vec<Rc<CVal>> = Vec::new();
                 for p in parts {
                     match p {
                         Part::ConcreteElem(rv) => {
@@ -866,10 +843,8 @@ impl<'e> Tr<'e> {
                             let part = match cond {
                                 None => self.to_cval(&elem)?,
                                 Some(c) => match &elem {
-                                    Slot::Concrete(rv) => {
-                                        Rc::new(SymCVal::Cond(c, ValSrc::Const(rt_to_value(rv)?)))
-                                    }
-                                    _ => Rc::new(SymCVal::Guard(c, self.to_cval(&elem)?)),
+                                    Slot::Concrete(rv) => CVal::cond(c, rt_to_value(rv)?),
+                                    _ => Rc::new(CVal::Guard(c, self.to_cval(&elem)?)),
                                 },
                             };
                             sym.push(part);
@@ -880,17 +855,17 @@ impl<'e> Tr<'e> {
                     return Ok(Slot::Concrete(acc));
                 }
                 if !acc.is_undef() {
-                    sym.push(Rc::new(SymCVal::Lit(ValSrc::Const(rt_to_value(&acc)?))));
+                    sym.push(Rc::new(CVal::Const(rt_to_value(&acc)?)));
                 }
                 Ok(if sym.len() == 1 {
                     Slot::CVal(sym.pop().unwrap())
                 } else {
-                    Slot::CVal(Rc::new(SymCVal::Sum(sym)))
+                    Slot::CVal(Rc::new(CVal::Sum(sym)))
                 })
             }
             ReduceKind::Mult => {
                 let mut acc = RtValue::Int(1);
-                let mut sym: Vec<Rc<SymCVal>> = Vec::new();
+                let mut sym: Vec<Rc<CVal>> = Vec::new();
                 for p in parts {
                     match p {
                         Part::ConcreteElem(rv) => {
@@ -904,12 +879,9 @@ impl<'e> Tr<'e> {
                             let part = match cond {
                                 None => self.to_cval(&elem)?,
                                 // ¬C ⊗ 1 + C ∧ E (fixed translation).
-                                Some(c) => Rc::new(SymCVal::Sum(vec![
-                                    Rc::new(SymCVal::Cond(
-                                        Rc::new(SymEvent::Not(c.clone())),
-                                        ValSrc::Const(Value::Num(1.0)),
-                                    )),
-                                    Rc::new(SymCVal::Guard(c, self.to_cval(&elem)?)),
+                                Some(c) => Rc::new(CVal::Sum(vec![
+                                    CVal::cond(Event::not(c.clone()), Value::Num(1.0)),
+                                    Rc::new(CVal::Guard(c, self.to_cval(&elem)?)),
                                 ])),
                             };
                             sym.push(part);
@@ -921,27 +893,25 @@ impl<'e> Tr<'e> {
                 }
                 match &acc {
                     RtValue::Int(1) => {}
-                    other => sym.push(Rc::new(SymCVal::Lit(ValSrc::Const(rt_to_value(other)?)))),
+                    other => sym.push(Rc::new(CVal::Const(rt_to_value(other)?))),
                 }
                 Ok(if sym.len() == 1 {
                     Slot::CVal(sym.pop().unwrap())
                 } else {
-                    Slot::CVal(Rc::new(SymCVal::Prod(sym)))
+                    Slot::CVal(Rc::new(CVal::Prod(sym)))
                 })
             }
             ReduceKind::Count => {
                 // Σ COND ⊗ 1 (paper translation); certain-true filters fold
                 // into one constant.
                 let mut concrete = 0i64;
-                let mut sym: Vec<Rc<SymCVal>> = Vec::new();
+                let mut sym: Vec<Rc<CVal>> = Vec::new();
                 for p in parts {
                     match p {
                         Part::ConcreteElem(_) => concrete += 1,
                         Part::Symbolic { cond, .. } => match cond {
                             None => concrete += 1,
-                            Some(c) => {
-                                sym.push(Rc::new(SymCVal::Cond(c, ValSrc::Const(Value::Num(1.0)))))
-                            }
+                            Some(c) => sym.push(CVal::cond(c, Value::Num(1.0))),
                         },
                     }
                 }
@@ -953,14 +923,12 @@ impl<'e> Tr<'e> {
                     }));
                 }
                 if concrete > 0 {
-                    sym.push(Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(
-                        concrete as f64,
-                    )))));
+                    sym.push(CVal::num(concrete as f64));
                 }
                 Ok(if sym.len() == 1 {
                     Slot::CVal(sym.pop().unwrap())
                 } else {
-                    Slot::CVal(Rc::new(SymCVal::Sum(sym)))
+                    Slot::CVal(Rc::new(CVal::Sum(sym)))
                 })
             }
         }
@@ -1084,15 +1052,7 @@ mod tests {
                     let ev_val = match t.slot_at("InCl", &[i, l]).unwrap() {
                         Slot::Concrete(RtValue::Bool(b)) => *b,
                         Slot::Event(e) => match &**e {
-                            SymEvent::Ref(si) => {
-                                let id = g
-                                    .lookup(&enframe_core::Ident::indexed(
-                                        si.sym,
-                                        si.idx.iter().map(|x| x.konst).collect(),
-                                    ))
-                                    .unwrap();
-                                g.eval_bool(id, &nu).unwrap()
-                            }
+                            Event::Ref(id) => g.eval_bool(*id, &nu).unwrap(),
                             other => panic!("unexpected {other:?}"),
                         },
                         other => panic!("unexpected {other:?}"),
@@ -1230,16 +1190,10 @@ mod tests {
             match t.slot_at("M", &[0, 0]).unwrap() {
                 Slot::Concrete(rv) => assert_eq!(&interp_val, rv),
                 Slot::CVal(c) => {
-                    let si = match &**c {
-                        SymCVal::Ref(si) => si,
-                        other => panic!("unexpected {other:?}"),
+                    let id = match **c {
+                        CVal::Ref(id) => id,
+                        ref other => panic!("unexpected {other:?}"),
                     };
-                    let id = g
-                        .lookup(&enframe_core::Ident::indexed(
-                            si.sym,
-                            si.idx.iter().map(|x| x.konst).collect(),
-                        ))
-                        .unwrap();
                     let ev = g.eval_value(id, &nu).unwrap();
                     match (&interp_val, &ev) {
                         (RtValue::Undef, Value::Undef) => {}

@@ -35,7 +35,7 @@ fn main() {
         let id = p
             .declare_closed_event(&format!("Reading{i}"), phi)
             .expect("lineage events are closed");
-        p.add_target(id.clone());
+        p.add_target(id);
         readings.push(id);
     }
     // A derived query: does any reading of the first mutex set survive?

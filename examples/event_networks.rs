@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --example event_networks`
 
-use enframe::core::program::{SymCVal, SymEvent, ValSrc};
 use enframe::network::dot;
 use enframe::prelude::*;
 use std::rc::Rc;
@@ -30,31 +29,19 @@ fn main() {
     // M0 = Φ(o0) ⊗ o0 + ¬Φ(o0) ⊗ o2 — an if-then-else over points.
     let m0 = p.declare_cval(
         "M0",
-        Rc::new(SymCVal::Sum(vec![
-            Rc::new(SymCVal::Cond(
-                Program::eref(phi0.clone()),
-                ValSrc::Const(Value::point(&[0.0])),
-            )),
-            Rc::new(SymCVal::Cond(
-                Program::not(Program::eref(phi0.clone())),
-                ValSrc::Const(Value::point(&[5.0])),
-            )),
+        Rc::new(CVal::Sum(vec![
+            CVal::cond(Program::eref(phi0), Value::point(&[0.0])),
+            CVal::cond(Program::not(Program::eref(phi0)), Value::point(&[5.0])),
         ])),
     );
     // InCl-style atom: is o1 closer to M0 than to the constant point 6?
-    let o1cv = Rc::new(SymCVal::Cond(
-        Program::eref(phi1.clone()),
-        ValSrc::Const(Value::point(&[1.0])),
-    ));
+    let o1cv = CVal::cond(Program::eref(phi1), Value::point(&[1.0]));
     let atom = p.declare_event(
         "InCl",
-        Rc::new(SymEvent::Atom(
+        Rc::new(Event::Atom(
             CmpOp::Le,
-            Rc::new(SymCVal::Dist(o1cv.clone(), Program::cref(m0.clone()))),
-            Rc::new(SymCVal::Dist(
-                o1cv,
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::point(&[6.0])))),
-            )),
+            Rc::new(CVal::Dist(o1cv.clone(), Program::cref(m0))),
+            Rc::new(CVal::Dist(o1cv, CVal::point(&[6.0]))),
         )),
     );
     // Co-occurrence query from Example 1: are o1 and o2 both present?
@@ -68,7 +55,7 @@ fn main() {
     let ground = p.ground().unwrap();
     println!("event program: {} grounded declarations", ground.len());
     for (ident, _) in ground.defs() {
-        println!("  {}", ident.render(&ground.interner));
+        println!("  {}", ident.render(ground.interner()));
     }
 
     let net = Network::build(&ground).unwrap();

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --example markov_clustering`
 
-use enframe::core::program::{SymCVal, SymEvent, ValSrc};
 use enframe::prelude::*;
 use enframe::translate::env::{ProbMatrix, ProbObjects};
 use enframe::translate::world_env;
@@ -76,11 +75,7 @@ fn main() {
     let m13 = tr
         .cval_ident("M", &[1, 3])
         .expect("matrix entry is symbolic");
-    let atom = Rc::new(SymEvent::Atom(
-        CmpOp::Gt,
-        Rc::new(SymCVal::Ref(m13)),
-        Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(0.005)))),
-    ));
+    let atom = Rc::new(Event::Atom(CmpOp::Gt, Program::cref(m13), CVal::num(0.005)));
     let t = tr.program.declare_event("CrossFlow", atom);
     tr.program.add_target(t);
 

@@ -69,12 +69,9 @@ fn main() {
     }
     // Tabulate its distribution by brute force (5 variables only).
     let vt = VarTable::uniform(vars as usize, 0.8);
-    let sym = to_sym(&total_pd);
-    let cid = prog.declare_cval("TotalPD", sym);
+    let id = prog.declare_cval("TotalPD", total_pd);
     let g = prog.ground().unwrap();
-    let id = g.lookup_named("TotalPD", &[]).unwrap();
-    let _ = cid;
-    let dist = space::cval_distribution(&g, id, &vt).unwrap();
+    let dist = space::cval_distribution(&g, id.def(), &vt).unwrap();
     println!("\ndistribution of SUM(pd) over monitored substations:");
     for (value, p) in &dist {
         println!("  P[{}] = {:.4}", value.0, p);
@@ -99,29 +96,4 @@ fn main() {
         "\nP[the two high-PD readings land in the same cluster] = {:.4}",
         res.estimate(0)
     );
-}
-
-/// Converts closed lineage c-values into symbolic ones for `Program`.
-fn to_sym(c: &CVal) -> std::rc::Rc<enframe::core::program::SymCVal> {
-    use enframe::core::program::{SymCVal, SymEvent, ValSrc};
-    use std::rc::Rc;
-    fn ev(e: &Event) -> Rc<SymEvent> {
-        Rc::new(match e {
-            Event::Tru => SymEvent::Tru,
-            Event::Fls => SymEvent::Fls,
-            Event::Var(v) => SymEvent::Var(*v),
-            Event::Not(i) => return Rc::new(SymEvent::Not(ev(i))),
-            Event::And(ps) => SymEvent::And(ps.iter().map(|p| ev(p)).collect()),
-            Event::Or(ps) => SymEvent::Or(ps.iter().map(|p| ev(p)).collect()),
-            _ => panic!("unsupported lineage"),
-        })
-    }
-    Rc::new(match c {
-        CVal::Const(v) => SymCVal::Lit(ValSrc::Const(v.clone())),
-        CVal::Cond(e, v) => SymCVal::Cond(ev(e), ValSrc::Const(v.clone())),
-        CVal::Sum(ps) => SymCVal::Sum(ps.iter().map(|p| to_sym(p)).collect()),
-        CVal::Prod(ps) => SymCVal::Prod(ps.iter().map(|p| to_sym(p)).collect()),
-        CVal::Inv(i) => SymCVal::Inv(to_sym(i)),
-        _ => panic!("unsupported aggregate shape"),
-    })
 }

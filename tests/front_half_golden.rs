@@ -14,7 +14,6 @@
 //!   level 1 outwards) is observable behaviour and is fixed here for both
 //!   the translator and the concrete interpreter.
 
-use enframe::core::program::{SymCVal, SymEvent, ValSrc};
 use enframe::data::{kmedoids_workload, LineageOpts, Scheme};
 use enframe::lang::LangError;
 use enframe::prelude::*;
@@ -175,10 +174,10 @@ fn mcl_network_is_node_for_node_the_golden_one() {
             let Some(m) = tr.cval_ident("M", &[i, j]) else {
                 continue;
             };
-            let atom = Rc::new(SymEvent::Atom(
+            let atom = Rc::new(Event::Atom(
                 CmpOp::Gt,
-                Rc::new(SymCVal::Ref(m)),
-                Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(0.1)))),
+                Program::cref(m),
+                Rc::new(CVal::Const(Value::Num(0.1))),
             ));
             let t = tr
                 .program

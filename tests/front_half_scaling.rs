@@ -64,8 +64,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 const STAGES: [&str; 4] = ["translate", "ground", "build", "interp"];
 
-/// Bytes allocated per stage at size `n`, and the emitted node count.
-fn measure(n: usize) -> ([u64; 4], usize) {
+/// Bytes allocated per stage at size `n`, the emitted node count and the
+/// number of definitions.
+fn measure(n: usize) -> ([u64; 4], usize, usize) {
     let w = kmedoids_workload(
         n,
         2,
@@ -85,7 +86,11 @@ fn measure(n: usize) -> ([u64; 4], usize) {
     // The world in which every object exists does the most work.
     let wenv = world_env(&w.env, &Valuation::from_bits(vec![true; w.vt.len()]));
     let ((), interp_b) = counted(|| Interp::new(&wenv).run(&ast).unwrap());
-    ([translate_b, ground_b, build_b, interp_b], net.len())
+    (
+        [translate_b, ground_b, build_b, interp_b],
+        net.len(),
+        gp.len(),
+    )
 }
 
 /// `Network::build` may allocate this many bytes per node it emits: the
@@ -94,16 +99,24 @@ fn measure(n: usize) -> ([u64; 4], usize) {
 /// interning cloned every node's children and constant into a map key.
 const BUILD_BYTES_PER_NODE: f64 = 460.0;
 
+/// `ground` may allocate this many bytes per definition: the measured
+/// 0.38 B at every n (it shares the definition table and copies only the
+/// k·n target ids) plus 15 % headroom. It was 1 390–7 610 B (0.59–25.6 MB
+/// at n = 20–160) while grounding rebuilt every term of a symbolic
+/// program.
+const GROUND_BYTES_PER_DEF: f64 = 0.44;
+
 #[test]
 fn front_half_allocation_grows_with_the_network() {
     let sizes = [20usize, 40, 80, 160];
-    let runs: Vec<([u64; 4], usize)> = sizes.iter().map(|&n| measure(n)).collect();
-    for (&n, (bytes, nodes)) in sizes.iter().zip(&runs) {
+    let runs: Vec<([u64; 4], usize, usize)> = sizes.iter().map(|&n| measure(n)).collect();
+    for (&n, (bytes, nodes, defs)) in sizes.iter().zip(&runs) {
         println!(
-            "n={n:<4} nodes={nodes:<8} translate={:<12} ground={:<12} build={:<12} \
-             ({:.0} B/node) interp={}",
+            "n={n:<4} nodes={nodes:<8} defs={defs:<8} translate={:<12} ground={:<12} \
+             ({:.2} B/def) build={:<12} ({:.0} B/node) interp={}",
             bytes[0],
             bytes[1],
+            bytes[1] as f64 / *defs as f64,
             bytes[2],
             bytes[2] as f64 / *nodes as f64,
             bytes[3]
@@ -122,12 +135,19 @@ fn front_half_allocation_grows_with_the_network() {
             }
         }
     }
-    for (&n, (bytes, nodes)) in sizes.iter().zip(&runs) {
+    for (&n, (bytes, nodes, defs)) in sizes.iter().zip(&runs) {
         let per_node = bytes[2] as f64 / *nodes as f64;
         if per_node > BUILD_BYTES_PER_NODE {
             failures.push(format!(
                 "Network::build allocates {per_node:.0} B per emitted node at n={n} \
                  (limit {BUILD_BYTES_PER_NODE:.0})"
+            ));
+        }
+        let per_def = bytes[1] as f64 / *defs as f64;
+        if per_def > GROUND_BYTES_PER_DEF {
+            failures.push(format!(
+                "ground allocates {per_def:.2} B per definition at n={n} \
+                 (limit {GROUND_BYTES_PER_DEF:.2})"
             ));
         }
     }

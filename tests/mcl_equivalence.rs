@@ -3,7 +3,6 @@
 //! the deterministic interpreter, and flow-threshold event probabilities
 //! match brute force.
 
-use enframe::core::program::{SymCVal, SymEvent, ValSrc};
 use enframe::core::{space, Valuation};
 use enframe::prelude::*;
 use enframe::translate::env::{ProbMatrix, ProbObjects};
@@ -75,16 +74,10 @@ fn mcl_per_world_matrix_agreement() {
                         }
                     },
                     enframe::translate::Slot::CVal(c) => {
-                        let si = match &**c {
-                            SymCVal::Ref(si) => si,
-                            other => panic!("unexpected {other:?}"),
+                        let id = match **c {
+                            CVal::Ref(id) => id,
+                            ref other => panic!("unexpected {other:?}"),
                         };
-                        let id = gp
-                            .lookup(&enframe::core::Ident::indexed(
-                                si.sym,
-                                si.idx.iter().map(|x| x.konst).collect(),
-                            ))
-                            .unwrap();
                         let ev = gp.eval_value(id, &nu).unwrap();
                         match (&interp_val, &ev) {
                             (enframe::lang::RtValue::Undef, Value::Undef) => {}
@@ -112,11 +105,7 @@ fn mcl_flow_event_probability_matches_brute_force() {
     let mut tr = translate(&ast, &env).unwrap();
     // Event: after 2 iterations, flow M[0][1] exceeds 0.1.
     let m01 = tr.cval_ident("M", &[0, 1]).expect("symbolic entry");
-    let atom = Rc::new(SymEvent::Atom(
-        CmpOp::Gt,
-        Rc::new(SymCVal::Ref(m01)),
-        Rc::new(SymCVal::Lit(ValSrc::Const(Value::Num(0.1)))),
-    ));
+    let atom = Rc::new(Event::Atom(CmpOp::Gt, Program::cref(m01), CVal::num(0.1)));
     let t = tr.program.declare_event("Flow01", atom);
     tr.program.add_target(t);
     let gp = tr.ground().unwrap();

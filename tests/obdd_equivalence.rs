@@ -386,8 +386,8 @@ fn conditioning_matches_hand_computation() {
     let phi1 = p.declare_event(
         "Phi1",
         Program::or([
-            Program::and([Program::eref(phi0.clone()), Program::var(x1)]),
-            Program::and([Program::not(Program::eref(phi0.clone())), Program::var(x2)]),
+            Program::and([Program::eref(phi0), Program::var(x1)]),
+            Program::and([Program::not(Program::eref(phi0)), Program::var(x2)]),
         ]),
     );
     p.add_target(phi0);
