@@ -9,12 +9,12 @@ set -u
 rounds="${1:-5}"
 log="$(mktemp)"
 trap 'rm -f "$log"' EXIT
-cargo test --workspace -q --no-run || exit 1
+cargo test --workspace -q --locked --no-run || exit 1
 for round in $(seq 1 "$rounds"); do
   for threads in 1 2 16; do
     for workers in 1 8; do
       if ! ENFRAME_WORKERS="$workers" \
-        cargo test --workspace -q -- --test-threads "$threads" >"$log" 2>&1; then
+        cargo test --workspace -q --locked -- --test-threads "$threads" >"$log" 2>&1; then
         echo "FAILED: round $round, --test-threads $threads, ENFRAME_WORKERS=$workers"
         # Cargo names the failing binary in its rerun hint; the failed
         # tests and their panics come from the harness summary.

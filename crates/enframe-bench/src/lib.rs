@@ -163,14 +163,6 @@ pub enum Engine {
         /// Worker threads (`0` = auto via `ENFRAME_WORKERS`).
         workers: usize,
     },
-    /// [`Engine::BddExact`] with a parallel target fan-out over
-    /// per-worker managers (`ObddOptions::workers`). Same series label;
-    /// probabilities agree with the sequential run to FP roundoff (the
-    /// merged manager may settle on a different variable order).
-    BddPar {
-        /// Worker threads (`0` = auto via `ENFRAME_WORKERS`).
-        workers: usize,
-    },
 }
 
 impl Engine {
@@ -183,7 +175,7 @@ impl Engine {
             Engine::Lazy => "lazy",
             Engine::Hybrid => "hybrid",
             Engine::HybridD { .. } => "hybrid-d",
-            Engine::BddExact | Engine::BddPar { .. } => "bdd-exact",
+            Engine::BddExact => "bdd-exact",
             Engine::BddStatic => "bdd-static",
             Engine::DnnfExact | Engine::DnnfPar { .. } => "dnnf",
         }
@@ -195,9 +187,7 @@ impl Engine {
     pub fn workers(&self) -> usize {
         match self {
             Engine::HybridD { workers, .. } => enframe_core::workers::resolve(*workers, 4),
-            Engine::DnnfPar { workers } | Engine::BddPar { workers } => {
-                enframe_core::workers::resolve(*workers, 1)
-            }
+            Engine::DnnfPar { workers } => enframe_core::workers::resolve(*workers, 1),
             _ => 1,
         }
     }
@@ -321,11 +311,7 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
             _ => timeout("naive"),
         },
         Engine::Exact if v > EXACT_VAR_CAP => over(EXACT_VAR_CAP),
-        Engine::BddExact
-        | Engine::BddStatic
-        | Engine::BddPar { .. }
-        | Engine::DnnfExact
-        | Engine::DnnfPar { .. }
+        Engine::BddExact | Engine::BddStatic | Engine::DnnfExact | Engine::DnnfPar { .. }
             if v > prep.dnnf_var_cap =>
         {
             over(prep.dnnf_var_cap)
@@ -342,17 +328,13 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
                 Err(e) => Measurement::bare(f64::NAN, format!("error({e})")),
             }
         }
-        Engine::BddExact | Engine::BddStatic | Engine::BddPar { .. } => {
+        Engine::BddExact | Engine::BddStatic => {
             let base = if engine == Engine::BddStatic {
                 ObddOptions::static_with_groups(prep.var_groups.clone())
             } else {
                 ObddOptions::with_groups(prep.var_groups.clone())
             };
-            let opts = ObddOptions {
-                workers: engine.workers(),
-                budget,
-                ..base
-            };
+            let opts = ObddOptions { budget, ..base };
             let counted = ObddEngine::compile(net, &opts).map(|e| {
                 let probs = e.probabilities(vt);
                 Measurement {

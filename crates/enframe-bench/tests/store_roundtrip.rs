@@ -83,14 +83,9 @@ proptest! {
     fn obdd_round_trip_is_within_tolerance(
         scheme_ix in 0usize..3,
         seed in 0u64..1_000,
-        workers_ix in 0usize..2,
     ) {
-        let workers = [1, 4][workers_ix];
         let prep = prepare_lineage(GROUPS, scheme(scheme_ix), &LineageOpts::default(), seed);
-        let opts = ObddOptions {
-            workers,
-            ..ObddOptions::with_groups(prep.var_groups.clone())
-        };
+        let opts = ObddOptions::with_groups(prep.var_groups.clone());
         let engine = ObddEngine::compile(&prep.net, &opts).expect("compiles");
         let reference = engine.probabilities(&prep.vt);
 

@@ -2,9 +2,10 @@
 //!
 //! The artifact store (`enframe-store`) caches compiled forms on disk
 //! keyed by a *lineage fingerprint* — a content hash of everything that
-//! determines the compiled artifact: the event network, the target set,
-//! and the engine options that shape the output (variable order
-//! heuristic, var-groups). This module provides the hashing substrate:
+//! determines the compiled functions: the event network, the target set,
+//! and the engine options that shape them (variable order heuristic,
+//! var-groups). It does not name the node layout (see
+//! `enframe_store::fingerprint_network`). This module provides the hashing substrate:
 //! a small streaming hasher over [`crate::fxhash::FxHasher`] with
 //! explicit **domain separation** (every field is tagged before its
 //! payload), so structurally different inputs cannot collide by

@@ -49,8 +49,8 @@
 pub mod wmc;
 
 use crate::peval::{Evaluator, Partial, VisitStamp};
-use crate::{stopped_early, ObddError};
-use enframe_core::budget::{Budget, BudgetScope};
+use crate::ObddError;
+use enframe_core::budget::{Budget, BudgetScope, Exceeded, Resource};
 use enframe_core::failpoint::{self, Site};
 use enframe_core::fxhash::FxHashMap;
 use enframe_core::pool;
@@ -427,12 +427,14 @@ impl DnnfEngine {
     /// Compiles every registered target of `net` into d-DNNF.
     ///
     /// With `opts.workers` resolved to more than one (explicitly or via
-    /// `ENFRAME_WORKERS`), targets fan out across a worker pool: each
-    /// worker compiles whole targets with its own manager and
-    /// residual-state memo over the shared immutable network, and the
-    /// per-worker stores are merged by [`DnnfManager::absorb`]. The
+    /// `ENFRAME_WORKERS`) and more than one target, targets fan out
+    /// across a worker pool: each worker compiles whole targets with its
+    /// own manager and residual-state memo over the shared immutable
+    /// network, and the per-worker stores are merged by
+    /// [`DnnfManager::absorb`]. At one worker the same worker body runs
+    /// on the calling thread, and its store is the engine's. The
     /// compiled sentences — and therefore all probabilities — are
-    /// identical to a sequential compile for every worker count.
+    /// identical for every worker count.
     pub fn compile(net: &Network, opts: &DnnfOptions) -> Result<Self, ObddError> {
         let scope = BudgetScope::new(opts.budget);
         let result = Self::compile_scoped(net, opts, &scope);
@@ -446,34 +448,43 @@ impl DnnfEngine {
         scope: &BudgetScope,
     ) -> Result<Self, ObddError> {
         let workers = enframe_core::workers::resolve(opts.workers, 1);
-        if workers <= 1 || net.targets.len() <= 1 {
-            return Self::compile_seq(net, opts, workers, scope);
+        let (n, names) = (net.targets.len(), net.target_names.clone());
+        if workers <= 1 || n <= 1 {
+            // No pool, nothing to merge; `workers` still sizes the WMC
+            // sweep of a one-target network.
+            let mut jobs = 0..n;
+            let out = compile_targets(net, opts.order, scope, || jobs.next())?;
+            let targets = out.compiled.iter().map(|&(_, d)| d).collect();
+            return Ok(Self::assemble(
+                out.man, targets, names, out.steps, out.hits, workers,
+            ));
         }
-        Self::compile_par(net, opts, workers, scope)
-    }
-
-    fn compile_seq(
-        net: &Network,
-        opts: &DnnfOptions,
-        workers: usize,
-        scope: &BudgetScope,
-    ) -> Result<Self, ObddError> {
+        let workers = workers.min(n);
+        let queue = pool::Queue::new(0..n);
+        let outs = pool::run(scope, workers, &queue, |worker| {
+            compile_targets(net, opts.order, scope, || worker.next_job())
+        })?;
+        let _merge = telemetry::span(Phase::Merge);
+        if failpoint::hit(Site::Merge) {
+            return Err(ObddError::Injected("merge"));
+        }
         let mut man = DnnfManager::new();
-        let mut compiler = Compiler::new(net, opts.order, scope.clone());
-        compiler.prime()?;
-        let mut targets = Vec::with_capacity(net.targets.len());
-        for &t in &net.targets {
-            let _span = telemetry::span(Phase::DnnfExpand);
-            targets.push(compiler.compile(&mut man, t)?);
+        let mut targets: Vec<Option<Dnnf>> = vec![None; n];
+        for w in &outs {
+            let map = man.absorb(&w.man);
+            for &(i, d) in &w.compiled {
+                targets[i] = Some(map[d.index()]);
+            }
         }
-        Ok(Self::assemble(
-            man,
-            targets,
-            net.target_names.clone(),
-            compiler.expansion_steps,
-            compiler.memo_hits,
-            workers,
-        ))
+        // Holes mean a cancellation stopped the pool before every target
+        // compiled; surface the recorded verdict.
+        let targets: Vec<Dnnf> = targets
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| stopped_early(scope))?;
+        let steps = outs.iter().map(|w| w.steps).sum();
+        let hits = outs.iter().map(|w| w.hits).sum();
+        Ok(Self::assemble(man, targets, names, steps, hits, workers))
     }
 
     /// The engine over a finished store, with its size statistics.
@@ -499,68 +510,6 @@ impl DnnfEngine {
             stats,
             workers,
         }
-    }
-
-    /// Parallel target fan-out over the pool's pre-filled queue of
-    /// target indices.
-    fn compile_par(
-        net: &Network,
-        opts: &DnnfOptions,
-        workers: usize,
-        scope: &BudgetScope,
-    ) -> Result<Self, ObddError> {
-        struct WorkerOut {
-            man: DnnfManager,
-            compiled: Vec<(usize, Dnnf)>,
-            steps: u64,
-            hits: u64,
-        }
-        let workers = workers.min(net.targets.len());
-        let queue = pool::Queue::new(0..net.targets.len());
-        let outs: Vec<WorkerOut> = pool::run(scope, workers, &queue, |worker| {
-            let mut man = DnnfManager::new();
-            let mut compiler = Compiler::new(net, opts.order, scope.clone());
-            let mut compiled = Vec::new();
-            compiler.prime()?;
-            while let Some(i) = worker.next_job() {
-                let _span = telemetry::span(Phase::DnnfExpand);
-                // An error stops this worker (the evaluator's assignment
-                // may be dirty) and, through the pool, its siblings.
-                compiled.push((i, compiler.compile(&mut man, net.targets[i])?));
-            }
-            Ok::<_, ObddError>(WorkerOut {
-                man,
-                compiled,
-                steps: compiler.expansion_steps,
-                hits: compiler.memo_hits,
-            })
-        })?;
-        let _merge = telemetry::span(Phase::Merge);
-        if failpoint::hit(Site::Merge) {
-            return Err(ObddError::Injected("merge"));
-        }
-        let mut man = DnnfManager::new();
-        let mut targets: Vec<Option<Dnnf>> = vec![None; net.targets.len()];
-        for w in &outs {
-            let map = man.absorb(&w.man);
-            for &(i, d) in &w.compiled {
-                targets[i] = Some(map[d.index()]);
-            }
-        }
-        // Holes mean a cancellation stopped the pool before every target
-        // compiled; surface the recorded verdict.
-        let targets: Vec<Dnnf> = targets
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| stopped_early(scope))?;
-        Ok(Self::assemble(
-            man,
-            targets,
-            net.target_names.clone(),
-            outs.iter().map(|w| w.steps).sum(),
-            outs.iter().map(|w| w.hits).sum(),
-            workers,
-        ))
     }
 
     /// Reassembles an engine from deserialised parts (artifact load).
@@ -651,6 +600,52 @@ impl DnnfEngine {
         let probs = wmc::node_probabilities(&self.man, vt, wmc_workers, scope)?;
         Ok(self.targets.iter().map(|&t| probs[t.index()]).collect())
     }
+}
+
+/// What a fan-out reports when the pool stopped before every target
+/// compiled although no worker failed: the verdict recorded on the
+/// scope (budget exhaustion, external cancellation).
+fn stopped_early(scope: &BudgetScope) -> ObddError {
+    ObddError::from(scope.verdict().unwrap_or(Exceeded {
+        resource: Resource::Cancelled,
+        spent: 0,
+    }))
+}
+
+/// What one fan-out worker made: its own store, the targets it
+/// compiled into it, and its memo counters.
+struct WorkerOut {
+    man: DnnfManager,
+    compiled: Vec<(usize, Dnnf)>,
+    steps: u64,
+    hits: u64,
+}
+
+/// The fan-out worker's body: compiles each target index `next` hands
+/// out into a store of its own. The one-worker compile runs it on the
+/// calling thread over the indices in order.
+fn compile_targets(
+    net: &Network,
+    order: VarOrder,
+    scope: &BudgetScope,
+    mut next: impl FnMut() -> Option<usize>,
+) -> Result<WorkerOut, ObddError> {
+    let mut man = DnnfManager::new();
+    let mut compiler = Compiler::new(net, order, scope.clone());
+    let mut compiled = Vec::new();
+    compiler.prime()?;
+    while let Some(i) = next() {
+        let _span = telemetry::span(Phase::DnnfExpand);
+        // An error stops this worker (the evaluator's assignment may be
+        // dirty) and, through the pool, its siblings.
+        compiled.push((i, compiler.compile(&mut man, net.targets[i])?));
+    }
+    Ok(WorkerOut {
+        man,
+        compiled,
+        steps: compiler.expansion_steps,
+        hits: compiler.memo_hits,
+    })
 }
 
 // ---------------------------------------------------------------------

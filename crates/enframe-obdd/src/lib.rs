@@ -21,17 +21,19 @@
 //!   growth threshold ([`ReorderPolicy`]) or on demand
 //!   ([`Manager::reorder`]).
 //! * [`ObddEngine`] — compiles an [`enframe_network::Network`]'s targets
-//!   (propositional structure compositionally; comparison atoms through
-//!   the d-DNNF DP below), computes exact probabilities by weighted
-//!   model counting ([`Wmc`]), and answers [`ObddEngine::condition`]
-//!   queries: posteriors `P(target | evidence)` for arbitrary evidence
-//!   events.
+//!   one after another on the calling thread (propositional structure
+//!   compositionally; comparison atoms through the d-DNNF DP below),
+//!   computes exact probabilities by weighted model counting ([`Wmc`]),
+//!   and answers [`ObddEngine::condition`] queries: posteriors
+//!   `P(target | evidence)` for arbitrary evidence events.
 //! * [`dnnf`] — the second compiled form: targets compiled to
 //!   **d-DNNF** with expansion memoised on residual states (a
 //!   partial-sum DP over comparison atoms) and decomposable-AND
 //!   factoring ([`dnnf::DnnfEngine`]) — the one expander of comparison
 //!   atoms for both forms, polynomial on aggregate-comparison workloads
-//!   where expanding assignments costs `~2^v` per atom.
+//!   where expanding assignments costs `~2^v` per atom. This is the
+//!   crate's one parallel compile: its targets fan out over
+//!   [`enframe_core::pool`] ([`dnnf::DnnfOptions::workers`]).
 //!
 //! Mutex var-groups — the paper's encoding of a multi-valued "which of
 //! these points exists" choice as a Boolean chain `¬x₁ ∧ … ∧ xⱼ` — are
@@ -73,9 +75,8 @@ pub use wmc::{Wmc, WmcCache};
 
 use compile::Compiler;
 use enframe_core::budget::{Budget, BudgetScope, Exceeded, Resource};
-use enframe_core::failpoint::{self, Site};
 use enframe_core::fxhash::FxHashMap;
-use enframe_core::pool::{self, JobError};
+use enframe_core::pool::JobError;
 use enframe_core::{CoreError, Var, VarTable};
 use enframe_network::Network;
 use enframe_prob::order::{static_order, VarOrder};
@@ -172,17 +173,8 @@ impl JobError for ObddError {
     }
 }
 
-/// What a fan-out reports when the pool stopped before every target
-/// compiled although no worker failed: the verdict recorded on the
-/// scope (budget exhaustion, external cancellation).
-pub(crate) fn stopped_early(scope: &BudgetScope) -> ObddError {
-    ObddError::from(scope.verdict().unwrap_or(Exceeded {
-        resource: Resource::Cancelled,
-        spent: 0,
-    }))
-}
-
-/// Options for OBDD compilation.
+/// Options for OBDD compilation. The compile runs on the calling
+/// thread; only the d-DNNF engine fans out ([`dnnf::DnnfOptions::workers`]).
 #[derive(Debug, Clone, Default)]
 pub struct ObddOptions {
     /// Variable-order heuristic (shared with the decision-tree engine)
@@ -198,16 +190,6 @@ pub struct ObddOptions {
     /// growth-triggered group sifting (the default), or
     /// [`ReorderPolicy::disabled`] for a fully static manager.
     pub reorder: ReorderPolicy,
-    /// Worker threads for parallel target fan-out. `0` (the default)
-    /// means *auto*: honour the `ENFRAME_WORKERS` environment variable,
-    /// else compile sequentially. With more than one worker, each worker
-    /// compiles whole targets into its own manager (maintenance
-    /// disabled, shared initial order) and the results are merged into
-    /// the main manager by a recursive cross-manager transfer;
-    /// probabilities agree with the sequential compile to floating-point
-    /// roundoff (the final variable order may differ, since sequential
-    /// compilation may auto-reorder mid-compile).
-    pub workers: usize,
     /// Resource budget for the compilation. The default is unlimited,
     /// which skips all bookkeeping — budgeted and unbudgeted runs that
     /// stay inside the budget are bitwise-identical. On exhaustion the
@@ -283,16 +265,18 @@ pub struct ObddEngine {
     names: Vec<String>,
     stats: ObddStats,
     /// Persistent WMC cache, epoch/weight-stamped (see [`WmcCache`]).
-    /// Behind a `Mutex` (not a `RefCell`) so the engine is `Sync`: the
-    /// serving layer's concurrent readers sweep one shared
-    /// `Arc<ObddEngine>` snapshot and warm one cache instead of one each.
+    /// Behind a `Mutex` (not a `RefCell`) so the engine is `Sync` and
+    /// the serving layer's readers can share one `Arc<ObddEngine>`; a
+    /// sweep takes the whole cache out for its duration (see
+    /// [`ObddEngine::try_probabilities`]).
     wmc_cache: Mutex<WmcCache>,
 }
 
 impl ObddEngine {
-    /// Compiles every registered target of `net` into a BDD. Under the
-    /// default [`ReorderPolicy`] the manager garbage-collects and
-    /// group-sifts itself whenever compilation growth crosses the policy
+    /// Compiles every registered target of `net` into a BDD, one target
+    /// after another on the calling thread. Under the default
+    /// [`ReorderPolicy`] the manager garbage-collects and group-sifts
+    /// itself whenever compilation growth crosses the maintenance
     /// triggers; the compiled targets are kept protected for the life of
     /// the engine, so later [`ObddEngine::reorder`]/GC calls are always
     /// safe.
@@ -308,54 +292,33 @@ impl ObddEngine {
         opts: &ObddOptions,
         scope: &BudgetScope,
     ) -> Result<Self, ObddError> {
-        let workers = enframe_core::workers::resolve(opts.workers, 1).min(net.targets.len());
         let order = grouped_order(static_order(net, opts.order), &opts.groups);
         let mut level_of: Vec<Option<u32>> = vec![None; net.n_vars as usize];
         for (l, v) in order.iter().enumerate() {
             level_of[v.index()] = Some(l as u32);
         }
-        let blocks = level_blocks(&order, &opts.groups);
-        let new_manager = |policy: ReorderPolicy| {
-            let mut man = Manager::with_policy(policy);
-            man.declare_vars(order.len() as u32);
-            man.set_level_blocks(&blocks);
-            man
-        };
-        let new_compiler = || Compiler::new(net, level_of.clone(), opts.order, scope.clone());
-        let mut man = new_manager(opts.reorder.clone());
-        let (targets, cmp_branches, cache_hits);
-        if workers > 1 {
-            (targets, cmp_branches, cache_hits) =
-                Self::fan_out(net, workers, scope, &new_compiler, &new_manager, &mut man)?;
-            if opts.reorder.auto {
-                man.collect_garbage();
-                // The merged manager never reordered mid-compile the way a
-                // sequential run may have; give the policy one chance to
-                // settle the merged diagram before queries start.
-                man.maybe_maintain();
-            }
-        } else {
-            let mut compiler = new_compiler();
-            let mut compiled = Vec::with_capacity(net.targets.len());
-            for &t in &net.targets {
-                let bdd = compiler.compile(&mut man, t)?;
-                man.protect(bdd);
-                compiled.push(bdd);
-            }
-            (targets, cmp_branches) = (compiled, compiler.cmp_branches());
-            compiler.finish(&mut man);
-            if opts.reorder.auto {
-                // Final sweep: drop the compilation scaffolding so the
-                // manager holds exactly the union of the target DAGs.
-                man.collect_garbage();
-            }
-            cache_hits = man.cache_hits();
+        let mut man = Manager::with_policy(opts.reorder);
+        man.declare_vars(order.len() as u32);
+        man.set_level_blocks(&level_blocks(&order, &opts.groups));
+        let mut compiler = Compiler::new(net, level_of.clone(), opts.order, scope.clone());
+        let mut targets = Vec::with_capacity(net.targets.len());
+        for &t in &net.targets {
+            let bdd = compiler.compile(&mut man, t)?;
+            man.protect(bdd);
+            targets.push(bdd);
+        }
+        let cmp_branches = compiler.cmp_branches();
+        compiler.finish(&mut man);
+        if opts.reorder.auto {
+            // Final sweep: drop the compilation scaffolding so the
+            // manager holds exactly the union of the target DAGs.
+            man.collect_garbage();
         }
         let stats = ObddStats {
             nodes: man.len(),
             largest_target: targets.iter().map(|&t| man.size(t)).max().unwrap_or(0),
             cmp_branches,
-            cache_hits,
+            cache_hits: man.cache_hits(),
             manager: man.stats(),
         };
         Ok(ObddEngine {
@@ -367,79 +330,6 @@ impl ObddEngine {
             stats,
             wmc_cache: Mutex::new(WmcCache::new()),
         })
-    }
-
-    /// Parallel target fan-out: each worker compiles whole targets into
-    /// its own manager over the shared immutable network (same initial
-    /// variable order, maintenance disabled so handles stay stable and
-    /// per-worker results are order-deterministic), pulling target
-    /// indices from the pool's pre-filled queue. The per-worker BDDs
-    /// are then merged into `man` by [`import_bdd`], which deduplicates
-    /// shared structure via the unique tables. Returns the merged
-    /// targets and the workers' summed `cmp_branches` and `cache_hits`.
-    fn fan_out<'n>(
-        net: &'n Network,
-        workers: usize,
-        scope: &BudgetScope,
-        new_compiler: &(impl Fn() -> Compiler<'n> + Sync),
-        new_manager: &(impl Fn(ReorderPolicy) -> Manager + Sync),
-        man: &mut Manager,
-    ) -> Result<(Vec<Bdd>, u64, u64), ObddError> {
-        struct WorkerOut {
-            man: Manager,
-            compiled: Vec<(usize, Bdd)>,
-            cmp_branches: u64,
-            cache_hits: u64,
-        }
-        let queue = pool::Queue::new(0..net.targets.len());
-        let outs: Vec<WorkerOut> = pool::run(scope, workers, &queue, |worker| {
-            let mut man = new_manager(ReorderPolicy::disabled());
-            let mut compiler = new_compiler();
-            let mut compiled = Vec::new();
-            while let Some(i) = worker.next_job() {
-                let bdd = compiler.compile(&mut man, net.targets[i])?;
-                man.protect(bdd);
-                compiled.push((i, bdd));
-            }
-            let cmp_branches = compiler.cmp_branches();
-            let cache_hits = man.cache_hits();
-            compiler.finish(&mut man);
-            Ok::<_, ObddError>(WorkerOut {
-                man,
-                compiled,
-                cmp_branches,
-                cache_hits,
-            })
-        })?;
-        let _merge = telemetry::span(Phase::Merge);
-        if failpoint::hit(Site::Merge) {
-            return Err(ObddError::Injected("merge"));
-        }
-        let mut targets: Vec<Option<Bdd>> = vec![None; net.targets.len()];
-        for w in &outs {
-            // No maintenance runs while a worker's results transfer in
-            // (imports only call `Manager::node`), so the import memo's
-            // intermediate handles stay valid; each merged root is
-            // protected as soon as it exists.
-            let mut memo: FxHashMap<u32, Bdd> = FxHashMap::default();
-            for &(i, bdd) in &w.compiled {
-                let merged = import_bdd(&w.man, bdd, man, &mut memo);
-                man.protect(merged);
-                targets[i] = Some(merged);
-            }
-        }
-        // With no worker error every queued target was compiled by
-        // exactly one worker — unless a cancellation (budget verdict on
-        // the scope, external request) stopped the pool early.
-        let targets = targets
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| stopped_early(scope))?;
-        Ok((
-            targets,
-            outs.iter().map(|w| w.cmp_branches).sum(),
-            outs.iter().map(|w| w.cache_hits).sum(),
-        ))
     }
 
     /// The persistent WMC cache. Poisoning is ignored: the lock is only
@@ -514,9 +404,11 @@ impl ObddEngine {
     /// [`ObddError::BudgetExceeded`] instead of finishing the sweep.
     ///
     /// Because the engine is `Sync`, concurrent readers of one snapshot
-    /// share one `Arc<ObddEngine>`: the per-node cache each sweep warms
-    /// is the engine's persistent [`WmcCache`], so follow-up queries
-    /// under the same weights are near-free.
+    /// share one `Arc<ObddEngine>`, but not one warm cache: a sweep
+    /// takes the engine's persistent [`WmcCache`] out for its duration,
+    /// so a reader that overlaps another sweeps from an empty cache, and
+    /// the last one to finish installs its own. Follow-up queries under
+    /// the same weights that do not overlap are near-free.
     ///
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
@@ -851,38 +743,6 @@ pub struct ObddSnapshot {
     pub names: Vec<String>,
 }
 
-/// Recursively transfers the BDD `f` from manager `src` into `dst`,
-/// rebuilding it bottom-up through `dst`'s unique tables (so structure
-/// already present — e.g. from a previously imported worker — is shared,
-/// not duplicated). Variable *labels* carry over verbatim: both managers
-/// were declared with the same labels, and neither reorders during the
-/// transfer. The memo is keyed on `src` node indices with the complement
-/// bit stripped, mirroring the complement-edge canonical form.
-fn import_bdd(src: &Manager, f: Bdd, dst: &mut Manager, memo: &mut FxHashMap<u32, Bdd>) -> Bdd {
-    if f.is_const() {
-        // The two constants are represented identically in any manager.
-        return f;
-    }
-    let neg = f.is_complement();
-    let base = if neg { !f } else { f };
-    let r = match memo.get(&base.index()) {
-        Some(&r) => r,
-        None => {
-            let (_, v, hi, lo) = src.node_of(base);
-            let hi = import_bdd(src, hi, dst, memo);
-            let lo = import_bdd(src, lo, dst, memo);
-            let r = dst.node(v, hi, lo);
-            memo.insert(base.index(), r);
-            r
-        }
-    };
-    if neg {
-        !r
-    } else {
-        r
-    }
-}
-
 /// Variable → group index, first group wins — the membership rule shared
 /// by [`grouped_order`] and [`level_blocks`].
 fn group_of_map(groups: &[Vec<Var>]) -> FxHashMap<Var, usize> {
@@ -958,7 +818,8 @@ fn grouped_order(base: Vec<Var>, groups: &[Vec<Var>]) -> Vec<Var> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enframe_core::{space, Program};
+    use dnnf::{DnnfEngine, DnnfOptions};
+    use enframe_core::{failpoint, space, Program};
 
     fn engine_for(p: &Program, opts: &ObddOptions) -> (ObddEngine, Vec<f64>, VarTable) {
         let g = p.ground().unwrap();
@@ -1192,25 +1053,25 @@ mod tests {
             .and_then(|v| v.trim().parse().ok())
     }
 
-    /// ISSUE 8 acceptance: an injected worker panic at `workers = 4`
-    /// must surface as a structured [`ObddError::WorkerPanicked`] with
-    /// the failing target index — never a propagated panic — and the
-    /// pool must be fully joined (no leaked threads), leaving the
-    /// process able to compile again.
+    /// An injected worker panic in the crate's one fan-out (d-DNNF at
+    /// `workers = 4`) must surface as a structured
+    /// [`ObddError::WorkerPanicked`] with the failing target index —
+    /// never a propagated panic — and the pool must be fully joined (no
+    /// leaked threads), leaving the process able to compile again.
     #[test]
     fn injected_worker_panic_is_isolated_and_joined() {
         let p = mutex_chain_program(8);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
-        let opts = ObddOptions {
+        let opts = DnnfOptions {
             workers: 4,
-            ..ObddOptions::default()
+            ..DnnfOptions::default()
         };
         let before = thread_count();
         {
             let _chaos = failpoint::arm("spawn:every-1");
             for _ in 0..4 {
-                match ObddEngine::compile(&net, &opts) {
+                match DnnfEngine::compile(&net, &opts) {
                     Err(ObddError::WorkerPanicked { target, message }) => {
                         assert!(target < net.targets.len(), "bad target index {target}");
                         assert!(
@@ -1222,7 +1083,7 @@ mod tests {
                 }
             }
         }
-        // Every worker is joined before compile_par returns, so four
+        // Every worker is joined before compile returns, so four
         // panicking compiles must not leave stray threads behind (small
         // slack for the test harness's own threads).
         if let (Some(b), Some(a)) = (before, thread_count()) {
@@ -1230,7 +1091,7 @@ mod tests {
         }
         // The failure is transient: with the fault cleared the same
         // pool compiles cleanly.
-        let engine = ObddEngine::compile(&net, &opts).unwrap();
+        let engine = DnnfEngine::compile(&net, &opts).unwrap();
         let vt = VarTable::uniform(8, 0.4);
         let want = space::target_probabilities(&g, &vt);
         let got = engine.probabilities(&vt);
@@ -1253,8 +1114,8 @@ mod tests {
         }
     }
 
-    /// An injected receive stall only delays the fan-out — the answer
-    /// is still exact, and nothing deadlocks.
+    /// An injected receive stall only delays the d-DNNF fan-out — the
+    /// answer is still exact, and nothing deadlocks.
     #[test]
     fn injected_recv_stall_only_delays() {
         let p = mutex_chain_program(8);
@@ -1263,11 +1124,11 @@ mod tests {
         let vt = VarTable::uniform(8, 0.4);
         let want = space::target_probabilities(&g, &vt);
         let _chaos = failpoint::arm("recv:every-2");
-        let engine = ObddEngine::compile(
+        let engine = DnnfEngine::compile(
             &net,
-            &ObddOptions {
+            &DnnfOptions {
                 workers: 2,
-                ..ObddOptions::default()
+                ..DnnfOptions::default()
             },
         )
         .unwrap();
@@ -1278,30 +1139,26 @@ mod tests {
     }
 
     /// A node budget too small for the workload trips a structured
-    /// [`ObddError::BudgetExceeded`] at a safe point — on both the
-    /// sequential and the parallel paths — instead of running to
-    /// completion or panicking.
+    /// [`ObddError::BudgetExceeded`] at a safe point instead of running
+    /// to completion or panicking.
     #[test]
     fn node_budget_exhaustion_is_structured() {
         let p = mutex_chain_program(10);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
-        for workers in [1usize, 4] {
-            let opts = ObddOptions {
-                workers,
-                budget: Budget {
-                    max_nodes: Some(4),
-                    ..Budget::unlimited()
-                },
-                ..ObddOptions::default()
-            };
-            match ObddEngine::compile(&net, &opts) {
-                Err(ObddError::BudgetExceeded { resource, spent }) => {
-                    assert_eq!(resource, Resource::Nodes, "workers={workers}");
-                    assert!(spent > 4, "workers={workers}: spent {spent}");
-                }
-                other => panic!("workers={workers}: expected BudgetExceeded, got {other:?}"),
+        let opts = ObddOptions {
+            budget: Budget {
+                max_nodes: Some(4),
+                ..Budget::unlimited()
+            },
+            ..ObddOptions::default()
+        };
+        match ObddEngine::compile(&net, &opts) {
+            Err(ObddError::BudgetExceeded { resource, spent }) => {
+                assert_eq!(resource, Resource::Nodes);
+                assert!(spent > 4, "spent {spent}");
             }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
         }
     }
 }

@@ -115,16 +115,16 @@ pub(crate) struct NodeData {
     pub(crate) lo: Bdd,
 }
 
-/// When and how aggressively the manager maintains itself.
+/// Whether the manager maintains itself.
 ///
 /// Automatic maintenance runs at *safe points* ([`Manager::maybe_maintain`],
 /// called by the compiler between apply steps and by the engine between
 /// queries — never inside an apply operation): once the live-node count
-/// crosses the GC trigger, dead nodes are swept; if the survivors still
-/// exceed the reorder trigger, group sifting runs. After each pass the
-/// triggers are re-derived from the surviving size (2× for GC, 4× for
-/// reordering, floored at the policy values), so maintenance cost stays
-/// proportional to real growth.
+/// crosses the GC trigger (first at 256), dead nodes are swept; if the
+/// survivors still reach the reorder trigger (first at 384), group
+/// sifting runs. After each pass the triggers are re-derived from the
+/// surviving size (2× for both, floored at those first values), so
+/// maintenance cost stays proportional to real growth.
 ///
 /// ```
 /// use enframe_obdd::{Manager, ReorderPolicy};
@@ -145,27 +145,15 @@ pub(crate) struct NodeData {
 /// assert!(man.eval(g, |v| v == 0));
 /// man.unprotect(g);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReorderPolicy {
     /// Whether automatic maintenance (GC + sifting) runs at safe points.
     pub auto: bool,
-    /// Initial live-node count that triggers an automatic GC.
-    pub gc_threshold: usize,
-    /// Initial live-node count (post-GC) that triggers automatic sifting.
-    pub reorder_threshold: usize,
-    /// Sifting aborts a block's walk once the manager grows past
-    /// `max_growth ×` the best size seen for that block.
-    pub max_growth: f64,
 }
 
 impl Default for ReorderPolicy {
     fn default() -> Self {
-        ReorderPolicy {
-            auto: true,
-            gc_threshold: 256,
-            reorder_threshold: 384,
-            max_growth: 1.2,
-        }
+        ReorderPolicy { auto: true }
     }
 }
 
@@ -173,12 +161,17 @@ impl ReorderPolicy {
     /// No automatic maintenance; [`Manager::collect_garbage`] and
     /// [`Manager::reorder`] still work when called explicitly.
     pub fn disabled() -> Self {
-        ReorderPolicy {
-            auto: false,
-            ..ReorderPolicy::default()
-        }
+        ReorderPolicy { auto: false }
     }
 }
+
+/// Live-node count that first triggers an automatic GC.
+const GC_THRESHOLD: usize = 256;
+/// Live-node count (post-GC) that first triggers automatic sifting.
+const REORDER_THRESHOLD: usize = 384;
+/// Sifting aborts a block's walk once the manager grows past this
+/// factor times the best size seen for that block.
+pub(crate) const MAX_GROWTH: f64 = 1.2;
 
 /// A live snapshot of the manager's health counters.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -482,8 +475,6 @@ impl Manager {
 
     /// An empty manager with the given maintenance policy.
     pub fn with_policy(policy: ReorderPolicy) -> Self {
-        let gc_trigger = policy.gc_threshold;
-        let reorder_trigger = policy.reorder_threshold;
         Manager {
             nodes: vec![NodeData {
                 var: TERMINAL_VAR,
@@ -499,8 +490,8 @@ impl Manager {
             roots: FxHashMap::default(),
             cache: IteCache::new(),
             policy,
-            gc_trigger,
-            reorder_trigger,
+            gc_trigger: GC_THRESHOLD,
+            reorder_trigger: REORDER_THRESHOLD,
             epoch: 0,
             live: 0,
             peak: 0,
@@ -852,12 +843,9 @@ impl Manager {
             // The sweep above already ran: sift directly instead of
             // paying reorder()'s own GC a second time.
             self.sift_pass();
-            self.reorder_trigger = self
-                .live
-                .saturating_mul(2)
-                .max(self.policy.reorder_threshold);
+            self.reorder_trigger = self.live.saturating_mul(2).max(REORDER_THRESHOLD);
         }
-        self.gc_trigger = self.live.saturating_mul(2).max(self.policy.gc_threshold);
+        self.gc_trigger = self.live.saturating_mul(2).max(GC_THRESHOLD);
     }
 
     /// Whether [`Manager::maybe_maintain`] would act right now — cheap

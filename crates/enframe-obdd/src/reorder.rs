@@ -24,12 +24,11 @@
 //!
 //! [`Manager::reorder`] runs one full sifting pass: GC first (so sizes
 //! reflect live nodes only), then blocks in decreasing node-count order,
-//! each walked down then up with the abort factor
-//! [`crate::ReorderPolicy::max_growth`], then parked at its best seen
-//! position. A pass never ends larger than it started — the best seen
-//! position includes the starting one.
+//! each walked down then up with the abort factor `MAX_GROWTH` (1.2),
+//! then parked at its best seen position. A pass never ends larger than
+//! it started — the best seen position includes the starting one.
 
-use crate::manager::{Manager, NodeData};
+use crate::manager::{Manager, NodeData, MAX_GROWTH};
 
 impl Manager {
     /// One full group-sifting pass over the current order. Requires
@@ -80,10 +79,9 @@ impl Manager {
     /// the top, then parks it at the position with the smallest manager
     /// size seen (the starting position on ties, so a pass without a
     /// strict improvement restores the original order). Either walk
-    /// aborts early once the manager grows past `max_growth × best`.
+    /// aborts early once the manager grows past `MAX_GROWTH × best`.
     fn sift_block(&mut self, p: usize, flags: &mut [bool]) {
         let nblocks = self.blocks.len();
-        let max_growth = self.policy.max_growth.max(1.0);
         let mut pos = p;
         let mut best = self.live;
         let mut best_pos = p;
@@ -95,7 +93,7 @@ impl Manager {
                 best = self.live;
                 best_pos = pos;
             }
-            if self.live as f64 > max_growth * best as f64 {
+            if self.live as f64 > MAX_GROWTH * best as f64 {
                 break;
             }
         }
@@ -107,7 +105,7 @@ impl Manager {
                 best = self.live;
                 best_pos = pos;
             }
-            if self.live as f64 > max_growth * best as f64 {
+            if self.live as f64 > MAX_GROWTH * best as f64 {
                 break;
             }
         }
@@ -194,14 +192,15 @@ mod tests {
     use crate::manager::{Bdd, Manager, ReorderPolicy};
     use crate::wmc::Wmc;
 
-    /// An order-sensitive function: f = (x0∧x3) ∨ (x1∧x4) ∨ (x2∧x5) is
-    /// linear under the interleaved order x0x3x1x4x2x5 but exponential
-    /// in the number of pairs under the grouped order x0x1x2x3x4x5.
-    fn pairs_function(man: &mut Manager) -> Bdd {
+    /// An order-sensitive function: with `n = 3`, f = (x0∧x3) ∨ (x1∧x4)
+    /// ∨ (x2∧x5) is linear under the interleaved order x0x3x1x4x2x5 but
+    /// exponential in the number of pairs under the grouped order
+    /// x0x1x2x3x4x5.
+    fn pairs_function(man: &mut Manager, n: u32) -> Bdd {
         let mut f = Bdd::FALSE;
-        for i in 0..3u32 {
+        for i in 0..n {
             let a = man.var(i);
-            let b = man.var(i + 3);
+            let b = man.var(i + n);
             let ab = man.and(a, b);
             f = man.or(f, ab);
         }
@@ -211,7 +210,7 @@ mod tests {
     #[test]
     fn sifting_shrinks_an_order_sensitive_function() {
         let mut man = Manager::with_policy(ReorderPolicy::disabled());
-        let f = pairs_function(&mut man);
+        let f = pairs_function(&mut man, 3);
         man.protect(f);
         man.collect_garbage();
         let before = man.len();
@@ -229,7 +228,7 @@ mod tests {
     #[test]
     fn reorder_preserves_semantics_and_handles() {
         let mut man = Manager::with_policy(ReorderPolicy::disabled());
-        let f = pairs_function(&mut man);
+        let f = pairs_function(&mut man, 3);
         let x0 = man.var(0);
         let g = man.xor(f, x0);
         man.protect(f);
@@ -260,7 +259,7 @@ mod tests {
         man.declare_vars(6);
         // Two blocks of 2 (vars 0-1 and 2-3) and two singletons.
         man.set_level_blocks(&[2, 2, 1, 1]);
-        let f = pairs_function(&mut man);
+        let f = pairs_function(&mut man, 3);
         man.protect(f);
         man.reorder();
         for pair in [(0u32, 1u32), (2, 3)] {
@@ -281,19 +280,14 @@ mod tests {
 
     #[test]
     fn automatic_maintenance_triggers_on_growth() {
-        let mut man = Manager::with_policy(ReorderPolicy {
-            auto: true,
-            gc_threshold: 32,
-            // Below the protected function's size, so the post-GC
-            // survivor count still crosses the sifting trigger.
-            reorder_threshold: 8,
-            max_growth: 1.2,
-        });
-        // Interleave keeps: grow an order-sensitive function, protect it,
-        // and pile up garbage; maintenance points must fire.
-        let f = pairs_function(&mut man);
+        let mut man = Manager::with_policy(ReorderPolicy::default());
+        // Eight pairs under the grouped order take ~2^9 nodes: past both
+        // default triggers, so the post-GC survivor count still crosses
+        // the sifting trigger. Protect the function, pile up garbage;
+        // maintenance points must fire.
+        let f = pairs_function(&mut man, 8);
         man.protect(f);
-        for i in 6..40u32 {
+        for i in 16..50u32 {
             let v = man.var(i);
             let _garbage = man.and(f, v);
             man.maybe_maintain();
@@ -302,6 +296,6 @@ mod tests {
         assert!(stats.gc_runs > 0, "growth must trigger GC");
         assert!(stats.reorders > 0, "growth must trigger sifting");
         // f survived it all.
-        assert!(man.eval(f, |v| v == 0 || v == 3));
+        assert!(man.eval(f, |v| v == 0 || v == 8));
     }
 }

@@ -18,11 +18,13 @@
 //!    publish-then-retire, no reader ever blocks on maintenance.
 //!
 //! Evaluation itself has one path: every request runs one WMC sweep of
-//! the snapshot it loaded. Concurrent readers share that `Arc<Artifact>`
-//! (and, for OBDD, its one warm [`enframe_obdd::WmcCache`]), and each
-//! answer is the sweep a sequential caller would run: bitwise-equal for
-//! d-DNNF, within 1e-12 for OBDD (reordering between epochs may permute
-//! the float reductions).
+//! the snapshot it loaded. Concurrent readers share that `Arc<Artifact>`.
+//! For OBDD they do not share one warm [`enframe_obdd::WmcCache`]: a
+//! sweep takes the engine's cache out while it runs, so a reader that
+//! overlaps another sweeps from an empty cache, and the last one to
+//! finish installs its own. Each answer is the sweep a sequential
+//! caller would run: bitwise-equal for d-DNNF, within 1e-12 for OBDD
+//! (reordering between epochs may permute the float reductions).
 //!
 //! Every request carries a [`Budget`] and rides the degradation ladder:
 //! budget exhaustion — during a coalesced wait, during compilation, or

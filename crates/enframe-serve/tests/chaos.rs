@@ -141,19 +141,14 @@ fn service_survives_armed_fault_schedules() {
             t0.elapsed() < WALL_LIMIT,
             "serve chaos wedged after {round} rounds under `{armed}`"
         );
-        // Alternate engines and fan-out widths so admission, compile,
-        // coalesced waits, and sweeps all meet the faults; a
-        // zero-deadline budget every fifth round exercises the
-        // degradation ladder under the same schedule.
+        // Alternate engines and d-DNNF fan-out widths so admission,
+        // compile, coalesced waits, and sweeps all meet the faults (the
+        // OBDD compile is sequential); a zero-deadline budget every
+        // fifth round exercises the degradation ladder under the same
+        // schedule.
         let workers = if round % 2 == 0 { 1 } else { 4 };
         let lin = if round % 3 == 0 {
-            Lineage::obdd(
-                Arc::clone(&net),
-                ObddOptions {
-                    workers,
-                    ..ObddOptions::default()
-                },
-            )
+            Lineage::obdd(Arc::clone(&net), ObddOptions::default())
         } else {
             Lineage::dnnf(
                 Arc::clone(&net),

@@ -182,11 +182,13 @@ impl EngineKind {
 }
 
 /// The lineage fingerprint an artifact is keyed by: a content hash of
-/// everything that determines the compiled form — the full event
+/// everything that determines the compiled *functions* — the full event
 /// network (node kinds, payloads, wiring, constant values), the target
 /// set and names, the engine kind, the variable-order heuristic, and
-/// the var-groups. Worker count and budget are deliberately *not*
-/// hashed: they shape how fast compilation runs, not what it produces.
+/// the var-groups. The key names the functions, whose answers agree
+/// within 1e-12 however they were compiled, not the node layout: worker
+/// count, budget and the OBDD maintenance switch are not hashed, and
+/// [`ObddEngine::import`] always rebuilds with automatic maintenance.
 pub fn fingerprint_network(
     net: &Network,
     kind: EngineKind,

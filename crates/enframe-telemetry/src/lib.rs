@@ -263,7 +263,7 @@ pub enum Phase {
     Gc,
     /// Dynamic variable reordering (group sifting).
     Reorder,
-    /// Merging per-worker results (d-DNNF absorb / BDD import).
+    /// Merging per-worker results (d-DNNF absorb).
     Merge,
     /// One parallel worker's whole run (fan-out or WMC wavefront).
     Worker,

@@ -9,10 +9,10 @@
 //! with translation-time values ([`Slot`]) in which all loop bounds and
 //! array shapes are concrete (the language guarantees this) while data
 //! touched by uncertainty is symbolic. Every assignment of a symbolic
-//! value emits an immutable event declaration, named by a fresh version of
-//! the user variable — the concrete instantiation of the paper's
-//! `getLabel` scheme (whose block-counter form is implemented and tested
-//! against Example 3 in [`label`]).
+//! value emits an immutable event declaration, named by the user variable
+//! and indexed by that variable's next flat version number (0, 1, 2, …)
+//! — in place of the paper's block-counter `getLabel` labels, which are
+//! not used.
 //!
 //! Translation fixes two small inconsistencies in the paper's §3.5
 //! translation table. Taken literally, each would let a filtered-out
@@ -36,10 +36,8 @@
 //! `tests/translation_equivalence.rs` at the workspace root.
 
 pub mod env;
-pub mod label;
 pub mod targets;
 pub mod translate;
 
 pub use env::{world_env, ProbEnv, ProbMatrix, ProbObjects, ProbValue};
-pub use label::{LabelGen, Labeled};
 pub use translate::{translate, Slot, TranslateError, Translated};

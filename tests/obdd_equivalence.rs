@@ -126,8 +126,8 @@ mod prop {
             let exact = compile(&net, &w.vt, Options::exact());
             let engine = DnnfEngine::compile(&net, &DnnfOptions { workers: 1, ..Default::default() })
                 .unwrap();
-            let groups = ObddOptions::with_groups(w.var_groups.clone());
-            let obdd = ObddEngine::compile(&net, &ObddOptions { workers: 1, ..groups }).unwrap();
+            let obdd =
+                ObddEngine::compile(&net, &ObddOptions::with_groups(w.var_groups.clone())).unwrap();
             let (dnnf, bdd) = (engine.probabilities(&w.vt), obdd.probabilities(&w.vt));
             for (what, got) in [("dnnf", &dnnf), ("bdd", &bdd)] {
                 for i in 0..got.len() {

@@ -11,7 +11,9 @@
 //!    memo counters agree exactly with the engine's own
 //!    `DnnfStats` accounting, whose phase aggregates cover the
 //!    engine's pipeline phases, and which records one worker span per
-//!    spawned fan-out worker.
+//!    spawned fan-out worker. Only a fan-out merges: the OBDD compile
+//!    (whatever `ENFRAME_WORKERS` says) and d-DNNF at one worker record
+//!    no `merge` span, d-DNNF at four workers exactly one.
 //! 3. **Each compile route records exactly one compile phase** — so
 //!    `compile_seconds` never exceeds the measured wall time. The OBDD
 //!    route expands comparison atoms through the d-DNNF DP inside its
@@ -20,6 +22,7 @@
 
 use enframe::core::budget::Budget;
 use enframe::data::{LineageOpts, Scheme};
+use enframe::obdd::{ObddEngine, ObddOptions};
 use enframe::telemetry::{self, Counter, Phase};
 use enframe_bench::{prepare, prepare_lineage, run_engine, Engine};
 use proptest::prelude::*;
@@ -128,6 +131,7 @@ fn measurement_snapshots_agree_with_engine_stats() {
     assert!(snap.phase_count(Phase::DnnfExpand) >= prep.net.targets.len() as u64);
     assert!(snap.phase_seconds(Phase::DnnfExpand) > 0.0);
     assert!(snap.phase_count(Phase::Wmc) >= 1);
+    assert_eq!(snap.phase_count(Phase::Merge), 0, "one worker merged");
 
     let m = run_engine(&prep, Engine::BddExact, 0.0, Budget::unlimited());
     let snap = m.telemetry.clone().expect("run_engine snapshots");
@@ -158,6 +162,13 @@ fn measurement_snapshots_agree_with_engine_stats() {
         snap.phase_count(Phase::Worker)
     );
     assert!(snap.counter(Counter::QueueWait) >= 4);
+    assert_eq!(snap.phase_count(Phase::Merge), 1, "four workers");
+
+    // The OBDD compile has no fan-out, so no merge, even with
+    // `ENFRAME_WORKERS` set.
+    telemetry::reset();
+    ObddEngine::compile(&prep.net, &ObddOptions::default()).unwrap();
+    assert_eq!(telemetry::snapshot().phase_count(Phase::Merge), 0);
     telemetry::set_enabled(was);
 }
 
