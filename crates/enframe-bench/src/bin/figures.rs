@@ -17,7 +17,7 @@ use enframe_core::VarTable;
 use enframe_data::{generate_lineage, generate_sensor_points, LineageOpts, Scheme, SensorConfig};
 use enframe_lang::{parse, programs};
 use enframe_network::Network;
-use enframe_prob::{compile, CompileResult, Options, Strategy, VarOrder};
+use enframe_prob::{compile, Options, Strategy, VarOrder};
 use enframe_telemetry as telemetry;
 use enframe_translate::env::clustering_env;
 use enframe_translate::{targets, translate, ProbEnv, ProbObjects, Translated};
@@ -404,11 +404,15 @@ fn sensor_network(dims: usize, points_seed: u64, v: usize, seed: u64) -> (Networ
     (net, corr.var_table)
 }
 
-/// Times one sequential decision-tree compilation of an ad-hoc network.
-fn timed_compile(net: &Network, vt: &VarTable, opts: Options) -> (f64, CompileResult) {
+/// Times one sequential decision-tree compilation of an ad-hoc network,
+/// with the search's work counts.
+fn timed_compile(net: &Network, vt: &VarTable, opts: Options) -> Measurement {
     let t0 = Instant::now();
     let res = compile(net, vt, opts);
-    (t0.elapsed().as_secs_f64(), res)
+    Measurement {
+        tree_stats: Some(res.stats),
+        ..Measurement::bare(t0.elapsed().as_secs_f64(), "ok")
+    }
 }
 
 /// The paper's "further findings" (§5): sweeps over the number of
@@ -418,7 +422,6 @@ fn timed_compile(net: &Network, vt: &VarTable, opts: Options) -> (f64, CompileRe
 /// heuristic.
 fn ablations(full: bool) {
     let hybrid = Options::approx(Strategy::Hybrid, EPS);
-    let ok = |seconds: f64| Measurement::bare(seconds, "ok");
 
     // --- iterations: linear effect on running time ----------------------
     for &iters in scale::<&[usize]>(full, &[1, 2, 3, 4, 6, 8], &[1, 2, 3, 4]) {
@@ -439,9 +442,9 @@ fn ablations(full: bool) {
     // --- dimensions: no effect (distances are precomputed scalars) ------
     for dims in [2usize, 3, 5, 8] {
         let (net, vt) = sensor_network(dims, 0xAB30, 14, 0xAB31);
-        let (seconds, _) = timed_compile(&net, &vt, hybrid);
         let x = format!("dims={dims}");
-        row("ablation_dimensions", "hybrid", (&x, ""), ok(seconds));
+        let m = timed_compile(&net, &vt, hybrid);
+        row("ablation_dimensions", "hybrid", (&x, ""), m);
     }
 
     // --- target kinds: minor effect --------------------------------------
@@ -458,9 +461,9 @@ fn ablations(full: bool) {
         ("co_occurrence", same_cluster),
     ] {
         let (net, n_targets) = kmedoids_network(env, add_targets);
-        let (seconds, _) = timed_compile(&net, &prep.vt, hybrid);
         let x = format!("targets={n_targets}");
-        row("ablation_targets", label, (&x, ""), ok(seconds));
+        let m = timed_compile(&net, &prep.vt, hybrid);
+        row("ablation_targets", label, (&x, ""), m);
     }
 
     // --- network growth: linear in objects and clusters ------------------
@@ -469,7 +472,7 @@ fn ablations(full: bool) {
         let stats = prep.net.stats();
         let x = format!("n={n}");
         let detail = format!("nodes={};edges={}", stats.nodes, stats.edges);
-        let m = ok(prep.build_seconds);
+        let m = Measurement::bare(prep.build_seconds, "ok");
         row("ablation_network_size", "build", (&x, &detail), m);
     }
 
@@ -484,8 +487,7 @@ fn ablations(full: bool) {
             order,
             ..Options::exact()
         };
-        let (seconds, res) = timed_compile(&net, &vt, opts);
-        let m = Measurement::bare(seconds, format!("branches={}", res.stats.branches));
+        let m = timed_compile(&net, &vt, opts);
         row("ablation_var_order", label, ("v=16", ""), m);
     }
 }

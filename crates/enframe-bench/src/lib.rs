@@ -34,7 +34,7 @@ use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions, DnnfStats};
 use enframe_obdd::{ObddEngine, ObddError, ObddOptions, ObddStats};
 use enframe_prob::{
     compile_distributed, compile_scoped, degrade_to_bounds, CompileResult, DistOptions, Options,
-    Strategy,
+    Stats, Strategy,
 };
 use enframe_telemetry::{self as telemetry, Counter, Phase, Snapshot};
 use enframe_translate::{targets, translate, ProbEnv};
@@ -222,6 +222,10 @@ pub struct Measurement {
     /// the decision-tree engines, and by a budget-degraded run
     /// (`status == "degraded"`), whose `estimates` are the midpoints.
     pub bounds: Option<(Vec<f64>, Vec<f64>)>,
+    /// The decision-tree search's work counts, set wherever `bounds`
+    /// come from the search (a degraded compiled-form run reports its
+    /// fallback's).
+    pub tree_stats: Option<Stats>,
 }
 
 impl Measurement {
@@ -238,6 +242,7 @@ impl Measurement {
             workers: 1,
             telemetry: None,
             bounds: None,
+            tree_stats: None,
         }
     }
 }
@@ -400,6 +405,7 @@ fn finish(t0: Instant, res: CompileResult) -> Measurement {
     Measurement {
         estimates: Some(estimates),
         bounds: Some((res.lower, res.upper)),
+        tree_stats: Some(res.stats),
         ..Measurement::bare(seconds, status)
     }
 }
@@ -573,8 +579,10 @@ pub fn prepare_workers_sweep(n_groups: usize, window: usize, seed: u64) -> Prepa
 /// seven telemetry columns distilled from the per-measurement
 /// [`Snapshot`] (cache hits, the compile/WMC phase split, and the
 /// budget-governance triple: safe-point checks taken, cancellations
-/// observed, degradation fallbacks).
-pub const CSV_HEADER: &str = "figure,series,x,seconds,status,detail,workers,live_nodes,peak_nodes,peak_bytes,gc_runs,reorders,load_factor,cmp_branches,dnnf_nodes,dnnf_edges,ite_hits,memo_hits,phase_compile_s,phase_wmc_s,budget_checks,cancellations,fallbacks";
+/// observed, degradation fallbacks), and last the decision-tree search's
+/// work counts (branches entered, assignments propagated, subtrees
+/// pruned).
+pub const CSV_HEADER: &str = "figure,series,x,seconds,status,detail,workers,live_nodes,peak_nodes,peak_bytes,gc_runs,reorders,load_factor,cmp_branches,dnnf_nodes,dnnf_edges,ite_hits,memo_hits,phase_compile_s,phase_wmc_s,budget_checks,cancellations,fallbacks,branches,assignments,prunes";
 
 /// Formats one CSV measurement row (with the stat columns the
 /// measurement carries) under [`CSV_HEADER`]. `status` and `detail` are
@@ -615,8 +623,12 @@ pub fn csv_row(figure: &str, series: &str, x: &str, m: &Measurement, detail: &st
         ),
         None => ",,,,,,".into(),
     };
+    let tree = match &m.tree_stats {
+        Some(s) => format!("{},{},{}", s.branches, s.assignments, s.prunes),
+        None => ",,".into(),
+    };
     format!(
-        "{figure},{series},{x},{secs},{},{},{},{stats},{tel}",
+        "{figure},{series},{x},{secs},{},{},{},{stats},{tel},{tree}",
         text(&m.status),
         text(detail),
         m.workers
