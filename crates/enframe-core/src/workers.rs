@@ -8,8 +8,8 @@
 //! * `workers >= 1` is an explicit request and always wins over the
 //!   environment.
 //!
-//! Centralising this here keeps the OBDD, d-DNNF, and decision-tree
-//! engines — and the bench binaries — in agreement, and gives CI a
+//! Centralising this here keeps d-DNNF's target fan-out and the
+//! distributed decision tree — and the bench binaries — in agreement, and gives CI a
 //! single lever (`ENFRAME_WORKERS=1` / `ENFRAME_WORKERS=8`) that
 //! re-runs the whole test suite under different thread counts.
 

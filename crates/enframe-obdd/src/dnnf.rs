@@ -371,9 +371,9 @@ impl DnnfManager {
 /// Options for d-DNNF compilation.
 #[derive(Debug, Clone, Default)]
 pub struct DnnfOptions {
-    /// Decision-variable order heuristic (shared with the other
-    /// engines). d-DNNF has no global ordering constraint — the order
-    /// only picks which undetermined variable each decision branches on.
+    /// Static decision-variable ranking. d-DNNF has no global ordering
+    /// constraint — the ranking only picks which undetermined variable
+    /// each decision branches on.
     pub order: VarOrder,
     /// Worker threads for target fan-out and parallel WMC. `0` (the
     /// default) means *auto*: honour the `ENFRAME_WORKERS` environment
@@ -1276,11 +1276,7 @@ mod tests {
         let net = Network::build(&g).unwrap();
         let vt = VarTable::uniform(6, 0.4);
         let want = space::target_probabilities(&g, &vt);
-        for order in [
-            VarOrder::Sequential,
-            VarOrder::StaticOccurrence,
-            VarOrder::Dynamic,
-        ] {
+        for order in [VarOrder::Sequential, VarOrder::StaticOccurrence] {
             let engine = DnnfEngine::compile(
                 &net,
                 &DnnfOptions {

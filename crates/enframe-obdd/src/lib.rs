@@ -177,8 +177,8 @@ impl JobError for ObddError {
 /// thread; only the d-DNNF engine fans out ([`dnnf::DnnfOptions::workers`]).
 #[derive(Debug, Clone, Default)]
 pub struct ObddOptions {
-    /// Variable-order heuristic (shared with the decision-tree engine)
-    /// fixing the **initial** order; dynamic reordering refines it.
+    /// Static variable ranking fixing the **initial** order; dynamic
+    /// reordering refines it.
     pub order: VarOrder,
     /// Variable groups to keep **adjacent** in the order — one group per
     /// mutex set or conditional step, i.e. per encoded multi-valued
@@ -1023,11 +1023,7 @@ mod tests {
         let net = Network::build(&g).unwrap();
         let vt = VarTable::uniform(6, 0.4);
         let want = space::target_probabilities(&g, &vt);
-        for order in [
-            VarOrder::Sequential,
-            VarOrder::StaticOccurrence,
-            VarOrder::Dynamic,
-        ] {
+        for order in [VarOrder::Sequential, VarOrder::StaticOccurrence] {
             let engine = ObddEngine::compile(
                 &net,
                 &ObddOptions {

@@ -26,7 +26,6 @@
 //! it as one job on the calling thread, and
 //! [`crate::distr::compile_distributed`] cuts it into jobs for a pool.
 
-use crate::order::VarOrder;
 use enframe_core::budget::{Budget, BudgetScope, Exceeded};
 use enframe_core::VarTable;
 use enframe_network::Network;
@@ -46,25 +45,15 @@ pub enum Strategy {
     Hybrid,
 }
 
-/// Compilation options.
-#[derive(Debug, Clone, Copy)]
+/// Compilation options: the strategy and ε. The variable choice is not
+/// an option: every decision node branches on the variable that
+/// influences the most unresolved events (paper §4.1).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Options {
     /// Strategy; `Exact` ignores `epsilon`.
     pub strategy: Strategy,
     /// Absolute error bound ε (the budget per target is `2ε`).
     pub epsilon: f64,
-    /// Variable-order heuristic.
-    pub order: VarOrder,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            strategy: Strategy::Exact,
-            epsilon: 0.0,
-            order: VarOrder::StaticOccurrence,
-        }
-    }
 }
 
 impl Options {
@@ -75,11 +64,7 @@ impl Options {
 
     /// Approximation with the given strategy and ε.
     pub fn approx(strategy: Strategy, epsilon: f64) -> Self {
-        Options {
-            strategy,
-            epsilon,
-            order: VarOrder::StaticOccurrence,
-        }
+        Options { strategy, epsilon }
     }
 }
 
@@ -242,6 +227,8 @@ mod tests {
         }
     }
 
+    /// The tree's one variable rule against world enumeration at uniform
+    /// weights (the name predates the rule being the only one).
     #[test]
     fn exact_with_every_order_heuristic() {
         let p = mixed_program();
@@ -249,26 +236,10 @@ mod tests {
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
         let want = space::target_probabilities(&g, &vt);
-        for order in [
-            VarOrder::Sequential,
-            VarOrder::StaticOccurrence,
-            VarOrder::Dynamic,
-        ] {
-            let got = compile(
-                &net,
-                &vt,
-                Options {
-                    order,
-                    ..Options::exact()
-                },
-            );
-            for i in 0..want.len() {
-                assert!(
-                    (got.lower[i] - want[i]).abs() < 1e-9,
-                    "{order:?} target {i}"
-                );
-                assert!((got.upper[i] - want[i]).abs() < 1e-9);
-            }
+        let got = compile(&net, &vt, Options::exact());
+        for i in 0..want.len() {
+            assert!((got.lower[i] - want[i]).abs() < 1e-9, "target {i}");
+            assert!((got.upper[i] - want[i]).abs() < 1e-9);
         }
     }
 

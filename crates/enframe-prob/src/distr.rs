@@ -27,6 +27,7 @@ use enframe_core::error::CoreError;
 use enframe_core::pool;
 use enframe_core::{Var, VarTable};
 use enframe_network::{Network, NodeId};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -35,12 +36,12 @@ use std::sync::{Mutex, MutexGuard};
 pub struct DistOptions {
     /// Worker threads. `0` means *auto*: honour the `ENFRAME_WORKERS`
     /// environment variable, else use the default pool of 4 — the same
-    /// convention as the knowledge-compilation engines
+    /// convention as d-DNNF's target fan-out
     /// (`enframe_core::workers::resolve`).
     pub workers: usize,
     /// Job size `d`: maximum relative exploration depth per job.
     pub job_depth: usize,
-    /// Sequential options applied within each job (strategy, ε, order).
+    /// Sequential options applied within each job (strategy and ε).
     pub seq: Options,
     /// Resource budget shared by the whole pool; [`Budget::unlimited`]
     /// (the default) disables every check. On exhaustion the engine
@@ -87,6 +88,8 @@ impl Job {
 struct Search<'a> {
     vt: &'a VarTable,
     opts: Options,
+    /// The static occurrence ranking: the variables the search chooses
+    /// from, in tie-break order.
     order: Vec<Var>,
     /// Target nodes, parallel to the bounds.
     targets: Vec<NodeId>,
@@ -147,7 +150,7 @@ impl<'a> Search<'a> {
         Search {
             vt,
             opts,
-            order: static_order(net, opts.order),
+            order: static_order(net, VarOrder::StaticOccurrence),
             forks: job_depth.map(|d| (d, pool::Queue::new([Job::root(targets.len(), &opts)]))),
             spare: Mutex::new(vec![0.0; targets.len()]),
             bounds: Mutex::new((lower, upper)),
@@ -246,7 +249,7 @@ struct Worker<'s, 'a, 'n> {
     prefix: Vec<(Var, bool)>,
     /// The current job's prefix length, from which its depth `d` counts.
     job_start: usize,
-    /// The variables `prefix` assigns, for [`VarOrder::Dynamic`].
+    /// The variables `prefix` assigns, which [`Worker::next_var`] skips.
     assigned: Vec<bool>,
     stats: Stats,
     /// Set when the shared scope rejects a check: the current job's
@@ -314,24 +317,17 @@ impl<'s, 'a, 'n> Worker<'s, 'a, 'n> {
             .all(|(i, &t)| self.store.state(t).is_resolved() || bounds.1[i] - bounds.0[i] <= eps2)
     }
 
+    /// The paper's §4.1 choice: the unassigned variable that influences
+    /// the most unresolved events (its leaf's unresolved parents), ties
+    /// going to the earlier variable in the static occurrence ranking.
+    /// `None` once every variable is assigned.
     fn next_var(&self) -> Option<Var> {
-        let order = &self.search.order;
-        match self.search.opts.order {
-            VarOrder::Dynamic => {
-                let mut best: Option<(usize, Var)> = None;
-                for &v in order {
-                    if self.assigned[v.index()] {
-                        continue;
-                    }
-                    let score = self.store.unresolved_parents_of_var(v);
-                    if best.is_none_or(|(s, _)| score > s) {
-                        best = Some((score, v));
-                    }
-                }
-                best.map(|(_, v)| v)
-            }
-            _ => order.get(self.prefix.len()).copied(),
-        }
+        self.search
+            .order
+            .iter()
+            .copied()
+            .filter(|v| !self.assigned[v.index()])
+            .min_by_key(|&v| Reverse(self.store.unresolved_parents_of_var(v)))
     }
 
     fn dfs(&mut self, p: f64, budgets: Vec<f64>) -> Vec<f64> {

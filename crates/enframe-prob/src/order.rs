@@ -1,16 +1,17 @@
-//! Variable-order heuristics for the decision-tree exploration.
+//! The static variable ranking.
 //!
 //! "The algorithm chooses a next variable x′ such that it influences as
-//! many events as possible" (paper §4.1). The static heuristic orders
-//! variables by the fan-out of their leaf node; the dynamic one re-ranks
-//! unassigned variables by the number of *currently unresolved* parents at
-//! every decision node (closer to the paper's description, at extra cost
-//! per node).
+//! many events as possible" (paper §4.1). The decision tree follows that
+//! rule at every decision node: it branches on the unassigned variable
+//! with the most *currently unresolved* parents (`distr.rs`). A
+//! [`VarOrder`] ranks the variables once, up front: it is the compiled
+//! forms' (d-DNNF, OBDD) static order, and the ranking the tree's rule
+//! breaks ties by ([`VarOrder::StaticOccurrence`]).
 
 use enframe_core::Var;
 use enframe_network::Network;
 
-/// Which variable-order heuristic to use.
+/// Which static ranking to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VarOrder {
     /// Variable index order.
@@ -18,14 +19,10 @@ pub enum VarOrder {
     /// Descending static occurrence count (default).
     #[default]
     StaticOccurrence,
-    /// Dynamic: most unresolved parents first, re-evaluated per decision
-    /// node.
-    Dynamic,
 }
 
-/// Computes the static exploration order: variables that occur in the
-/// network, ranked by the chosen heuristic (dynamic falls back to the
-/// static ranking for its base order).
+/// Computes the static ranking: variables that occur in the network,
+/// ranked by the chosen heuristic.
 pub fn static_order(net: &Network, order: VarOrder) -> Vec<Var> {
     let occ = net.var_occurrences();
     let mut vars: Vec<Var> = (0..net.n_vars)
@@ -34,7 +31,7 @@ pub fn static_order(net: &Network, order: VarOrder) -> Vec<Var> {
         .collect();
     match order {
         VarOrder::Sequential => {}
-        VarOrder::StaticOccurrence | VarOrder::Dynamic => {
+        VarOrder::StaticOccurrence => {
             // Stable sort: ties keep index order for determinism.
             vars.sort_by_key(|v| std::cmp::Reverse(occ[v.index()]));
         }

@@ -218,7 +218,6 @@ pub fn fingerprint_network(
     h.write_discriminant(match order {
         VarOrder::Sequential => 0,
         VarOrder::StaticOccurrence => 1,
-        VarOrder::Dynamic => 2,
     });
     h.write_len(groups.len());
     for g in groups {
@@ -1009,7 +1008,7 @@ mod tests {
         );
         assert_ne!(
             fingerprint_network(&a, EngineKind::Obdd, VarOrder::Sequential, &[]),
-            fingerprint_network(&a, EngineKind::Obdd, VarOrder::Dynamic, &[])
+            fingerprint_network(&a, EngineKind::Obdd, VarOrder::StaticOccurrence, &[])
         );
     }
 
