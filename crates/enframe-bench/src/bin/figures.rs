@@ -476,9 +476,8 @@ fn ablations(full: bool) {
         row("ablation_network_size", "build", (&x, &detail), m);
     }
 
-    // --- variable choice: the paper's §4.1 rule (design record) ----------
-    // The rule replaced a static ranking; README's "§4.1 variable
-    // choice" keeps the rows of the rankings it was measured against.
+    // --- variable choice: the tree's one rule, §4.1's -------------------
+    // README's "§4.1 variable choice" records the rankings it replaced.
     let (net, vt) = sensor_network(2, 0xAB61, 16, 0xAB60);
     let m = timed_compile(&net, &vt, Options::exact());
     row("ablation_var_order", "most_unresolved", ("v=16", ""), m);

@@ -9,9 +9,10 @@
 //!   environment.
 //!
 //! Centralising this here keeps d-DNNF's target fan-out and the
-//! distributed decision tree — and the bench binaries — in agreement, and gives CI a
-//! single lever (`ENFRAME_WORKERS=1` / `ENFRAME_WORKERS=8`) that
-//! re-runs the whole test suite under different thread counts.
+//! distributed decision tree — and the bench binaries — in agreement,
+//! and gives CI a single lever (`ENFRAME_WORKERS=1` /
+//! `ENFRAME_WORKERS=8`) that re-runs the whole test suite under
+//! different thread counts.
 
 /// Name of the environment variable consulted when a `workers` option
 /// is left at `0` (auto).

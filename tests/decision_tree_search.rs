@@ -10,8 +10,8 @@
 //! 2. **The distributed engine is the same search cut into jobs**: at one
 //!    worker and a job depth past the variable count it runs a single
 //!    job, and must report bitwise-equal bounds and equal `Stats` for
-//!    every pinned run; at four workers it still reports its assignments
-//!    and prunes for every approximating strategy.
+//!    every pinned run; at four workers every run still reports its
+//!    assignments and keeps its widths within 2ε, and hybrid its prunes.
 
 use enframe::data::{LineageOpts, Scheme};
 use enframe::prob::{
