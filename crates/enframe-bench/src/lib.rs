@@ -354,7 +354,6 @@ pub fn run_engine(prep: &Prepared, engine: Engine, epsilon: f64, budget: Budget)
             let opts = DnnfOptions {
                 workers: engine.workers(),
                 budget,
-                ..DnnfOptions::default()
             };
             // The WMC pass runs under the same (absolute) budget as
             // compilation — a deadline that expires mid-count degrades

@@ -271,16 +271,24 @@ impl Network {
         self.var_nodes.get(v.index()).copied().flatten()
     }
 
-    /// Number of parents of each variable's leaf (0 for absent variables) —
-    /// the static "influence" measure used by variable-order heuristics.
-    pub fn var_occurrences(&self) -> Vec<usize> {
-        (0..self.n_vars as usize)
-            .map(|i| {
-                self.var_nodes[i]
-                    .map(|n| self.nodes[n.index()].parents.len())
-                    .unwrap_or(0)
-            })
-            .collect()
+    /// The network's one static variable ranking: the variables that
+    /// occur in it, by descending parent count of their leaves, ties in
+    /// index order.
+    ///
+    /// "The algorithm chooses a next variable x′ such that it influences
+    /// as many events as possible" (paper §4.1). The decision tree
+    /// applies that rule per decision node and breaks its ties by this
+    /// ranking; the compiled forms (d-DNNF's decisions, the OBDD's
+    /// initial order) use it as is. A better ranking (ROADMAP item 19)
+    /// replaces this body.
+    pub fn var_order(&self) -> Vec<Var> {
+        let mut ranked: Vec<(Var, usize)> = (0..self.n_vars)
+            .map(Var)
+            .filter_map(|v| Some((v, self.node(self.var_node(v)?).parents.len())))
+            .collect();
+        // Stable sort: ties keep index order.
+        ranked.sort_by_key(|&(_, parents)| std::cmp::Reverse(parents));
+        ranked.into_iter().map(|(v, _)| v).collect()
     }
 
     /// Structural statistics.
@@ -694,15 +702,43 @@ mod tests {
         }
     }
 
+    /// `y` occurs in three events, `x` in one, and a third variable in
+    /// none.
+    fn ranking_network() -> Network {
+        let mut p = Program::new();
+        let x = p.fresh_var();
+        let y = p.fresh_var();
+        let _unused = p.fresh_var();
+        let a = p.declare_event("A", Program::and([Program::var(x), Program::var(y)]));
+        let b = p.declare_event("B", Program::or([Program::var(y), Program::nvar(y)]));
+        p.add_target(a);
+        p.add_target(b);
+        Network::build(&p.ground().unwrap()).unwrap()
+    }
+
     #[test]
-    fn var_occurrences_counts_parents() {
-        let p = example_program();
-        let g = p.ground().unwrap();
-        let net = Network::build(&g).unwrap();
-        let occ = net.var_occurrences();
-        assert_eq!(occ.len(), 4);
-        // x2 feeds Phi1 (used in Both12, D1's Or, ...) and Not(x2) in Phi3.
-        assert!(occ[1] >= 2);
+    fn var_order_excludes_unused_variables() {
+        let order = ranking_network().var_order();
+        assert_eq!(order.len(), 2);
+        assert!(!order.contains(&Var(2)));
+    }
+
+    #[test]
+    fn var_order_puts_busy_variables_first() {
+        assert_eq!(ranking_network().var_order(), vec![Var(1), Var(0)]);
+    }
+
+    #[test]
+    fn var_order_breaks_ties_in_index_order() {
+        // x1 and x3 have one parent each; x2 is absent.
+        let mut p = Program::new();
+        p.ensure_vars(4);
+        let a = p.declare_event("A", Program::var(Var(3)));
+        let b = p.declare_event("B", Program::nvar(Var(1)));
+        p.add_target(a);
+        p.add_target(b);
+        let net = Network::build(&p.ground().unwrap()).unwrap();
+        assert_eq!(net.var_order(), vec![Var(1), Var(3)]);
     }
 
     #[test]
@@ -728,7 +764,7 @@ mod tests {
         let net = Network::build(&g).unwrap();
         assert_eq!(net.n_vars, 4);
         assert_eq!(net.var_node(Var(3)), Some(net.targets[0]));
-        assert_eq!(net.var_occurrences().len(), 4);
+        assert_eq!(net.var_order(), vec![Var(3)]);
         // A program that counts more variables than it mentions keeps its count.
         let mut p = Program::new();
         p.ensure_vars(6);

@@ -29,7 +29,6 @@ use enframe_core::failpoint::{self, Site};
 use enframe_core::fxhash::FxHashMap;
 use enframe_core::Var;
 use enframe_network::{Network, NodeId, NodeKind};
-use enframe_prob::order::VarOrder;
 
 /// A maintenance safe point with `acc` as the only unprotected live
 /// handle: protect it, let the manager GC/sift if its growth triggers
@@ -57,8 +56,8 @@ pub(crate) struct Compiler<'n> {
     seen: VisitStamp,
     stack: Vec<NodeId>,
     cone: Vec<NodeId>,
-    /// Decision-order heuristic of the DP.
-    order: VarOrder,
+    /// Decision rank per variable for the DP ([`dnnf::decision_ranks`]).
+    rank_of: &'n [u32],
     /// The DP and its node store, once a target reached a `Cmp` atom.
     dp: Option<(dnnf::Compiler<'n>, DnnfManager)>,
     /// Shared budget/cancellation state, checked per cone node (size
@@ -71,7 +70,7 @@ impl<'n> Compiler<'n> {
     pub(crate) fn new(
         net: &'n Network,
         level_of: Vec<Option<u32>>,
-        order: VarOrder,
+        rank_of: &'n [u32],
         scope: BudgetScope,
     ) -> Self {
         Compiler {
@@ -81,7 +80,7 @@ impl<'n> Compiler<'n> {
             seen: VisitStamp::new(net.len()),
             stack: Vec::new(),
             cone: Vec::new(),
-            order,
+            rank_of,
             dp: None,
             scope,
         }
@@ -155,7 +154,7 @@ impl<'n> Compiler<'n> {
     /// not memoised, so every target that reaches a `Cmp` atom runs it.
     fn compile_dp(&mut self, man: &mut Manager, root: NodeId) -> Result<Bdd, ObddError> {
         if self.dp.is_none() {
-            let mut dp = dnnf::Compiler::new(self.net, self.order, self.scope.clone());
+            let mut dp = dnnf::Compiler::new(self.net, self.rank_of, self.scope.clone());
             dp.prime()?;
             self.dp = Some((dp, DnnfManager::new()));
         }

@@ -56,7 +56,6 @@ use enframe_core::fxhash::FxHashMap;
 use enframe_core::pool;
 use enframe_core::{Value, Var, VarTable};
 use enframe_network::{Network, NodeId, NodeKind};
-use enframe_prob::order::{static_order, VarOrder};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 
 /// A handle to a d-DNNF node. Equality is node identity; hash-consing
@@ -368,13 +367,12 @@ impl DnnfManager {
     }
 }
 
-/// Options for d-DNNF compilation.
+/// Options for d-DNNF compilation. Which undetermined variable each
+/// decision branches on is not an option: it is the network's one static
+/// ranking, [`Network::var_order`]. d-DNNF has no global ordering
+/// constraint, so the ranking only picks each decision's variable.
 #[derive(Debug, Clone, Default)]
 pub struct DnnfOptions {
-    /// Static decision-variable ranking. d-DNNF has no global ordering
-    /// constraint — the ranking only picks which undetermined variable
-    /// each decision branches on.
-    pub order: VarOrder,
     /// Worker threads for target fan-out and parallel WMC. `0` (the
     /// default) means *auto*: honour the `ENFRAME_WORKERS` environment
     /// variable, else run sequentially. Any worker count produces
@@ -449,11 +447,12 @@ impl DnnfEngine {
     ) -> Result<Self, ObddError> {
         let workers = enframe_core::workers::resolve(opts.workers, 1);
         let (n, names) = (net.targets.len(), net.target_names.clone());
+        let rank = decision_ranks(net.n_vars, &net.var_order());
         if workers <= 1 || n <= 1 {
             // No pool, nothing to merge; `workers` still sizes the WMC
             // sweep of a one-target network.
             let mut jobs = 0..n;
-            let out = compile_targets(net, opts.order, scope, || jobs.next())?;
+            let out = compile_targets(net, &rank, scope, || jobs.next())?;
             let targets = out.compiled.iter().map(|&(_, d)| d).collect();
             return Ok(Self::assemble(
                 out.man, targets, names, out.steps, out.hits, workers,
@@ -462,7 +461,7 @@ impl DnnfEngine {
         let workers = workers.min(n);
         let queue = pool::Queue::new(0..n);
         let outs = pool::run(scope, workers, &queue, |worker| {
-            compile_targets(net, opts.order, scope, || worker.next_job())
+            compile_targets(net, &rank, scope, || worker.next_job())
         })?;
         let _merge = telemetry::span(Phase::Merge);
         if failpoint::hit(Site::Merge) {
@@ -621,17 +620,28 @@ struct WorkerOut {
     hits: u64,
 }
 
+/// Decision rank per variable (lower ranks decided first; `u32::MAX` for
+/// a variable absent from `order`), from a variable ranking.
+pub(crate) fn decision_ranks(n_vars: u32, order: &[Var]) -> Vec<u32> {
+    let mut rank_of = vec![u32::MAX; n_vars as usize];
+    for (i, v) in order.iter().enumerate() {
+        rank_of[v.index()] = i as u32;
+    }
+    rank_of
+}
+
 /// The fan-out worker's body: compiles each target index `next` hands
-/// out into a store of its own. The one-worker compile runs it on the
-/// calling thread over the indices in order.
+/// out into a store of its own, deciding variables by `rank_of`
+/// ([`decision_ranks`]). The one-worker compile runs it on the calling
+/// thread over the indices in order.
 fn compile_targets(
     net: &Network,
-    order: VarOrder,
+    rank_of: &[u32],
     scope: &BudgetScope,
     mut next: impl FnMut() -> Option<usize>,
 ) -> Result<WorkerOut, ObddError> {
     let mut man = DnnfManager::new();
-    let mut compiler = Compiler::new(net, order, scope.clone());
+    let mut compiler = Compiler::new(net, rank_of, scope.clone());
     let mut compiled = Vec::new();
     compiler.prime()?;
     while let Some(i) = next() {
@@ -699,8 +709,8 @@ pub(crate) struct Compiler<'n> {
     /// Shared three-valued evaluator (assignment + per-node scratch).
     eval: Evaluator<'n>,
     /// Decision rank per variable (lower ranks decided first), from the
-    /// configured [`VarOrder`] heuristic.
-    rank_of: Vec<u32>,
+    /// network's static ranking ([`decision_ranks`]).
+    rank_of: &'n [u32],
     /// The DP memo: residual key → compiled sentence. Keys capture the
     /// full residual state, and every expansion is a *pure function* of
     /// that state (decisions, component factoring, and sub-states are
@@ -728,12 +738,7 @@ pub(crate) struct Compiler<'n> {
 }
 
 impl<'n> Compiler<'n> {
-    pub(crate) fn new(net: &'n Network, order: VarOrder, scope: BudgetScope) -> Self {
-        let order = static_order(net, order);
-        let mut rank_of = vec![u32::MAX; net.n_vars as usize];
-        for (i, v) in order.iter().enumerate() {
-            rank_of[v.index()] = i as u32;
-        }
+    pub(crate) fn new(net: &'n Network, rank_of: &'n [u32], scope: BudgetScope) -> Self {
         Compiler {
             net,
             eval: Evaluator::new(net, scope.clone()),
@@ -1276,18 +1281,9 @@ mod tests {
         let net = Network::build(&g).unwrap();
         let vt = VarTable::uniform(6, 0.4);
         let want = space::target_probabilities(&g, &vt);
-        for order in [VarOrder::Sequential, VarOrder::StaticOccurrence] {
-            let engine = DnnfEngine::compile(
-                &net,
-                &DnnfOptions {
-                    order,
-                    ..DnnfOptions::default()
-                },
-            )
-            .unwrap();
-            let got = engine.probabilities(&vt);
-            assert!((got[0] - want[0]).abs() < 1e-12, "{order:?}");
-        }
+        let engine = DnnfEngine::compile(&net, &DnnfOptions::default()).unwrap();
+        let got = engine.probabilities(&vt);
+        assert!((got[0] - want[0]).abs() < 1e-12);
     }
 
     #[test]

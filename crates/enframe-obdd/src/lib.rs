@@ -39,8 +39,9 @@
 //! these points exists" choice as a Boolean chain `¬x₁ ∧ … ∧ xⱼ` — are
 //! respected natively: [`ObddOptions::groups`] keeps each group's
 //! variables adjacent in the order (anchored at the group's best-ranked
-//! member under the chosen [`VarOrder`] heuristic), which keeps every
-//! mutex chain's BDD linear in the group size.
+//! member in the network's static ranking,
+//! [`Network::var_order`](enframe_network::Network::var_order)), which
+//! keeps every mutex chain's BDD linear in the group size.
 //!
 //! ```
 //! use enframe_core::{Program, Var, VarTable};
@@ -79,7 +80,6 @@ use enframe_core::fxhash::FxHashMap;
 use enframe_core::pool::JobError;
 use enframe_core::{CoreError, Var, VarTable};
 use enframe_network::Network;
-use enframe_prob::order::{static_order, VarOrder};
 use enframe_telemetry::{self as telemetry, Phase};
 use std::sync::{Mutex, MutexGuard};
 
@@ -175,11 +175,11 @@ impl JobError for ObddError {
 
 /// Options for OBDD compilation. The compile runs on the calling
 /// thread; only the d-DNNF engine fans out ([`dnnf::DnnfOptions::workers`]).
+/// The **initial** variable order is not an option: it is the network's
+/// static ranking ([`Network::var_order`]) with each group made adjacent,
+/// and dynamic reordering refines it.
 #[derive(Debug, Clone, Default)]
 pub struct ObddOptions {
-    /// Static variable ranking fixing the **initial** order; dynamic
-    /// reordering refines it.
-    pub order: VarOrder,
     /// Variable groups to keep **adjacent** in the order — one group per
     /// mutex set or conditional step, i.e. per encoded multi-valued
     /// variable. Members absent from the network are ignored; a variable
@@ -199,8 +199,7 @@ pub struct ObddOptions {
 }
 
 impl ObddOptions {
-    /// Default heuristic and maintenance with the given adjacency
-    /// groups.
+    /// Default maintenance with the given adjacency groups.
     pub fn with_groups(groups: Vec<Vec<Var>>) -> Self {
         ObddOptions {
             groups,
@@ -292,7 +291,9 @@ impl ObddEngine {
         opts: &ObddOptions,
         scope: &BudgetScope,
     ) -> Result<Self, ObddError> {
-        let order = grouped_order(static_order(net, opts.order), &opts.groups);
+        let ranked = net.var_order();
+        let rank_of = dnnf::decision_ranks(net.n_vars, &ranked);
+        let order = grouped_order(ranked, &opts.groups);
         let mut level_of: Vec<Option<u32>> = vec![None; net.n_vars as usize];
         for (l, v) in order.iter().enumerate() {
             level_of[v.index()] = Some(l as u32);
@@ -300,7 +301,7 @@ impl ObddEngine {
         let mut man = Manager::with_policy(opts.reorder);
         man.declare_vars(order.len() as u32);
         man.set_level_blocks(&level_blocks(&order, &opts.groups));
-        let mut compiler = Compiler::new(net, level_of.clone(), opts.order, scope.clone());
+        let mut compiler = Compiler::new(net, level_of.clone(), &rank_of, scope.clone());
         let mut targets = Vec::with_capacity(net.targets.len());
         for &t in &net.targets {
             let bdd = compiler.compile(&mut man, t)?;
@@ -1023,19 +1024,10 @@ mod tests {
         let net = Network::build(&g).unwrap();
         let vt = VarTable::uniform(6, 0.4);
         let want = space::target_probabilities(&g, &vt);
-        for order in [VarOrder::Sequential, VarOrder::StaticOccurrence] {
-            let engine = ObddEngine::compile(
-                &net,
-                &ObddOptions {
-                    order,
-                    ..ObddOptions::default()
-                },
-            )
-            .unwrap();
-            let got = engine.probabilities(&vt);
-            for i in 0..want.len() {
-                assert!((got[i] - want[i]).abs() < 1e-12, "{order:?} target {i}");
-            }
+        let engine = ObddEngine::compile(&net, &ObddOptions::default()).unwrap();
+        let got = engine.probabilities(&vt);
+        for i in 0..want.len() {
+            assert!((got[i] - want[i]).abs() < 1e-12, "target {i}");
         }
     }
 

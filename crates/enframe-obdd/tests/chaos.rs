@@ -112,11 +112,7 @@ fn engines_survive_armed_failpoints() {
         if classify(res, &want, &format!("bdd round {round}")) {
             bdd_ok += 1;
         }
-        let dopts = DnnfOptions {
-            workers,
-            budget,
-            ..DnnfOptions::default()
-        };
+        let dopts = DnnfOptions { workers, budget };
         let res = DnnfEngine::compile(&net, &dopts).map(|e| e.probabilities(&vt));
         if classify(res, &want, &format!("dnnf round {round} (w={workers})")) {
             dnnf_ok += 1;

@@ -21,7 +21,6 @@
 
 use crate::compile::{CompileResult, Options, Stats, Strategy};
 use crate::masks::{BoolMask, Masks};
-use crate::order::{static_order, VarOrder};
 use enframe_core::budget::{Budget, BudgetScope, Exceeded};
 use enframe_core::error::CoreError;
 use enframe_core::pool;
@@ -88,8 +87,8 @@ impl Job {
 struct Search<'a> {
     vt: &'a VarTable,
     opts: Options,
-    /// The static occurrence ranking: the variables the search chooses
-    /// from, in tie-break order.
+    /// The network's static ranking ([`Network::var_order`]): the
+    /// variables the search chooses from, in tie-break order.
     order: Vec<Var>,
     /// Target nodes, parallel to the bounds.
     targets: Vec<NodeId>,
@@ -150,7 +149,7 @@ impl<'a> Search<'a> {
         Search {
             vt,
             opts,
-            order: static_order(net, VarOrder::StaticOccurrence),
+            order: net.var_order(),
             forks: job_depth.map(|d| (d, pool::Queue::new([Job::root(targets.len(), &opts)]))),
             spare: Mutex::new(vec![0.0; targets.len()]),
             bounds: Mutex::new((lower, upper)),
@@ -319,7 +318,7 @@ impl<'s, 'a, 'n> Worker<'s, 'a, 'n> {
 
     /// The paper's §4.1 choice: the unassigned variable that influences
     /// the most unresolved events (its leaf's unresolved parents), ties
-    /// going to the earlier variable in the static occurrence ranking.
+    /// going to the earlier variable in the network's static ranking.
     /// `None` once every variable is assigned.
     fn next_var(&self) -> Option<Var> {
         self.search

@@ -13,6 +13,9 @@
 //!    events `Φ|x`, and a trail-based undo makes backtracking cheap.
 //!    Per-target probability bounds `[L, U]` tighten as branches resolve;
 //!    upon full exploration they converge to the exact probabilities.
+//!    Each decision branches on the unassigned variable that influences
+//!    the most unresolved events (§4.1), ties going to the network's one
+//!    static ranking, [`Network::var_order`](enframe_network::Network::var_order).
 //! 2. **Anytime absolute ε-approximation** ([`compile()`] with
 //!    [`Strategy::Eager`]/[`Strategy::Lazy`]/[`Strategy::Hybrid`]): an
 //!    error budget of `2ε` per target is spent on pruning subtrees whose
@@ -39,7 +42,6 @@ pub mod bounds;
 pub mod compile;
 pub mod distr;
 pub mod masks;
-pub mod order;
 pub mod sensitivity;
 
 pub use compile::{
@@ -47,5 +49,4 @@ pub use compile::{
 };
 pub use distr::{compile_distributed, DistOptions};
 pub use masks::{BoolMask, Masks};
-pub use order::VarOrder;
 pub use sensitivity::{sensitivity, Influence, Sensitivity};

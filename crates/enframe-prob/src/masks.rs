@@ -201,7 +201,7 @@ impl<'n> Masks<'n> {
     }
 
     /// Number of *currently unresolved* parents of a variable's leaf — the
-    /// dynamic influence measure of the §4.1 variable-order heuristic.
+    /// dynamic influence measure of the §4.1 variable choice.
     pub fn unresolved_parents_of_var(&self, v: Var) -> usize {
         self.net.var_node(v).map_or(0, |g| {
             self.net

@@ -41,7 +41,6 @@ use enframe_core::var::{Var, VarTable};
 use enframe_network::{Network, NodeKind};
 use enframe_obdd::dnnf::{Dnnf, DnnfEngine, DnnfManager, DnnfNode, DnnfOptions};
 use enframe_obdd::{ObddEngine, ObddOptions, ObddSnapshot, SnapshotNode};
-use enframe_prob::order::VarOrder;
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 use std::path::{Path, PathBuf};
 
@@ -181,20 +180,21 @@ impl EngineKind {
     }
 }
 
+/// The tag every key writes for the variable ranking. The one ranking,
+/// [`Network::var_order`], is a function of the hashed network, so the
+/// tag names nothing else; it keeps the value the keys have always
+/// written, so no key already on disk moves (`fingerprints_are_pinned`).
+const RANKING_TAG: u32 = 1;
+
 /// The lineage fingerprint an artifact is keyed by: a content hash of
 /// everything that determines the compiled *functions* — the full event
 /// network (node kinds, payloads, wiring, constant values), the target
-/// set and names, the engine kind, the variable-order heuristic, and
-/// the var-groups. The key names the functions, whose answers agree
-/// within 1e-12 however they were compiled, not the node layout: worker
-/// count, budget and the OBDD maintenance switch are not hashed, and
-/// [`ObddEngine::import`] always rebuilds with automatic maintenance.
-pub fn fingerprint_network(
-    net: &Network,
-    kind: EngineKind,
-    order: VarOrder,
-    groups: &[Vec<Var>],
-) -> Fingerprint {
+/// set and names, the engine kind, and the var-groups. The key names the
+/// functions, whose answers agree within 1e-12 however they were
+/// compiled, not the node layout: worker count, budget and the OBDD
+/// maintenance switch are not hashed, and [`ObddEngine::import`] always
+/// rebuilds with automatic maintenance.
+pub fn fingerprint_network(net: &Network, kind: EngineKind, groups: &[Vec<Var>]) -> Fingerprint {
     let mut h = FingerprintHasher::new("enframe-store/lineage");
     h.write_discriminant(kind.code() as u32);
     h.write_u32(net.n_vars);
@@ -215,10 +215,7 @@ pub fn fingerprint_network(
     for name in &net.target_names {
         h.write_str(name);
     }
-    h.write_discriminant(match order {
-        VarOrder::Sequential => 0,
-        VarOrder::StaticOccurrence => 1,
-    });
+    h.write_discriminant(RANKING_TAG);
     h.write_len(groups.len());
     for g in groups {
         h.write_len(g.len());
@@ -229,16 +226,18 @@ pub fn fingerprint_network(
     h.finish()
 }
 
-/// [`fingerprint_network`] with the fields a d-DNNF compile reads from
-/// its options.
-pub fn fingerprint_dnnf(net: &Network, opts: &DnnfOptions) -> Fingerprint {
-    fingerprint_network(net, EngineKind::Dnnf, opts.order, &[])
+/// [`fingerprint_network`] for a d-DNNF compile. None of
+/// [`DnnfOptions`]' fields is hashed (worker count and budget do not
+/// change the compiled functions); the parameter mirrors
+/// [`fingerprint_obdd`].
+pub fn fingerprint_dnnf(net: &Network, _opts: &DnnfOptions) -> Fingerprint {
+    fingerprint_network(net, EngineKind::Dnnf, &[])
 }
 
 /// [`fingerprint_network`] with the fields an OBDD compile reads from
 /// its options.
 pub fn fingerprint_obdd(net: &Network, opts: &ObddOptions) -> Fingerprint {
-    fingerprint_network(net, EngineKind::Obdd, opts.order, &opts.groups)
+    fingerprint_network(net, EngineKind::Obdd, &opts.groups)
 }
 
 /// Node-kind discriminants are part of every stored key: renumbering one
@@ -1001,14 +1000,14 @@ mod tests {
         let opts = DnnfOptions::default();
         assert_eq!(fingerprint_dnnf(&a, &opts), fingerprint_dnnf(&a, &opts));
         assert_ne!(fingerprint_dnnf(&a, &opts), fingerprint_dnnf(&b, &opts));
-        // Engine kind and order are part of the key.
+        // Engine kind and the var-groups are part of the key.
         assert_ne!(
-            fingerprint_network(&a, EngineKind::Dnnf, VarOrder::default(), &[]),
-            fingerprint_network(&a, EngineKind::Obdd, VarOrder::default(), &[])
+            fingerprint_network(&a, EngineKind::Dnnf, &[]),
+            fingerprint_network(&a, EngineKind::Obdd, &[])
         );
         assert_ne!(
-            fingerprint_network(&a, EngineKind::Obdd, VarOrder::Sequential, &[]),
-            fingerprint_network(&a, EngineKind::Obdd, VarOrder::StaticOccurrence, &[])
+            fingerprint_network(&a, EngineKind::Obdd, &[vec![Var(0), Var(1)]]),
+            fingerprint_network(&a, EngineKind::Obdd, &[vec![Var(1), Var(2)]])
         );
     }
 

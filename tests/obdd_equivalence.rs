@@ -11,8 +11,8 @@
 //! 3. Scalability: a mutex-correlated fig6-style sweep at v ≥ 20 —
 //!    infeasible for the decision-tree exact engine — completes on the
 //!    BDD backend well inside a generous wall-clock guard, with the
-//!    answers validated against the mutex chain's closed form and a
-//!    second, independently ordered compilation.
+//!    answers validated against the mutex chain's closed form and the
+//!    d-DNNF compilation of the same network.
 //! 4. Manager maintenance: probabilities and posteriors are invariant
 //!    under random interleavings of `reorder()` / `collect_garbage()` /
 //!    queries (property test); group sifting never ends larger than the
@@ -416,6 +416,7 @@ fn conditioning_matches_hand_computation() {
 /// independently ordered second compilation.
 #[test]
 fn bdd_completes_mutex_sweep_beyond_exact_horizon() {
+    use enframe::obdd::dnnf::{DnnfEngine, DnnfOptions};
     let v = 24;
     let m = 8;
     let prep = prepare_lineage(v, Scheme::Mutex { m }, &LineageOpts::default(), 0xBDD + 24);
@@ -463,22 +464,14 @@ fn bdd_completes_mutex_sweep_beyond_exact_horizon() {
         );
     }
 
-    // The derived disjunction targets are validated by order-independence:
-    // a Sequential-order compilation must agree with the default order.
-    let engine2 = ObddEngine::compile(
-        &prep.net,
-        &ObddOptions {
-            order: enframe::prob::VarOrder::Sequential,
-            groups: prep.var_groups.clone(),
-            ..ObddOptions::default()
-        },
-    )
-    .unwrap();
-    let probs2 = engine2.probabilities(&prep.vt);
+    // The derived disjunction targets are validated against a different
+    // compiled form: d-DNNF must agree with the BDD on every target.
+    let dnnf = DnnfEngine::compile(&prep.net, &DnnfOptions::default()).unwrap();
+    let probs2 = dnnf.probabilities(&prep.vt);
     for i in 0..probs.len() {
         assert!(
             (probs[i] - probs2[i]).abs() < 1e-9,
-            "order disagreement on target {i}"
+            "BDD/d-DNNF disagreement on target {i}"
         );
     }
 }
