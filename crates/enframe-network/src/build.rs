@@ -272,15 +272,13 @@ impl Network {
     }
 
     /// The network's one static variable ranking: the variables that
-    /// occur in it, by descending parent count of their leaves, ties in
-    /// index order.
+    /// occur in it, by descending parent count, ties in index order.
     ///
     /// "The algorithm chooses a next variable x′ such that it influences
-    /// as many events as possible" (paper §4.1). The decision tree
-    /// applies that rule per decision node and breaks its ties by this
-    /// ranking; the compiled forms (d-DNNF's decisions, the OBDD's
-    /// initial order) use it as is. A better ranking (ROADMAP item 19)
-    /// replaces this body.
+    /// as many events as possible" (paper §4.1). The decision tree breaks
+    /// the ties of its per-node choice by this ranking; d-DNNF's decisions
+    /// and the OBDD's initial order follow it as is. A better ranking
+    /// (ROADMAP item 19) replaces this body.
     pub fn var_order(&self) -> Vec<Var> {
         let mut ranked: Vec<(Var, usize)> = (0..self.n_vars)
             .map(Var)
@@ -702,43 +700,36 @@ mod tests {
         }
     }
 
-    /// `y` occurs in three events, `x` in one, and a third variable in
-    /// none.
-    fn ranking_network() -> Network {
+    /// The ranking of a network over four variables with one target per
+    /// event.
+    fn var_order_of(events: Vec<Rc<Event>>) -> Vec<Var> {
         let mut p = Program::new();
-        let x = p.fresh_var();
-        let y = p.fresh_var();
-        let _unused = p.fresh_var();
-        let a = p.declare_event("A", Program::and([Program::var(x), Program::var(y)]));
-        let b = p.declare_event("B", Program::or([Program::var(y), Program::nvar(y)]));
-        p.add_target(a);
-        p.add_target(b);
-        Network::build(&p.ground().unwrap()).unwrap()
+        p.ensure_vars(4);
+        for (i, e) in events.into_iter().enumerate() {
+            let t = p.declare_event_at("T", &[i as i64], e);
+            p.add_target(t);
+        }
+        Network::build(&p.ground().unwrap()).unwrap().var_order()
     }
 
     #[test]
     fn var_order_excludes_unused_variables() {
-        let order = ranking_network().var_order();
-        assert_eq!(order.len(), 2);
-        assert!(!order.contains(&Var(2)));
+        assert_eq!(var_order_of(vec![Program::nvar(Var(2))]), vec![Var(2)]);
     }
 
     #[test]
     fn var_order_puts_busy_variables_first() {
-        assert_eq!(ranking_network().var_order(), vec![Var(1), Var(0)]);
+        // x1 occurs in three events, x0 in one.
+        let (x0, x1) = (Program::var(Var(0)), Program::var(Var(1)));
+        let both = Program::and([x0, x1.clone()]);
+        let either = Program::or([x1, Program::nvar(Var(1))]);
+        assert_eq!(var_order_of(vec![both, either]), vec![Var(1), Var(0)]);
     }
 
     #[test]
     fn var_order_breaks_ties_in_index_order() {
-        // x1 and x3 have one parent each; x2 is absent.
-        let mut p = Program::new();
-        p.ensure_vars(4);
-        let a = p.declare_event("A", Program::var(Var(3)));
-        let b = p.declare_event("B", Program::nvar(Var(1)));
-        p.add_target(a);
-        p.add_target(b);
-        let net = Network::build(&p.ground().unwrap()).unwrap();
-        assert_eq!(net.var_order(), vec![Var(1), Var(3)]);
+        let events = vec![Program::var(Var(3)), Program::nvar(Var(1))];
+        assert_eq!(var_order_of(events), vec![Var(1), Var(3)]);
     }
 
     #[test]

@@ -226,10 +226,8 @@ pub fn fingerprint_network(net: &Network, kind: EngineKind, groups: &[Vec<Var>])
     h.finish()
 }
 
-/// [`fingerprint_network`] for a d-DNNF compile. None of
-/// [`DnnfOptions`]' fields is hashed (worker count and budget do not
-/// change the compiled functions); the parameter mirrors
-/// [`fingerprint_obdd`].
+/// [`fingerprint_network`] for a d-DNNF compile: no field of its
+/// options (worker count, budget) changes the compiled functions.
 pub fn fingerprint_dnnf(net: &Network, _opts: &DnnfOptions) -> Fingerprint {
     fingerprint_network(net, EngineKind::Dnnf, &[])
 }

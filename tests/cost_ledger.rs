@@ -18,97 +18,65 @@ use enframe::data::{LineageOpts, Scheme};
 use enframe::obdd::dnnf::{DnnfEngine, DnnfOptions};
 use enframe::obdd::{ObddEngine, ObddOptions};
 use enframe_bench::{prepare, prepare_lineage, Prepared};
+use std::fmt::Write;
 
-const EXPECTED: &str = include_str!("cost_ledger.expected");
-
-/// The rows of one network: d-DNNF's counts, then (for lineage) the
-/// OBDD's.
-struct Rows(Vec<(String, u64)>);
-
-impl Rows {
-    fn push(&mut self, net: &str, metric: &str, value: u64) {
-        self.0.push((format!("{net}.{metric}"), value));
+/// Appends one network's rows: d-DNNF's counts, then with `obdd` the
+/// sifted and the static OBDD's.
+fn rows(out: &mut String, name: &str, prep: &Prepared, obdd: bool) {
+    let mut row = |metric: &str, value: u64| writeln!(out, "{name}.{metric} = {value}").unwrap();
+    let opts = DnnfOptions {
+        workers: 1,
+        ..DnnfOptions::default()
+    };
+    let dnnf = DnnfEngine::compile(&prep.net, &opts).expect("d-DNNF compiles");
+    let s = dnnf.stats();
+    row("obdd.dnnf_nodes", s.nodes as u64);
+    row("obdd.dnnf_edges", s.edges as u64);
+    row("obdd.dnnf_steps", s.expansion_steps);
+    row("obdd.dnnf_memo_hits", s.memo_hits);
+    if !obdd {
+        return;
     }
-
-    fn dnnf(&mut self, name: &str, prep: &Prepared) {
-        let engine = DnnfEngine::compile(
-            &prep.net,
-            &DnnfOptions {
-                workers: 1,
-                ..DnnfOptions::default()
-            },
-        )
-        .expect("d-DNNF compiles");
-        let s = engine.stats();
-        self.push(name, "obdd.dnnf_nodes", s.nodes as u64);
-        self.push(name, "obdd.dnnf_edges", s.edges as u64);
-        self.push(name, "obdd.dnnf_steps", s.expansion_steps);
-        self.push(name, "obdd.dnnf_memo_hits", s.memo_hits);
-    }
-
-    fn obdd(&mut self, name: &str, prep: &Prepared) {
-        let groups = prep.var_groups.clone();
-        let bdd = ObddEngine::compile(&prep.net, &ObddOptions::with_groups(groups.clone()))
-            .expect("OBDD compiles");
-        let s = bdd.stats();
-        self.push(name, "obdd.bdd_nodes", s.nodes as u64);
-        self.push(name, "obdd.bdd_cmp_branches", s.cmp_branches);
-        self.push(name, "obdd.bdd_peak_nodes", s.manager.peak_nodes as u64);
-        self.push(name, "obdd.bdd_reorders", s.manager.reorders);
-        let fixed = ObddEngine::compile(&prep.net, &ObddOptions::static_with_groups(groups))
-            .expect("static OBDD compiles");
-        self.push(name, "obdd.bdd_static_nodes", fixed.stats().nodes as u64);
-    }
+    let groups = prep.var_groups.clone();
+    let bdd = ObddEngine::compile(&prep.net, &ObddOptions::with_groups(groups.clone()))
+        .expect("OBDD compiles");
+    let s = bdd.stats();
+    row("obdd.bdd_nodes", s.nodes as u64);
+    row("obdd.bdd_cmp_branches", s.cmp_branches);
+    row("obdd.bdd_peak_nodes", s.manager.peak_nodes as u64);
+    row("obdd.bdd_reorders", s.manager.reorders);
+    let fixed = ObddEngine::compile(&prep.net, &ObddOptions::static_with_groups(groups))
+        .expect("static OBDD compiles");
+    row("obdd.bdd_static_nodes", fixed.stats().nodes as u64);
 }
 
-/// Every row, in a fixed order. The k-medoids network is the smaller of
-/// `tests/decision_tree_search.rs`' two; its OBDD would compile through
-/// the same DP, so it has d-DNNF rows only.
-fn ledger() -> Vec<(String, u64)> {
+#[test]
+fn work_counts_match_the_ledger() {
     let opts = LineageOpts::default();
-    let mut rows = Rows(Vec::new());
+    let mut got = String::new();
+    // The smaller of `tests/decision_tree_search.rs`' k-medoids networks.
+    // Its OBDD compiles through the same DP, so it has d-DNNF rows only.
     let kmedoids = prepare(16, 2, 2, Scheme::Positive { l: 3, v: 10 }, &opts, 3);
-    rows.dnnf("kmedoids_n16", &kmedoids);
+    rows(&mut got, "kmedoids_n16", &kmedoids, false);
     let lineages = [
         ("mutex_g32", Scheme::Mutex { m: 8 }, 32),
         ("positive_g24", Scheme::Positive { l: 4, v: 24 }, 24),
     ];
     for (name, scheme, groups) in lineages {
         let prep = prepare_lineage(groups, scheme, &opts, 0xBDD + groups as u64);
-        rows.dnnf(name, &prep);
-        rows.obdd(name, &prep);
+        rows(&mut got, name, &prep, true);
     }
-    rows.0
-}
-
-/// The expected file's rows; blank lines and `#` comments are skipped.
-fn expected() -> Vec<(String, u64)> {
-    EXPECTED
+    let want: String = include_str!("cost_ledger.expected")
         .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (name, value) = l.split_once('=').expect("`name = value`");
-            let value = value.trim().parse().expect("an unsigned count");
-            (name.trim().to_string(), value)
-        })
-        .collect()
-}
-
-#[test]
-fn work_counts_match_the_ledger() {
-    let got = ledger();
-    let want = expected();
-    if got != want {
-        let actual: String = got.iter().map(|(n, v)| format!("{n} = {v}\n")).collect();
-        let moved: Vec<String> = got
-            .iter()
-            .filter(|row| !want.contains(row))
-            .map(|(n, v)| format!("{n} = {v}"))
-            .collect();
-        panic!(
-            "cost ledger moved; rows that differ: {moved:?}\n\
-             the whole ledger as measured:\n{actual}"
-        );
-    }
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let moved: Vec<&str> = got
+        .lines()
+        .filter(|l| !want.lines().any(|w| w == *l))
+        .collect();
+    assert!(
+        got == want,
+        "cost ledger moved: {moved:?}\nthe whole ledger as measured:\n{got}"
+    );
 }
