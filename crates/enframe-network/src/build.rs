@@ -713,6 +713,21 @@ mod tests {
     }
 
     #[test]
+    fn var_occurrences_counts_parents() {
+        // A variable's occurrences are the parents of its leaf; the
+        // ranking orders the variables by them.
+        let net = Network::build(&example_program().ground().unwrap()).unwrap();
+        let parents = |v: Var| net.node(net.var_node(v).unwrap()).parents.len();
+        // x2 is Phi1, which feeds Both12 and the shared Phi0 ∨ Phi1.
+        assert!(parents(Var(1)) >= 2);
+        // x4 occurs only in Phi3, which no target reaches.
+        assert_eq!(net.var_node(Var(3)), None);
+        let order = net.var_order();
+        assert_eq!(order.len(), 3);
+        assert!(order.windows(2).all(|w| parents(w[0]) >= parents(w[1])));
+    }
+
+    #[test]
     fn var_order_excludes_unused_variables() {
         assert_eq!(var_order_of(vec![Program::nvar(Var(2))]), vec![Var(2)]);
     }
