@@ -6,10 +6,16 @@
 //! mutex and positive lineage, and on the same lineages the OBDD's
 //! nodes, DP steps (0 while lineage stays propositional), peak nodes and
 //! sifting passes, plus the static OBDD's nodes. The lineages are sized
-//! so that sifting runs once on each. Every count is compared exactly,
-//! at one worker (parallel step totals are scheduling diagnostics). The
-//! test reads no clock and installs no allocator. A change that moves a
-//! row edits the expected file and says why.
+//! so that sifting runs once on each. `bdd_wmc_misses` is the node count
+//! of the first probability sweep over the sifted OBDD: one memo shared
+//! by every target, so it counts the union DAG, not the sum of the
+//! target DAGs. Every count is compared exactly, at one worker (parallel
+//! step totals are scheduling diagnostics). The test reads no clock and
+//! installs no allocator. A change that moves a row edits the expected
+//! file and says why.
+//!
+//! The sweep's count is read through the process-wide telemetry
+//! counters, which is sound only while this binary holds one test.
 //!
 //! Names are `<network>.<metric>`, with the benchmark's metric names
 //! where one exists (`obdd.dnnf_nodes`, `obdd.dnnf_steps`).
@@ -17,6 +23,7 @@
 use enframe::data::{LineageOpts, Scheme};
 use enframe::obdd::dnnf::{DnnfEngine, DnnfOptions};
 use enframe::obdd::{ObddEngine, ObddOptions};
+use enframe::telemetry::{self, Counter};
 use enframe_bench::{prepare, prepare_lineage, Prepared};
 use std::fmt::Write;
 
@@ -45,6 +52,13 @@ fn rows(out: &mut String, name: &str, prep: &Prepared, obdd: bool) {
     row("obdd.bdd_cmp_branches", s.cmp_branches);
     row("obdd.bdd_peak_nodes", s.manager.peak_nodes as u64);
     row("obdd.bdd_reorders", s.manager.reorders);
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    bdd.probabilities(&prep.vt);
+    let misses = telemetry::snapshot().counter(Counter::WmcMiss);
+    row("obdd.bdd_wmc_misses", misses);
+    telemetry::set_enabled(was);
     let fixed = ObddEngine::compile(&prep.net, &ObddOptions::static_with_groups(groups))
         .expect("static OBDD compiles");
     row("obdd.bdd_static_nodes", fixed.stats().nodes as u64);
