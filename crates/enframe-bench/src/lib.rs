@@ -155,8 +155,8 @@ pub enum Engine {
     /// engines expand comparison atoms, so both run to
     /// [`DNNF_KMEDOIDS_VAR_CAP`] on the k-medoids pipeline.
     DnnfExact,
-    /// [`Engine::DnnfExact`] with a parallel target fan-out and
-    /// data-parallel WMC (`DnnfOptions::workers`). Same series label —
+    /// [`Engine::DnnfExact`] with a parallel target fan-out
+    /// (`DnnfOptions::workers`). Same series label —
     /// the `workers` CSV column is the axis — and **bitwise-equal**
     /// probabilities to the sequential run by construction.
     DnnfPar {

@@ -6,7 +6,7 @@
 //! accumulator and a cancellation flag, cheap to clone across worker
 //! threads (one `Arc`). Engines call the `check_*` methods at their
 //! existing safe points (`maybe_maintain`, d-DNNF expansion steps, WMC
-//! wavefront levels, unit-prop trail pushes, worker recv loops); the
+//! sweep strides, unit-prop trail pushes, worker recv loops); the
 //! first check that observes an exhausted limit records an [`Exceeded`]
 //! verdict and flips the cancellation flag, so every sibling worker
 //! observes the same structured failure instead of hanging or OOMing.
@@ -262,7 +262,7 @@ impl BudgetScope {
     }
 
     /// The cheap safe-point check: cancelled flag plus deadline. Use in
-    /// recv loops and per-wavefront-level polls. The cancellation flag
+    /// recv loops and per-stride WMC polls. The cancellation flag
     /// is observed on every scope; resource limits only on limited ones.
     pub fn checkpoint(&self) -> Result<(), Exceeded> {
         self.observe_cancelled()?;

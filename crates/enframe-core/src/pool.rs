@@ -171,22 +171,14 @@ impl<J> Worker<'_, J> {
             if failpoint::hit(Site::Recv) {
                 std::thread::sleep(RECV_STALL);
             }
-            self.next_stage()?
+            self.finish();
+            let (index, job) = self.queue.pop(self.scope)?;
+            self.job = Some(index);
+            job
         };
         if failpoint::hit(Site::Spawn) {
             panic!("injected worker panic (failpoint `spawn`)");
         }
-        Some(job)
-    }
-
-    /// [`next_job`](Self::next_job) without the fault sites and the
-    /// queue-wait telemetry: the hand-off between dependent stages of
-    /// one computation (the WMC wavefront's levels), which is not a
-    /// dispatch the chaos schedules count.
-    pub fn next_stage(&mut self) -> Option<J> {
-        self.finish();
-        let (index, job) = self.queue.pop(self.scope)?;
-        self.job = Some(index);
         Some(job)
     }
 

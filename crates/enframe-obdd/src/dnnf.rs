@@ -373,13 +373,14 @@ impl DnnfManager {
 /// constraint, so the ranking only picks each decision's variable.
 #[derive(Debug, Clone, Default)]
 pub struct DnnfOptions {
-    /// Worker threads for target fan-out and parallel WMC. `0` (the
-    /// default) means *auto*: honour the `ENFRAME_WORKERS` environment
-    /// variable, else run sequentially. Any worker count produces
-    /// bitwise-identical probabilities: expansion is a pure function of
-    /// the residual state, so every target compiles to the same sentence
-    /// regardless of which worker compiles it, and weighted model
-    /// counting reduces children in a canonical order.
+    /// Worker threads for the target fan-out of the compile; probability
+    /// queries always sweep on the calling thread. `0` (the default)
+    /// means *auto*: honour the `ENFRAME_WORKERS` environment variable,
+    /// else run sequentially. Any worker count produces bitwise-identical
+    /// probabilities: expansion is a pure function of the residual state,
+    /// so every target compiles to the same sentence regardless of which
+    /// worker compiles it, and weighted model counting reduces children
+    /// in a canonical order.
     pub workers: usize,
     /// Resource budget for the compilation. Unlimited by default (all
     /// checks short-circuit); on exhaustion the compile returns
@@ -413,13 +414,7 @@ pub struct DnnfEngine {
     targets: Vec<Dnnf>,
     names: Vec<String>,
     stats: DnnfStats,
-    /// Effective worker count, reused by probability queries.
-    workers: usize,
 }
-
-/// Below this store size a parallel WMC query falls back to the
-/// sequential sweep: thread startup costs more than the count.
-const PAR_WMC_MIN_NODES: usize = 256;
 
 impl DnnfEngine {
     /// Compiles every registered target of `net` into d-DNNF.
@@ -432,7 +427,8 @@ impl DnnfEngine {
     /// [`DnnfManager::absorb`]. At one worker the same worker body runs
     /// on the calling thread, and its store is the engine's. The
     /// compiled sentences — and therefore all probabilities — are
-    /// identical for every worker count.
+    /// identical for every worker count. The engine keeps no worker
+    /// count: its probability queries are sequential sweeps.
     pub fn compile(net: &Network, opts: &DnnfOptions) -> Result<Self, ObddError> {
         let scope = BudgetScope::new(opts.budget);
         let result = Self::compile_scoped(net, opts, &scope);
@@ -449,14 +445,11 @@ impl DnnfEngine {
         let (n, names) = (net.targets.len(), net.target_names.clone());
         let rank = decision_ranks(net.n_vars, &net.var_order());
         if workers <= 1 || n <= 1 {
-            // No pool, nothing to merge; `workers` still sizes the WMC
-            // sweep of a one-target network.
+            // No pool, nothing to merge.
             let mut jobs = 0..n;
             let out = compile_targets(net, &rank, scope, || jobs.next())?;
             let targets = out.compiled.iter().map(|&(_, d)| d).collect();
-            return Ok(Self::assemble(
-                out.man, targets, names, out.steps, out.hits, workers,
-            ));
+            return Ok(Self::assemble(out.man, targets, names, out.steps, out.hits));
         }
         let workers = workers.min(n);
         let queue = pool::Queue::new(0..n);
@@ -483,7 +476,7 @@ impl DnnfEngine {
             .ok_or_else(|| stopped_early(scope))?;
         let steps = outs.iter().map(|w| w.steps).sum();
         let hits = outs.iter().map(|w| w.hits).sum();
-        Ok(Self::assemble(man, targets, names, steps, hits, workers))
+        Ok(Self::assemble(man, targets, names, steps, hits))
     }
 
     /// The engine over a finished store, with its size statistics.
@@ -493,7 +486,6 @@ impl DnnfEngine {
         names: Vec<String>,
         expansion_steps: u64,
         memo_hits: u64,
-        workers: usize,
     ) -> DnnfEngine {
         let stats = DnnfStats {
             nodes: man.len() - 2,
@@ -507,7 +499,6 @@ impl DnnfEngine {
             targets,
             names,
             stats,
-            workers,
         }
     }
 
@@ -516,13 +507,11 @@ impl DnnfEngine {
     /// array is already structurally valid; this checks the target
     /// handles and recomputes the size statistics (`expansion_steps` and
     /// `memo_hits` are compile-time quantities — a loaded artifact
-    /// reports 0 for both). `workers` follows the same resolution rule
-    /// as [`DnnfOptions::workers`].
+    /// reports 0 for both).
     pub fn from_parts(
         man: DnnfManager,
         targets: Vec<Dnnf>,
         names: Vec<String>,
-        workers: usize,
     ) -> Result<DnnfEngine, String> {
         if let Some(t) = targets.iter().find(|t| t.index() >= man.len()) {
             return Err(format!("target handle {} out of range", t.index()));
@@ -534,8 +523,7 @@ impl DnnfEngine {
                 targets.len()
             ));
         }
-        let workers = enframe_core::workers::resolve(workers, 1);
-        Ok(Self::assemble(man, targets, names, 0, 0, workers))
+        Ok(Self::assemble(man, targets, names, 0, 0))
     }
 
     /// Compilation statistics.
@@ -565,10 +553,8 @@ impl DnnfEngine {
 
     /// Exact probability of every target: one single-pass weighted model
     /// count over the union DAG (products across `And` children, sums
-    /// across `Or` children). With more than one worker configured and a
-    /// store large enough to amortise thread startup, the sweep runs
-    /// data-parallel ([`wmc::node_probabilities`]) — bitwise-equal
-    /// to the sequential sweep by construction.
+    /// across `Or` children) on the calling thread
+    /// ([`wmc::node_probabilities`]).
     ///
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
@@ -577,26 +563,19 @@ impl DnnfEngine {
     }
 
     /// [`Self::probabilities`] under a budget: the WMC sweep checkpoints
-    /// `scope` (per level when parallel, every few thousand nodes when
-    /// sequential) and returns [`ObddError::BudgetExceeded`] instead of
-    /// finishing if the budget runs out mid-sweep.
+    /// `scope` every few thousand nodes and returns
+    /// [`ObddError::BudgetExceeded`] instead of finishing if the budget
+    /// runs out mid-sweep.
     ///
     /// # Panics
-    /// Panics if `vt` does not cover the compiled variables and the
-    /// sweep runs sequentially; a parallel sweep reports the same
-    /// message as [`ObddError::WorkerPanicked`].
+    /// Panics if `vt` does not cover the compiled variables.
     pub fn try_probabilities(
         &self,
         vt: &VarTable,
         scope: &BudgetScope,
     ) -> Result<Vec<f64>, ObddError> {
         let _span = telemetry::span(Phase::Wmc);
-        let wmc_workers = if self.man.len() >= PAR_WMC_MIN_NODES {
-            self.workers
-        } else {
-            1
-        };
-        let probs = wmc::node_probabilities(&self.man, vt, wmc_workers, scope)?;
+        let probs = wmc::node_probabilities(&self.man, vt, scope)?;
         Ok(self.targets.iter().map(|&t| probs[t.index()]).collect())
     }
 }
@@ -1266,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn every_order_heuristic_gives_the_same_probabilities() {
+    fn the_one_ranking_matches_enumeration() {
         let mut p = Program::new();
         let vars: Vec<Var> = (0..6).map(|_| p.fresh_var()).collect();
         let e = p.declare_event(

@@ -1,5 +1,4 @@
-//! Weighted model counting over d-DNNF — one sweep, sequential or
-//! data-parallel by its worker count.
+//! Weighted model counting over d-DNNF — one sequential sweep.
 //!
 //! This is the payoff of the two structural invariants the compiler
 //! maintains: children of an `And` mention **disjoint** variable sets,
@@ -9,7 +8,7 @@
 //! (no smoothing pass is needed for probability computation). Nodes are
 //! stored in creation order with children preceding parents, so the
 //! whole union DAG is counted in **one forward sweep** — no recursion,
-//! no cache invalidation protocol, just an array of per-node
+//! no state kept between calls, just an array of per-node
 //! probabilities.
 //!
 //! ## Determinism
@@ -18,31 +17,23 @@
 //! operands, and child *handle* order is a manager-numbering artefact
 //! (merging per-worker managers renumbers handles). The sweep therefore
 //! reduces each node's child probabilities in a **canonical order** —
-//! sorted by [`f64::total_cmp`] — through one `node_probability`
-//! kernel. Consequences, both load-bearing for the parallel paths:
-//!
-//! * [`node_probabilities`] is bitwise-equal across worker counts and
-//!   chunkings: each node's value is the same pure function of its
-//!   children's values, only the evaluation schedule differs.
-//! * A sentence's probability depends only on its *abstract* structure,
-//!   not on handle numbering — so a parallel target fan-out, whose
-//!   merged manager numbers nodes differently than a sequential
-//!   compile, still yields bitwise-identical probabilities.
+//! sorted by [`f64::total_cmp`] — so a sentence's probability depends
+//! only on its *abstract* structure, not on handle numbering: a
+//! parallel target fan-out, whose merged manager numbers nodes
+//! differently than a sequential compile, still yields
+//! bitwise-identical probabilities.
 
 use super::{DnnfManager, DnnfNode};
 use crate::ObddError;
 use enframe_core::budget::BudgetScope;
-use enframe_core::{pool, VarTable};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use enframe_core::VarTable;
 
-/// Stride between budget checkpoints in the sequential sweep: WMC is a
+/// Stride between budget checkpoints in the sweep: WMC is a
 /// cheap linear pass, so checking every node would cost more than the
 /// work it guards.
 const WMC_CHECK_STRIDE: usize = 4096;
 
-/// One node's probability from its children's probabilities — the
-/// single reduction kernel of the sequential and the parallel sweep,
-/// so the two are bitwise-identical by construction. `child`
+/// One node's probability from its children's probabilities. `child`
 /// reads an already-computed probability by node index; `scratch` is a
 /// reusable buffer for the canonical (totally ordered) reduction.
 ///
@@ -90,128 +81,37 @@ fn node_probability(
     }
 }
 
-/// Unwraps a sweep made under the unlimited scope. The one error such a
-/// sweep can return is a worker's caught panic — the documented one for
-/// a `vt` that is too short — which is raised again here, on the
-/// caller's thread, after the pool was joined.
+/// Unwraps a sweep made under the unlimited scope, which cannot exceed
+/// a budget.
 pub(crate) fn unlimited<T>(swept: Result<T, ObddError>) -> T {
-    match swept {
-        Ok(value) => value,
-        Err(ObddError::WorkerPanicked { message, .. }) => panic!("{message}"),
-        Err(e) => unreachable!("unlimited scope cannot exceed a budget: {e}"),
-    }
+    swept.unwrap_or_else(|e| unreachable!("unlimited scope cannot exceed a budget: {e}"))
 }
 
 /// The probability of every stored node under `vt`, indexed by node
-/// index: `probs[f.index()]` is the probability of sentence `f`.
-///
-/// At one worker this is one linear pass that checkpoints `scope` every
-/// `WMC_CHECK_STRIDE` nodes. With more, the nodes are swept as a
-/// **level wavefront** on the worker pool: a node's level is one past
-/// its deepest child's, each level is split into `workers` contiguous
-/// chunks by creation index, and a level starts when the one below is
-/// complete. The kernel is the same, so the result is **bitwise-equal
-/// for every worker count**. Every chunk checkpoints the scope; a
-/// worker that fails or panics (a `vt` that is too short surfaces as
-/// [`ObddError::WorkerPanicked`] with the documented message) cancels
-/// its siblings, and the error is returned after the join.
+/// index: `probs[f.index()]` is the probability of sentence `f`. One
+/// linear pass on the calling thread that checkpoints `scope` every
+/// `WMC_CHECK_STRIDE` nodes.
 ///
 /// # Panics
-/// Panics if a stored literal's variable is not covered by `vt` and
-/// the sweep runs sequentially.
+/// Panics if a stored literal's variable is not covered by `vt`.
 pub fn node_probabilities(
     man: &DnnfManager,
     vt: &VarTable,
-    workers: usize,
     scope: &BudgetScope,
 ) -> Result<Vec<f64>, ObddError> {
     let nodes = man.nodes();
-    let workers = workers.min(nodes.len()).max(1);
-    if workers <= 1 {
-        let mut probs: Vec<f64> = Vec::with_capacity(nodes.len());
-        let mut scratch = Vec::new();
-        for (i, node) in nodes.iter().enumerate() {
-            if i % WMC_CHECK_STRIDE == 0 {
-                scope.checkpoint()?;
-            }
-            // Children are created before parents, so their entries are
-            // already in `probs`.
-            let p = node_probability(node, vt, |c| probs[c], &mut scratch);
-            probs.push(p);
-        }
-        return Ok(probs);
-    }
-
-    // Levels: constants and literals are 0, internal nodes one past
-    // their deepest child. Creation order is topological, so one
-    // forward pass suffices.
-    let mut level = vec![0u32; nodes.len()];
-    let mut n_levels = 1usize;
+    let mut probs: Vec<f64> = Vec::with_capacity(nodes.len());
+    let mut scratch = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
-        if let DnnfNode::And(cs) | DnnfNode::Or(cs) = node {
-            let l = 1 + cs.iter().map(|c| level[c.index()]).max().unwrap_or(0);
-            level[i] = l;
-            n_levels = n_levels.max(l as usize + 1);
-        }
-    }
-    // Counting sort of node indices by level; ties keep creation order.
-    let mut starts = vec![0usize; n_levels + 1];
-    for &l in &level {
-        starts[l as usize + 1] += 1;
-    }
-    for l in 1..=n_levels {
-        starts[l] += starts[l - 1];
-    }
-    let mut order = vec![0u32; nodes.len()];
-    let mut next = starts.clone();
-    for (i, &l) in level.iter().enumerate() {
-        order[next[l as usize]] = i as u32;
-        next[l as usize] += 1;
-    }
-
-    // f64 bit patterns behind atomics: each slot is written by exactly
-    // one worker, and cross-level reads are ordered by the hand-off
-    // below (the per-slot acquire/release pairing is belt-and-braces on
-    // top of it).
-    let probs: Vec<AtomicU64> = (0..nodes.len()).map(|_| AtomicU64::new(0)).collect();
-    // A job is one (level, chunk); a level's chunks are queued by
-    // whoever finishes the last chunk of the level below (the AcqRel
-    // count-down plus the queue's lock order that worker after every
-    // write to the level below), so no chunk starts before its inputs
-    // are complete and no worker ever waits on anything but the queue.
-    let left: Vec<AtomicUsize> = (0..n_levels).map(|_| AtomicUsize::new(workers)).collect();
-    let queue = pool::Queue::new((0..workers).map(|chunk| (0usize, chunk)));
-    pool::run(scope, workers, &queue, |worker| {
-        let mut scratch = Vec::new();
-        while let Some((l, chunk)) = worker.next_stage() {
+        if i % WMC_CHECK_STRIDE == 0 {
             scope.checkpoint()?;
-            let lvl = &order[starts[l]..starts[l + 1]];
-            let lo = lvl.len() * chunk / workers;
-            let hi = lvl.len() * (chunk + 1) / workers;
-            for &i in &lvl[lo..hi] {
-                let p = node_probability(
-                    &nodes[i as usize],
-                    vt,
-                    |c| f64::from_bits(probs[c].load(Ordering::Acquire)),
-                    &mut scratch,
-                );
-                probs[i as usize].store(p.to_bits(), Ordering::Release);
-            }
-            if left[l].fetch_sub(1, Ordering::AcqRel) == 1 && l + 1 < n_levels {
-                for chunk in 0..workers {
-                    queue.push((l + 1, chunk));
-                }
-            }
         }
-        Ok::<(), ObddError>(())
-    })?;
-    if let Some(verdict) = scope.verdict() {
-        return Err(verdict.into());
+        // Children are created before parents, so their entries are
+        // already in `probs`.
+        let p = node_probability(node, vt, |c| probs[c], &mut scratch);
+        probs.push(p);
     }
-    Ok(probs
-        .into_iter()
-        .map(|a| f64::from_bits(a.into_inner()))
-        .collect())
+    Ok(probs)
 }
 
 #[cfg(test)]
@@ -220,14 +120,9 @@ mod tests {
     use crate::dnnf::Dnnf;
     use enframe_core::Var;
 
-    /// The sweep at `workers` under the unlimited scope.
-    fn sweep(man: &DnnfManager, vt: &VarTable, workers: usize) -> Vec<f64> {
-        unlimited(node_probabilities(
-            man,
-            vt,
-            workers,
-            &BudgetScope::unlimited(),
-        ))
+    /// The sweep under the unlimited scope.
+    fn sweep(man: &DnnfManager, vt: &VarTable) -> Vec<f64> {
+        unlimited(node_probabilities(man, vt, &BudgetScope::unlimited()))
     }
 
     #[test]
@@ -236,7 +131,7 @@ mod tests {
         let x = man.lit(Var(0), true);
         let nx = man.lit(Var(0), false);
         let vt = VarTable::new(vec![0.3]);
-        let probs = sweep(&man, &vt, 1);
+        let probs = sweep(&man, &vt);
         assert_eq!(probs[Dnnf::TRUE.index()], 1.0);
         assert_eq!(probs[Dnnf::FALSE.index()], 0.0);
         assert!((probs[x.index()] - 0.3).abs() < 1e-12);
@@ -252,7 +147,7 @@ mod tests {
         // (x0 ∧ x1) via decision on x2: x2 ? (x0 ∧ x1) : x0.
         let d = man.decision(Var(2), xy, x);
         let vt = VarTable::new(vec![0.5, 0.4, 0.25]);
-        let probs = sweep(&man, &vt, 1);
+        let probs = sweep(&man, &vt);
         assert!((probs[xy.index()] - 0.2).abs() < 1e-12);
         let want = 0.25 * 0.2 + 0.75 * 0.5;
         assert!((probs[d.index()] - want).abs() < 1e-12);
@@ -264,58 +159,8 @@ mod tests {
         let mut man = DnnfManager::new();
         let x = man.lit(Var(0), true);
         let vt = VarTable::new(vec![0.6, 0.1, 0.9]);
-        let probs = sweep(&man, &vt, 1);
+        let probs = sweep(&man, &vt);
         assert!((probs[x.index()] - 0.6).abs() < 1e-12);
-    }
-
-    /// A deep/wide synthetic DAG over 24 variables: alternating
-    /// decision/AND layers to get both node kinds at many levels, with
-    /// fan-in 3 so reduction order genuinely matters.
-    fn layered_dag() -> (DnnfManager, u32) {
-        let mut man = DnnfManager::new();
-        let n_vars = 24u32;
-        let mut layer: Vec<Dnnf> = (0..n_vars).map(|v| man.lit(Var(v), v % 2 == 0)).collect();
-        for round in 0..6u32 {
-            layer = layer
-                .chunks(3)
-                .enumerate()
-                .map(|(i, c)| {
-                    if round % 2 == 0 {
-                        man.and(c.iter().copied())
-                    } else {
-                        let hi = c[0];
-                        let lo = *c.last().unwrap();
-                        man.decision(Var((i as u32 + round) % n_vars), hi, lo)
-                    }
-                })
-                .collect();
-        }
-        (man, n_vars)
-    }
-
-    /// The parallel sweep must match the sequential one bit-for-bit at
-    /// every node, for several worker counts (including more workers
-    /// than some levels have nodes).
-    #[test]
-    fn parallel_sweep_is_bitwise_equal_to_sequential() {
-        let (man, n_vars) = layered_dag();
-        let vt = enframe_core::VarTable::new(
-            (0..n_vars)
-                .map(|i| 0.17 + 0.029 * i as f64)
-                .collect::<Vec<_>>(),
-        );
-        let seq = sweep(&man, &vt, 1);
-        for workers in [2, 3, 5, 8, 64] {
-            let par = sweep(&man, &vt, workers);
-            assert_eq!(seq.len(), par.len());
-            for i in 0..seq.len() {
-                assert_eq!(
-                    seq[i].to_bits(),
-                    par[i].to_bits(),
-                    "node {i} differs at workers={workers}"
-                );
-            }
-        }
     }
 
     /// Handle numbering must not affect probabilities: absorbing a
@@ -329,7 +174,7 @@ mod tests {
         let b = man.and(lits[4..9].iter().copied());
         let d = man.decision(Var(9), a, b);
         let vt = VarTable::new((0..10).map(|i| 0.05 + 0.09 * i as f64).collect::<Vec<_>>());
-        let probs = sweep(&man, &vt, 1);
+        let probs = sweep(&man, &vt);
 
         // Interleave unrelated nodes first so absorb renumbers.
         let mut other = DnnfManager::new();
@@ -337,44 +182,12 @@ mod tests {
             other.lit(Var(v), false);
         }
         let map = other.absorb(&man);
-        let probs2 = sweep(&other, &vt, 1);
+        let probs2 = sweep(&other, &vt);
         for f in [a, b, d] {
             assert_eq!(
                 probs[f.index()].to_bits(),
                 probs2[map[f.index()].index()].to_bits()
             );
-        }
-    }
-
-    /// Regression: a worker that panicked mid-level (here on the
-    /// documented assertion, a table shorter than a stored literal's
-    /// variable) used to miss its barrier, so its siblings waited
-    /// forever and the sweep never returned. The sweep must end, with
-    /// the panic as a structured error, and `unlimited` must raise it
-    /// again with the same message. This thread is the watchdog.
-    #[test]
-    fn a_panicking_worker_ends_the_sweep() {
-        for workers in [2, 8] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let (man, _) = layered_dag();
-                let short = VarTable::uniform(5, 0.5);
-                let scoped = node_probabilities(&man, &short, workers, &BudgetScope::unlimited());
-                let raised = std::panic::catch_unwind(|| sweep(&man, &short, workers));
-                let _ = tx.send((scoped, raised.map_err(|p| p.downcast::<String>().ok())));
-            });
-            let (scoped, raised) = rx
-                .recv_timeout(std::time::Duration::from_secs(20))
-                .unwrap_or_else(|_| panic!("the sweep hung at workers={workers}"));
-            let documented = "variable table covers 5 variables but the d-DNNF mentions x";
-            match scoped {
-                Err(ObddError::WorkerPanicked { message, .. }) => {
-                    assert!(message.starts_with(documented), "{message}")
-                }
-                other => panic!("workers={workers}: expected WorkerPanicked, got {other:?}"),
-            }
-            let payload = raised.expect_err("a short table is a panic for this entry point");
-            assert!(payload.is_some_and(|m| m.starts_with(documented)));
         }
     }
 }

@@ -35,6 +35,10 @@
 //!   crate's one parallel compile: its targets fan out over
 //!   [`enframe_core::pool`] ([`dnnf::DnnfOptions::workers`]).
 //!
+//! Weighted model counting is one sequential sweep per query in both
+//! forms: a pure function of the compiled form and the weights, run on
+//! the calling thread, with nothing kept between calls.
+//!
 //! Mutex var-groups — the paper's encoding of a multi-valued "which of
 //! these points exists" choice as a Boolean chain `¬x₁ ∧ … ∧ xⱼ` — are
 //! respected natively: [`ObddOptions::groups`] keeps each group's
@@ -72,7 +76,7 @@ mod reorder;
 pub mod wmc;
 
 pub use manager::{Bdd, Manager, ManagerStats, ReorderPolicy};
-pub use wmc::{Wmc, WmcCache};
+pub use wmc::Wmc;
 
 use compile::Compiler;
 use enframe_core::budget::{Budget, BudgetScope, Exceeded, Resource};
@@ -81,7 +85,6 @@ use enframe_core::pool::JobError;
 use enframe_core::{CoreError, Var, VarTable};
 use enframe_network::Network;
 use enframe_telemetry::{self as telemetry, Phase};
-use std::sync::{Mutex, MutexGuard};
 
 /// Errors of the OBDD backend.
 #[derive(Debug, Clone)]
@@ -106,9 +109,7 @@ pub enum ObddError {
     /// A worker thread panicked; the panic was caught, the sibling
     /// workers were cancelled, and the pool shut down cleanly.
     WorkerPanicked {
-        /// Index of the job in hand when the panic fired: the target
-        /// being compiled, or the wavefront chunk of a parallel WMC
-        /// sweep.
+        /// Index of the target being compiled when the panic fired.
         target: usize,
         /// The panic payload, if it was a string.
         message: String,
@@ -263,12 +264,6 @@ pub struct ObddEngine {
     targets: Vec<Bdd>,
     names: Vec<String>,
     stats: ObddStats,
-    /// Persistent WMC cache, epoch/weight-stamped (see [`WmcCache`]).
-    /// Behind a `Mutex` (not a `RefCell`) so the engine is `Sync` and
-    /// the serving layer's readers can share one `Arc<ObddEngine>`; a
-    /// sweep takes the whole cache out for its duration (see
-    /// [`ObddEngine::try_probabilities`]).
-    wmc_cache: Mutex<WmcCache>,
 }
 
 impl ObddEngine {
@@ -329,15 +324,7 @@ impl ObddEngine {
             targets,
             names: net.target_names.clone(),
             stats,
-            wmc_cache: Mutex::new(WmcCache::new()),
         })
-    }
-
-    /// The persistent WMC cache. Poisoning is ignored: the lock is only
-    /// held to move a whole cache out or in, so a sweep that panics
-    /// leaves an (empty but valid) cache behind.
-    fn wmc_cache(&self) -> MutexGuard<'_, WmcCache> {
-        self.wmc_cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Compilation statistics.
@@ -387,9 +374,8 @@ impl ObddEngine {
     }
 
     /// Exact probability of every target — one weighted-model-counting
-    /// pass over the union of the target DAGs. The per-node cache
-    /// persists across calls (epoch/weight-stamped), so repeated queries
-    /// under the same weights are near-free.
+    /// pass over the union of the target DAGs, with a per-node memo that
+    /// lives for this call only.
     ///
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
@@ -399,17 +385,12 @@ impl ObddEngine {
 
     /// Budget-aware variant of [`ObddEngine::probabilities`] — the WMC
     /// entry point of the serving layer. One weighted-model-counting
-    /// sweep over all targets against an immutable `&self` snapshot,
-    /// checkpointing the scope between targets so an exhausted or
-    /// cancelled request stops at the next target boundary with
-    /// [`ObddError::BudgetExceeded`] instead of finishing the sweep.
-    ///
-    /// Because the engine is `Sync`, concurrent readers of one snapshot
-    /// share one `Arc<ObddEngine>`, but not one warm cache: a sweep
-    /// takes the engine's persistent [`WmcCache`] out for its duration,
-    /// so a reader that overlaps another sweeps from an empty cache, and
-    /// the last one to finish installs its own. Follow-up queries under
-    /// the same weights that do not overlap are near-free.
+    /// sweep over all targets against an immutable `&self`, on the
+    /// calling thread, checkpointing the scope between targets so an
+    /// exhausted or cancelled request stops at the next target boundary
+    /// with [`ObddError::BudgetExceeded`] instead of finishing the sweep.
+    /// The sweep keeps no state between calls, so concurrent readers of
+    /// one `Arc<ObddEngine>` never interact.
     ///
     /// # Panics
     /// Panics if `vt` does not cover the compiled variables.
@@ -419,27 +400,13 @@ impl ObddEngine {
         scope: &BudgetScope,
     ) -> Result<Vec<f64>, ObddError> {
         let _span = telemetry::span(Phase::Wmc);
-        let mut wmc = Wmc::with_cache(
-            &self.man,
-            self.level_weights(vt),
-            std::mem::take(&mut *self.wmc_cache()),
-        );
+        let mut wmc = Wmc::new(&self.man, self.level_weights(vt));
         let mut probs = Vec::with_capacity(self.targets.len());
-        let mut verdict = None;
         for &t in &self.targets {
-            if let Err(e) = scope.checkpoint() {
-                verdict = Some(e);
-                break;
-            }
+            scope.checkpoint()?;
             probs.push(wmc.probability(t));
         }
-        // Put the (partially) warmed cache back even on the error path —
-        // a budget verdict must not cost the next query its warm start.
-        *self.wmc_cache() = wmc.into_cache();
-        match verdict {
-            Some(e) => Err(e.into()),
-            None => Ok(probs),
-        }
+        Ok(probs)
     }
 
     /// The conjunction of the given literals as an evidence BDD.
@@ -478,16 +445,10 @@ impl ObddEngine {
         // target: the joints would grow the manager only to be thrown
         // away.
         let weights = self.level_weights(vt);
-        let mut wmc = Wmc::with_cache(
-            &self.man,
-            weights.clone(),
-            std::mem::take(&mut *self.wmc_cache()),
-        );
         let evidence_prob = {
             let _span = telemetry::span(Phase::Wmc);
-            wmc.probability(evidence)
+            Wmc::new(&self.man, weights.clone()).probability(evidence)
         };
-        *self.wmc_cache() = wmc.into_cache();
         if evidence_prob <= 0.0 {
             return Err(ObddError::ZeroEvidence);
         }
@@ -497,15 +458,14 @@ impl ObddEngine {
             .into_iter()
             .map(|t| self.man.and(t, evidence))
             .collect();
-        let mut wmc = Wmc::with_cache(&self.man, weights, std::mem::take(&mut *self.wmc_cache()));
         let posteriors = {
             let _span = telemetry::span(Phase::Wmc);
+            let mut wmc = Wmc::new(&self.man, weights);
             joint
                 .into_iter()
                 .map(|j| wmc.probability(j) / evidence_prob)
                 .collect()
         };
-        *self.wmc_cache() = wmc.into_cache();
         // Maintenance point: the joints (and the caller's evidence) are
         // garbage now, the targets are protected — repeated conditioning
         // on one engine stays bounded instead of growing monotonically.
@@ -704,7 +664,6 @@ impl ObddEngine {
             targets,
             names: snap.names.clone(),
             stats,
-            wmc_cache: Mutex::new(WmcCache::new()),
         })
     }
 }
@@ -1018,7 +977,7 @@ mod tests {
     }
 
     #[test]
-    fn every_order_heuristic_gives_the_same_probabilities() {
+    fn the_one_ranking_matches_enumeration() {
         let p = mutex_chain_program(6);
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();

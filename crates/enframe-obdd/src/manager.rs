@@ -450,8 +450,8 @@ pub struct Manager {
     pub(crate) policy: ReorderPolicy,
     gc_trigger: usize,
     reorder_trigger: usize,
-    /// Bumped by every GC and reorder; epoch-keyed consumers (WMC caches)
-    /// discard state from older epochs.
+    /// Bumped by every GC and reorder; epoch-keyed state (the ite
+    /// computed-table) discards entries from older epochs.
     epoch: u64,
     pub(crate) live: usize,
     peak: usize,
@@ -526,9 +526,10 @@ impl Manager {
     /// Hard cap on [`Manager::ite_cache_capacity`].
     pub const ITE_CACHE_MAX_CAPACITY: usize = 1 << ITE_MAX_BITS;
 
-    /// The maintenance epoch: bumped by every GC and reorder. Consumers
-    /// caching per-node-index state (e.g. WMC caches) must discard it
-    /// when the epoch moves on.
+    /// The maintenance epoch: bumped by every GC and reorder. A consumer
+    /// that keeps per-node-index state across maintenance must discard
+    /// it when the epoch moves on; the WMC counter ([`crate::Wmc`])
+    /// borrows the manager instead, so no maintenance can run under it.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

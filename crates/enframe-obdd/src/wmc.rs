@@ -9,96 +9,36 @@
 //! dynamic reordering — a reorder changes levels, not labels, so the same
 //! weight vector keeps working.
 //!
-//! The per-node cache is a [`WmcCache`] keyed by node index and stamped
-//! with the manager [`epoch`](crate::Manager::epoch) and the weight
-//! vector it was computed under: garbage collection and reordering
-//! recycle node indices, so a cache from an older epoch (or different
-//! weights) is discarded on attach instead of serving stale
-//! probabilities. This lets
-//! one cache persist across many queries — computing the probabilities
-//! of many targets over one manager costs one traversal of their *union*
-//! DAG, and the engine reuses the cache across whole
-//! `probabilities`/`condition` calls until the manager moves on.
+//! A [`Wmc`] memoises per-node probabilities for the life of one
+//! query, so computing the probabilities of many targets over one
+//! manager costs one traversal of their *union* DAG. Nothing outlives
+//! the counter: it borrows the manager, so garbage collection and
+//! reordering, which recycle node indices, cannot run while it exists.
 
 use crate::manager::{Bdd, Manager};
 use enframe_core::fxhash::FxHashMap;
 use enframe_telemetry::{self as telemetry, Counter};
 
-/// A reusable per-node probability cache, epoch- and weight-stamped so it
-/// survives exactly as long as its entries stay valid.
-#[derive(Debug, Default, Clone)]
-pub struct WmcCache {
-    /// Manager epoch the entries were computed in.
-    epoch: u64,
-    /// The weight vector the entries were computed under (compared by
-    /// equality — a fingerprint could collide and silently serve
-    /// probabilities for the wrong weights).
-    weights: Vec<f64>,
-    /// Probability of each *uncomplemented* node function, by node index.
-    probs: FxHashMap<u32, f64>,
-}
-
-impl WmcCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        WmcCache::default()
-    }
-
-    /// Cached entries (for tests and stats).
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
-    }
-
-    fn validate(&mut self, man: &Manager, weights: &[f64]) {
-        if self.epoch != man.epoch() || self.weights != weights {
-            if !self.probs.is_empty() {
-                telemetry::count(Counter::WmcInvalidation);
-            }
-            self.probs.clear();
-            self.epoch = man.epoch();
-            self.weights.clear();
-            self.weights.extend_from_slice(weights);
-        }
-    }
-}
-
 /// A weighted model counter over one manager: per-variable weights plus
-/// a per-node cache shared across [`Wmc::probability`] calls.
+/// a per-node memo shared across [`Wmc::probability`] calls.
 pub struct Wmc<'m> {
     man: &'m Manager,
     /// `P(var = true)` per manager variable label.
     weights: Vec<f64>,
-    cache: WmcCache,
+    /// Probability of each *uncomplemented* node function, by node index.
+    memo: FxHashMap<u32, f64>,
 }
 
 impl<'m> Wmc<'m> {
     /// A counter with the given per-variable weights (`weights[v]` is
-    /// the probability that manager variable `v` is true) and a fresh
-    /// cache.
+    /// the probability that manager variable `v` is true) and an empty
+    /// memo.
     pub fn new(man: &'m Manager, weights: Vec<f64>) -> Self {
-        Wmc::with_cache(man, weights, WmcCache::new())
-    }
-
-    /// A counter reusing a persistent cache. Entries from an older
-    /// manager epoch or a different weight vector are discarded here —
-    /// node indices may have been recycled by GC or reordering since.
-    pub fn with_cache(man: &'m Manager, weights: Vec<f64>, mut cache: WmcCache) -> Self {
-        cache.validate(man, &weights);
         Wmc {
             man,
             weights,
-            cache,
+            memo: FxHashMap::default(),
         }
-    }
-
-    /// Hands the cache back for reuse in a later query.
-    pub fn into_cache(self) -> WmcCache {
-        self.cache
     }
 
     /// The probability of the function `f` under the weights.
@@ -116,7 +56,7 @@ impl<'m> Wmc<'m> {
         if index == 0 {
             return 1.0; // the ⊤ terminal
         }
-        if let Some(&p) = self.cache.probs.get(&index) {
+        if let Some(&p) = self.memo.get(&index) {
             telemetry::count(Counter::WmcHit);
             return p;
         }
@@ -125,7 +65,7 @@ impl<'m> Wmc<'m> {
         let ph = self.probability(hi);
         let pl = self.probability(lo);
         let p = pv * ph + (1.0 - pv) * pl;
-        self.cache.probs.insert(index, p);
+        self.memo.insert(index, p);
         p
     }
 }
@@ -210,36 +150,9 @@ mod tests {
         let g = man.or(f, z);
         let mut wmc = Wmc::new(&man, vec![0.5; 3]);
         let _ = wmc.probability(f);
-        let before = wmc.cache.len();
+        let before = wmc.memo.len();
         let _ = wmc.probability(g);
-        assert!(wmc.cache.len() > before, "g reuses f's cached nodes");
-    }
-
-    #[test]
-    fn persistent_cache_survives_matching_epoch_and_invalidates_on_change() {
-        let mut man = Manager::new();
-        let x = man.var(0);
-        let y = man.var(1);
-        let f = man.and(x, y);
-        let weights = vec![0.4, 0.6];
-        let mut wmc = Wmc::with_cache(&man, weights.clone(), WmcCache::new());
-        let p = wmc.probability(f);
-        let cache = wmc.into_cache();
-        assert!(!cache.is_empty());
-        // Same epoch, same weights: entries survive the round-trip.
-        let wmc = Wmc::with_cache(&man, weights.clone(), cache);
-        assert!(!wmc.cache.is_empty());
-        let cache = wmc.into_cache();
-        // Different weights: discarded.
-        let wmc = Wmc::with_cache(&man, vec![0.5, 0.5], cache);
-        assert!(wmc.cache.is_empty());
-        let cache = wmc.into_cache();
-        // Epoch bump (GC): discarded.
-        man.protect(f);
-        man.collect_garbage();
-        let mut wmc = Wmc::with_cache(&man, weights, cache);
-        assert!(wmc.cache.is_empty());
-        assert!((wmc.probability(f) - p).abs() < 1e-12);
+        assert!(wmc.memo.len() > before, "g reuses f's memoised nodes");
     }
 
     #[test]

@@ -228,9 +228,9 @@ mod tests {
     }
 
     /// The tree's one variable rule against world enumeration at uniform
-    /// weights (the name predates the rule being the only one).
+    /// weights.
     #[test]
-    fn exact_with_every_order_heuristic() {
+    fn exact_under_the_one_ranking_matches_enumeration() {
         let p = mixed_program();
         let vt = VarTable::uniform(4, 0.5);
         let g = p.ground().unwrap();

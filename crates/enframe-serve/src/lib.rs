@@ -18,13 +18,11 @@
 //!    publish-then-retire, no reader ever blocks on maintenance.
 //!
 //! Evaluation itself has one path: every request runs one WMC sweep of
-//! the snapshot it loaded. Concurrent readers share that `Arc<Artifact>`.
-//! For OBDD they do not share one warm [`enframe_obdd::WmcCache`]: a
-//! sweep takes the engine's cache out while it runs, so a reader that
-//! overlaps another sweeps from an empty cache, and the last one to
-//! finish installs its own. Each answer is the sweep a sequential
-//! caller would run: bitwise-equal for d-DNNF, within 1e-12 for OBDD
-//! (reordering between epochs may permute the float reductions).
+//! the snapshot it loaded, on its own thread. Concurrent readers share
+//! that `Arc<Artifact>` and nothing else: a sweep keeps no state between
+//! calls. Each answer is the sweep a sequential caller would run:
+//! bitwise-equal for d-DNNF, within 1e-12 for OBDD (reordering between
+//! epochs may permute the float reductions).
 //!
 //! Every request carries a [`Budget`] and rides the degradation ladder:
 //! budget exhaustion — during a coalesced wait, during compilation, or
@@ -173,9 +171,9 @@ impl Lineage {
     }
 }
 
-/// A live compiled form, either engine. Both engines are `Sync`, so
-/// concurrent queries share one `Arc<Artifact>` snapshot and the one
-/// warm WMC cache inside it.
+/// A live compiled form, either engine. Both engines are `Sync` and
+/// their sweeps keep no state, so concurrent queries share one
+/// `Arc<Artifact>` snapshot without touching each other.
 #[derive(Debug)]
 pub enum Artifact {
     /// A compiled d-DNNF engine.

@@ -380,12 +380,11 @@ fn corrupt_mem_entry_falls_back_through_store_then_recompile() {
 }
 
 /// Phase E — a request whose variable table is too short for its
-/// lineage. Unchecked, the sweep indexes past the table: a panic on the
-/// caller's thread at one worker, and (before the sweep ran on the
-/// shared pool) a wavefront that never returned at more. Admission must
-/// turn it into a structured error at either width, promptly, artifact
-/// resident or not — and the instance must answer the next well-formed
-/// query exactly.
+/// lineage. Unchecked, the sweep indexes past the table and panics on
+/// the caller's thread (a parallel sweep once hung on it instead).
+/// Admission must turn it into a structured error at every fan-out
+/// width, promptly, artifact resident or not — and the instance must
+/// answer the next well-formed query exactly.
 #[test]
 fn short_var_table_is_rejected_at_admission() {
     let _calm = failpoint::arm("");

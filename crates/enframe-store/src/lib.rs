@@ -375,22 +375,17 @@ impl ArtifactStore {
     }
 
     /// Loads, checks, and revalidates the d-DNNF artifact keyed by
-    /// `fp`. `workers` configures the rebuilt engine's query
-    /// parallelism (`0` = auto) — it does not affect the artifact.
-    pub fn load_dnnf(&self, fp: Fingerprint, workers: usize) -> Result<DnnfEngine, StoreError> {
+    /// `fp`. `workers` is ignored: a loaded engine compiles nothing, and
+    /// its probability queries are sequential sweeps.
+    pub fn load_dnnf(&self, fp: Fingerprint, _workers: usize) -> Result<DnnfEngine, StoreError> {
         let path = self.path_for(EngineKind::Dnnf, fp);
         let _span = telemetry::span(Phase::StoreLoad);
-        let result = self.load_dnnf_at(&path, fp, workers);
+        let result = self.load_dnnf_at(&path, fp);
         note_outcome(&result);
         result
     }
 
-    fn load_dnnf_at(
-        &self,
-        path: &Path,
-        fp: Fingerprint,
-        workers: usize,
-    ) -> Result<DnnfEngine, StoreError> {
+    fn load_dnnf_at(&self, path: &Path, fp: Fingerprint) -> Result<DnnfEngine, StoreError> {
         let corrupt = |detail: String| StoreError::Corrupt {
             path: path.to_path_buf(),
             detail,
@@ -400,7 +395,7 @@ impl ArtifactStore {
         let man = DnnfManager::from_nodes(nodes).map_err(&corrupt)?;
         let (targets, names) = decode_targets(&f.sections[1]).map_err(&corrupt)?;
         let targets = targets.into_iter().map(Dnnf::from_index).collect();
-        let engine = DnnfEngine::from_parts(man, targets, names, workers).map_err(&corrupt)?;
+        let engine = DnnfEngine::from_parts(man, targets, names).map_err(&corrupt)?;
         let (weights, stored) = decode_weights(&f.sections[2]).map_err(&corrupt)?;
 
         let _verify = telemetry::span(Phase::StoreVerify);

@@ -117,7 +117,6 @@ pub enum Counter {
     IteEviction,
     WmcHit,
     WmcMiss,
-    WmcInvalidation,
     MemoHit,
     MemoMiss,
     UniqueProbe,
@@ -141,7 +140,7 @@ pub enum Counter {
     ServeQueueDepth,
 }
 
-const N_COUNTERS: usize = 27;
+const N_COUNTERS: usize = 26;
 
 impl Counter {
     /// Every counter, in registry order (the order snapshots export).
@@ -151,7 +150,6 @@ impl Counter {
         Counter::IteEviction,
         Counter::WmcHit,
         Counter::WmcMiss,
-        Counter::WmcInvalidation,
         Counter::MemoHit,
         Counter::MemoMiss,
         Counter::UniqueProbe,
@@ -183,7 +181,6 @@ impl Counter {
             Counter::IteEviction => "ite_evictions",
             Counter::WmcHit => "wmc_hits",
             Counter::WmcMiss => "wmc_misses",
-            Counter::WmcInvalidation => "wmc_invalidations",
             Counter::MemoHit => "memo_hits",
             Counter::MemoMiss => "memo_misses",
             Counter::UniqueProbe => "unique_probes",
@@ -265,7 +262,7 @@ pub enum Phase {
     Reorder,
     /// Merging per-worker results (d-DNNF absorb).
     Merge,
-    /// One parallel worker's whole run (fan-out or WMC wavefront).
+    /// One pool worker's whole run (a parallel fan-out).
     Worker,
     /// Time a worker spent blocked on the work queue.
     QueueWait,
