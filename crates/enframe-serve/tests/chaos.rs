@@ -381,10 +381,9 @@ fn corrupt_mem_entry_falls_back_through_store_then_recompile() {
 
 /// Phase E — a request whose variable table is too short for its
 /// lineage. Unchecked, the sweep indexes past the table and panics on
-/// the caller's thread (a parallel sweep once hung on it instead).
-/// Admission must turn it into a structured error at every fan-out
-/// width, promptly, artifact resident or not — and the instance must
-/// answer the next well-formed query exactly.
+/// the caller's thread. Admission must turn it into a structured error
+/// at every fan-out width, promptly, artifact resident or not — and the
+/// instance must answer the next well-formed query exactly.
 #[test]
 fn short_var_table_is_rejected_at_admission() {
     let _calm = failpoint::arm("");
