@@ -853,7 +853,7 @@ mod tests {
         let _t = telemetry_lock();
         let (net, vt, want) = chain(10);
         let svc = QueryService::new(ServeOptions::default());
-        let lin = Lineage::obdd(net, ObddOptions::default());
+        let lin = Lineage::obdd(Arc::clone(&net), ObddOptions::default());
         let before = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
         assert_eq!(before.epoch, 0);
         assert_eq!(svc.maintain(&lin), Some(1));
@@ -872,11 +872,59 @@ mod tests {
         }
         assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 1);
         // Nothing resident under a different lineage: nothing to maintain.
-        let other = Lineage::dnnf(
-            Arc::new(Network::clone(lin.network())),
-            DnnfOptions::default(),
-        );
-        assert_eq!(svc.maintain(&other), None);
+        let dnnf = Lineage::dnnf(net, DnnfOptions::default());
+        assert_eq!(svc.maintain(&dnnf), None);
+        // d-DNNF maintenance recompiles canonically: the swing changes
+        // the epoch and not one bit of the answers.
+        let before = svc.query(&dnnf, &vt, Budget::unlimited()).unwrap();
+        assert_eq!(before.epoch, 0);
+        assert_eq!(svc.maintain(&dnnf), Some(1));
+        let after = svc.query(&dnnf, &vt, Budget::unlimited()).unwrap();
+        assert_eq!(after.epoch, 1);
+        let (b, a) = (exact(&before), exact(&after));
+        for j in 0..want.len() {
+            assert_eq!(b[j].to_bits(), a[j].to_bits(), "target {j} moved");
+            assert!((a[j] - want[j]).abs() < 1e-12, "target {j} wrong");
+        }
+        assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 2);
+    }
+
+    /// Two maintainers racing on one resident artifact: every swing gets
+    /// its own epoch and none is lost, as it would be were an epoch
+    /// computed from the value read before the rebuild.
+    #[test]
+    fn concurrent_maintainers_lose_no_swing() {
+        let _t = telemetry_lock();
+        let (net, vt, want) = chain(10);
+        let svc = QueryService::new(ServeOptions::default());
+        let lin = Lineage::obdd(net, ObddOptions::default());
+        let _ = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
+        let barrier = Barrier::new(2);
+        let mut epochs: Vec<u64> = std::thread::scope(|s| {
+            let maintainers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..5)
+                            .map(|_| svc.maintain(&lin).expect("resident"))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            maintainers
+                .into_iter()
+                .flat_map(|m| m.join().unwrap())
+                .collect()
+        });
+        epochs.sort_unstable();
+        assert_eq!(epochs, (1..=10).collect::<Vec<_>>(), "distinct, none lost");
+        let last = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
+        assert_eq!(last.epoch, 10);
+        let got = exact(&last);
+        for j in 0..want.len() {
+            assert!((got[j] - want[j]).abs() < 1e-12, "target {j}");
+        }
+        assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 10);
     }
 
     #[test]
