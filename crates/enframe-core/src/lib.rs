@@ -50,7 +50,6 @@
 //! ```
 
 pub mod budget;
-pub mod epoch;
 pub mod error;
 pub mod event;
 pub mod failpoint;
@@ -66,7 +65,6 @@ pub mod var;
 pub mod workers;
 
 pub use budget::{Budget, BudgetScope, Exceeded, Resource};
-pub use epoch::EpochCell;
 pub use error::CoreError;
 pub use event::{CVal, CmpOp, Event};
 pub use ground::{Def, DefId, GroundProgram, Ident};

@@ -26,8 +26,9 @@
 //!   [`failpoint::Plan`]; [`Worker::next_job`] visits the `recv` (stall) and
 //!   `spawn` (panic) failpoints around each hand-out.
 //!
-//! With [`crate::epoch`] this module holds all engine-side thread
-//! synchronisation.
+//! This module holds every thread the engines spawn and every wait they
+//! block on; the only other condvar in the workspace is the serving
+//! layer's single-flight (`enframe-serve`).
 
 use crate::budget::BudgetScope;
 use crate::error::CoreError;

@@ -40,7 +40,7 @@
 //! [`Manager::collect_garbage`] is a mark-and-sweep rooted at the
 //! [`Manager::protect`]-registered external handles: dead nodes return to
 //! a free list, every subtable is rehashed to fit its survivors, and the
-//! computed caches are invalidated via [`Manager::epoch`]. Automatic
+//! `ite` computed-table is invalidated by one epoch bump. Automatic
 //! maintenance ([`Manager::maybe_maintain`]) runs GC — and, past a second
 //! threshold, sifting — when the live-node count crosses growth triggers
 //! derived from [`ReorderPolicy`]. Maintenance only ever happens inside
@@ -525,14 +525,6 @@ impl Manager {
 
     /// Hard cap on [`Manager::ite_cache_capacity`].
     pub const ITE_CACHE_MAX_CAPACITY: usize = 1 << ITE_MAX_BITS;
-
-    /// The maintenance epoch: bumped by every GC and reorder. A consumer
-    /// that keeps per-node-index state across maintenance must discard
-    /// it when the epoch moves on; the WMC counter ([`crate::Wmc`])
-    /// borrows the manager instead, so no maintenance can run under it.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
 
     /// A snapshot of the manager's health counters.
     pub fn stats(&self) -> ManagerStats {
@@ -1140,9 +1132,9 @@ mod tests {
     #[test]
     fn gc_bumps_epoch_and_keeps_cache_bounded() {
         let mut man = Manager::with_policy(ReorderPolicy::disabled());
-        let e0 = man.epoch();
+        let e0 = man.epoch;
         man.collect_garbage();
-        assert_eq!(man.epoch(), e0 + 1);
+        assert_eq!(man.epoch, e0 + 1);
         assert!(man.ite_cache_capacity() <= Manager::ITE_CACHE_MAX_CAPACITY);
     }
 

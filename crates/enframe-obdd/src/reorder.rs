@@ -35,7 +35,7 @@ impl Manager {
     /// every externally held handle to be [`Manager::protect`]ed (the
     /// pass GCs first, and the swap rewrite frees orphaned nodes).
     /// Handles keep denoting the same functions afterwards; only the
-    /// variable↔level permutation changes. Bumps [`Manager::epoch`].
+    /// variable↔level permutation changes. Bumps the manager's epoch.
     pub fn reorder(&mut self) {
         self.collect_garbage();
         self.sift_pass();

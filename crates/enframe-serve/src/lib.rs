@@ -11,10 +11,12 @@
 //!    misses on one fingerprint are **single-flighted**: one requester
 //!    compiles (or reloads) while the rest wait for its result, so a
 //!    thundering herd costs one compile, not N.
-//! 2. **Epoch-snapshotted reads.** Queries evaluate lock-free against an
-//!    immutable `Arc`-published snapshot ([`EpochCell`]); maintenance
+//! 2. **Epoch-snapshotted reads.** A memory-tier entry holds an
+//!    immutable `Arc<Artifact>` and the epoch it was published as; one
+//!    acquisition of the tier's lock clones the pair, and the query
+//!    evaluates lock-free against that snapshot. Maintenance
 //!    ([`QueryService::maintain`] — GC, reorder, recompile) builds a
-//!    replacement off to the side and swings the epoch:
+//!    replacement with no lock held and swings the entry's epoch:
 //!    publish-then-retire, no reader ever blocks on maintenance.
 //!
 //! Evaluation itself has one path: every request runs one WMC sweep of
@@ -39,7 +41,7 @@ use enframe_core::budget::{Budget, BudgetScope};
 use enframe_core::failpoint::{self, Site};
 use enframe_core::fingerprint::Fingerprint;
 use enframe_core::fxhash::FxHashMap;
-use enframe_core::{EpochCell, VarTable};
+use enframe_core::VarTable;
 use enframe_network::Network;
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions};
 use enframe_obdd::{ObddEngine, ObddError, ObddOptions};
@@ -268,7 +270,9 @@ pub struct Reply {
 // Internal state: memory tier, single-flight.
 // ---------------------------------------------------------------------
 
-/// In-memory LRU tier: fingerprint → live epoch-snapshotted artifact.
+/// In-memory LRU tier: fingerprint → live artifact snapshot and the
+/// epoch it was published as. The tier's one mutex guards both, so a
+/// reader always gets a pair that was published together.
 #[derive(Debug)]
 struct MemTier {
     cap: usize,
@@ -279,20 +283,24 @@ struct MemTier {
 #[derive(Debug)]
 struct MemEntry {
     last_used: u64,
-    cell: Arc<EpochCell<Artifact>>,
+    art: Arc<Artifact>,
+    epoch: u64,
 }
 
 impl MemTier {
-    fn get(&mut self, fp: Fingerprint) -> Option<Arc<EpochCell<Artifact>>> {
+    /// The entry's snapshot and epoch, marking it most recently used.
+    fn get(&mut self, fp: Fingerprint) -> Option<(Arc<Artifact>, u64)> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.get_mut(&fp).map(|e| {
             e.last_used = tick;
-            Arc::clone(&e.cell)
+            (Arc::clone(&e.art), e.epoch)
         })
     }
 
-    fn insert(&mut self, fp: Fingerprint, cell: Arc<EpochCell<Artifact>>) {
+    /// Inserts `art` as epoch 0, evicting least-recently-used entries
+    /// past the cap.
+    fn insert(&mut self, fp: Fingerprint, art: Arc<Artifact>) {
         self.tick += 1;
         while self.entries.len() >= self.cap && !self.entries.contains_key(&fp) {
             let Some(&victim) = self
@@ -309,7 +317,8 @@ impl MemTier {
             fp,
             MemEntry {
                 last_used: self.tick,
-                cell,
+                art,
+                epoch: 0,
             },
         );
     }
@@ -319,7 +328,7 @@ impl MemTier {
 /// else waits on the condvar for the published result.
 #[derive(Debug)]
 struct Flight {
-    state: Mutex<Option<Result<Arc<EpochCell<Artifact>>, ServeError>>>,
+    state: Mutex<Option<Result<Arc<Artifact>, ServeError>>>,
     cv: Condvar,
 }
 
@@ -331,7 +340,7 @@ const WAIT_POLL: Duration = Duration::from_millis(10);
 impl Flight {
     /// Waits for the leader's published result, or until the waiter's
     /// own budget runs out (then degrades rather than waiting further).
-    fn wait(&self, scope: &BudgetScope) -> Result<Arc<EpochCell<Artifact>>, ServeError> {
+    fn wait(&self, scope: &BudgetScope) -> Result<Arc<Artifact>, ServeError> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = (*st).clone() {
@@ -417,7 +426,7 @@ impl QueryService {
         }
         let scope = BudgetScope::new(budget);
         let (art, epoch) = match self.resolve(lineage, vt, budget, &scope) {
-            Ok(cell) => cell.load_with_epoch(),
+            Ok(pair) => pair,
             Err(e) if e.is_budget() => {
                 return Ok(Reply {
                     answer: degrade(lineage, vt, budget),
@@ -451,14 +460,18 @@ impl QueryService {
     /// swings the epoch. Readers keep answering from the old snapshot
     /// throughout and it retires when the last one finishes. Returns the
     /// new epoch, or `None` when the artifact is not resident (nothing
-    /// to maintain) or the rebuild failed (the old epoch stays live —
-    /// maintenance must never take a working artifact down).
+    /// to maintain), was evicted during the rebuild, or the rebuild
+    /// failed (the old epoch stays live — maintenance must never take a
+    /// working artifact down).
     pub fn maintain(&self, lineage: &Lineage) -> Option<u64> {
-        let cell = {
-            let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-            mem.get(lineage.fp)?
-        };
-        let rebuilt = match &*cell.load() {
+        // The rebuild runs with no lock held: readers keep resolving the
+        // old snapshot from the tier throughout.
+        let (old, _) = self
+            .mem
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(lineage.fp)?;
+        let rebuilt = match &*old {
             Artifact::Obdd(e) => {
                 let snap = e.export();
                 let mut fresh = ObddEngine::import(&snap).ok()?;
@@ -473,9 +486,19 @@ impl QueryService {
                 Artifact::Dnnf(DnnfEngine::compile(&lineage.net, opts).ok()?)
             }
         };
+        drop(old);
         // Racing maintainers may both publish; each publishes a complete,
-        // equivalent artifact, so the last swing simply wins.
-        let epoch = cell.publish(rebuilt);
+        // equivalent artifact, so the last swing simply wins. The epoch
+        // is bumped under the same lock as the swap, so no swing is lost.
+        let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = mem.entries.get_mut(&lineage.fp)?;
+        let retired = std::mem::replace(&mut entry.art, Arc::new(rebuilt));
+        entry.epoch += 1;
+        let epoch = entry.epoch;
+        drop(mem);
+        // If this was the last reference the whole snapshot is freed
+        // here — after the lock, so no reader waits on the teardown.
+        drop(retired);
         telemetry::count(Counter::ServeEpochSwing);
         Some(epoch)
     }
@@ -487,25 +510,26 @@ impl QueryService {
     #[doc(hidden)]
     pub fn inject_mem_entry(&self, fp: Fingerprint, artifact: Artifact) {
         let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-        mem.insert(fp, Arc::new(EpochCell::new(artifact)));
+        mem.insert(fp, Arc::new(artifact));
     }
 
     // -----------------------------------------------------------------
     // Tier resolution.
     // -----------------------------------------------------------------
 
-    /// Resolves the lineage to its live artifact cell: memory tier,
-    /// then (single-flighted) store tier, then compile.
+    /// Resolves the lineage to its live snapshot and epoch: memory
+    /// tier, then (single-flighted) store tier, then compile. A freshly
+    /// built artifact is epoch 0.
     fn resolve(
         &self,
         lineage: &Lineage,
         vt: &VarTable,
         budget: Budget,
         scope: &BudgetScope,
-    ) -> Result<Arc<EpochCell<Artifact>>, ServeError> {
-        if let Some(cell) = self.mem_hit(lineage) {
+    ) -> Result<(Arc<Artifact>, u64), ServeError> {
+        if let Some(hit) = self.mem_hit(lineage) {
             telemetry::count(Counter::ServeMemHit);
-            return Ok(cell);
+            return Ok(hit);
         }
         telemetry::count(Counter::ServeMemMiss);
 
@@ -517,9 +541,9 @@ impl QueryService {
                     // A flight that ended since our miss filled the
                     // memory tier before it retired: take its result
                     // rather than compile a second time.
-                    if let Some(cell) = self.mem_hit(lineage) {
+                    if let Some(hit) = self.mem_hit(lineage) {
                         telemetry::count(Counter::ServeCoalesce);
-                        return Ok(cell);
+                        return Ok(hit);
                     }
                     let f = Arc::new(Flight {
                         state: Mutex::new(None),
@@ -533,7 +557,7 @@ impl QueryService {
 
         if leader {
             let built = catch_unwind(AssertUnwindSafe(|| {
-                self.build_artifact(lineage, vt, budget)
+                self.build_artifact(lineage, vt, budget).map(Arc::new)
             }))
             .unwrap_or_else(|payload| {
                 let msg = payload
@@ -543,11 +567,11 @@ impl QueryService {
                     .unwrap_or_else(|| "non-string panic payload".into());
                 Err(ServeError::Panicked(msg))
             });
-            if let Ok(cell) = &built {
+            if let Ok(art) = &built {
                 self.mem
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(lineage.fp, Arc::clone(cell));
+                    .insert(lineage.fp, Arc::clone(art));
             }
             // Retire the flight *before* publishing: requesters
             // arriving after a failure start a fresh flight instead of
@@ -560,7 +584,7 @@ impl QueryService {
             *st = Some(built.clone());
             drop(st);
             flight.cv.notify_all();
-            return built;
+            return built.map(|art| (art, 0));
         }
 
         telemetry::count(Counter::ServeCoalesce);
@@ -571,22 +595,22 @@ impl QueryService {
             Err(e) if e.is_budget() && scope.checkpoint().is_ok() => {
                 self.resolve(lineage, vt, budget, scope)
             }
-            result => result,
+            result => result.map(|art| (art, 0)),
         }
     }
 
-    /// The lineage's memory-tier entry, if it passes the screen. The
+    /// The lineage's memory-tier snapshot and epoch, if the entry passes
+    /// the screen; one acquisition of the tier's lock and no other. The
     /// memory tier holds live process memory, so unlike the zero-trust
     /// disk tier it is trusted — but a cheap structural screen (right
     /// engine, right target count) catches a poisoned or misfiled entry,
     /// evicts it, and falls back through the store tier instead of
     /// serving it.
-    fn mem_hit(&self, lineage: &Lineage) -> Option<Arc<EpochCell<Artifact>>> {
+    fn mem_hit(&self, lineage: &Lineage) -> Option<(Arc<Artifact>, u64)> {
         let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-        let cell = mem.get(lineage.fp)?;
-        let art = cell.load();
+        let (art, epoch) = mem.get(lineage.fp)?;
         if art.kind() == lineage.kind() && art.n_targets() == lineage.net.targets.len() {
-            return Some(cell);
+            return Some((art, epoch));
         }
         mem.entries.remove(&lineage.fp);
         None
@@ -599,7 +623,7 @@ impl QueryService {
         lineage: &Lineage,
         vt: &VarTable,
         budget: Budget,
-    ) -> Result<Arc<EpochCell<Artifact>>, ServeError> {
+    ) -> Result<Artifact, ServeError> {
         if let Some(store) = &self.opts.store {
             let loaded = match &lineage.spec {
                 EngineSpec::Dnnf(opts) => store
@@ -614,7 +638,7 @@ impl QueryService {
             // the outcome; every one of them falls back to a fresh
             // compile.
             if let Ok(art) = loaded {
-                return Ok(Arc::new(EpochCell::new(art)));
+                return Ok(art);
             }
         }
         let art = match &lineage.spec {
@@ -643,7 +667,7 @@ impl QueryService {
                 Artifact::Obdd(Box::new(engine))
             }
         };
-        Ok(Arc::new(EpochCell::new(art)))
+        Ok(art)
     }
 }
 
