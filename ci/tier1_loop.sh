@@ -3,8 +3,9 @@
 # thread counts 1, 2 and 16 under ENFRAME_WORKERS=1 and =8. Stops at the
 # first failing run and prints which test binary failed and why.
 #
-#   ci/tier1_loop.sh [ROUNDS]      (default 5; run 20 before a PR that
-#                                   touches pool, epoch or failpoint)
+#   ci/tier1_loop.sh [ROUNDS]      (default 5; run 20 before a change
+#                                   that touches pool, failpoint or the
+#                                   serve layer's memory tier)
 set -u
 rounds="${1:-5}"
 log="$(mktemp)"
