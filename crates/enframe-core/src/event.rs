@@ -15,7 +15,7 @@
 //! built outside a program (e.g. tuple lineage in a pc-table) simply never
 //! contain references.
 
-use crate::ground::DefId;
+use crate::ground::{DefId, Evaluator};
 use crate::value::Value;
 use crate::var::{Valuation, Var};
 use crate::CoreError;
@@ -150,36 +150,7 @@ impl Event {
     /// complete valuation. Events with references must be evaluated through
     /// [`crate::GroundProgram`].
     pub fn eval_closed(&self, nu: &Valuation) -> Result<bool, CoreError> {
-        match self {
-            Event::Tru => Ok(true),
-            Event::Fls => Ok(false),
-            Event::Var(v) => Ok(nu.get(*v)),
-            Event::Not(e) => Ok(!e.eval_closed(nu)?),
-            Event::And(es) => {
-                for e in es {
-                    if !e.eval_closed(nu)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Event::Or(es) => {
-                for e in es {
-                    if e.eval_closed(nu)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Event::Atom(op, a, b) => {
-                let va = a.eval_closed(nu)?;
-                let vb = b.eval_closed(nu)?;
-                va.compare(*op, &vb)
-            }
-            Event::Ref(_) => Err(CoreError::UnknownIdent(
-                "cannot evaluate a reference outside a program".into(),
-            )),
-        }
+        Evaluator::closed().eval_event_expr(self, nu)
     }
 
     /// Collects every input variable mentioned in the expression
@@ -269,43 +240,7 @@ impl CVal {
 
     /// Evaluates a *closed* c-value (no `Ref`s) under a complete valuation.
     pub fn eval_closed(&self, nu: &Valuation) -> Result<Value, CoreError> {
-        match self {
-            CVal::Const(v) => Ok(v.clone()),
-            CVal::Cond(e, v) => {
-                if e.eval_closed(nu)? {
-                    Ok(v.clone())
-                } else {
-                    Ok(Value::Undef)
-                }
-            }
-            CVal::Guard(e, c) => {
-                if e.eval_closed(nu)? {
-                    c.eval_closed(nu)
-                } else {
-                    Ok(Value::Undef)
-                }
-            }
-            CVal::Sum(cs) => {
-                let mut acc = Value::Undef;
-                for c in cs {
-                    acc = acc.add(&c.eval_closed(nu)?)?;
-                }
-                Ok(acc)
-            }
-            CVal::Prod(cs) => {
-                let mut acc = Value::Num(1.0);
-                for c in cs {
-                    acc = acc.mul(&c.eval_closed(nu)?)?;
-                }
-                Ok(acc)
-            }
-            CVal::Inv(c) => c.eval_closed(nu)?.inv(),
-            CVal::Pow(c, r) => c.eval_closed(nu)?.pow(*r),
-            CVal::Dist(a, b) => a.eval_closed(nu)?.dist(&b.eval_closed(nu)?),
-            CVal::Ref(_) => Err(CoreError::UnknownIdent(
-                "cannot evaluate a reference outside a program".into(),
-            )),
-        }
+        Evaluator::closed().eval_cval_expr(self, nu)
     }
 
     /// Collects every input variable mentioned in the expression

@@ -66,13 +66,6 @@ pub enum Def {
     CVal(Rc<CVal>),
 }
 
-impl Def {
-    /// Whether this is a Boolean definition.
-    pub fn is_event(&self) -> bool {
-        matches!(self, Def::Event(_))
-    }
-}
-
 /// The named definitions of a program: identifiers, bodies and the index
 /// from one to the other.
 #[derive(Debug, Clone, Default)]
@@ -153,11 +146,14 @@ impl GroundProgram {
 }
 
 /// Memoising evaluator over a ground program, for one valuation at a time.
+/// It is also the one walker of closed terms ([`Event::eval_closed`],
+/// [`CVal::eval_closed`]): without a program, a `Ref` is an unknown
+/// identifier.
 ///
 /// Construct once and call [`Evaluator::reset`] between valuations to reuse
 /// the memo allocations.
 pub struct Evaluator<'a> {
-    gp: &'a GroundProgram,
+    gp: Option<&'a GroundProgram>,
     memo_bool: Vec<Option<bool>>,
     memo_val: Vec<Option<Value>>,
 }
@@ -166,10 +162,26 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator for `gp`.
     pub fn new(gp: &'a GroundProgram) -> Self {
         Evaluator {
-            gp,
+            gp: Some(gp),
             memo_bool: vec![None; gp.len()],
             memo_val: vec![None; gp.len()],
         }
+    }
+
+    /// An evaluator of closed terms, with no program to resolve `Ref`s in.
+    pub(crate) fn closed() -> Self {
+        Evaluator {
+            gp: None,
+            memo_bool: Vec::new(),
+            memo_val: Vec::new(),
+        }
+    }
+
+    /// The program a `Ref` names a definition of.
+    fn program(&self) -> Result<&'a GroundProgram, CoreError> {
+        self.gp.ok_or_else(|| {
+            CoreError::UnknownIdent("cannot evaluate a reference outside a program".into())
+        })
     }
 
     /// Clears memoised results (call between valuations).
@@ -180,14 +192,15 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates Boolean definition `id` under `nu`.
     pub fn event(&mut self, id: DefId, nu: &Valuation) -> Result<bool, CoreError> {
+        let gp = self.program()?;
         if let Some(b) = self.memo_bool[id.index()] {
             return Ok(b);
         }
-        let expr = match self.gp.def(id) {
+        let expr = match gp.def(id) {
             Def::Event(e) => e.clone(),
             Def::CVal(_) => {
                 return Err(CoreError::TypeMismatch {
-                    ident: self.gp.name_of(id),
+                    ident: gp.name_of(id),
                     expected: "an event",
                 })
             }
@@ -199,14 +212,15 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates c-value definition `id` under `nu`.
     pub fn cval(&mut self, id: DefId, nu: &Valuation) -> Result<Value, CoreError> {
+        let gp = self.program()?;
         if let Some(v) = &self.memo_val[id.index()] {
             return Ok(v.clone());
         }
-        let expr = match self.gp.def(id) {
+        let expr = match gp.def(id) {
             Def::CVal(c) => c.clone(),
             Def::Event(_) => {
                 return Err(CoreError::TypeMismatch {
-                    ident: self.gp.name_of(id),
+                    ident: gp.name_of(id),
                     expected: "a c-value",
                 })
             }

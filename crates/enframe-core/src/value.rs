@@ -46,22 +46,6 @@ impl Value {
         matches!(self, Value::Undef)
     }
 
-    /// Returns the scalar payload if this is a defined scalar.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Returns the point payload if this is a defined point.
-    pub fn as_point(&self) -> Option<&[f64]> {
-        match self {
-            Value::Point(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Extended addition: `u + x = x`, `x + u = x`; component-wise for
     /// points of equal dimension.
     pub fn add(&self, rhs: &Value) -> Result<Value, CoreError> {

@@ -2,7 +2,7 @@
 
 use crate::node::{Node, NodeId, NodeKind};
 use enframe_core::fxhash::{FxHashMap, FxHasher};
-use enframe_core::{CVal, CmpOp, CoreError, Def, Event, GroundProgram, Valuation, Value, Var};
+use enframe_core::{CVal, CmpOp, CoreError, Def, Event, GroundProgram, Value, Var};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -67,15 +67,6 @@ impl NodeTable {
         self.index.insert(key, id);
         id
     }
-}
-
-/// A value computed for a node during direct evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvalVal {
-    /// Boolean node value.
-    B(bool),
-    /// Numeric node value.
-    V(Value),
 }
 
 /// Structural statistics of a network.
@@ -310,91 +301,6 @@ impl Network {
         }
         s
     }
-
-    /// Directly evaluates every node under a complete valuation, returning
-    /// the per-node values. Used to validate the builder and in tests.
-    pub fn eval_all(&self, nu: &Valuation) -> Result<Vec<EvalVal>, CoreError> {
-        let mut out: Vec<EvalVal> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let val = match &node.kind {
-                NodeKind::Var(v) => EvalVal::B(nu.get(*v)),
-                NodeKind::ConstBool(b) => EvalVal::B(*b),
-                NodeKind::Not => EvalVal::B(!as_b(&out, node.children[0])),
-                NodeKind::And => EvalVal::B(node.children.iter().all(|&c| as_b(&out, c))),
-                NodeKind::Or => EvalVal::B(node.children.iter().any(|&c| as_b(&out, c))),
-                NodeKind::Cmp(op) => {
-                    let a = as_v(&out, node.children[0]);
-                    let b = as_v(&out, node.children[1]);
-                    EvalVal::B(a.compare(*op, b)?)
-                }
-                NodeKind::ConstVal => EvalVal::V(node.value.clone().unwrap()),
-                NodeKind::Cond => {
-                    if as_b(&out, node.children[0]) {
-                        EvalVal::V(node.value.clone().unwrap())
-                    } else {
-                        EvalVal::V(Value::Undef)
-                    }
-                }
-                NodeKind::Guard => {
-                    if as_b(&out, node.children[0]) {
-                        EvalVal::V(as_v(&out, node.children[1]).clone())
-                    } else {
-                        EvalVal::V(Value::Undef)
-                    }
-                }
-                NodeKind::Sum => {
-                    let mut acc = Value::Undef;
-                    for &c in &node.children {
-                        acc = acc.add(as_v(&out, c))?;
-                    }
-                    EvalVal::V(acc)
-                }
-                NodeKind::Prod => {
-                    let mut acc = Value::Num(1.0);
-                    for &c in &node.children {
-                        acc = acc.mul(as_v(&out, c))?;
-                    }
-                    EvalVal::V(acc)
-                }
-                NodeKind::Inv => EvalVal::V(as_v(&out, node.children[0]).inv()?),
-                NodeKind::Pow(r) => EvalVal::V(as_v(&out, node.children[0]).pow(*r)?),
-                NodeKind::Dist => {
-                    let a = as_v(&out, node.children[0]);
-                    let b = as_v(&out, node.children[1]);
-                    EvalVal::V(a.dist(b)?)
-                }
-            };
-            out.push(val);
-        }
-        Ok(out)
-    }
-
-    /// Evaluates only the targets under a complete valuation.
-    pub fn eval(&self, nu: &Valuation) -> Result<Vec<bool>, CoreError> {
-        let all = self.eval_all(nu)?;
-        Ok(self
-            .targets
-            .iter()
-            .map(|&t| match &all[t.index()] {
-                EvalVal::B(b) => *b,
-                EvalVal::V(_) => unreachable!("targets are Boolean by construction"),
-            })
-            .collect())
-    }
-}
-
-fn as_b(out: &[EvalVal], id: NodeId) -> bool {
-    match &out[id.index()] {
-        EvalVal::B(b) => *b,
-        EvalVal::V(_) => unreachable!("expected Boolean child"),
-    }
-}
-
-fn as_v(out: &[EvalVal], id: NodeId) -> &Value {
-    match &out[id.index()] {
-        EvalVal::V(v) => v,
-        EvalVal::B(_) => unreachable!("expected numeric child"),
-    }
 }
 
 impl Builder {
@@ -560,7 +466,7 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enframe_core::{space, Program, VarTable};
+    use enframe_core::{space, Program, Valuation, VarTable};
     use enframe_core::{CVal, Event};
     use std::rc::Rc;
 

@@ -19,16 +19,22 @@
 //! slots than the unrolled network has nodes (see the README).
 //!
 //! The module also offers:
-//! * direct evaluation of the network under a complete valuation
-//!   ([`Network::eval`]) — used to validate the builder against the
-//!   reference evaluator of `enframe-core`;
+//! * the §3.2 rule of one node ([`eval::eval_node`]), the one statement of
+//!   the node semantics that every evaluator of a network runs: direct
+//!   evaluation under a complete valuation ([`Network::eval`], validated
+//!   against the reference evaluator of `enframe-core`), the d-DNNF
+//!   compiler's incremental evaluator and the decision tree's masks;
 //! * structural statistics ([`Network::stats`]) for the memory/size
 //!   observations of §5;
 //! * Graphviz export ([`dot::to_dot`]) mirroring the paper's Figure 5.
 
 pub mod build;
 pub mod dot;
+pub mod eval;
+#[cfg(test)]
+mod fixtures;
 pub mod node;
 
 pub use build::Network;
+pub use eval::{eval_node, Partial};
 pub use node::{Node, NodeId, NodeKind};

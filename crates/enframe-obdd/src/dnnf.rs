@@ -48,14 +48,14 @@
 
 pub mod wmc;
 
-use crate::peval::{Evaluator, Partial, VisitStamp};
+use crate::peval::{Evaluator, VisitStamp};
 use crate::ObddError;
 use enframe_core::budget::{Budget, BudgetScope, Exceeded, Resource};
 use enframe_core::failpoint::{self, Site};
 use enframe_core::fxhash::FxHashMap;
 use enframe_core::pool;
 use enframe_core::{Value, Var, VarTable};
-use enframe_network::{Network, NodeId, NodeKind};
+use enframe_network::{Network, NodeId, NodeKind, Partial};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 
 /// A handle to a d-DNNF node. Equality is node identity; hash-consing

@@ -70,6 +70,9 @@
 
 mod compile;
 pub mod dnnf;
+#[cfg(test)]
+#[path = "../../enframe-network/src/fixtures.rs"]
+mod fixtures;
 pub mod manager;
 mod peval;
 mod reorder;

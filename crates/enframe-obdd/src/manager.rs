@@ -756,11 +756,6 @@ impl Manager {
         }
     }
 
-    /// Number of distinct protected nodes (for diagnostics).
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
     /// Mark-and-sweep over the node store, rooted at the
     /// [`Manager::protect`]-registered handles: unreachable nodes go to
     /// the free list, every unique subtable is rehashed to fit its

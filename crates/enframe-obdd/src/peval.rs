@@ -1,4 +1,4 @@
-//! Three-valued partial evaluation of event-network nodes.
+//! Incremental three-valued evaluation of event-network nodes.
 //!
 //! The residual-state DP of [`crate::dnnf`] — the one expander of both
 //! compiled forms — drives its case analysis with this oracle: given a
@@ -7,16 +7,19 @@
 //! undefined, §3.2) resolves to a constant and prunes the whole branch;
 //! a node that stays [`Partial::Unknown`] keeps the expansion alive.
 //!
-//! The evaluator owns the current assignment and a per-node scratch
-//! vector, kept current incrementally: [`Evaluator::prime`] once, then
+//! Which value a node takes is the one §3.2 node rule,
+//! [`enframe_network::eval_node`], that every network evaluator runs;
+//! this module keeps only the incremental parts around it. The evaluator
+//! owns the current assignment and a per-node scratch vector, kept
+//! current incrementally: [`Evaluator::prime`] once, then
 //! [`Evaluator::assign_monotone`] / [`Evaluator::undo_to`] per decision.
 //! [`Evaluator::value`] reads off any node's three-valued state, and the
 //! DP walks exactly this scratch to build its residual memoisation keys.
 
 use crate::ObddError;
 use enframe_core::budget::BudgetScope;
-use enframe_core::{Value, Var};
-use enframe_network::{Network, NodeId, NodeKind};
+use enframe_core::Var;
+use enframe_network::{eval_node, Network, NodeId, NodeKind, Partial};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 
 /// An epoch-stamped visited set over network nodes: clearing between
@@ -52,17 +55,6 @@ impl VisitStamp {
         self.stamp[id.index()] = self.current;
         was
     }
-}
-
-/// Three-valued partial evaluation result for one network node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Partial {
-    /// Boolean node with a forced truth value.
-    B(bool),
-    /// Numeric node with a forced value.
-    V(Value),
-    /// Not yet determined by the partial assignment.
-    Unknown,
 }
 
 /// A reusable three-valued evaluator over one network: the current
@@ -220,134 +212,73 @@ impl<'n> Evaluator<'n> {
         Ok(())
     }
 
-    /// One node's three-valued value from its children's scratch values
-    /// and the current assignment.
+    /// One node's value by the shared §3.2 rule, from its children's
+    /// scratch values and the current assignment.
     fn eval_node(&self, id: NodeId) -> Result<Partial, ObddError> {
-        let node = self.net.node(id);
-        Ok(match &node.kind {
-            NodeKind::Var(v) => match self.assignment[v.index()] {
-                Some(b) => Partial::B(b),
-                None => Partial::Unknown,
-            },
-            NodeKind::ConstBool(b) => Partial::B(*b),
-            NodeKind::Not => match self.scratch[node.children[0].index()] {
-                Partial::B(b) => Partial::B(!b),
-                _ => Partial::Unknown,
-            },
-            NodeKind::And => {
-                let mut out = Partial::B(true);
-                for &c in &node.children {
-                    match self.scratch[c.index()] {
-                        Partial::B(false) => {
-                            out = Partial::B(false);
-                            break;
-                        }
-                        Partial::B(true) => {}
-                        _ => out = Partial::Unknown,
-                    }
-                }
-                out
+        Ok(eval_node(
+            self.net.node(id),
+            |c| &self.scratch[c.index()],
+            |v| self.assignment[v.index()],
+        )?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::{self, Rng};
+    use proptest::prelude::*;
+
+    /// Every node `root` depends on.
+    fn cone(net: &Network, root: NodeId) -> Vec<NodeId> {
+        let mut seen = VisitStamp::new(net.len());
+        seen.reset();
+        let mut stack = vec![root];
+        let mut out = Vec::new();
+        while let Some(id) = stack.pop() {
+            if !seen.visit(id) {
+                out.push(id);
+                stack.extend(&net.node(id).children);
             }
-            NodeKind::Or => {
-                let mut out = Partial::B(false);
-                for &c in &node.children {
-                    match self.scratch[c.index()] {
-                        Partial::B(true) => {
-                            out = Partial::B(true);
-                            break;
-                        }
-                        Partial::B(false) => {}
-                        _ => out = Partial::Unknown,
+        }
+        out
+    }
+
+    proptest! {
+        /// Under a random partial assignment, the incremental state on
+        /// each target's cone is the rule evaluated from scratch, and
+        /// undoing the assignment restores every node.
+        #[test]
+        fn incremental_state_is_the_rule_from_scratch(seed in 0u64..1_000_000) {
+            let mut rng = Rng::new(seed);
+            for p in fixtures::programs(seed) {
+                let g = p.ground().unwrap();
+                let net = Network::build(&g).unwrap();
+                let mut eval = Evaluator::new(&net, BudgetScope::unlimited());
+                eval.prime().unwrap();
+                let empty: Vec<Partial> =
+                    (0..net.len()).map(|i| eval.value(NodeId(i as u32)).clone()).collect();
+                for &t in &net.targets {
+                    let cone = cone(&net, t);
+                    eval.restrict_to(&cone);
+                    let assignment = fixtures::partial_assignment(net.n_vars, &mut rng);
+                    let marks: Vec<(usize, Var)> = assignment
+                        .iter()
+                        .map(|&(v, b)| (eval.assign_monotone(v, b).unwrap(), v))
+                        .collect();
+                    let lookup = |v: Var| assignment.iter().find(|a| a.0 == v).map(|a| a.1);
+                    let want = net.eval_all(lookup).unwrap();
+                    for &id in &cone {
+                        prop_assert_eq!(eval.value(id), &want[id.index()]);
                     }
-                }
-                out
-            }
-            NodeKind::Cmp(op) => {
-                let a = &self.scratch[node.children[0].index()];
-                let b = &self.scratch[node.children[1].index()];
-                // An undefined side makes any comparison true (§3.2),
-                // even when the other side is still unknown.
-                match (a, b) {
-                    (Partial::V(Value::Undef), _) | (_, Partial::V(Value::Undef)) => {
-                        Partial::B(true)
+                    for &(mark, v) in marks.iter().rev() {
+                        eval.undo_to(mark, v);
                     }
-                    (Partial::V(x), Partial::V(y)) => Partial::B(x.compare(*op, y)?),
-                    _ => Partial::Unknown,
-                }
-            }
-            NodeKind::ConstVal => Partial::V(node.value.clone().expect("ConstVal payload")),
-            NodeKind::Cond => match self.scratch[node.children[0].index()] {
-                Partial::B(true) => Partial::V(node.value.clone().expect("Cond payload")),
-                Partial::B(false) => Partial::V(Value::Undef),
-                _ => Partial::Unknown,
-            },
-            NodeKind::Guard => {
-                let guard = &self.scratch[node.children[0].index()];
-                let inner = &self.scratch[node.children[1].index()];
-                match (guard, inner) {
-                    // Both outcomes are u once the payload is u.
-                    (_, Partial::V(Value::Undef)) | (Partial::B(false), _) => {
-                        Partial::V(Value::Undef)
-                    }
-                    (Partial::B(true), Partial::V(v)) => Partial::V(v.clone()),
-                    _ => Partial::Unknown,
-                }
-            }
-            NodeKind::Sum => {
-                let mut acc = Some(Value::Undef);
-                for &c in &node.children {
-                    match (&self.scratch[c.index()], acc.take()) {
-                        (Partial::V(v), Some(a)) => acc = Some(a.add(v)?),
-                        _ => break,
-                    }
-                }
-                match acc {
-                    Some(v) => Partial::V(v),
-                    None => Partial::Unknown,
-                }
-            }
-            NodeKind::Prod => {
-                // An undefined factor absorbs the whole product (§3.2),
-                // so one known-u child resolves it early.
-                if node
-                    .children
-                    .iter()
-                    .any(|&c| self.scratch[c.index()] == Partial::V(Value::Undef))
-                {
-                    Partial::V(Value::Undef)
-                } else {
-                    let mut acc = Some(Value::Num(1.0));
-                    for &c in &node.children {
-                        match (&self.scratch[c.index()], acc.take()) {
-                            (Partial::V(v), Some(a)) => acc = Some(a.mul(v)?),
-                            _ => break,
-                        }
-                    }
-                    match acc {
-                        Some(v) => Partial::V(v),
-                        None => Partial::Unknown,
+                    for (i, before) in empty.iter().enumerate() {
+                        prop_assert_eq!(eval.value(NodeId(i as u32)), before);
                     }
                 }
             }
-            NodeKind::Inv => match &self.scratch[node.children[0].index()] {
-                Partial::V(v) => Partial::V(v.inv()?),
-                _ => Partial::Unknown,
-            },
-            NodeKind::Pow(r) => match &self.scratch[node.children[0].index()] {
-                Partial::V(v) => Partial::V(v.pow(*r)?),
-                _ => Partial::Unknown,
-            },
-            NodeKind::Dist => {
-                let a = &self.scratch[node.children[0].index()];
-                let b = &self.scratch[node.children[1].index()];
-                match (a, b) {
-                    (Partial::V(Value::Undef), _) | (_, Partial::V(Value::Undef)) => {
-                        Partial::V(Value::Undef)
-                    }
-                    (Partial::V(x), Partial::V(y)) => Partial::V(x.dist(y)?),
-                    _ => Partial::Unknown,
-                }
-            }
-        })
+        }
     }
 }

@@ -20,12 +20,12 @@
 //! network.
 
 use crate::compile::{CompileResult, Options, Stats, Strategy};
-use crate::masks::{BoolMask, Masks};
+use crate::masks::Masks;
 use enframe_core::budget::{Budget, BudgetScope, Exceeded};
 use enframe_core::error::CoreError;
 use enframe_core::pool;
 use enframe_core::{Var, VarTable};
-use enframe_network::{Network, NodeId};
+use enframe_network::{Network, NodeId, Partial};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -139,10 +139,10 @@ impl<'a> Search<'a> {
         let mut upper = vec![1.0; targets.len()];
         let mut node_targets: HashMap<NodeId, Vec<usize>> = HashMap::new();
         for (i, &t) in targets.iter().enumerate() {
-            match store.bool_mask(t) {
-                BoolMask::True => lower[i] = 1.0,
-                BoolMask::False => upper[i] = 0.0,
-                BoolMask::Unknown => {}
+            match store.value(t) {
+                Partial::B(true) => lower[i] = 1.0,
+                Partial::B(false) => upper[i] = 0.0,
+                _ => {}
             }
             node_targets.entry(t).or_default().push(i);
         }

@@ -41,6 +41,9 @@
 pub mod bounds;
 pub mod compile;
 pub mod distr;
+#[cfg(test)]
+#[path = "../../enframe-network/src/fixtures.rs"]
+mod fixtures;
 pub mod masks;
 pub mod sensitivity;
 
@@ -48,5 +51,5 @@ pub use compile::{
     compile, compile_scoped, degrade_to_bounds, CompileResult, Options, Stats, Strategy,
 };
 pub use distr::{compile_distributed, DistOptions};
-pub use masks::{BoolMask, Masks};
+pub use masks::Masks;
 pub use sensitivity::{sensitivity, Influence, Sensitivity};

@@ -1,12 +1,16 @@
 //! Mask propagation over event networks (paper Algorithm 2).
 //!
 //! A *mask* is the partial-evaluation state of the network under a partial
-//! variable assignment ν: Boolean nodes carry a three-valued mask, c-value
-//! nodes carry definedness plus interval bounds (see [`crate::bounds`]),
-//! and aggregates keep incremental bookkeeping so that a variable
-//! assignment propagates bottom-up in time proportional to the affected
-//! region rather than the network size. [`Masks`] holds one state per node
-//! of a [`Network`], indexed by [`NodeId`].
+//! variable assignment ν. Each node's value is the one §3.2 node rule,
+//! [`enframe_network::eval_node`], that every network evaluator runs; the
+//! masks add an *overlay* on top of it: definedness plus interval bounds
+//! for c-value nodes (see [`crate::bounds`]), and child counters for
+//! `And`/`Or`/`Σ` so that a variable assignment propagates bottom-up in
+//! time proportional to the affected region rather than the network size.
+//! The overlay decides a node only where the rule cannot: a comparison
+//! whose sides are not yet exact resolves as soon as their intervals
+//! separate. [`Masks`] holds one state per node of a [`Network`], indexed
+//! by [`NodeId`].
 //!
 //! Two implementation choices beyond the pseudocode (results unchanged):
 //!
@@ -21,55 +25,58 @@
 //!   once per changed child — and, worse, double-apply deltas when a
 //!   child changes twice within a wave.
 //!
-//! Resolution rules implement §3.2 lifted to intervals:
-//! * a comparison resolves **true** as soon as either side is certainly
-//!   undefined, or the comparison certainly holds whenever both sides are
-//!   defined;
+//! The rule is monotone, and so is the overlay's decision of a
+//! comparison: a decided node keeps its value in every extension of ν,
+//! so a wave recomputes only undecided nodes. The overlay lifts §3.2 to
+//! intervals:
+//! * a comparison resolves **true** as soon as the comparison certainly
+//!   holds whenever both sides are defined;
 //! * it resolves **false** only when both sides are certainly defined and
 //!   the comparison certainly fails;
-//! * `Σ` treats undefined summands as the additive identity and resolves
-//!   exactly (by the same left-fold as the reference evaluator) once all
-//!   children are resolved;
-//! * `Π` resolves to undefined as soon as any factor is certainly
-//!   undefined.
+//! * an undefined summand contributes the additive identity to a `Σ`'s
+//!   interval, a possibly undefined one the hull of both.
 
 use crate::bounds::{certainly, certainly_not, Def3, Ival};
-use enframe_core::{Value, Var};
-use enframe_network::{Network, NodeId, NodeKind};
+use enframe_core::{CmpOp, Value, Var};
+use enframe_network::{eval_node, Network, NodeId, NodeKind, Partial};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Three-valued mask of a Boolean node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoolMask {
-    /// Not yet determined in this branch.
-    Unknown,
-    /// Certainly true.
-    True,
-    /// Certainly false.
-    False,
-}
-
-impl BoolMask {
-    /// Whether the mask is decided.
-    pub fn known(self) -> bool {
-        self != BoolMask::Unknown
-    }
-}
-
-/// Mask state of a c-value node.
+/// Mask state of a c-value node: its value and its overlay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumState {
+    /// The node's value by the §3.2 node rule (`Partial::V(Value::Undef)`
+    /// = certainly undefined).
+    pub value: Partial,
     /// Definedness under the current partial assignment.
     pub def: Def3,
     /// Interval bounds on the defined value.
     pub ival: Ival,
-    /// Exact value once fully resolved (`Some(Value::Undef)` = certainly
-    /// undefined).
-    pub resolved: Option<Value>,
     n_unres: u32,
     n_def_yes: u32,
     n_def_no: u32,
+}
+
+impl NumState {
+    /// A state without counters. A decided value fixes the overlay: `u` is
+    /// certainly undefined (its interval keeps only its shape, which a sum
+    /// of points needs for its identity), any other value is its own exact
+    /// interval. `overlay` gives definedness and interval otherwise.
+    fn new(value: Partial, overlay: impl FnOnce() -> (Def3, Ival)) -> NumState {
+        let (def, ival) = match &value {
+            Partial::V(Value::Undef) => (Def3::No, overlay().1),
+            Partial::V(v) => (Def3::Yes, Ival::exact(v)),
+            Partial::B(_) | Partial::Unknown => overlay(),
+        };
+        NumState {
+            value,
+            def,
+            ival,
+            n_unres: 0,
+            n_def_yes: 0,
+            n_def_no: 0,
+        }
+    }
 }
 
 /// Mask state of one node.
@@ -77,11 +84,12 @@ pub struct NumState {
 pub enum NState {
     /// Boolean node state with child counters (for `And`/`Or`).
     Bool {
-        /// Current mask.
-        mask: BoolMask,
-        /// Children currently masked true.
+        /// The node's value: the §3.2 node rule's, or a comparison's
+        /// interval decision.
+        value: Partial,
+        /// Children currently true.
         n_true: u32,
-        /// Children currently masked false.
+        /// Children currently false.
         n_false: u32,
     },
     /// Numeric node state.
@@ -89,19 +97,25 @@ pub enum NState {
 }
 
 impl NState {
-    /// Whether the node is resolved in the current branch.
-    pub fn is_resolved(&self) -> bool {
-        match self {
-            NState::Bool { mask, .. } => mask.known(),
-            NState::Num(n) => n.resolved.is_some(),
+    fn bool(value: Partial) -> NState {
+        NState::Bool {
+            value,
+            n_true: 0,
+            n_false: 0,
         }
     }
 
-    fn bool_mask(&self) -> BoolMask {
+    /// The node's value in the current branch.
+    pub fn value(&self) -> &Partial {
         match self {
-            NState::Bool { mask, .. } => *mask,
-            NState::Num(_) => unreachable!("numeric node used as Boolean"),
+            NState::Bool { value, .. } => value,
+            NState::Num(n) => &n.value,
         }
+    }
+
+    /// Whether the node is resolved in the current branch.
+    pub fn is_resolved(&self) -> bool {
+        !matches!(self.value(), Partial::Unknown)
     }
 
     fn num(&self) -> &NumState {
@@ -114,9 +128,9 @@ impl NState {
     /// Whether the externally visible part changed (counters excluded).
     fn visibly_differs(&self, other: &NState) -> bool {
         match (self, other) {
-            (NState::Bool { mask: a, .. }, NState::Bool { mask: b, .. }) => a != b,
+            (NState::Bool { value: a, .. }, NState::Bool { value: b, .. }) => a != b,
             (NState::Num(a), NState::Num(b)) => {
-                a.def != b.def || a.ival != b.ival || a.resolved != b.resolved
+                a.value != b.value || a.def != b.def || a.ival != b.ival
             }
             _ => true,
         }
@@ -128,15 +142,11 @@ impl NState {
 fn contribution(n: &NumState) -> Ival {
     match n.def {
         Def3::Yes => n.ival.clone(),
-        Def3::No => zero_like(&n.ival),
+        Def3::No => match &n.ival {
+            Ival::Scalar { .. } => Ival::zero_scalar(),
+            Ival::Point { lo, .. } => Ival::zero_point(lo.len()),
+        },
         Def3::Maybe => n.ival.hull_zero(),
-    }
-}
-
-fn zero_like(i: &Ival) -> Ival {
-    match i {
-        Ival::Scalar { .. } => Ival::zero_scalar(),
-        Ival::Point { lo, .. } => Ival::zero_point(lo.len()),
     }
 }
 
@@ -190,9 +200,9 @@ impl<'n> Masks<'n> {
         &self.state[id.index()]
     }
 
-    /// The Boolean mask of a Boolean node.
-    pub fn bool_mask(&self, id: NodeId) -> BoolMask {
-        self.state[id.index()].bool_mask()
+    /// The value of a node in the current branch.
+    pub fn value(&self, id: NodeId) -> &Partial {
+        self.state[id.index()].value()
     }
 
     /// Number of distinct target nodes still unresolved in this branch.
@@ -253,16 +263,7 @@ impl<'n> Masks<'n> {
             "variable x{} assigned twice",
             v.0
         );
-        let new = NState::Bool {
-            mask: if value {
-                BoolMask::True
-            } else {
-                BoolMask::False
-            },
-            n_true: 0,
-            n_false: 0,
-        };
-        self.set_state(g, new, sink);
+        self.set_state(g, NState::bool(Partial::B(value)), sink);
         // Process the wave in topological order: ids are topological
         // (children precede parents), so popping the smallest dirty id
         // guarantees all of its inputs are final. Every node is therefore
@@ -289,10 +290,8 @@ impl<'n> Masks<'n> {
         let old = std::mem::replace(&mut self.state[idx], new);
         if self.is_target[idx] && !old.is_resolved() && self.state[idx].is_resolved() {
             self.unresolved_target_nodes -= 1;
-            let truth = match self.state[idx].bool_mask() {
-                BoolMask::True => true,
-                BoolMask::False => false,
-                BoolMask::Unknown => unreachable!(),
+            let Partial::B(truth) = *self.state[idx].value() else {
+                unreachable!("targets are Boolean");
             };
             sink(g, truth);
         }
@@ -313,11 +312,6 @@ impl<'n> Masks<'n> {
         }
     }
 
-    /// The current state of the `i`-th child of `g`.
-    fn child(&self, g: NodeId, i: usize) -> &NState {
-        &self.state[self.net.node(g).children[i].index()]
-    }
-
     /// The wave-start state of a changed child.
     fn old_of(&self, child: NodeId) -> &NState {
         self.wave_old[child.index()]
@@ -325,46 +319,69 @@ impl<'n> Masks<'n> {
             .expect("changed child has a wave snapshot")
     }
 
+    /// The §3.2 node rule over the children's current values; an
+    /// ill-typed node stays undecided.
+    fn rule(&self, g: NodeId) -> Partial {
+        eval_node(
+            self.net.node(g),
+            |c| self.state[c.index()].value(),
+            |_| None,
+        )
+        .unwrap_or(Partial::Unknown)
+    }
+
     /// Recomputes `parent` given the children that changed this wave.
-    /// Counter-based nodes (`And`/`Or`/`Sum`) apply exact deltas; all other
-    /// kinds recompute from their (small) child lists.
+    /// Counter-based nodes (`And`/`Or`/`Sum`) apply exact deltas and run
+    /// the rule only once the counters say it can decide; all other kinds
+    /// recompute from their (small) child lists.
     fn recompute(&self, parent: NodeId, kids: &[NodeId]) -> Option<NState> {
         let cur = &self.state[parent.index()];
+        if cur.is_resolved() {
+            return None;
+        }
         let node = self.net.node(parent);
-        let kind = &node.kind;
-        let new = match kind {
-            NodeKind::Var(_) | NodeKind::ConstBool(_) | NodeKind::ConstVal => return None,
-            NodeKind::And | NodeKind::Or => {
-                let (mut n_true, mut n_false) = match cur {
-                    NState::Bool {
-                        n_true, n_false, ..
-                    } => (*n_true, *n_false),
-                    _ => unreachable!(),
-                };
+        let len = node.children.len() as u32;
+        let new = match (&node.kind, cur) {
+            (
+                kind @ (NodeKind::And | NodeKind::Or),
+                NState::Bool {
+                    n_true, n_false, ..
+                },
+            ) => {
+                let (mut n_true, mut n_false) = (*n_true, *n_false);
                 for &kid in kids {
-                    match self.old_of(kid).bool_mask() {
-                        BoolMask::True => n_true -= 1,
-                        BoolMask::False => n_false -= 1,
-                        BoolMask::Unknown => {}
+                    match self.old_of(kid).value() {
+                        Partial::B(true) => n_true -= 1,
+                        Partial::B(false) => n_false -= 1,
+                        _ => {}
                     }
-                    match self.state[kid.index()].bool_mask() {
-                        BoolMask::True => n_true += 1,
-                        BoolMask::False => n_false += 1,
-                        BoolMask::Unknown => {}
+                    match self.state[kid.index()].value() {
+                        Partial::B(true) => n_true += 1,
+                        Partial::B(false) => n_false += 1,
+                        _ => {}
                     }
                 }
+                let (absorbing, unit) = match kind {
+                    NodeKind::And => (n_false, n_true),
+                    _ => (n_true, n_false),
+                };
+                let value = if absorbing > 0 || unit == len {
+                    self.rule(parent)
+                } else {
+                    Partial::Unknown
+                };
                 NState::Bool {
-                    mask: gate_mask(kind, n_true, n_false, node.children.len() as u32),
+                    value,
                     n_true,
                     n_false,
                 }
             }
-            NodeKind::Sum => {
-                let mut st = cur.num().clone();
+            (NodeKind::Sum, NState::Num(cur)) => {
+                let mut st = cur.clone();
                 for &kid in kids {
                     let oc = self.old_of(kid).num();
                     let nc = self.state[kid.index()].num();
-                    if oc.resolved.is_none() && nc.resolved.is_some() {
+                    if oc.value == Partial::Unknown && nc.value != Partial::Unknown {
                         st.n_unres -= 1;
                     }
                     match oc.def {
@@ -379,117 +396,57 @@ impl<'n> Masks<'n> {
                     }
                     st.ival.shift(&contribution(oc), &contribution(nc));
                 }
-                st.def = sum_def(st.n_def_yes, st.n_def_no, node.children.len() as u32);
-                if st.n_unres == 0 && st.resolved.is_none() {
-                    self.resolve_sum(parent, &mut st);
-                }
-                NState::Num(st)
-            }
-            NodeKind::Cmp(_) if cur.is_resolved() => {
-                // Comparisons are monotone: once resolved, stay.
-                return None;
+                NState::Num(self.sum_state(parent, st))
             }
             _ => self.compute_full(parent),
         };
-        if &new == cur {
-            None
-        } else {
-            Some(new)
-        }
+        (new != *cur).then_some(new)
     }
 
     /// Computes a node's state from scratch from its children's current
     /// states (used for initialisation and for small-fan-in node kinds).
     fn compute_full(&self, g: NodeId) -> NState {
         let node = self.net.node(g);
+        let num = |i: usize| self.state[node.children[i].index()].num();
         match &node.kind {
-            NodeKind::Var(_) => NState::Bool {
-                mask: BoolMask::Unknown,
-                n_true: 0,
-                n_false: 0,
-            },
-            NodeKind::ConstBool(b) => NState::Bool {
-                mask: if *b { BoolMask::True } else { BoolMask::False },
-                n_true: 0,
-                n_false: 0,
-            },
-            NodeKind::Not => NState::Bool {
-                mask: match self.child(g, 0).bool_mask() {
-                    BoolMask::Unknown => BoolMask::Unknown,
-                    BoolMask::True => BoolMask::False,
-                    BoolMask::False => BoolMask::True,
-                },
-                n_true: 0,
-                n_false: 0,
-            },
-            kind @ (NodeKind::And | NodeKind::Or) => {
-                let mut n_true = 0u32;
-                let mut n_false = 0u32;
+            NodeKind::And | NodeKind::Or => {
+                let (mut n_true, mut n_false) = (0, 0);
                 for c in &node.children {
-                    match self.state[c.index()].bool_mask() {
-                        BoolMask::True => n_true += 1,
-                        BoolMask::False => n_false += 1,
-                        BoolMask::Unknown => {}
+                    match self.state[c.index()].value() {
+                        Partial::B(true) => n_true += 1,
+                        Partial::B(false) => n_false += 1,
+                        _ => {}
                     }
                 }
                 NState::Bool {
-                    mask: gate_mask(kind, n_true, n_false, node.children.len() as u32),
+                    value: self.rule(g),
                     n_true,
                     n_false,
                 }
             }
-            NodeKind::Cmp(op) => NState::Bool {
-                mask: cmp_mask(*op, self.child(g, 0).num(), self.child(g, 1).num()),
-                n_true: 0,
-                n_false: 0,
-            },
-            NodeKind::ConstVal => {
-                let v = node
-                    .value
-                    .clone()
-                    .expect("ConstVal node carries a literal value by construction");
-                match &v {
-                    Value::Undef => NState::Num(NumState {
-                        def: Def3::No,
-                        ival: Ival::zero_scalar(),
-                        resolved: Some(Value::Undef),
-                        n_unres: 0,
-                        n_def_yes: 0,
-                        n_def_no: 0,
-                    }),
-                    _ => NState::Num(NumState {
-                        def: Def3::Yes,
-                        ival: Ival::exact(&v),
-                        resolved: Some(v),
-                        n_unres: 0,
-                        n_def_yes: 0,
-                        n_def_no: 0,
-                    }),
-                }
-            }
-            NodeKind::Cond => NState::Num(cond_state(
-                self.child(g, 0).bool_mask(),
-                node.value
-                    .clone()
-                    .expect("Cond node carries a literal value by construction"),
-            )),
-            NodeKind::Guard => NState::Num(guard_state(
-                self.child(g, 0).bool_mask(),
-                self.child(g, 1).num(),
-            )),
+            NodeKind::Cmp(op) => NState::bool(match self.rule(g) {
+                Partial::Unknown => cmp_overlay(*op, num(0), num(1)),
+                decided => decided,
+            }),
+            kind if kind.is_bool() => NState::bool(self.rule(g)),
             NodeKind::Sum => {
-                let mut n_unres = 0;
-                let mut n_def_yes = 0;
-                let mut n_def_no = 0;
+                let mut st = NumState {
+                    value: Partial::Unknown,
+                    def: Def3::Maybe,
+                    ival: Ival::zero_scalar(),
+                    n_unres: 0,
+                    n_def_yes: 0,
+                    n_def_no: 0,
+                };
                 let mut acc: Option<Ival> = None;
                 for c in &node.children {
                     let c = self.state[c.index()].num();
-                    if c.resolved.is_none() {
-                        n_unres += 1;
+                    if c.value == Partial::Unknown {
+                        st.n_unres += 1;
                     }
                     match c.def {
-                        Def3::Yes => n_def_yes += 1,
-                        Def3::No => n_def_no += 1,
+                        Def3::Yes => st.n_def_yes += 1,
+                        Def3::No => st.n_def_no += 1,
                         Def3::Maybe => {}
                     }
                     let contrib = contribution(c);
@@ -498,307 +455,106 @@ impl<'n> Masks<'n> {
                         Some(a) => a.add(&contrib),
                     });
                 }
-                let mut st = NumState {
-                    def: sum_def(n_def_yes, n_def_no, node.children.len() as u32),
-                    ival: acc.unwrap_or_else(Ival::zero_scalar),
-                    resolved: None,
-                    n_unres,
-                    n_def_yes,
-                    n_def_no,
-                };
-                if st.n_unres == 0 {
-                    self.resolve_sum(g, &mut st);
+                st.ival = acc.unwrap_or_else(Ival::zero_scalar);
+                NState::Num(self.sum_state(g, st))
+            }
+            kind => NState::Num(NumState::new(self.rule(g), || match kind {
+                NodeKind::ConstVal | NodeKind::Cond => {
+                    let ival = match node.value.as_ref() {
+                        Some(Value::Undef) | None => Ival::zero_scalar(),
+                        Some(v) => Ival::exact(v),
+                    };
+                    (Def3::Maybe, ival)
                 }
-                NState::Num(st)
-            }
-            NodeKind::Prod => NState::Num(self.prod_state(g)),
-            NodeKind::Inv => NState::Num(inv_state(self.child(g, 0).num())),
-            NodeKind::Pow(r) => NState::Num(pow_state(self.child(g, 0).num(), *r)),
-            NodeKind::Dist => {
-                NState::Num(dist_state(self.child(g, 0).num(), self.child(g, 1).num()))
-            }
-        }
-    }
-
-    /// The resolved values of `g`'s children, in order.
-    fn resolved_children(&self, g: NodeId) -> impl Iterator<Item = Value> + '_ {
-        self.net.node(g).children.iter().map(|c| {
-            self.state[c.index()]
-                .num()
-                .resolved
-                .clone()
-                .expect("child resolved")
-        })
-    }
-
-    /// Exact resolution of a fully-resolved sum: the same left-fold as the
-    /// reference evaluator, so results agree bit-for-bit.
-    fn resolve_sum(&self, g: NodeId, st: &mut NumState) {
-        let mut acc = Value::Undef;
-        for v in self.resolved_children(g) {
-            acc = acc.add(&v).expect("well-typed sum");
-        }
-        match &acc {
-            Value::Undef => {
-                st.def = Def3::No;
-            }
-            v => {
-                st.def = Def3::Yes;
-                st.ival = Ival::exact(v);
-            }
-        }
-        st.resolved = Some(acc);
-    }
-
-    fn prod_state(&self, g: NodeId) -> NumState {
-        let mut def = Def3::Yes;
-        let mut all_resolved = true;
-        let mut ival: Option<Ival> = None;
-        for c in &self.net.node(g).children {
-            let c = self.state[c.index()].num();
-            def = def.and(c.def);
-            if c.resolved.is_none() {
-                all_resolved = false;
-            }
-            ival = Some(match ival {
-                None => c.ival.clone(),
-                Some(a) => a.mul(&c.ival),
-            });
-        }
-        let mut st = NumState {
-            def,
-            ival: ival.unwrap_or(Ival::Scalar { lo: 1.0, hi: 1.0 }),
-            resolved: None,
-            n_unres: 0,
-            n_def_yes: 0,
-            n_def_no: 0,
-        };
-        if def == Def3::No {
-            // Any certainly-undefined factor absorbs the product.
-            st.resolved = Some(Value::Undef);
-        } else if all_resolved {
-            let mut acc = Value::Num(1.0);
-            for v in self.resolved_children(g) {
-                acc = acc.mul(&v).expect("well-typed product");
-            }
-            if let Value::Undef = acc {
-                st.def = Def3::No;
-            } else {
-                st.def = Def3::Yes;
-                st.ival = Ival::exact(&acc);
-            }
-            st.resolved = Some(acc);
-        }
-        st
-    }
-}
-
-fn gate_mask(kind: &NodeKind, n_true: u32, n_false: u32, len: u32) -> BoolMask {
-    match kind {
-        NodeKind::And => {
-            if n_false > 0 {
-                BoolMask::False
-            } else if n_true == len {
-                BoolMask::True
-            } else {
-                BoolMask::Unknown
-            }
-        }
-        NodeKind::Or => {
-            if n_true > 0 {
-                BoolMask::True
-            } else if n_false == len {
-                BoolMask::False
-            } else {
-                BoolMask::Unknown
-            }
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn cmp_mask(op: enframe_core::CmpOp, a: &NumState, b: &NumState) -> BoolMask {
-    // Either side certainly undefined ⇒ vacuously true (§3.2).
-    if matches!(a.resolved, Some(Value::Undef)) || matches!(b.resolved, Some(Value::Undef)) {
-        return BoolMask::True;
-    }
-    if let (Some(va), Some(vb)) = (&a.resolved, &b.resolved) {
-        return match va.compare(op, vb) {
-            Ok(true) => BoolMask::True,
-            Ok(false) => BoolMask::False,
-            Err(_) => BoolMask::Unknown,
-        };
-    }
-    // Certainly θ whenever both defined ⇒ true regardless of definedness.
-    if certainly(op, &a.ival, &b.ival) {
-        return BoolMask::True;
-    }
-    // False needs certain definedness on both sides.
-    if a.def == Def3::Yes && b.def == Def3::Yes && certainly_not(op, &a.ival, &b.ival) {
-        return BoolMask::False;
-    }
-    BoolMask::Unknown
-}
-
-fn cond_state(guard: BoolMask, v: Value) -> NumState {
-    match guard {
-        BoolMask::True => NumState {
-            def: Def3::Yes,
-            ival: Ival::exact(&v),
-            resolved: Some(v),
-            n_unres: 0,
-            n_def_yes: 0,
-            n_def_no: 0,
-        },
-        BoolMask::False => NumState {
-            def: Def3::No,
-            ival: match &v {
-                Value::Undef => Ival::zero_scalar(),
-                other => Ival::exact(other),
-            },
-            resolved: Some(Value::Undef),
-            n_unres: 0,
-            n_def_yes: 0,
-            n_def_no: 0,
-        },
-        BoolMask::Unknown => NumState {
-            def: Def3::Maybe,
-            ival: match &v {
-                Value::Undef => Ival::zero_scalar(),
-                other => Ival::exact(other),
-            },
-            resolved: None,
-            n_unres: 0,
-            n_def_yes: 0,
-            n_def_no: 0,
-        },
-    }
-}
-
-fn guard_state(g: BoolMask, c: &NumState) -> NumState {
-    let def = match g {
-        BoolMask::False => Def3::No,
-        BoolMask::True => c.def,
-        BoolMask::Unknown => match c.def {
-            Def3::No => Def3::No,
-            _ => Def3::Maybe,
-        },
-    };
-    let resolved = match (g, &c.resolved) {
-        (BoolMask::False, _) => Some(Value::Undef),
-        (_, Some(Value::Undef)) => Some(Value::Undef),
-        (BoolMask::True, Some(v)) => Some(v.clone()),
-        _ => None,
-    };
-    NumState {
-        def,
-        ival: c.ival.clone(),
-        resolved,
-        n_unres: 0,
-        n_def_yes: 0,
-        n_def_no: 0,
-    }
-}
-
-fn inv_state(c: &NumState) -> NumState {
-    let resolved = c
-        .resolved
-        .as_ref()
-        .map(|v| v.inv().expect("well-typed inverse"));
-    let def = match &resolved {
-        Some(Value::Undef) => Def3::No,
-        Some(_) => Def3::Yes,
-        None => match c.def {
-            Def3::No => Def3::No,
-            Def3::Yes => match c.ival.scalar() {
-                Some((lo, hi)) if lo > 0.0 || hi < 0.0 => Def3::Yes,
-                _ => Def3::Maybe,
-            },
-            Def3::Maybe => Def3::Maybe,
-        },
-    };
-    NumState {
-        def,
-        ival: c.ival.inv(),
-        resolved,
-        n_unres: 0,
-        n_def_yes: 0,
-        n_def_no: 0,
-    }
-}
-
-fn pow_state(c: &NumState, r: i32) -> NumState {
-    let resolved = c
-        .resolved
-        .as_ref()
-        .map(|v| v.pow(r).expect("well-typed power"));
-    let def = match &resolved {
-        Some(Value::Undef) => Def3::No,
-        Some(_) => Def3::Yes,
-        None => {
-            if r >= 0 {
-                c.def
-            } else {
-                match c.def {
-                    Def3::No => Def3::No,
-                    Def3::Yes => match c.ival.scalar() {
-                        Some((lo, hi)) if lo > 0.0 || hi < 0.0 => Def3::Yes,
-                        _ => Def3::Maybe,
-                    },
-                    Def3::Maybe => Def3::Maybe,
+                NodeKind::Guard => {
+                    let c = num(1);
+                    let def = match self.state[node.children[0].index()].value() {
+                        Partial::B(true) => c.def,
+                        _ => c.def.and(Def3::Maybe),
+                    };
+                    (def, c.ival.clone())
                 }
-            }
+                NodeKind::Prod => {
+                    let mut def = Def3::Yes;
+                    let mut ival: Option<Ival> = None;
+                    for c in &node.children {
+                        let c = self.state[c.index()].num();
+                        def = def.and(c.def);
+                        ival = Some(match ival {
+                            None => c.ival.clone(),
+                            Some(a) => a.mul(&c.ival),
+                        });
+                    }
+                    (def, ival.unwrap_or(Ival::Scalar { lo: 1.0, hi: 1.0 }))
+                }
+                NodeKind::Inv => (nonzero_def(num(0)), num(0).ival.inv()),
+                NodeKind::Pow(r) if *r >= 0 => (num(0).def, num(0).ival.powi(*r)),
+                NodeKind::Pow(r) => (nonzero_def(num(0)), num(0).ival.powi(*r)),
+                NodeKind::Dist => (num(0).def.and(num(1).def), num(0).ival.dist(&num(1).ival)),
+                _ => unreachable!("every Boolean kind and the sum are handled above"),
+            })),
         }
-    };
-    NumState {
-        def,
-        ival: c.ival.powi(r),
-        resolved,
-        n_unres: 0,
-        n_def_yes: 0,
-        n_def_no: 0,
     }
-}
 
-fn dist_state(a: &NumState, b: &NumState) -> NumState {
-    let def = a.def.and(b.def);
-    let resolved =
-        if matches!(a.resolved, Some(Value::Undef)) || matches!(b.resolved, Some(Value::Undef)) {
-            Some(Value::Undef)
-        } else if let (Some(va), Some(vb)) = (&a.resolved, &b.resolved) {
-            Some(va.dist(vb).expect("well-typed distance"))
+    /// A sum's state from its counters and interval: the rule decides it
+    /// once no summand is undecided.
+    fn sum_state(&self, g: NodeId, st: NumState) -> NumState {
+        let len = self.net.node(g).children.len() as u32;
+        let def = if st.n_def_yes >= 1 {
+            Def3::Yes
+        } else if st.n_def_no == len {
+            Def3::No
         } else {
-            None
+            Def3::Maybe
         };
-    NumState {
-        def,
-        ival: a.ival.dist(&b.ival),
-        resolved,
-        n_unres: 0,
-        n_def_yes: 0,
-        n_def_no: 0,
+        let value = if st.n_unres == 0 {
+            self.rule(g)
+        } else {
+            Partial::Unknown
+        };
+        NumState {
+            n_unres: st.n_unres,
+            n_def_yes: st.n_def_yes,
+            n_def_no: st.n_def_no,
+            ..NumState::new(value, || (def, st.ival))
+        }
     }
 }
 
-fn sum_def(n_yes: u32, n_no: u32, len: u32) -> Def3 {
-    if n_yes >= 1 {
-        Def3::Yes
-    } else if n_no == len {
-        Def3::No
+/// The overlay's decision of a comparison the rule leaves undecided: true
+/// when it certainly holds whenever both sides are defined, false only when
+/// both sides are certainly defined and it certainly fails.
+fn cmp_overlay(op: CmpOp, a: &NumState, b: &NumState) -> Partial {
+    if certainly(op, &a.ival, &b.ival) {
+        Partial::B(true)
+    } else if a.def == Def3::Yes && b.def == Def3::Yes && certainly_not(op, &a.ival, &b.ival) {
+        Partial::B(false)
     } else {
-        Def3::Maybe
+        Partial::Unknown
+    }
+}
+
+/// Definedness of an inverse (or a negative power): certain only while the
+/// defined operand's interval excludes 0, whose inverse is `u`.
+fn nonzero_def(c: &NumState) -> Def3 {
+    match (c.def, c.ival.scalar()) {
+        (Def3::Yes, Some((lo, hi))) if lo > 0.0 || hi < 0.0 => Def3::Yes,
+        (Def3::Yes, _) => Def3::Maybe,
+        (def, _) => def,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures;
     use enframe_core::{CVal, Event};
-    use enframe_core::{CmpOp, Program, Valuation};
+    use enframe_core::{Program, Valuation};
     use std::rc::Rc;
 
     /// Checks that applying a full assignment via masks resolves every
-    /// target to the same value as direct evaluation, for all worlds.
+    /// target to the same value as the reference evaluator on the grounded
+    /// program, for all worlds.
     fn check_full_assignments(p: &Program) {
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
@@ -814,15 +570,13 @@ mod tests {
                 }
                 masks.assign(v, nu.get(v), &mut |_, _| {});
             }
-            let want = net.eval(&nu).unwrap();
             for (k, &t) in net.targets.iter().enumerate() {
-                let got = masks.bool_mask(t);
-                let expect = if want[k] {
-                    BoolMask::True
-                } else {
-                    BoolMask::False
-                };
-                assert_eq!(got, expect, "world {code:b}, target {k}");
+                let want = g.eval_bool(g.targets[k], &nu).unwrap();
+                assert_eq!(
+                    masks.value(t),
+                    &Partial::B(want),
+                    "world {code:b}, target {k}"
+                );
             }
             masks.rollback(mark);
         }
@@ -830,73 +584,30 @@ mod tests {
 
     #[test]
     fn propositional_masking_matches_eval() {
-        let mut p = Program::new();
-        let x = p.fresh_var();
-        let y = p.fresh_var();
-        let z = p.fresh_var();
-        let e = p.declare_event(
-            "E",
-            Program::or([
-                Program::and([Program::var(x), Program::nvar(y)]),
-                Program::var(z),
-            ]),
-        );
-        p.add_target(e);
-        check_full_assignments(&p);
+        check_full_assignments(&fixtures::propositional());
     }
 
     #[test]
     fn atom_masking_matches_eval() {
-        let mut p = Program::new();
-        let x = p.fresh_var();
-        let y = p.fresh_var();
-        // A ≡ [x⊗1 + y⊗2 >= 2]
-        let sum = Rc::new(CVal::Sum(vec![
-            CVal::cond(Program::var(x), Value::Num(1.0)),
-            CVal::cond(Program::var(y), Value::Num(2.0)),
-        ]));
-        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Ge, sum, CVal::num(2.0))));
-        p.add_target(a);
-        check_full_assignments(&p);
+        check_full_assignments(&fixtures::atoms());
     }
 
     #[test]
     fn early_resolution_from_intervals() {
-        // S = x⊗1 + 5; atom [S >= 4] resolves TRUE without assigning x:
-        // contribution of x⊗1 is [0,1], so S ∈ [5,6] ≥ 4.
-        let mut p = Program::new();
-        let x = p.fresh_var();
-        let s = Rc::new(CVal::Sum(vec![
-            CVal::cond(Program::var(x), Value::Num(1.0)),
-            CVal::num(5.0),
-        ]));
-        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Ge, s, CVal::num(4.0))));
-        p.add_target(a);
-        let g = p.ground().unwrap();
-        let net = Network::build(&g).unwrap();
+        // A1 ≡ [x⊗1 + 5 ≥ 4] resolves TRUE without assigning x: the
+        // contribution of x⊗1 is [0,1], so the sum is in [5,6] ≥ 4.
+        let net = Network::build(&fixtures::atoms().ground().unwrap()).unwrap();
         let masks = Masks::new(&net);
-        assert_eq!(masks.bool_mask(net.targets[0]), BoolMask::True);
-        assert_eq!(masks.unresolved_targets(), 0);
+        assert_eq!(masks.value(net.targets[1]), &Partial::B(true));
+        assert_eq!(masks.unresolved_targets(), 1, "only A0 waits for x and y");
     }
 
     #[test]
     fn undefined_comparison_resolves_true() {
-        // A ≡ [⊥⊗1 <= x⊗0]: left side certainly undefined ⇒ true at init.
-        let mut p = Program::new();
-        let x = p.fresh_var();
-        let a = p.declare_event(
-            "A",
-            Rc::new(Event::Atom(
-                CmpOp::Le,
-                Rc::new(CVal::Const(Value::Undef)),
-                CVal::cond(Program::var(x), Value::Num(0.0)),
-            )),
-        );
-        p.add_target(a);
-        let g = p.ground().unwrap();
-        let net = Network::build(&g).unwrap();
+        // A2 ≡ [u ≤ x⊗0]: left side certainly undefined ⇒ true at init.
+        let net = Network::build(&fixtures::atoms().ground().unwrap()).unwrap();
         let masks = Masks::new(&net);
-        assert_eq!(masks.bool_mask(net.targets[0]), BoolMask::True);
+        assert_eq!(masks.value(net.targets[2]), &Partial::B(true));
     }
 
     #[test]
@@ -913,10 +624,10 @@ mod tests {
         let g = p.ground().unwrap();
         let net = Network::build(&g).unwrap();
         let mut masks = Masks::new(&net);
-        assert_eq!(masks.bool_mask(net.targets[0]), BoolMask::Unknown);
+        assert_eq!(masks.value(net.targets[0]), &Partial::Unknown);
         let mut hits = Vec::new();
         masks.assign(Var(0), false, &mut |id, v| hits.push((id, v)));
-        assert_eq!(masks.bool_mask(net.targets[0]), BoolMask::True);
+        assert_eq!(masks.value(net.targets[0]), &Partial::B(true));
         assert_eq!(hits.len(), 1);
         assert!(hits[0].1);
     }
@@ -937,7 +648,7 @@ mod tests {
         let mark = masks.checkpoint();
         masks.assign(Var(0), true, &mut |_, _| {});
         masks.assign(Var(1), true, &mut |_, _| {});
-        assert_eq!(masks.bool_mask(net.targets[0]), BoolMask::True);
+        assert_eq!(masks.value(net.targets[0]), &Partial::B(true));
         assert_eq!(masks.unresolved_targets(), 0);
         masks.rollback(mark);
         assert_eq!(masks.unresolved_targets(), 1);
@@ -975,43 +686,54 @@ mod tests {
     /// apply each delta exactly once.
     #[test]
     fn shared_variable_wave_applies_deltas_once() {
-        let mut p = Program::new();
-        let x = p.fresh_var();
-        // S = x⊗1 + x⊗2 + dist(x⊗3, ⊤⊗0); assigning x changes all three
-        // summands (and the dist's child) in one wave.
-        let s = Rc::new(CVal::Sum(vec![
-            CVal::cond(Program::var(x), Value::Num(1.0)),
-            CVal::cond(Program::var(x), Value::Num(2.0)),
-            Rc::new(CVal::Dist(
-                CVal::cond(Program::var(x), Value::Num(3.0)),
-                CVal::num(0.0),
-            )),
-        ]));
-        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Ge, s, CVal::num(6.0))));
-        p.add_target(a);
-        check_full_assignments(&p);
+        check_full_assignments(&fixtures::shared_variable());
     }
 
     /// Exhaustive mask-vs-eval agreement on a k-medoids-shaped program
     /// (sum/dist/compare over conditional points).
     #[test]
     fn kmedoids_shaped_masking_matches_eval() {
-        let mut p = Program::new();
-        let x0 = p.fresh_var();
-        let x1 = p.fresh_var();
-        let o0 = CVal::cond(Program::var(x0), Value::point(&[0.0, 0.0]));
-        let o1 = CVal::cond(Program::var(x1), Value::point(&[3.0, 4.0]));
-        let o2 = CVal::point(&[6.0, 8.0]);
-        let d01 = Rc::new(CVal::Dist(o0.clone(), o1.clone()));
-        let d02 = Rc::new(CVal::Dist(o0.clone(), o2.clone()));
-        let a = p.declare_event("A", Rc::new(Event::Atom(CmpOp::Le, d01, d02)));
-        let s = Rc::new(CVal::Sum(vec![
-            Rc::new(CVal::Guard(Program::eref(a), Rc::new(CVal::Dist(o1, o2)))),
-            CVal::num(1.0),
-        ]));
-        let b = p.declare_event("B", Rc::new(Event::Atom(CmpOp::Lt, s, CVal::num(5.0))));
-        p.add_target(a);
-        p.add_target(b);
-        check_full_assignments(&p);
+        check_full_assignments(&fixtures::kmedoids_shaped());
+    }
+
+    mod partial {
+        use super::*;
+        use crate::fixtures::Rng;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Under a random partial assignment, every node the rule
+            /// decides from scratch is decided in the masks with the same
+            /// value, and rolling back restores every state.
+            #[test]
+            fn masks_decide_what_the_rule_decides(seed in 0u64..1_000_000) {
+                let mut rng = Rng::new(seed);
+                for p in fixtures::programs(seed) {
+                    let g = p.ground().unwrap();
+                    let net = Network::build(&g).unwrap();
+                    let mut masks = Masks::new(&net);
+                    let before: Vec<NState> =
+                        (0..net.len()).map(|i| masks.state(NodeId(i as u32)).clone()).collect();
+                    let assignment = fixtures::partial_assignment(net.n_vars, &mut rng);
+                    let mark = masks.checkpoint();
+                    for &(v, b) in &assignment {
+                        if !masks.var_resolved(v) {
+                            masks.assign(v, b, &mut |_, _| {});
+                        }
+                    }
+                    let lookup = |v: Var| assignment.iter().find(|a| a.0 == v).map(|a| a.1);
+                    let want = net.eval_all(lookup).unwrap();
+                    for (i, w) in want.iter().enumerate() {
+                        if *w != Partial::Unknown {
+                            prop_assert_eq!(masks.value(NodeId(i as u32)), w, "node {}", i);
+                        }
+                    }
+                    masks.rollback(mark);
+                    for (i, st) in before.iter().enumerate() {
+                        prop_assert_eq!(masks.state(NodeId(i as u32)), st);
+                    }
+                }
+            }
+        }
     }
 }

@@ -298,29 +298,29 @@ impl MemTier {
         })
     }
 
-    /// Inserts `art` as epoch 0, evicting least-recently-used entries
-    /// past the cap.
-    fn insert(&mut self, fp: Fingerprint, art: Arc<Artifact>) {
+    /// Inserts `art` as epoch 0, evicting the least-recently-used entry
+    /// at the cap. Returns the entry it displaced (the evicted one, or the
+    /// one `fp` held), for the caller to drop after the tier's guard: the
+    /// last reference to an artifact tears down its whole compiled form,
+    /// which no hit should wait on.
+    #[must_use = "drop the displaced entry after the tier's guard"]
+    fn insert(&mut self, fp: Fingerprint, art: Arc<Artifact>) -> Option<MemEntry> {
         self.tick += 1;
-        while self.entries.len() >= self.cap && !self.entries.contains_key(&fp) {
-            let Some(&victim) = self
+        let mut evicted = None;
+        if self.entries.len() >= self.cap && !self.entries.contains_key(&fp) {
+            let victim = self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(fp, _)| fp)
-            else {
-                break;
-            };
-            self.entries.remove(&victim);
+                .map(|(fp, _)| *fp);
+            evicted = victim.and_then(|v| self.entries.remove(&v));
         }
-        self.entries.insert(
-            fp,
-            MemEntry {
-                last_used: self.tick,
-                art,
-                epoch: 0,
-            },
-        );
+        let entry = MemEntry {
+            last_used: self.tick,
+            art,
+            epoch: 0,
+        };
+        self.entries.insert(fp, entry).or(evicted)
     }
 }
 
@@ -509,8 +509,12 @@ impl QueryService {
     /// re-resolved through the store tier.
     #[doc(hidden)]
     pub fn inject_mem_entry(&self, fp: Fingerprint, artifact: Artifact) {
-        let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-        mem.insert(fp, Arc::new(artifact));
+        let displaced = self
+            .mem
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(fp, Arc::new(artifact));
+        drop(displaced);
     }
 
     // -----------------------------------------------------------------
@@ -568,10 +572,14 @@ impl QueryService {
                 Err(ServeError::Panicked(msg))
             });
             if let Ok(art) = &built {
-                self.mem
+                // The guard is a temporary of this statement: the
+                // displaced entry drops after it.
+                let displaced = self
+                    .mem
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .insert(lineage.fp, Arc::clone(art));
+                drop(displaced);
             }
             // Retire the flight *before* publishing: requesters
             // arriving after a failure start a fresh flight instead of
@@ -612,7 +620,11 @@ impl QueryService {
         if art.kind() == lineage.kind() && art.n_targets() == lineage.net.targets.len() {
             return Some((art, epoch));
         }
-        mem.entries.remove(&lineage.fp);
+        let rejected = mem.entries.remove(&lineage.fp);
+        drop(mem);
+        // The entry and our clone of its snapshot go after the guard, as
+        // in `maintain`.
+        drop((art, rejected));
         None
     }
 
