@@ -272,7 +272,7 @@ pub const DNNF_KMEDOIDS_VAR_CAP: usize = 24;
 /// Whether a naïve run of `2^v` worlds over `n` objects finishes within a
 /// couple of minutes (measured ≈ 45 µs · n² per world for k = 2, three
 /// iterations).
-pub fn naive_feasible(v: usize, n: usize) -> bool {
+fn naive_feasible(v: usize, n: usize) -> bool {
     v <= NAIVE_VAR_CAP && (1u64 << v).saturating_mul((n * n) as u64) <= 3_000_000
 }
 
@@ -280,7 +280,7 @@ pub fn naive_feasible(v: usize, n: usize) -> bool {
 /// the one runner behind every figure row and every facade equivalence
 /// suite. A configuration the engine cannot finish in harness time is
 /// not run but reported as `timeout(<reason>)`: the naïve baseline
-/// beyond [`naive_feasible`] (or without a [`Source`] to execute), or an
+/// beyond `naive_feasible` (or without a [`Source`] to execute), or an
 /// exact engine beyond its variable cap.
 ///
 /// This is also the **graceful-degradation ladder** (ISSUE 8): when an

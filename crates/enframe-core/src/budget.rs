@@ -217,7 +217,7 @@ impl BudgetScope {
     /// Records `verdict` and flips the cancellation flag. The first
     /// verdict wins; later ones are dropped so every worker reports the
     /// same failure.
-    pub fn cancel(&self, verdict: Exceeded) {
+    fn cancel(&self, verdict: Exceeded) {
         let mut slot = self.inner.verdict.lock().unwrap_or_else(|e| e.into_inner());
         if slot.is_none() {
             *slot = Some(verdict);

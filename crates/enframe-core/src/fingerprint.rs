@@ -2,9 +2,9 @@
 //!
 //! The artifact store (`enframe-store`) caches compiled forms on disk
 //! keyed by a *lineage fingerprint* — a content hash of everything that
-//! determines the compiled functions: the event network, the target set,
-//! the engine kind and the OBDD's var-groups. It does not name the node layout (see
-//! `enframe_store::fingerprint_network`). This module provides the hashing substrate:
+//! determines the compiled functions: the event network and the target
+//! set. It does not name the node layout (see
+//! `enframe_store::fingerprint_dnnf`). This module provides the hashing substrate:
 //! a small streaming hasher over [`crate::fxhash::FxHasher`] with
 //! explicit **domain separation** (every field is tagged before its
 //! payload), so structurally different inputs cannot collide by
@@ -30,15 +30,7 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
-impl Fingerprint {
-    /// Parses the fixed-width hex form produced by `Display`.
-    pub fn from_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(Fingerprint)
-    }
-}
+impl Fingerprint {}
 
 /// A streaming, domain-separated content hasher.
 ///
@@ -130,6 +122,16 @@ impl FingerprintHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Fingerprint {
+        /// Parses the fixed-width hex form produced by `Display`.
+        fn from_hex(s: &str) -> Option<Fingerprint> {
+            if s.len() != 16 {
+                return None;
+            }
+            u64::from_str_radix(s, 16).ok().map(Fingerprint)
+        }
+    }
 
     #[test]
     fn deterministic_across_instances() {

@@ -7,7 +7,7 @@
 //! naïve baseline (`enframe-worlds`) are tested against.
 
 use crate::ground::{DefId, Evaluator, GroundProgram};
-use crate::value::{Value, ValueKey};
+use crate::value::ValueKey;
 use crate::var::{Valuation, VarTable};
 use crate::CoreError;
 use std::collections::BTreeMap;
@@ -30,22 +30,6 @@ pub fn worlds(vt: &VarTable) -> impl Iterator<Item = (Valuation, f64)> + '_ {
         let p = vt.world_prob(&nu);
         (nu, p)
     })
-}
-
-/// Exact probability of a single Boolean definition, by enumeration.
-pub fn event_probability(gp: &GroundProgram, id: DefId, vt: &VarTable) -> Result<f64, CoreError> {
-    let mut total = 0.0;
-    let mut ev = Evaluator::new(gp);
-    for (nu, p) in worlds(vt) {
-        if p == 0.0 {
-            continue;
-        }
-        ev.reset();
-        if ev.event(id, &nu)? {
-            total += p;
-        }
-    }
-    Ok(total)
 }
 
 /// Exact probabilities of all registered targets, by enumeration.
@@ -90,49 +74,66 @@ pub fn cval_distribution(
     Ok(dist)
 }
 
-/// The expectation of a scalar c-value definition, conditioned on it being
-/// defined. Returns `(expectation, P(defined))`; the expectation is `None`
-/// when the value is undefined with probability 1.
-pub fn cval_expectation(
-    gp: &GroundProgram,
-    id: DefId,
-    vt: &VarTable,
-) -> Result<(Option<f64>, f64), CoreError> {
-    let mut weighted = 0.0;
-    let mut mass = 0.0;
-    let mut ev = Evaluator::new(gp);
-    for (nu, p) in worlds(vt) {
-        if p == 0.0 {
-            continue;
-        }
-        ev.reset();
-        match ev.cval(id, &nu)? {
-            Value::Num(x) => {
-                weighted += p * x;
-                mass += p;
-            }
-            Value::Undef => {}
-            Value::Point(_) => {
-                return Err(CoreError::ValueType(
-                    "expectation of a vector-valued c-value".into(),
-                ))
-            }
-        }
-    }
-    if mass == 0.0 {
-        Ok((None, 0.0))
-    } else {
-        Ok((Some(weighted / mass), mass))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{CVal, Event};
     use crate::program::Program;
+    use crate::value::Value;
     use crate::Var;
     use std::rc::Rc;
+
+    /// The expectation of a scalar c-value definition, conditioned on it being
+    /// defined. Returns `(expectation, P(defined))`; the expectation is `None`
+    /// when the value is undefined with probability 1.
+    fn cval_expectation(
+        gp: &GroundProgram,
+        id: DefId,
+        vt: &VarTable,
+    ) -> Result<(Option<f64>, f64), CoreError> {
+        let mut weighted = 0.0;
+        let mut mass = 0.0;
+        let mut ev = Evaluator::new(gp);
+        for (nu, p) in worlds(vt) {
+            if p == 0.0 {
+                continue;
+            }
+            ev.reset();
+            match ev.cval(id, &nu)? {
+                Value::Num(x) => {
+                    weighted += p * x;
+                    mass += p;
+                }
+                Value::Undef => {}
+                Value::Point(_) => {
+                    return Err(CoreError::ValueType(
+                        "expectation of a vector-valued c-value".into(),
+                    ))
+                }
+            }
+        }
+        if mass == 0.0 {
+            Ok((None, 0.0))
+        } else {
+            Ok((Some(weighted / mass), mass))
+        }
+    }
+
+    /// Exact probability of a single Boolean definition, by enumeration.
+    fn event_probability(gp: &GroundProgram, id: DefId, vt: &VarTable) -> Result<f64, CoreError> {
+        let mut total = 0.0;
+        let mut ev = Evaluator::new(gp);
+        for (nu, p) in worlds(vt) {
+            if p == 0.0 {
+                continue;
+            }
+            ev.reset();
+            if ev.event(id, &nu)? {
+                total += p;
+            }
+        }
+        Ok(total)
+    }
 
     #[test]
     fn worlds_cover_unit_mass() {

@@ -58,15 +58,6 @@ impl VarTable {
         self.probs[v.index()]
     }
 
-    /// `P(v = value)`.
-    pub fn prob_of(&self, v: Var, value: bool) -> f64 {
-        if value {
-            self.probs[v.index()]
-        } else {
-            1.0 - self.probs[v.index()]
-        }
-    }
-
     /// All variables in index order.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         (0..self.probs.len() as u32).map(Var)
@@ -141,6 +132,17 @@ impl Valuation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VarTable {
+        /// `P(v = value)`.
+        fn prob_of(&self, v: Var, value: bool) -> f64 {
+            if value {
+                self.probs[v.index()]
+            } else {
+                1.0 - self.probs[v.index()]
+            }
+        }
+    }
 
     #[test]
     fn world_prob_multiplies_marginals() {

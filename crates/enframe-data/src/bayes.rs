@@ -28,7 +28,7 @@
 //! lineage (`ProbObjects`), giving ENFrame workloads with genuine
 //! graphical-model correlations.
 
-use enframe_core::{Event, Valuation, Var, VarTable};
+use enframe_core::{Event, Var, VarTable};
 use std::rc::Rc;
 
 /// One binary node of a Bayesian network.
@@ -114,7 +114,6 @@ impl std::error::Error for BayesError {}
 /// assert_eq!(enc.vt.len(), 3); // 1 prior + 2 CPT rows
 /// let p_s = bn.marginal(1);
 /// assert!((p_s - (0.2 * 0.01 + 0.8 * 0.4)).abs() < 1e-12);
-/// assert!((enc.joint_by_enumeration(&[true, true]) - 0.2 * 0.01).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BayesNet {
@@ -243,7 +242,7 @@ impl BayesNet {
 
     /// Encodes the network into lineage events over fresh independent
     /// variables: one variable per CPT row, numbered from `first_var`.
-    pub fn encode_from(&self, first_var: u32) -> BayesEncoding {
+    fn encode_from(&self, first_var: u32) -> BayesEncoding {
         let mut probs: Vec<f64> = Vec::new();
         let mut var_meaning = Vec::new();
         let mut events: Vec<Rc<Event>> = Vec::with_capacity(self.nodes.len());
@@ -289,30 +288,33 @@ impl BayesNet {
     }
 }
 
-impl BayesEncoding {
-    /// The joint probability of a complete node-outcome assignment under
-    /// the encoding, by exhaustive enumeration of the encoding variables
-    /// (test-scale networks only).
-    pub fn joint_by_enumeration(&self, assignment: &[bool]) -> f64 {
-        let m = self.vt.len();
-        assert!(m <= 24, "enumeration over 2^m variable valuations");
-        let mut total = 0.0;
-        'worlds: for code in 0..(1u64 << m) {
-            let nu = Valuation::from_code(m, code);
-            for (ev, &want) in self.events.iter().zip(assignment) {
-                if ev.eval_closed(&nu).expect("closed event") != want {
-                    continue 'worlds;
-                }
-            }
-            total += self.vt.world_prob(&nu);
-        }
-        total
-    }
-}
+impl BayesEncoding {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enframe_core::Valuation;
+
+    impl BayesEncoding {
+        /// The joint probability of a complete node-outcome assignment under
+        /// the encoding, by exhaustive enumeration of the encoding variables
+        /// (test-scale networks only).
+        fn joint_by_enumeration(&self, assignment: &[bool]) -> f64 {
+            let m = self.vt.len();
+            assert!(m <= 24, "enumeration over 2^m variable valuations");
+            let mut total = 0.0;
+            'worlds: for code in 0..(1u64 << m) {
+                let nu = Valuation::from_code(m, code);
+                for (ev, &want) in self.events.iter().zip(assignment) {
+                    if ev.eval_closed(&nu).expect("closed event") != want {
+                        continue 'worlds;
+                    }
+                }
+                total += self.vt.world_prob(&nu);
+            }
+            total
+        }
+    }
 
     /// The classic sprinkler network: Rain → Sprinkler, {Rain, Sprinkler}
     /// → WetGrass.

@@ -35,7 +35,7 @@ pub enum Ty {
 
 impl Ty {
     /// Derives a type from a runtime value (for external bindings).
-    pub fn of_value(v: &RtValue) -> Ty {
+    fn of_value(v: &RtValue) -> Ty {
         match v {
             RtValue::Undef => Ty::Unknown,
             RtValue::Bool(_) => Ty::Bool,

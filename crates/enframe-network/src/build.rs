@@ -99,7 +99,6 @@ pub struct Network {
     /// Human-readable names of the targets.
     pub target_names: Vec<String>,
     var_nodes: Vec<Option<NodeId>>,
-    def_nodes: Vec<NodeId>,
 }
 
 struct Builder {
@@ -152,7 +151,6 @@ impl Network {
             targets,
             target_names,
             var_nodes: b.var_nodes,
-            def_nodes: b.def_nodes,
         };
         net.prune_to_targets();
         net.fill_parents();
@@ -203,10 +201,6 @@ impl Network {
         for slot in self.var_nodes.iter_mut() {
             *slot = slot.map(|v| remap[v.index()]).filter(|v| v.0 != u32::MAX);
         }
-        for d in self.def_nodes.iter_mut() {
-            // Surfaced as `None` by `def_node`.
-            *d = remap[d.index()];
-        }
     }
 
     /// Fills every node's parent list, in ascending parent order, from one
@@ -248,13 +242,6 @@ impl Network {
     /// Whether the network is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The node representing a grounded definition, or `None` when the
-    /// definition was pruned (no target depends on it).
-    pub fn def_node(&self, def_index: usize) -> Option<NodeId> {
-        let id = self.def_nodes[def_index];
-        (id.0 != u32::MAX).then_some(id)
     }
 
     /// The leaf node of variable `v`, if the variable occurs.

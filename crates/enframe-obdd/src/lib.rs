@@ -503,207 +503,6 @@ impl ObddEngine {
             }
         }
     }
-
-    /// Exports the compiled targets as a self-contained, manager-
-    /// independent snapshot: the unique-table contents reachable from
-    /// the targets in children-first order, with node references
-    /// restated against the snapshot's own dense index space and
-    /// variables restated by *level* (the export-time order), so the
-    /// snapshot is insensitive to handle numbering, free slots, and the
-    /// label↔level permutation history of this manager.
-    pub fn export(&self) -> ObddSnapshot {
-        let level_vars: Vec<Var> = (0..self.man.n_vars())
-            .map(|l| self.order[self.man.var_at_level(l as u32) as usize])
-            .collect();
-        let mut index_of: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut nodes: Vec<SnapshotNode> = Vec::new();
-        // Iterative post-order DFS over the union of the target DAGs,
-        // dedup'd on the complement-stripped node index.
-        let mut stack: Vec<(Bdd, bool)> = self
-            .targets
-            .iter()
-            .map(|&t| (if t.is_complement() { !t } else { t }, false))
-            .collect();
-        while let Some((f, expanded)) = stack.pop() {
-            if f.is_const() || index_of.contains_key(&f.index()) {
-                continue;
-            }
-            let (_, _, hi, lo) = self.man.node_of(f);
-            if expanded {
-                let snap_ref = |e: Bdd| {
-                    let base = if e.is_complement() { !e } else { e };
-                    let idx = if base.is_const() {
-                        0
-                    } else {
-                        index_of[&base.index()]
-                    };
-                    idx << 1 | e.is_complement() as u32
-                };
-                let node = SnapshotNode {
-                    level: self.man.level(f),
-                    hi: snap_ref(hi),
-                    lo: snap_ref(lo),
-                };
-                nodes.push(node);
-                index_of.insert(f.index(), nodes.len() as u32);
-            } else {
-                stack.push((f, true));
-                for e in [hi, lo] {
-                    let base = if e.is_complement() { !e } else { e };
-                    stack.push((base, false));
-                }
-            }
-        }
-        let snap_ref = |t: Bdd| {
-            let base = if t.is_complement() { !t } else { t };
-            let idx = if base.is_const() {
-                0
-            } else {
-                index_of[&base.index()]
-            };
-            idx << 1 | t.is_complement() as u32
-        };
-        ObddSnapshot {
-            level_vars,
-            blocks: self.man.blocks.clone(),
-            nodes,
-            targets: self.targets.iter().map(|&t| snap_ref(t)).collect(),
-            names: self.names.clone(),
-        }
-    }
-
-    /// Rebuilds an engine from an untrusted snapshot, re-validating the
-    /// structural invariants the manager normally guarantees by
-    /// construction — ordering (every child sits on a strictly deeper
-    /// level), canonicity (no duplicate `(level, hi, lo)` triple,
-    /// `hi != lo`), and complement-edge normalisation (no stored
-    /// then-edge carries the complement bit) — so a corrupted snapshot
-    /// is rejected with a description instead of producing a
-    /// non-canonical diagram and silently wrong counts.
-    pub fn import(snap: &ObddSnapshot) -> Result<ObddEngine, String> {
-        let n_levels = snap.level_vars.len() as u32;
-        if snap.blocks.contains(&0)
-            || snap.blocks.iter().map(|&s| s as u64).sum::<u64>() != n_levels as u64
-        {
-            return Err("blocks do not partition the levels".into());
-        }
-        if snap.names.len() != snap.targets.len() {
-            return Err(format!(
-                "{} target names for {} targets",
-                snap.names.len(),
-                snap.targets.len()
-            ));
-        }
-        let mut level_of: Vec<Option<u32>> = Vec::new();
-        for (l, v) in snap.level_vars.iter().enumerate() {
-            if v.index() >= level_of.len() {
-                level_of.resize(v.index() + 1, None);
-            }
-            if level_of[v.index()].replace(l as u32).is_some() {
-                return Err(format!("variable x{} appears on two levels", v.0));
-            }
-        }
-        let mut man = Manager::with_policy(ReorderPolicy::default());
-        man.declare_vars(n_levels);
-        man.set_level_blocks(&snap.blocks);
-        // Replay children-first. `built[i]`/`level[i]` use snapshot ref
-        // indexing: slot 0 is the terminal, node `i` sits at `i + 1`.
-        let mut built: Vec<Bdd> = vec![Bdd::TRUE];
-        let mut levels: Vec<u32> = vec![u32::MAX];
-        let resolve = |built: &[Bdd], r: u32, at: usize| -> Result<(Bdd, u32), String> {
-            let idx = (r >> 1) as usize;
-            if idx >= built.len() {
-                return Err(format!("node {at}: forward reference {idx}"));
-            }
-            let f = if r & 1 == 1 { !built[idx] } else { built[idx] };
-            Ok((f, idx as u32))
-        };
-        for (i, node) in snap.nodes.iter().enumerate() {
-            if node.level >= n_levels {
-                return Err(format!("node {i}: level {} out of range", node.level));
-            }
-            if node.hi & 1 == 1 {
-                return Err(format!("node {i}: complemented then-edge"));
-            }
-            if node.hi == node.lo {
-                return Err(format!("node {i}: unreduced node (hi == lo)"));
-            }
-            let (hi, hi_idx) = resolve(&built, node.hi, i)?;
-            let (lo, lo_idx) = resolve(&built, node.lo, i)?;
-            for (what, idx) in [("then", hi_idx), ("else", lo_idx)] {
-                if levels[idx as usize] <= node.level {
-                    return Err(format!("node {i}: {what}-child level not strictly deeper"));
-                }
-            }
-            let before = man.len();
-            // Labels equal levels in the freshly declared manager, and
-            // the pre-checks above rule out every normalisation path in
-            // `Manager::node`, so a replay that does not allocate can
-            // only mean a duplicate of an earlier node.
-            let f = man.node(node.level, hi, lo);
-            if man.len() == before {
-                return Err(format!("node {i}: duplicate of an earlier node"));
-            }
-            built.push(f);
-            levels.push(node.level);
-        }
-        let mut targets = Vec::with_capacity(snap.targets.len());
-        for (i, &r) in snap.targets.iter().enumerate() {
-            let (t, _) = resolve(&built, r, i).map_err(|_| format!("target {i} out of range"))?;
-            man.protect(t);
-            targets.push(t);
-        }
-        let stats = ObddStats {
-            nodes: man.len(),
-            largest_target: targets.iter().map(|&t| man.size(t)).max().unwrap_or(0),
-            cmp_branches: 0,
-            cache_hits: 0,
-            manager: man.stats(),
-        };
-        Ok(ObddEngine {
-            man,
-            order: snap.level_vars.clone(),
-            level_of,
-            targets,
-            names: snap.names.clone(),
-            stats,
-        })
-    }
-}
-
-/// One node of an [`ObddSnapshot`]: its decision level and packed child
-/// references. A reference packs `index << 1 | complement`, where index
-/// 0 is the terminal ⊤ (so reference 0 is ⊤ and reference 1 is ⊥) and
-/// index `i + 1` is the snapshot's node `i` — the same edge layout as
-/// the in-memory [`Bdd`] handle, restated against the snapshot's dense
-/// children-first numbering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotNode {
-    /// Decision level at export time (0 is root-most).
-    pub level: u32,
-    /// Packed then-child reference; never complemented (canonical form).
-    pub hi: u32,
-    /// Packed else-child reference.
-    pub lo: u32,
-}
-
-/// A manager-independent image of a compiled [`ObddEngine`]: the
-/// variable order by level, the group-sifting blocks, the unique-table
-/// contents reachable from the targets (children-first), and the packed
-/// target references — everything [`ObddEngine::import`] needs to
-/// rebuild an equivalent engine, and the form `enframe-store` persists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObddSnapshot {
-    /// Level → engine variable (the weights order for WMC).
-    pub level_vars: Vec<Var>,
-    /// Group-sifting block sizes; partitions `level_vars`.
-    pub blocks: Vec<u32>,
-    /// Reachable nodes, children before parents.
-    pub nodes: Vec<SnapshotNode>,
-    /// Packed reference per compiled target (see [`SnapshotNode`]).
-    pub targets: Vec<u32>,
-    /// Target names, parallel to `targets`.
-    pub names: Vec<String>,
 }
 
 /// Variable → group index, first group wins — the membership rule shared

@@ -562,11 +562,6 @@ impl Manager {
         self.perm[v as usize]
     }
 
-    /// The variable at level `l` under the current order.
-    pub fn var_at_level(&self, l: u32) -> u32 {
-        self.invperm[l as usize]
-    }
-
     /// The variable label of `f`'s root ([`u32::MAX`] for constants).
     pub fn var_of(&self, f: Bdd) -> u32 {
         self.nodes[f.index() as usize].var

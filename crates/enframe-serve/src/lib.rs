@@ -12,19 +12,21 @@
 //!    compiles (or reloads) while the rest wait for its result, so a
 //!    thundering herd costs one compile, not N.
 //! 2. **Epoch-snapshotted reads.** A memory-tier entry holds an
-//!    immutable `Arc<Artifact>` and the epoch it was published as; one
+//!    immutable `Arc<DnnfEngine>` and the epoch it was published as; one
 //!    acquisition of the tier's lock clones the pair, and the query
 //!    evaluates lock-free against that snapshot. Maintenance
-//!    ([`QueryService::maintain`] — GC, reorder, recompile) builds a
-//!    replacement with no lock held and swings the entry's epoch:
-//!    publish-then-retire, no reader ever blocks on maintenance.
+//!    ([`QueryService::maintain`], a recompile) builds a replacement
+//!    with no lock held and swings the entry's epoch: publish-then-retire,
+//!    no reader ever blocks on maintenance.
 //!
-//! Evaluation itself has one path: every request runs one WMC sweep of
+//! The one compiled form served is d-DNNF ([`DnnfEngine`]). OBDDs are
+//! compiled and queried in-process (`enframe_obdd::ObddEngine`), not
+//! served. Evaluation has one path: every request runs one WMC sweep of
 //! the snapshot it loaded, on its own thread. Concurrent readers share
-//! that `Arc<Artifact>` and nothing else: a sweep keeps no state between
-//! calls. Each answer is the sweep a sequential caller would run:
-//! bitwise-equal for d-DNNF, within 1e-12 for OBDD (reordering between
-//! epochs may permute the float reductions).
+//! that `Arc<DnnfEngine>` and nothing else: a sweep keeps no state
+//! between calls, and a d-DNNF compile is canonical, so every answer is
+//! bitwise-equal to the sweep a sequential caller would run, in every
+//! epoch.
 //!
 //! Every request carries a [`Budget`] and rides the degradation ladder:
 //! budget exhaustion — during a coalesced wait, during compilation, or
@@ -44,9 +46,9 @@ use enframe_core::fxhash::FxHashMap;
 use enframe_core::VarTable;
 use enframe_network::Network;
 use enframe_obdd::dnnf::{DnnfEngine, DnnfOptions};
-use enframe_obdd::{ObddEngine, ObddError, ObddOptions};
+use enframe_obdd::ObddError;
 use enframe_prob::degrade_to_bounds;
-use enframe_store::{fingerprint_dnnf, fingerprint_obdd, ArtifactStore, EngineKind};
+use enframe_store::{fingerprint_dnnf, ArtifactStore, EngineKind};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,24 +113,17 @@ impl ServeError {
 }
 
 // ---------------------------------------------------------------------
-// Lineage handles and artifacts.
+// Lineage handles.
 // ---------------------------------------------------------------------
 
-/// Which compiled form a [`Lineage`] asks for, with its compile options.
-#[derive(Debug, Clone)]
-enum EngineSpec {
-    Dnnf(DnnfOptions),
-    Obdd(ObddOptions),
-}
-
-/// A request's lineage: the event network, the engine it should be
-/// compiled with, and the **precomputed** fingerprint the artifact cache
-/// is keyed by. Build one handle per working-set entry and clone it per
-/// request — queries then never rehash the network on the hot path.
+/// A request's lineage: the event network, its d-DNNF compile options,
+/// and the **precomputed** fingerprint the artifact cache is keyed by.
+/// Build one handle per working-set entry and clone it per request —
+/// queries then never rehash the network on the hot path.
 #[derive(Debug, Clone)]
 pub struct Lineage {
     net: Arc<Network>,
-    spec: EngineSpec,
+    opts: DnnfOptions,
     fp: Fingerprint,
 }
 
@@ -136,21 +131,7 @@ impl Lineage {
     /// A lineage served from the d-DNNF engine.
     pub fn dnnf(net: Arc<Network>, opts: DnnfOptions) -> Lineage {
         let fp = fingerprint_dnnf(&net, &opts);
-        Lineage {
-            net,
-            spec: EngineSpec::Dnnf(opts),
-            fp,
-        }
-    }
-
-    /// A lineage served from the OBDD engine.
-    pub fn obdd(net: Arc<Network>, opts: ObddOptions) -> Lineage {
-        let fp = fingerprint_obdd(&net, &opts);
-        Lineage {
-            net,
-            spec: EngineSpec::Obdd(opts),
-            fp,
-        }
+        Lineage { net, opts, fp }
     }
 
     /// The artifact-cache key (workers and budget excluded — they shape
@@ -159,59 +140,15 @@ impl Lineage {
         self.fp
     }
 
-    /// The engine kind this lineage compiles to.
+    /// The engine kind this lineage compiles to, which names its file in
+    /// the store tier.
     pub fn kind(&self) -> EngineKind {
-        match self.spec {
-            EngineSpec::Dnnf(_) => EngineKind::Dnnf,
-            EngineSpec::Obdd(_) => EngineKind::Obdd,
-        }
+        EngineKind::Dnnf
     }
 
     /// The event network.
     pub fn network(&self) -> &Network {
         &self.net
-    }
-}
-
-/// A live compiled form, either engine. Both engines are `Sync` and
-/// their sweeps keep no state, so concurrent queries share one
-/// `Arc<Artifact>` snapshot without touching each other.
-#[derive(Debug)]
-pub enum Artifact {
-    /// A compiled d-DNNF engine.
-    Dnnf(DnnfEngine),
-    /// A compiled OBDD engine (boxed: a manager is much larger than a
-    /// d-DNNF node array header).
-    Obdd(Box<ObddEngine>),
-}
-
-impl Artifact {
-    /// Which engine this artifact is.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            Artifact::Dnnf(_) => EngineKind::Dnnf,
-            Artifact::Obdd(_) => EngineKind::Obdd,
-        }
-    }
-
-    /// Number of compiled targets.
-    pub fn n_targets(&self) -> usize {
-        match self {
-            Artifact::Dnnf(e) => e.n_targets(),
-            Artifact::Obdd(e) => e.n_targets(),
-        }
-    }
-
-    /// One budget-aware WMC sweep over all targets.
-    pub fn try_probabilities(
-        &self,
-        vt: &VarTable,
-        scope: &BudgetScope,
-    ) -> Result<Vec<f64>, ObddError> {
-        match self {
-            Artifact::Dnnf(e) => e.try_probabilities(vt, scope),
-            Artifact::Obdd(e) => e.try_probabilities(vt, scope),
-        }
     }
 }
 
@@ -283,13 +220,13 @@ struct MemTier {
 #[derive(Debug)]
 struct MemEntry {
     last_used: u64,
-    art: Arc<Artifact>,
+    art: Arc<DnnfEngine>,
     epoch: u64,
 }
 
 impl MemTier {
     /// The entry's snapshot and epoch, marking it most recently used.
-    fn get(&mut self, fp: Fingerprint) -> Option<(Arc<Artifact>, u64)> {
+    fn get(&mut self, fp: Fingerprint) -> Option<(Arc<DnnfEngine>, u64)> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.get_mut(&fp).map(|e| {
@@ -304,7 +241,7 @@ impl MemTier {
     /// last reference to an artifact tears down its whole compiled form,
     /// which no hit should wait on.
     #[must_use = "drop the displaced entry after the tier's guard"]
-    fn insert(&mut self, fp: Fingerprint, art: Arc<Artifact>) -> Option<MemEntry> {
+    fn insert(&mut self, fp: Fingerprint, art: Arc<DnnfEngine>) -> Option<MemEntry> {
         self.tick += 1;
         let mut evicted = None;
         if self.entries.len() >= self.cap && !self.entries.contains_key(&fp) {
@@ -328,7 +265,7 @@ impl MemTier {
 /// else waits on the condvar for the published result.
 #[derive(Debug)]
 struct Flight {
-    state: Mutex<Option<Result<Arc<Artifact>, ServeError>>>,
+    state: Mutex<Option<Result<Arc<DnnfEngine>, ServeError>>>,
     cv: Condvar,
 }
 
@@ -340,7 +277,7 @@ const WAIT_POLL: Duration = Duration::from_millis(10);
 impl Flight {
     /// Waits for the leader's published result, or until the waiter's
     /// own budget runs out (then degrades rather than waiting further).
-    fn wait(&self, scope: &BudgetScope) -> Result<Arc<Artifact>, ServeError> {
+    fn wait(&self, scope: &BudgetScope) -> Result<Arc<DnnfEngine>, ServeError> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = (*st).clone() {
@@ -455,8 +392,7 @@ impl QueryService {
     }
 
     /// Runs one maintenance pass over the lineage's resident artifact —
-    /// OBDD: snapshot, rebuild, reorder, collect garbage; d-DNNF:
-    /// recompile (canonical, so the rebuild is bitwise-identical) — and
+    /// a recompile (canonical, so the rebuild is bitwise-identical) — and
     /// swings the epoch. Readers keep answering from the old snapshot
     /// throughout and it retires when the last one finishes. Returns the
     /// new epoch, or `None` when the artifact is not resident (nothing
@@ -465,28 +401,13 @@ impl QueryService {
     /// working artifact down).
     pub fn maintain(&self, lineage: &Lineage) -> Option<u64> {
         // The rebuild runs with no lock held: readers keep resolving the
-        // old snapshot from the tier throughout.
-        let (old, _) = self
-            .mem
+        // old snapshot from the tier throughout. The tier keeps its own
+        // reference, so the clone `get` hands back is never the last.
+        self.mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(lineage.fp)?;
-        let rebuilt = match &*old {
-            Artifact::Obdd(e) => {
-                let snap = e.export();
-                let mut fresh = ObddEngine::import(&snap).ok()?;
-                fresh.reorder();
-                fresh.collect_garbage();
-                Artifact::Obdd(Box::new(fresh))
-            }
-            Artifact::Dnnf(_) => {
-                let EngineSpec::Dnnf(opts) = &lineage.spec else {
-                    return None;
-                };
-                Artifact::Dnnf(DnnfEngine::compile(&lineage.net, opts).ok()?)
-            }
-        };
-        drop(old);
+        let rebuilt = DnnfEngine::compile(&lineage.net, &lineage.opts).ok()?;
         // Racing maintainers may both publish; each publishes a complete,
         // equivalent artifact, so the last swing simply wins. The epoch
         // is bumped under the same lock as the swap, so no swing is lost.
@@ -508,7 +429,7 @@ impl QueryService {
     /// corrupt in-memory entry is detected on hit, evicted, and
     /// re-resolved through the store tier.
     #[doc(hidden)]
-    pub fn inject_mem_entry(&self, fp: Fingerprint, artifact: Artifact) {
+    pub fn inject_mem_entry(&self, fp: Fingerprint, artifact: DnnfEngine) {
         let displaced = self
             .mem
             .lock()
@@ -530,7 +451,7 @@ impl QueryService {
         vt: &VarTable,
         budget: Budget,
         scope: &BudgetScope,
-    ) -> Result<(Arc<Artifact>, u64), ServeError> {
+    ) -> Result<(Arc<DnnfEngine>, u64), ServeError> {
         if let Some(hit) = self.mem_hit(lineage) {
             telemetry::count(Counter::ServeMemHit);
             return Ok(hit);
@@ -610,14 +531,14 @@ impl QueryService {
     /// The lineage's memory-tier snapshot and epoch, if the entry passes
     /// the screen; one acquisition of the tier's lock and no other. The
     /// memory tier holds live process memory, so unlike the zero-trust
-    /// disk tier it is trusted — but a cheap structural screen (right
-    /// engine, right target count) catches a poisoned or misfiled entry,
+    /// disk tier it is trusted — but a cheap structural screen (the
+    /// lineage's target count) catches a poisoned or misfiled entry,
     /// evicts it, and falls back through the store tier instead of
     /// serving it.
-    fn mem_hit(&self, lineage: &Lineage) -> Option<(Arc<Artifact>, u64)> {
+    fn mem_hit(&self, lineage: &Lineage) -> Option<(Arc<DnnfEngine>, u64)> {
         let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
         let (art, epoch) = mem.get(lineage.fp)?;
-        if art.kind() == lineage.kind() && art.n_targets() == lineage.net.targets.len() {
+        if art.n_targets() == lineage.net.targets.len() {
             return Some((art, epoch));
         }
         let rejected = mem.entries.remove(&lineage.fp);
@@ -635,51 +556,27 @@ impl QueryService {
         lineage: &Lineage,
         vt: &VarTable,
         budget: Budget,
-    ) -> Result<Artifact, ServeError> {
+    ) -> Result<DnnfEngine, ServeError> {
         if let Some(store) = &self.opts.store {
-            let loaded = match &lineage.spec {
-                EngineSpec::Dnnf(opts) => store
-                    .load_dnnf(lineage.fp, opts.workers)
-                    .map(Artifact::Dnnf),
-                EngineSpec::Obdd(_) => store
-                    .load_obdd(lineage.fp)
-                    .map(|e| Artifact::Obdd(Box::new(e))),
-            };
             // On any load failure — not-found, corrupt, version-skewed,
             // I/O-faulted — the store has already classified and counted
             // the outcome; every one of them falls back to a fresh
             // compile.
-            if let Ok(art) = loaded {
-                return Ok(art);
+            if let Ok(engine) = store.load_dnnf(lineage.fp, lineage.opts.workers) {
+                return Ok(engine);
             }
         }
-        let art = match &lineage.spec {
-            EngineSpec::Dnnf(opts) => {
-                let opts = DnnfOptions {
-                    budget,
-                    ..opts.clone()
-                };
-                let engine = DnnfEngine::compile(&lineage.net, &opts)?;
-                if let Some(store) = &self.opts.store {
-                    // Best-effort write-back; the artifact serves from
-                    // memory either way.
-                    let _ = store.save_dnnf(lineage.fp, &engine, vt);
-                }
-                Artifact::Dnnf(engine)
-            }
-            EngineSpec::Obdd(opts) => {
-                let opts = ObddOptions {
-                    budget,
-                    ..opts.clone()
-                };
-                let engine = ObddEngine::compile(&lineage.net, &opts)?;
-                if let Some(store) = &self.opts.store {
-                    let _ = store.save_obdd(lineage.fp, &engine, vt);
-                }
-                Artifact::Obdd(Box::new(engine))
-            }
+        let opts = DnnfOptions {
+            budget,
+            ..lineage.opts.clone()
         };
-        Ok(art)
+        let engine = DnnfEngine::compile(&lineage.net, &opts)?;
+        if let Some(store) = &self.opts.store {
+            // Best-effort write-back; the artifact serves from memory
+            // either way.
+            let _ = store.save_dnnf(lineage.fp, &engine, vt);
+        }
+        Ok(engine)
     }
 }
 
@@ -735,6 +632,21 @@ mod tests {
         (Arc::new(net), vt, want)
     }
 
+    /// A sequential sweep of a fresh d-DNNF compile: the answer every
+    /// served reply must reproduce bit for bit.
+    fn sequential(net: &Network, vt: &VarTable) -> Vec<f64> {
+        DnnfEngine::compile(net, &DnnfOptions::default())
+            .unwrap()
+            .probabilities(vt)
+    }
+
+    fn assert_bitwise(got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        for j in 0..want.len() {
+            assert_eq!(got[j].to_bits(), want[j].to_bits(), "target {j}");
+        }
+    }
+
     fn exact(reply: &Reply) -> &[f64] {
         match &reply.answer {
             Answer::Exact(p) => p,
@@ -773,9 +685,10 @@ mod tests {
     #[test]
     fn concurrent_misses_coalesce_into_one_flight() {
         let _t = telemetry_lock();
-        let (net, vt, want) = chain(10);
+        let (net, vt, _) = chain(10);
+        let want = sequential(&net, &vt);
         let svc = Arc::new(QueryService::new(ServeOptions::default()));
-        let lin = Lineage::obdd(net, ObddOptions::default());
+        let lin = Lineage::dnnf(net, DnnfOptions::default());
         let n = 8;
         let barrier = Arc::new(Barrier::new(n));
         std::thread::scope(|s| {
@@ -788,10 +701,7 @@ mod tests {
                 s.spawn(move || {
                     barrier.wait();
                     let reply = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
-                    let got = exact(&reply);
-                    for j in 0..want.len() {
-                        assert!((got[j] - want[j]).abs() < 1e-12, "target {j}");
-                    }
+                    assert_bitwise(exact(&reply), &want);
                 });
             }
         });
@@ -889,40 +799,22 @@ mod tests {
         let _t = telemetry_lock();
         let (net, vt, want) = chain(10);
         let svc = QueryService::new(ServeOptions::default());
-        let lin = Lineage::obdd(Arc::clone(&net), ObddOptions::default());
+        let lin = Lineage::dnnf(net, DnnfOptions::default());
+        // Nothing resident yet: nothing to maintain.
+        assert_eq!(svc.maintain(&lin), None);
+        // Maintenance recompiles canonically: the swing changes the
+        // epoch and not one bit of the answers.
         let before = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
         assert_eq!(before.epoch, 0);
         assert_eq!(svc.maintain(&lin), Some(1));
         let after = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
         assert_eq!(after.epoch, 1);
         let (b, a) = (exact(&before), exact(&after));
+        assert_bitwise(a, b);
         for j in 0..want.len() {
-            assert!(
-                (b[j] - a[j]).abs() < 1e-12,
-                "target {j} changed across epochs"
-            );
-            assert!(
-                (a[j] - want[j]).abs() < 1e-12,
-                "target {j} wrong after swing"
-            );
-        }
-        assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 1);
-        // Nothing resident under a different lineage: nothing to maintain.
-        let dnnf = Lineage::dnnf(net, DnnfOptions::default());
-        assert_eq!(svc.maintain(&dnnf), None);
-        // d-DNNF maintenance recompiles canonically: the swing changes
-        // the epoch and not one bit of the answers.
-        let before = svc.query(&dnnf, &vt, Budget::unlimited()).unwrap();
-        assert_eq!(before.epoch, 0);
-        assert_eq!(svc.maintain(&dnnf), Some(1));
-        let after = svc.query(&dnnf, &vt, Budget::unlimited()).unwrap();
-        assert_eq!(after.epoch, 1);
-        let (b, a) = (exact(&before), exact(&after));
-        for j in 0..want.len() {
-            assert_eq!(b[j].to_bits(), a[j].to_bits(), "target {j} moved");
             assert!((a[j] - want[j]).abs() < 1e-12, "target {j} wrong");
         }
-        assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 2);
+        assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 1);
     }
 
     /// Two maintainers racing on one resident artifact: every swing gets
@@ -931,9 +823,10 @@ mod tests {
     #[test]
     fn concurrent_maintainers_lose_no_swing() {
         let _t = telemetry_lock();
-        let (net, vt, want) = chain(10);
+        let (net, vt, _) = chain(10);
+        let want = sequential(&net, &vt);
         let svc = QueryService::new(ServeOptions::default());
-        let lin = Lineage::obdd(net, ObddOptions::default());
+        let lin = Lineage::dnnf(net, DnnfOptions::default());
         let _ = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
         let barrier = Barrier::new(2);
         let mut epochs: Vec<u64> = std::thread::scope(|s| {
@@ -956,10 +849,7 @@ mod tests {
         assert_eq!(epochs, (1..=10).collect::<Vec<_>>(), "distinct, none lost");
         let last = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
         assert_eq!(last.epoch, 10);
-        let got = exact(&last);
-        for j in 0..want.len() {
-            assert!((got[j] - want[j]).abs() < 1e-12, "target {j}");
-        }
+        assert_bitwise(exact(&last), &want);
         assert_eq!(telemetry::snapshot().counter(Counter::ServeEpochSwing), 10);
     }
 
@@ -1020,7 +910,7 @@ mod tests {
         let lin = Lineage::dnnf(net, DnnfOptions::default());
         // Plant a wrong artifact (3 targets, not 8) under the lineage's key.
         let wrong = DnnfEngine::compile(&net_other, &DnnfOptions::default()).unwrap();
-        svc.inject_mem_entry(lin.fingerprint(), Artifact::Dnnf(wrong));
+        svc.inject_mem_entry(lin.fingerprint(), wrong);
         let reply = svc.query(&lin, &vt, Budget::unlimited()).unwrap();
         let got = exact(&reply);
         for j in 0..want.len() {

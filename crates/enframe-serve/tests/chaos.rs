@@ -26,8 +26,8 @@ use enframe_core::failpoint;
 use enframe_core::{space, Program, VarTable};
 use enframe_network::Network;
 use enframe_obdd::dnnf::DnnfOptions;
-use enframe_obdd::{ObddError, ObddOptions};
-use enframe_serve::{Answer, Artifact, Lineage, QueryService, Reply, ServeError, ServeOptions};
+use enframe_obdd::ObddError;
+use enframe_serve::{Answer, Lineage, QueryService, Reply, ServeError, ServeOptions};
 use enframe_store::{ArtifactStore, EngineKind};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -126,7 +126,7 @@ fn classify(result: Result<Reply, ServeError>, want: &[f64], what: &str) -> bool
 }
 
 /// Phase A — the env-armed schedule: concurrent queries, cold
-/// flushes, tiny budgets, and both engines, for [`ROUNDS`] rounds under
+/// flushes, tiny budgets, and two fan-out widths, for [`ROUNDS`] rounds under
 /// whatever `ENFRAME_FAILPOINTS` the environment armed. Every outcome
 /// must classify; at least one round must serve an answer.
 #[test]
@@ -141,23 +141,18 @@ fn service_survives_armed_fault_schedules() {
             t0.elapsed() < WALL_LIMIT,
             "serve chaos wedged after {round} rounds under `{armed}`"
         );
-        // Alternate engines and d-DNNF fan-out widths so admission,
-        // compile, coalesced waits, and sweeps all meet the faults (the
-        // OBDD compile is sequential); a zero-deadline budget every
-        // fifth round exercises the degradation ladder under the same
-        // schedule.
+        // Alternate fan-out widths so admission, compile, coalesced
+        // waits, and sweeps all meet the faults on both the inline and
+        // the pooled compile; a zero-deadline budget every fifth round
+        // exercises the degradation ladder under the same schedule.
         let workers = if round % 2 == 0 { 1 } else { 4 };
-        let lin = if round % 3 == 0 {
-            Lineage::obdd(Arc::clone(&net), ObddOptions::default())
-        } else {
-            Lineage::dnnf(
-                Arc::clone(&net),
-                DnnfOptions {
-                    workers,
-                    ..DnnfOptions::default()
-                },
-            )
-        };
+        let lin = Lineage::dnnf(
+            Arc::clone(&net),
+            DnnfOptions {
+                workers,
+                ..DnnfOptions::default()
+            },
+        );
         let budget = if round % 5 == 4 {
             Budget::with_timeout(Duration::ZERO)
         } else {
@@ -355,7 +350,7 @@ fn corrupt_mem_entry_falls_back_through_store_then_recompile() {
             t0.elapsed() < WALL_LIMIT,
             "mem-corruption rounds wedged at {round}"
         );
-        svc.inject_mem_entry(lin.fingerprint(), Artifact::Dnnf(wrong()));
+        svc.inject_mem_entry(lin.fingerprint(), wrong());
         let reply = svc.query(&lin, &vt, Budget::unlimited());
         assert!(
             classify(reply, &want, &format!("store-fallback round {round}")),
@@ -369,7 +364,7 @@ fn corrupt_mem_entry_falls_back_through_store_then_recompile() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&artifact_path, &bytes).unwrap();
-    svc.inject_mem_entry(lin.fingerprint(), Artifact::Dnnf(wrong()));
+    svc.inject_mem_entry(lin.fingerprint(), wrong());
     let reply = svc.query(&lin, &vt, Budget::unlimited());
     assert!(
         classify(reply, &want, "recompile rung"),

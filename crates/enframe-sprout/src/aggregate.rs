@@ -8,9 +8,7 @@
 //! issues an aggregate query).
 
 use crate::pctable::PcTable;
-use crate::relation::{Datum, DatumKey};
-use enframe_core::{CVal, Event, Value};
-use std::collections::HashMap;
+use enframe_core::{CVal, Value};
 use std::rc::Rc;
 
 /// Supported aggregate functions.
@@ -64,83 +62,86 @@ pub fn aggregate_cval(table: &PcTable, col: &str, kind: AggKind) -> Rc<CVal> {
     }
 }
 
-/// Group-by aggregation: returns, per group key, the group's existence
-/// lineage (`∨` of member lineage) and the aggregate c-value over its
-/// members.
-pub fn group_aggregate(
-    table: &PcTable,
-    group_cols: &[&str],
-    col: &str,
-    kind: AggKind,
-) -> Vec<(Vec<Datum>, Rc<Event>, Rc<CVal>)> {
-    let g_idx: Vec<usize> = group_cols
-        .iter()
-        .map(|c| {
-            table
-                .schema
-                .col(c)
-                .unwrap_or_else(|| panic!("unknown column `{c}`"))
-        })
-        .collect();
-    let v_idx = if kind == AggKind::Count {
-        usize::MAX
-    } else {
-        table
-            .schema
-            .col(col)
-            .unwrap_or_else(|| panic!("unknown column `{col}`"))
-    };
-    let mut order: Vec<Vec<Datum>> = Vec::new();
-    let mut groups: HashMap<Vec<DatumKey>, usize> = HashMap::new();
-    let mut members: Vec<Vec<(f64, Rc<Event>)>> = Vec::new();
-    for (t, phi) in table.rows() {
-        let key_data: Vec<Datum> = g_idx.iter().map(|&i| t[i].clone()).collect();
-        let key: Vec<DatumKey> = key_data.iter().map(Datum::key).collect();
-        let gi = *groups.entry(key).or_insert_with(|| {
-            order.push(key_data);
-            members.push(Vec::new());
-            order.len() - 1
-        });
-        let v = if v_idx == usize::MAX {
-            1.0
-        } else {
-            t[v_idx]
-                .as_f64()
-                .unwrap_or_else(|| panic!("column `{col}` is not numeric"))
-        };
-        members[gi].push((v, phi.clone()));
-    }
-    order
-        .into_iter()
-        .enumerate()
-        .map(|(gi, key)| {
-            let ms = &members[gi];
-            let lineage = Event::or(ms.iter().map(|(_, phi)| phi.clone()));
-            let sum = Rc::new(CVal::Sum(
-                ms.iter()
-                    .map(|(v, phi)| CVal::cond(phi.clone(), Value::Num(*v)))
-                    .collect(),
-            ));
-            let count = Rc::new(CVal::Sum(
-                ms.iter()
-                    .map(|(_, phi)| CVal::cond(phi.clone(), Value::Num(1.0)))
-                    .collect(),
-            ));
-            let agg = match kind {
-                AggKind::Sum => sum,
-                AggKind::Count => count,
-                AggKind::Avg => Rc::new(CVal::Prod(vec![Rc::new(CVal::Inv(count)), sum])),
-            };
-            (key, lineage, agg)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::relation::Schema;
+    use crate::relation::{Datum, DatumKey};
+    use enframe_core::Event;
     use enframe_core::{Valuation, Var};
+    use std::collections::HashMap;
+
+    /// Group-by aggregation: returns, per group key, the group's existence
+    /// lineage (`∨` of member lineage) and the aggregate c-value over its
+    /// members.
+    fn group_aggregate(
+        table: &PcTable,
+        group_cols: &[&str],
+        col: &str,
+        kind: AggKind,
+    ) -> Vec<(Vec<Datum>, Rc<Event>, Rc<CVal>)> {
+        let g_idx: Vec<usize> = group_cols
+            .iter()
+            .map(|c| {
+                table
+                    .schema
+                    .col(c)
+                    .unwrap_or_else(|| panic!("unknown column `{c}`"))
+            })
+            .collect();
+        let v_idx = if kind == AggKind::Count {
+            usize::MAX
+        } else {
+            table
+                .schema
+                .col(col)
+                .unwrap_or_else(|| panic!("unknown column `{col}`"))
+        };
+        let mut order: Vec<Vec<Datum>> = Vec::new();
+        let mut groups: HashMap<Vec<DatumKey>, usize> = HashMap::new();
+        let mut members: Vec<Vec<(f64, Rc<Event>)>> = Vec::new();
+        for (t, phi) in table.rows() {
+            let key_data: Vec<Datum> = g_idx.iter().map(|&i| t[i].clone()).collect();
+            let key: Vec<DatumKey> = key_data.iter().map(Datum::key).collect();
+            let gi = *groups.entry(key).or_insert_with(|| {
+                order.push(key_data);
+                members.push(Vec::new());
+                order.len() - 1
+            });
+            let v = if v_idx == usize::MAX {
+                1.0
+            } else {
+                t[v_idx]
+                    .as_f64()
+                    .unwrap_or_else(|| panic!("column `{col}` is not numeric"))
+            };
+            members[gi].push((v, phi.clone()));
+        }
+        order
+            .into_iter()
+            .enumerate()
+            .map(|(gi, key)| {
+                let ms = &members[gi];
+                let lineage = Event::or(ms.iter().map(|(_, phi)| phi.clone()));
+                let sum = Rc::new(CVal::Sum(
+                    ms.iter()
+                        .map(|(v, phi)| CVal::cond(phi.clone(), Value::Num(*v)))
+                        .collect(),
+                ));
+                let count = Rc::new(CVal::Sum(
+                    ms.iter()
+                        .map(|(_, phi)| CVal::cond(phi.clone(), Value::Num(1.0)))
+                        .collect(),
+                ));
+                let agg = match kind {
+                    AggKind::Sum => sum,
+                    AggKind::Count => count,
+                    AggKind::Avg => Rc::new(CVal::Prod(vec![Rc::new(CVal::Inv(count)), sum])),
+                };
+                (key, lineage, agg)
+            })
+            .collect()
+    }
 
     fn table() -> PcTable {
         let mut t = PcTable::new(Schema::new(&["grp", "v"]));

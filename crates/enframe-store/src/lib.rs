@@ -3,26 +3,26 @@
 //! Knowledge compilation dominates end-to-end latency (the paper's
 //! Figure 9 measures it at orders of magnitude over inference), and the
 //! compiled form is a pure function of the event network and the engine
-//! options. This crate persists compiled artifacts — d-DNNF node arrays
-//! and OBDD snapshots — on disk keyed by a **lineage fingerprint**
-//! ([`fingerprint_network`]), so a re-run over unchanged lineage pays a
-//! load instead of a recompile.
+//! options. This crate persists the one compiled form that is served,
+//! d-DNNF node arrays, on disk keyed by a **lineage fingerprint**
+//! ([`fingerprint_dnnf`]), so a re-run over unchanged lineage pays a
+//! load instead of a recompile. OBDDs are compiled and queried
+//! in-process and are not persisted.
 //!
 //! Two properties make the cache safe to trust:
 //!
-//! * **Crash-safe writes.** [`ArtifactStore::save_dnnf`]/[`save_obdd`](
-//!   ArtifactStore::save_obdd) write a temp file, fsync, then rename
-//!   atomically — a crash mid-save leaves the previous artifact (or
-//!   nothing), never a torn file under the final name.
+//! * **Crash-safe writes.** [`ArtifactStore::save_dnnf`] writes a temp
+//!   file, fsyncs, then renames atomically — a crash mid-save leaves the
+//!   previous artifact (or nothing), never a torn file under the final
+//!   name.
 //! * **Zero-trust loads.** The on-disk frame is versioned and
 //!   checksummed (per-section CRC-32 plus a whole-file digest), and a
-//!   load that passes the checksums is *still* revalidated: structural
-//!   invariants are re-checked (d-DNNF decomposability via support
-//!   bitsets and determinism of every OR; OBDD ordering, reduction, and
-//!   complement-edge canonicity), and a stored per-target WMC digest is
-//!   compared against a fresh sweep over the rebuilt artifact. Any
-//!   mismatch is a structured [`StoreError`] — never a panic, never a
-//!   silently wrong probability.
+//!   load that passes the checksums is *still* revalidated: the d-DNNF
+//!   invariants are re-checked (decomposability via support bitsets and
+//!   determinism of every OR), and a stored per-target WMC digest is
+//!   compared bitwise against a fresh sweep over the rebuilt artifact.
+//!   Any mismatch is a structured [`StoreError`] — never a panic, never
+//!   a silently wrong probability.
 //!
 //! A failed load (missing, corrupt, stale version, wrong fingerprint)
 //! is the first rung of the degradation ladder: the caller recompiles
@@ -40,15 +40,8 @@ use enframe_core::value::Value;
 use enframe_core::var::{Var, VarTable};
 use enframe_network::{Network, NodeKind};
 use enframe_obdd::dnnf::{Dnnf, DnnfEngine, DnnfManager, DnnfNode, DnnfOptions};
-use enframe_obdd::{ObddEngine, ObddOptions, ObddSnapshot, SnapshotNode};
 use enframe_telemetry::{self as telemetry, Counter, Phase};
 use std::path::{Path, PathBuf};
-
-/// Absolute tolerance for the OBDD WMC digest check. A rebuilt manager
-/// re-derives every node, so summation order can differ from the saving
-/// process at the last few ulps; the d-DNNF sweep is canonical and is
-/// held to bitwise equality instead.
-const OBDD_WMC_TOL: f64 = 1e-12;
 
 // ---------------------------------------------------------------------
 // Errors.
@@ -154,13 +147,13 @@ impl StoreError {
 // Engine kinds and lineage fingerprints.
 // ---------------------------------------------------------------------
 
-/// Which compiled form an artifact holds.
+/// Which compiled form an artifact holds. The frame's kind byte and the
+/// file-name prefix both come from it, so a file of another kind (code
+/// 1 was the retired OBDD frame) is rejected as corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// A d-DNNF node array (`enframe_obdd::dnnf`).
     Dnnf,
-    /// An OBDD snapshot (`enframe_obdd::ObddSnapshot`).
-    Obdd,
 }
 
 impl EngineKind {
@@ -168,14 +161,12 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Dnnf => "dnnf",
-            EngineKind::Obdd => "obdd",
         }
     }
 
     fn code(self) -> u8 {
         match self {
             EngineKind::Dnnf => 0,
-            EngineKind::Obdd => 1,
         }
     }
 }
@@ -186,17 +177,17 @@ impl EngineKind {
 /// written, so no key already on disk moves (`fingerprints_are_pinned`).
 const RANKING_TAG: u32 = 1;
 
-/// The lineage fingerprint an artifact is keyed by: a content hash of
-/// everything that determines the compiled *functions* — the full event
-/// network (node kinds, payloads, wiring, constant values), the target
-/// set and names, the engine kind, and the var-groups. The key names the
-/// functions, whose answers agree within 1e-12 however they were
-/// compiled, not the node layout: worker count, budget and the OBDD
-/// maintenance switch are not hashed, and [`ObddEngine::import`] always
-/// rebuilds with automatic maintenance.
-pub fn fingerprint_network(net: &Network, kind: EngineKind, groups: &[Vec<Var>]) -> Fingerprint {
+/// The lineage fingerprint a d-DNNF artifact is keyed by: a content hash
+/// of everything that determines the compiled *functions* — the full
+/// event network (node kinds, payloads, wiring, constant values) and the
+/// target set and names. No field of the options (worker count, budget)
+/// changes the compiled functions, so none is hashed.
+pub fn fingerprint_dnnf(net: &Network, _opts: &DnnfOptions) -> Fingerprint {
     let mut h = FingerprintHasher::new("enframe-store/lineage");
-    h.write_discriminant(kind.code() as u32);
+    // The engine-kind code and (below) an empty var-group list are still
+    // written, so every key already on disk keeps its value
+    // (`fingerprints_are_pinned`).
+    h.write_discriminant(EngineKind::Dnnf.code() as u32);
     h.write_u32(net.n_vars);
     h.write_len(net.len());
     for node in net.nodes() {
@@ -216,26 +207,8 @@ pub fn fingerprint_network(net: &Network, kind: EngineKind, groups: &[Vec<Var>])
         h.write_str(name);
     }
     h.write_discriminant(RANKING_TAG);
-    h.write_len(groups.len());
-    for g in groups {
-        h.write_len(g.len());
-        for v in g {
-            h.write_u32(v.0);
-        }
-    }
+    h.write_len(0);
     h.finish()
-}
-
-/// [`fingerprint_network`] for a d-DNNF compile: no field of its
-/// options (worker count, budget) changes the compiled functions.
-pub fn fingerprint_dnnf(net: &Network, _opts: &DnnfOptions) -> Fingerprint {
-    fingerprint_network(net, EngineKind::Dnnf, &[])
-}
-
-/// [`fingerprint_network`] with the fields an OBDD compile reads from
-/// its options.
-pub fn fingerprint_obdd(net: &Network, opts: &ObddOptions) -> Fingerprint {
-    fingerprint_network(net, EngineKind::Obdd, &opts.groups)
 }
 
 /// Node-kind discriminants are part of every stored key: renumbering one
@@ -390,7 +363,7 @@ impl ArtifactStore {
             path: path.to_path_buf(),
             detail,
         };
-        let f = read_frame(path, EngineKind::Dnnf, fp, 3)?;
+        let f = read_frame(path, fp)?;
         let nodes = decode_dnnf_nodes(&f.sections[0]).map_err(&corrupt)?;
         let man = DnnfManager::from_nodes(nodes).map_err(&corrupt)?;
         let (targets, names) = decode_targets(&f.sections[1]).map_err(&corrupt)?;
@@ -439,92 +412,6 @@ impl ArtifactStore {
         }
         Ok(engine)
     }
-
-    /// Persists a compiled OBDD engine under `fp` (unique-table
-    /// contents reachable from the targets, variable order, blocks,
-    /// weights, and the WMC digest). Returns the artifact path.
-    pub fn save_obdd(
-        &self,
-        fp: Fingerprint,
-        engine: &ObddEngine,
-        vt: &VarTable,
-    ) -> Result<PathBuf, StoreError> {
-        let path = self.path_for(EngineKind::Obdd, fp);
-        let _span = telemetry::span(Phase::StoreSave);
-        let snap = engine.export();
-        let weights = table_weights(vt);
-        let probs = engine.probabilities(vt);
-        let f = frame::Frame {
-            kind: EngineKind::Obdd.code(),
-            fingerprint: fp.0,
-            sections: encode_obdd(&snap, &weights, &probs),
-        };
-        frame::write_atomic(&path, &f.encode()).map_err(|source| StoreError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        Ok(path)
-    }
-
-    /// Loads, checks, and revalidates the OBDD artifact keyed by `fp`.
-    pub fn load_obdd(&self, fp: Fingerprint) -> Result<ObddEngine, StoreError> {
-        let path = self.path_for(EngineKind::Obdd, fp);
-        let _span = telemetry::span(Phase::StoreLoad);
-        let result = self.load_obdd_at(&path, fp);
-        note_outcome(&result);
-        result
-    }
-
-    fn load_obdd_at(&self, path: &Path, fp: Fingerprint) -> Result<ObddEngine, StoreError> {
-        let corrupt = |detail: String| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            detail,
-        };
-        let f = read_frame(path, EngineKind::Obdd, fp, 4)?;
-        let snap = decode_obdd_snapshot(&f.sections[0], &f.sections[1], &f.sections[2])
-            .map_err(&corrupt)?;
-        // `import` re-checks every structural invariant: blocks
-        // partition the levels, no variable sits on two levels, edges
-        // point strictly downward, stored hi edges are never
-        // complemented, and no node is unreduced or duplicated.
-        let engine = ObddEngine::import(&snap).map_err(&corrupt)?;
-        let (weights, stored) = decode_weights(&f.sections[3]).map_err(&corrupt)?;
-
-        let _verify = telemetry::span(Phase::StoreVerify);
-        telemetry::count(Counter::StoreRevalidation);
-        check_weights(&weights).map_err(&corrupt)?;
-        if let Some(m) = snap.level_vars.iter().map(|v| v.index()).max() {
-            if m >= weights.len() {
-                return Err(corrupt(format!(
-                    "stored weights cover {} variables but the order mentions x{m}",
-                    weights.len()
-                )));
-            }
-        }
-        if stored.len() != engine.n_targets() {
-            return Err(corrupt(format!(
-                "stored WMC digest has {} entries for {} targets",
-                stored.len(),
-                engine.n_targets()
-            )));
-        }
-        let vt = VarTable::new(weights);
-        let fresh = engine.probabilities(&vt);
-        for (i, (&f, &s)) in fresh.iter().zip(stored.iter()).enumerate() {
-            // `partial_cmp` makes the NaN case explicit: an
-            // incomparable pair (`None`) is corruption, not a pass.
-            let within = matches!(
-                (f - s).abs().partial_cmp(&OBDD_WMC_TOL),
-                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-            );
-            if !within {
-                return Err(corrupt(format!(
-                    "WMC digest mismatch on target {i}: recomputed {f:e}, stored {s:e}"
-                )));
-            }
-        }
-        Ok(engine)
-    }
 }
 
 fn note_outcome<T>(result: &Result<T, StoreError>) {
@@ -551,12 +438,11 @@ fn check_weights(weights: &[f64]) -> Result<(), String> {
     Ok(())
 }
 
-fn read_frame(
-    path: &Path,
-    kind: EngineKind,
-    fp: Fingerprint,
-    n_sections: usize,
-) -> Result<frame::Frame, StoreError> {
+/// Reads and checks the frame of a d-DNNF artifact: its three sections
+/// are the node array, the targets and the weights with their digest.
+fn read_frame(path: &Path, fp: Fingerprint) -> Result<frame::Frame, StoreError> {
+    const N_SECTIONS: usize = 3;
+    let kind = EngineKind::Dnnf;
     let bytes = frame::read_file(path).map_err(|source| StoreError::Io {
         path: path.to_path_buf(),
         source,
@@ -590,9 +476,9 @@ fn read_frame(
             expected: fp,
         });
     }
-    if f.sections.len() != n_sections {
+    if f.sections.len() != N_SECTIONS {
         return Err(corrupt(format!(
-            "expected {n_sections} sections, found {}",
+            "expected {N_SECTIONS} sections, found {}",
             f.sections.len()
         )));
     }
@@ -715,84 +601,6 @@ fn decode_weights(payload: &[u8]) -> Result<(Vec<f64>, Vec<f64>), String> {
     }
     r.finish()?;
     Ok((weights, probs))
-}
-
-// ---------------------------------------------------------------------
-// OBDD payload codec.
-// ---------------------------------------------------------------------
-
-fn encode_obdd(snap: &ObddSnapshot, weights: &[f64], probs: &[f64]) -> Vec<Vec<u8>> {
-    let mut s0 = frame::Writer::new();
-    s0.put_u64(snap.level_vars.len() as u64);
-    for v in &snap.level_vars {
-        s0.put_u32(v.0);
-    }
-    s0.put_u64(snap.blocks.len() as u64);
-    for &b in &snap.blocks {
-        s0.put_u32(b);
-    }
-    let mut s1 = frame::Writer::new();
-    s1.put_u64(snap.nodes.len() as u64);
-    for n in &snap.nodes {
-        s1.put_u32(n.level);
-        s1.put_u32(n.hi);
-        s1.put_u32(n.lo);
-    }
-    let mut s2 = frame::Writer::new();
-    s2.put_u64(snap.targets.len() as u64);
-    for &t in &snap.targets {
-        s2.put_u32(t);
-    }
-    s2.put_u64(snap.names.len() as u64);
-    for name in &snap.names {
-        s2.put_str(name);
-    }
-    vec![
-        s0.finish(),
-        s1.finish(),
-        s2.finish(),
-        encode_weights(weights, probs),
-    ]
-}
-
-fn decode_obdd_snapshot(
-    order: &[u8],
-    nodes: &[u8],
-    targets: &[u8],
-) -> Result<ObddSnapshot, String> {
-    let mut r = frame::Reader::new(order);
-    let nl = r.take_count(4)?;
-    let mut level_vars = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        level_vars.push(Var(r.take_u32()?));
-    }
-    let nb = r.take_count(4)?;
-    let mut blocks = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        blocks.push(r.take_u32()?);
-    }
-    r.finish()?;
-
-    let mut r = frame::Reader::new(nodes);
-    let nn = r.take_count(12)?;
-    let mut snap_nodes = Vec::with_capacity(nn);
-    for _ in 0..nn {
-        snap_nodes.push(SnapshotNode {
-            level: r.take_u32()?,
-            hi: r.take_u32()?,
-            lo: r.take_u32()?,
-        });
-    }
-    r.finish()?;
-
-    let (target_refs, names) = decode_targets(targets)?;
-    Ok(ObddSnapshot {
-        level_vars,
-        blocks,
-        nodes: snap_nodes,
-        targets: target_refs,
-        names,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -940,22 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn obdd_round_trips_within_tolerance() {
-        let (net, vt, want) = reference(7, 0.45);
-        let opts = ObddOptions::default();
-        let fp = fingerprint_obdd(&net, &opts);
-        let engine = ObddEngine::compile(&net, &opts).unwrap();
-        let store = tmp_store("obdd-rt");
-        store.save_obdd(fp, &engine, &vt).unwrap();
-        let loaded = store.load_obdd(fp).unwrap();
-        let back = loaded.probabilities(&vt);
-        for i in 0..want.len() {
-            assert!((back[i] - want[i]).abs() < 1e-9, "target {i} vs reference");
-        }
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
     fn missing_artifact_is_a_miss() {
         let store = tmp_store("miss");
         let err = store.load_dnnf(Fingerprint(1), 1).unwrap_err();
@@ -993,15 +785,6 @@ mod tests {
         let opts = DnnfOptions::default();
         assert_eq!(fingerprint_dnnf(&a, &opts), fingerprint_dnnf(&a, &opts));
         assert_ne!(fingerprint_dnnf(&a, &opts), fingerprint_dnnf(&b, &opts));
-        // Engine kind and the var-groups are part of the key.
-        assert_ne!(
-            fingerprint_network(&a, EngineKind::Dnnf, &[]),
-            fingerprint_network(&a, EngineKind::Obdd, &[])
-        );
-        assert_ne!(
-            fingerprint_network(&a, EngineKind::Obdd, &[vec![Var(0), Var(1)]]),
-            fingerprint_network(&a, EngineKind::Obdd, &[vec![Var(1), Var(2)]])
-        );
     }
 
     #[test]
@@ -1153,23 +936,25 @@ mod tests {
             fingerprint_dnnf(&net, &DnnfOptions::default()),
             Fingerprint(0x9e67_5b76_c283_cb3a)
         );
-        assert_eq!(
-            fingerprint_obdd(&net, &ObddOptions::default()),
-            Fingerprint(0x1df8_f3be_e450_6d80)
-        );
     }
 
     #[test]
     fn wrong_engine_kind_is_corrupt() {
         let net = mutex_chain(4);
         let vt = VarTable::uniform(4, 0.5);
-        let opts = ObddOptions::default();
-        let fp = fingerprint_obdd(&net, &opts);
-        let engine = ObddEngine::compile(&net, &opts).unwrap();
+        let opts = DnnfOptions::default();
+        let fp = fingerprint_dnnf(&net, &opts);
+        let engine = DnnfEngine::compile(&net, &opts).unwrap();
         let store = tmp_store("wrong-kind");
-        let path = store.save_obdd(fp, &engine, &vt).unwrap();
-        // Present the OBDD artifact as a d-DNNF one.
-        std::fs::copy(&path, store.path_for(EngineKind::Dnnf, fp)).unwrap();
+        let path = store.save_dnnf(fp, &engine, &vt).unwrap();
+        // Re-encode the frame honestly (fresh CRCs and digest) under a
+        // foreign kind code: 1, the retired OBDD frame's.
+        let mut f = match frame::Frame::decode(&std::fs::read(&path).unwrap()) {
+            Ok(f) => f,
+            Err(_) => panic!("fresh artifact must decode"),
+        };
+        f.kind = 1;
+        std::fs::write(&path, f.encode()).unwrap();
         match store.load_dnnf(fp, 1) {
             Err(StoreError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("engine kind"), "got: {detail}")

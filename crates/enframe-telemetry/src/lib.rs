@@ -88,7 +88,7 @@ pub fn init_from_env() -> bool {
 /// Enables collection and arms the trace exporter: span events are
 /// buffered from now on and [`write_trace_if_armed`] will write them to
 /// `path`.
-pub fn arm_trace(path: impl Into<String>) {
+fn arm_trace(path: impl Into<String>) {
     *TRACE_PATH.lock().unwrap() = Some(path.into());
     TRACING.store(true, Ordering::Relaxed);
     set_enabled(true);
@@ -455,12 +455,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// The calling thread's currently-open span names, outermost first.
-/// Intended for tests and debugging.
-pub fn current_stack() -> Vec<&'static str> {
-    STACK.with(|s| s.borrow().clone())
-}
-
 // ---------------------------------------------------------------------
 // Snapshot exporter.
 // ---------------------------------------------------------------------
@@ -598,7 +592,7 @@ pub fn write_trace(path: &str) -> std::io::Result<()> {
     std::fs::write(path, render_trace())
 }
 
-/// If [`arm_trace`]/`ENFRAME_TRACE` armed the exporter, writes the
+/// If `ENFRAME_TRACE` armed the exporter, writes the
 /// trace to the armed path and returns it. Call once at process exit
 /// (the bench binaries do).
 pub fn write_trace_if_armed() -> Option<std::io::Result<String>> {
@@ -609,6 +603,12 @@ pub fn write_trace_if_armed() -> Option<std::io::Result<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The calling thread's currently-open span names, outermost first.
+    /// Intended for tests.
+    fn current_stack() -> Vec<&'static str> {
+        STACK.with(|s| s.borrow().clone())
+    }
 
     /// Telemetry state is global; tests that flip it must not overlap.
     fn lock() -> std::sync::MutexGuard<'static, ()> {

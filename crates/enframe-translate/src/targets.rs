@@ -76,24 +76,6 @@ fn ref_target(program: &Program, e: &Event) -> Option<EventId> {
     }
 }
 
-/// Adds the single Boolean entry `var[idx...]` as a target, returning its
-/// handle (constants are declared as constant events).
-pub fn add_bool_target_at(t: &mut Translated, var: &str, idx: &[usize]) -> Option<EventId> {
-    match t.slot_at(var, idx)? {
-        Slot::Event(e) => {
-            let id = ref_target(&t.program, e)?;
-            t.program.add_target(id);
-            Some(id)
-        }
-        &Slot::Concrete(RtValue::Bool(b)) => {
-            let path: Vec<i64> = idx.iter().map(|&i| i as i64).collect();
-            let name = format!("{var}_const");
-            Some(const_target(&mut t.program, &name, &path, b))
-        }
-        _ => None,
-    }
-}
-
 /// `∨_i (var[i][l1] ∧ var[i][l2])` over the first `k` rows of `var`.
 fn same_cluster(t: &Translated, var: &str, k: usize, l1: usize, l2: usize) -> Option<Rc<Event>> {
     let mut disjuncts = Vec::with_capacity(k);
@@ -166,6 +148,24 @@ mod tests {
     use crate::translate::translate;
     use enframe_core::{space, Var, VarTable};
     use enframe_lang::{parse, programs};
+
+    /// Adds the single Boolean entry `var[idx...]` as a target, returning its
+    /// handle (constants are declared as constant events).
+    fn add_bool_target_at(t: &mut Translated, var: &str, idx: &[usize]) -> Option<EventId> {
+        match t.slot_at(var, idx)? {
+            Slot::Event(e) => {
+                let id = ref_target(&t.program, e)?;
+                t.program.add_target(id);
+                Some(id)
+            }
+            &Slot::Concrete(RtValue::Bool(b)) => {
+                let path: Vec<i64> = idx.iter().map(|&i| i as i64).collect();
+                let name = format!("{var}_const");
+                Some(const_target(&mut t.program, &name, &path, b))
+            }
+            _ => None,
+        }
+    }
 
     fn translated() -> Translated {
         let objs = ProbObjects::new(

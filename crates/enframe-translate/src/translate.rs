@@ -15,7 +15,7 @@
 //! `u`-absorption is applied eagerly.
 
 use crate::env::{ProbEnv, ProbValue};
-use enframe_core::{CVal, CValId, CmpOp, CoreError, Event, EventId, GroundProgram, Program, Value};
+use enframe_core::{CVal, CValId, CmpOp, CoreError, Event, GroundProgram, Program, Value};
 use enframe_lang::ast::{
     Cmp, Expr, ExtCall, ListCompr, Lval, ReduceKind, Stmt, TieKind, UserProgram,
 };
@@ -83,7 +83,7 @@ impl Slot {
     }
 
     /// Whether this slot is a symbolic event or a concrete Boolean.
-    pub fn is_boolish(&self) -> bool {
+    fn is_boolish(&self) -> bool {
         matches!(self, Slot::Event(_) | Slot::Concrete(RtValue::Bool(_)))
     }
 }
@@ -123,18 +123,6 @@ impl Translated {
             }
         }
         Some(cur)
-    }
-
-    /// The event declared at `name[idx...]`, if that slot is a
-    /// symbolic event reference.
-    pub fn event_ident(&self, name: &str, idx: &[usize]) -> Option<EventId> {
-        match self.slot_at(name, idx)? {
-            Slot::Event(e) => match **e {
-                Event::Ref(d) => self.program.event_id(d),
-                _ => None,
-            },
-            _ => None,
-        }
     }
 
     /// The c-value declared at `name[idx...]`, if any.
@@ -996,8 +984,23 @@ impl<'e> Tr<'e> {
 mod tests {
     use super::*;
     use crate::env::{clustering_env, ProbObjects};
+    use enframe_core::EventId;
     use enframe_core::{space, Valuation, Var, VarTable};
     use enframe_lang::{parse, programs, Interp};
+
+    impl Translated {
+        /// The event declared at `name[idx...]`, if that slot is a
+        /// symbolic event reference.
+        fn event_ident(&self, name: &str, idx: &[usize]) -> Option<EventId> {
+            match self.slot_at(name, idx)? {
+                Slot::Event(e) => match **e {
+                    Event::Ref(d) => self.program.event_id(d),
+                    _ => None,
+                },
+                _ => None,
+            }
+        }
+    }
 
     /// Two uncertain 1-D objects; x0/x1 their presence variables.
     fn tiny_env() -> ProbEnv {

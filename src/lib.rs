@@ -23,8 +23,8 @@
 //! | [`worlds`] | the naïve possible-worlds baseline (§5) |
 //! | [`sprout`] | pc-tables and positive relational algebra with aggregates (the `loadData()` query path) |
 //! | [`data`] | workload generators: correlation schemes, synthetic sensor data (§5), farthest-first seeding (`farthest_first`) |
-//! | [`store`] | crash-safe compiled-artifact store: fingerprinted persistence, zero-trust reloads with integrity revalidation, corruption recovery |
-//! | [`serve`] | query service: two-tier artifact cache with single-flight compiles, epoch-snapshotted lock-free reads, one WMC sweep per request, per-request budgets with graceful degradation |
+//! | [`store`] | crash-safe d-DNNF artifact store: fingerprinted persistence, zero-trust reloads with integrity revalidation, corruption recovery (OBDDs are compiled and queried in-process, not persisted) |
+//! | [`serve`] | d-DNNF query service: two-tier artifact cache with single-flight compiles, epoch-snapshotted lock-free reads, one WMC sweep per request (bitwise-equal to a sequential sweep), per-request budgets with graceful degradation |
 //! | [`telemetry`] | instrumentation: hierarchical spans, typed counters, worker timelines, Chrome Trace export |
 //!
 //! ## Quickstart
